@@ -326,12 +326,14 @@ _DETECTOR_RUN = 6
 
 
 @lru_cache(maxsize=4096)
-def _transform_mag_cached(tp: TransformProblem, xi: float) -> float:
-    return abs(ml_transform(tp, xi))
+def _transform_mag_cached(
+    tp: TransformProblem, xi: float, cfg: QuadratureConfig
+) -> float:
+    return abs(ml_transform(tp, xi, cfg=cfg))
 
 
 def _shell_integrals(
-    tp: TransformProblem, p: float, inward: bool
+    tp: TransformProblem, p: float, inward: bool, cfg: QuadratureConfig
 ) -> np.ndarray:
     """Integrals of |F|^p |xi|^(n-1) over dyadic shells marching away from
     |xi| = 1 (toward 0 when inward, toward infinity otherwise)."""
@@ -344,7 +346,8 @@ def _shell_integrals(
             a, b = 2.0 ** k, 2.0 ** (k + 1)
         xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         vals = [
-            _transform_mag_cached(tp, float(x)) ** p * float(x) ** (tp.n - 1)
+            _transform_mag_cached(tp, float(x), cfg) ** p
+            * float(x) ** (tp.n - 1)
             for x in xs
         ]
         out.append(0.5 * (b - a) * float(np.dot(weights, vals)))
@@ -366,11 +369,11 @@ def lp_numerical_check(
     (lp_region); this probe cannot certify borderline divergence."""
     if p < 1.0:
         raise DomainError("p >= 1 required")
-    inner = _shell_integrals(tp, p, inward=True)
+    inner = _shell_integrals(tp, p, inward=True, cfg=cfg)
     ratios_in = inner[1:] / inner[:-1]
     if np.all(ratios_in[-_DETECTOR_RUN:] >= _DECAY_THRESHOLD):
         return "divergent-at-0"
-    outer = _shell_integrals(tp, p, inward=False)
+    outer = _shell_integrals(tp, p, inward=False, cfg=cfg)
     ratios_out = outer[1:] / outer[:-1]
     if np.all(ratios_out[-_DETECTOR_RUN:] >= _DECAY_THRESHOLD):
         return "divergent-at-infty"

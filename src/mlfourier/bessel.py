@@ -1,5 +1,8 @@
 """Bessel J evaluators and the extended large-argument expansion.
 
+Real orders are evaluated with scipy.special.jv; the ascending series and
+the integral representation serve complex orders, which jv does not accept.
+
 The expansion writes J_lambda(r) = sum_{l=0}^{M} sum_{+-} c_l^{+-}(lambda)
 r^{-(l+1/2)} e^{+-ir} + L_lambda(r; M) with |L| = O(r^{-M-3/2}).  The
 coefficients are built by two independent routes and cross-asserted:
@@ -28,6 +31,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from scipy.special import jv, loggamma
 
 from .errors import AccuracyError, DomainError, FitError, DegenerateFitError
 from .special_core import (
@@ -147,9 +151,7 @@ def _log_gamma_shift(lam: Complex, m: int) -> Complex:
     # log Gamma(m + lambda + 1) for Re lambda > -1/2, m >= 0.
     if lam.imag == 0.0:
         return math.lgamma(m + lam.real + 1.0)
-    from .special_core import _lanczos_log_gamma
-
-    return _lanczos_log_gamma(m + lam + 1.0)
+    return complex(loggamma(m + lam + 1.0))
 
 
 def bessel_j_poisson(
@@ -319,10 +321,21 @@ _REFERENCE_M = 6
 
 
 def bessel_j_reference(lam, r: float) -> Complex:
-    """Evaluation chain: ascending series for r <= 40, order-6 expansion
-    beyond (the two agree to ~3e-8 absolute on the overlap [20, 40], and the
-    expansion remainder is ~2e-12 at the switch point)."""
+    """J_lambda(r) for Re lambda > -1/2 and r >= 0.
+
+    Real orders use scipy.special.jv.  Complex orders, which jv does not
+    accept, go through the ascending series for r <= 40 and the order-6
+    expansion beyond (the two agree to ~3e-8 absolute on the overlap
+    [20, 40], and the expansion remainder is ~2e-12 at the switch point).
+    """
     lam = _as_lambda(lam)
+    if lam.imag == 0.0:
+        _require_series_domain(lam)
+        if r < 0.0:
+            raise DomainError("r >= 0 required")
+        if r == 0.0 and lam.real < 0.0:
+            raise DomainError("J_lambda(0) diverges for Re lambda < 0")
+        return complex(jv(lam.real, r))
     if r <= 40.0:
         return bessel_j_series(lam, r)
     return _asymptotic_eval(_expansion_coeffs(lam, _REFERENCE_M), r)
@@ -398,7 +411,8 @@ def remainder_decay_certificate(lam, M: int, r_grid) -> DecayCertificate:
 
 
 def jbar(n: int, r: float) -> Complex:
-    """Scaled radial kernel J_{n/2-1}(2 pi r) r^(n/2).
+    """Scaled radial kernel J_{n/2-1}(2 pi r) r^(n/2), with J from
+    scipy.special.jv through bessel_j_reference (the order is real).
 
     n = 1 collapses to cos(2 pi r)/pi through the half-order identity;
     r = 0 gives 1/pi for n = 1 and 0 for n >= 2.

@@ -15,11 +15,9 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .errors import (
     FitError,
     LawMismatchError,
     MLFourierError,
-    PoleError,
 )
 from .special_core import QuadratureConfig
 from .mittag_leffler import MLParams, ml_eval
@@ -54,32 +51,6 @@ _STRATEGY_NAMES = {
     "expansion": "BesselExpansionAccelerated",
     "direct": "DirectPeriodSum",
 }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MLF_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise DomainError(f"MLF_THREADS must be an integer, got {raw!r}")
-    if k < 0:
-        raise DomainError("MLF_THREADS must be >= 0 (0 = auto)")
-    if k == 0:
-        return os.cpu_count() or 1
-    return k
-
-
-def _grid_map(func: Callable[[float], tuple], xs: Sequence[float]) -> list:
-    """Evaluate func over xs, fanning out across MLF_THREADS workers.
-
-    Results are merged in grid order, so output is independent of the
-    worker count.
-    """
-    workers = min(_worker_count(), max(len(xs), 1))
-    if workers <= 1 or len(xs) <= 1:
-        return [func(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, xs))
 
 
 def _parse_complex(text: str) -> complex:
@@ -207,7 +178,7 @@ def _cmd_eval_bessel(args: argparse.Namespace) -> int:
             v = bessel_j_reference(lam, float(r))
             return _record(r, complex(v), 1e-11)
 
-    records = _grid_map(point, [float(x) for x in grid])
+    records = [point(float(x)) for x in grid]
     params = {
         "order": args.order,
         "dim": args.dim,
@@ -252,7 +223,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         )
         return _record(xi, value, est)
 
-    records = _grid_map(point, [float(x) for x in grid])
+    records = [point(float(x)) for x in grid]
     params = {
         "alpha": tp.alpha,
         "beta": tp.beta,
@@ -521,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConvergenceError, AccuracyError, PoleError) as exc:
+    except (ConvergenceError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (LawMismatchError, FitError, DegenerateFitError) as exc:

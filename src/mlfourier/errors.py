@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: validation failures (DomainError,
-PoleError) -> 2, numerical failures (ConvergenceError, AccuracyError,
-FitError) -> 3, law mismatches (LawMismatchError) -> 4.
+Exit-code mapping used by the CLI: validation failures (DomainError and
+its subclass PoleError) -> 2, numerical failures (ConvergenceError,
+AccuracyError) -> 3, law and fit mismatches (LawMismatchError, FitError,
+DegenerateFitError) -> 4.
 """
 
 from __future__ import annotations

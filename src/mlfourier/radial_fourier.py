@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .special_core import (
@@ -51,7 +52,6 @@ from .mittag_leffler import (
 from .bessel import (
     _asymptotic_eval,
     _expansion_coeffs,
-    bessel_j_series,
     jbar,
 )
 
@@ -302,13 +302,8 @@ def _tail_coefficient_pairs(n: int, M: int) -> tuple[tuple, bool]:
 
 
 def _bessel_remainder(lam: float, x: float, coeffs: tuple) -> Complex:
-    # L(x; M) = J_lambda(x) - order-M truncation; beyond the series domain
-    # the order-6 expansion stands in for J (error ~2e-12 at the switch).
-    if x <= 40.0:
-        ref = bessel_j_series(lam, x)
-    else:
-        ref = _asymptotic_eval(_expansion_coeffs(complex(lam), 6), x)
-    return ref - _asymptotic_eval(coeffs, x)
+    # L(x; M) = J_lambda(x) - order-M truncation.
+    return float(jv(lam, x)) - _asymptotic_eval(coeffs, x)
 
 
 def _compute_N_expansion(
@@ -554,27 +549,18 @@ def _qtilde_constants(ell: int, sigma: float) -> tuple:
         u^ell d^ell/du^ell (z - E u^sigma)^(-1)
             = sum_j C~_{j,ell} E^j u^(j sigma) (z - E u^sigma)^(-(j+1)).
 
-    Generated by symbolic differentiation: the recurrence
-    A_{j,l+1} = A_{j,l} (j S - l) + A_{j-1,l} j S over polynomials in S is
-    exactly the term-by-term derivative of the ansatz above.
+    The recurrence A_{j,l+1} = A_{j,l} (j S - l) + A_{j-1,l} j S, starting
+    from A_{1,1} = S, is exactly the term-by-term derivative of the ansatz
+    above; it is evaluated directly at S = sigma.
     """
-    import sympy as sp
-
-    S = sp.symbols("S")
-    table: dict[int, sp.Expr] = {1: S}
+    table = {1: float(sigma)}
     for level in range(1, ell):
-        nxt: dict[int, sp.Expr] = {}
-        for j in range(1, level + 2):
-            expr = sp.Integer(0)
-            if j in table:
-                expr += table[j] * (j * S - level)
-            if j - 1 in table:
-                expr += table[j - 1] * j * S
-            nxt[j] = sp.expand(expr)
-        table = nxt
-    return tuple(
-        float(table[j].subs(S, sp.Float(sigma))) for j in range(1, ell + 1)
-    )
+        table = {
+            j: table.get(j, 0.0) * (j * sigma - level)
+            + table.get(j - 1, 0.0) * j * sigma
+            for j in range(1, level + 2)
+        }
+    return tuple(table[j] for j in range(1, ell + 1))
 
 
 def q_kernel(

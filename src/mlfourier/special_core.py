@@ -1,10 +1,10 @@
 """Complex gamma functions, principal powers, and reusable quadrature engines.
 
-Everything here is plumbing shared by the higher-level modules: a
-Lanczos-plus-reflection gamma pair, principal-branch powers, adaptive
-quadrature over finite and semi-infinite intervals with error estimates,
-compensated summation, and a sequence-acceleration engine for slowly
-convergent oscillatory chunk sums.
+Everything here is plumbing shared by the higher-level modules: the gamma
+pair (scipy.special.gamma behind pole and range checks), principal-branch
+powers, adaptive quadrature over finite and semi-infinite intervals with
+error estimates, compensated summation, and a sequence-acceleration engine
+for slowly convergent oscillatory chunk sums.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma
 
 from .errors import AccuracyError, ConvergenceError, DomainError, PoleError
 
@@ -91,120 +92,45 @@ def _ensure_finite(value: Complex, what: str) -> Complex:
     return value
 
 
-# Lanczos approximation, g = 607/128, 15 coefficients.  Relative error below
-# 1e-14 on Re z >= 1/2; the reflection formula covers the left half plane.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
 def _is_nonpositive_integer(z: Complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _sinpi(z: Complex) -> Complex:
-    # sin(pi z) with argument reduction; direct cmath.sin(pi*z) loses
-    # relative accuracy for large |Re z|.
-    n = math.floor(z.real + 0.5)
-    f = complex(z.real - n, z.imag)
-    s = cmath.sin(cmath.pi * f)
-    return -s if n % 2 else s
-
-
-def _lanczos_gamma(z: Complex) -> Complex:
-    # Valid for Re z >= 0.5; may overflow for z.real beyond ~160.
-    acc = _LANCZOS_C[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * acc
-
-
-def _lanczos_log_gamma(z: Complex) -> Complex:
-    # log Gamma(z) for Re z >= 0.5 (principal value of each log factor;
-    # only used where exp() of the result is taken, so branch offsets of
-    # log(acc) never matter: acc stays in the right half plane there).
-    acc = _LANCZOS_C[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + _LANCZOS_G - 0.5
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + (z - 0.5) * cmath.log(t)
-        - t
-        + cmath.log(acc)
-    )
+def _gamma(z: Complex) -> Complex:
+    # Real arguments take scipy's real routine: its complex routine differs
+    # from it by a few ulp on the real axis.
+    return complex(gamma(z.real if z.imag == 0.0 else z))
 
 
 def complex_gamma(z: Complex) -> Complex:
     """Gamma function on the complex plane, poles excluded.
 
-    Relative error <= 1e-13 for |z| <= 50.
+    Relative error <= 1e-13 for |z| <= 50; AccuracyError where Gamma leaves
+    double range.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
-    try:
-        if z.real >= 0.5:
-            return _ensure_finite(_lanczos_gamma(z), "complex_gamma")
-        # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
-        return _ensure_finite(
-            cmath.pi / (_sinpi(z) * _lanczos_gamma(1.0 - z)), "complex_gamma"
-        )
-    except OverflowError:
-        # The direct product can overflow while Gamma itself is still
-        # representable (t**(z-0.5) alone exceeds double range near
-        # z.real ~ 165); the log form settles it either way.
-        if z.real >= 0.5:
-            try:
-                return _ensure_finite(
-                    cmath.exp(_lanczos_log_gamma(z)), "complex_gamma"
-                )
-            except OverflowError:
-                raise AccuracyError(
-                    f"complex_gamma overflows double range at z = {z}"
-                ) from None
-        raise AccuracyError(
-            f"complex_gamma overflows double range at z = {z}"
-        ) from None
+    return _ensure_finite(_gamma(z), "complex_gamma")
 
 
 def reciprocal_gamma(z: Complex) -> Complex:
     """Entire function 1/Gamma(z); exactly 0 at nonpositive integers.
 
-    Underflows gracefully to 0 when Gamma(z) exceeds double range.
+    Underflows gracefully to 0 when Gamma(z) exceeds double range; raises
+    AccuracyError when Gamma(z) underflows and 1/Gamma(z) would overflow.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
         return 0.0 + 0.0j
-    if z.real >= 0.5:
-        try:
-            return _ensure_finite(1.0 / _lanczos_gamma(z), "reciprocal_gamma")
-        except OverflowError:
-            return cmath.exp(-_lanczos_log_gamma(z))
-    # 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi stays accurate near the poles.
-    try:
-        return _ensure_finite(_sinpi(z) * _lanczos_gamma(1.0 - z) / cmath.pi,
-                              "reciprocal_gamma")
-    except OverflowError:
+    g = _gamma(z)
+    if g == 0.0:
         raise AccuracyError(
             f"reciprocal_gamma overflows double range at z = {z}"
-        ) from None
+        )
+    if not (math.isfinite(g.real) and math.isfinite(g.imag)):
+        return 0.0 + 0.0j
+    return 1.0 / g
 
 
 def principal_pow(z: Complex, w: Complex) -> Complex:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from mlfourier import asymptotics
 from mlfourier.asymptotics import (
     AsymptoticReport,
     ExponentFit,
@@ -28,6 +29,7 @@ from mlfourier.errors import (
     LawMismatchError,
 )
 from mlfourier.radial_fourier import TransformProblem, ml_transform
+from mlfourier.special_core import DEFAULT_QUADRATURE, QuadratureConfig
 
 POWER_TP = TransformProblem(0.8, 1.0, math.pi, 0.7, 1)
 LOG_TP = TransformProblem(0.8, 1.0, math.pi, 1.0, 1)
@@ -267,3 +269,21 @@ class TestLpNumericalCheck:
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
             lp_numerical_check(POWER_TP, 0.9)
+
+    def test_transforms_use_the_given_config(self, monkeypatch):
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7)
+        seen = []
+
+        def recorder(tp, xi, strategy=None, cfg=DEFAULT_QUADRATURE):
+            seen.append(cfg)
+            return complex(xi ** (tp.sigma - tp.n))
+
+        monkeypatch.setattr(asymptotics, "ml_transform", recorder)
+        asymptotics._transform_mag_cached.cache_clear()
+        try:
+            lp_numerical_check(POWER_TP, 1.5, cfg=cfg)
+        finally:
+            # drop the recorder's values from the shared cache
+            asymptotics._transform_mag_cached.cache_clear()
+        assert seen
+        assert all(c == cfg for c in seen)

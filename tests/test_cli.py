@@ -2,7 +2,7 @@
 
 Commands run in-process through main(argv); outputs are parsed back from
 captured stdout or --out files.  Covers value correctness, exit codes,
-output formats, reproducibility, and worker-count independence.
+output formats, reproducibility, and independence from MLF_THREADS.
 """
 
 import json
@@ -11,7 +11,7 @@ import math
 import pytest
 
 from mlfourier import cli
-from mlfourier.errors import AccuracyError, ConvergenceError
+from mlfourier.errors import AccuracyError, ConvergenceError, FitError, PoleError
 
 
 def run_cli(capsys, *argv):
@@ -333,44 +333,38 @@ class TestOutputPlumbing:
         assert first == second
 
     def test_worker_count_independence(self, capsys, monkeypatch):
+        # MLF_THREADS, a former worker-count knob, is no longer read: any
+        # value, valid or not, leaves the exit code and the bytes unchanged.
         args = (
             "eval-bessel", "--order", "1.5", "--xi-min", "0.3",
             "--xi-max", "30", "--xi-points", "12", "--no-timestamp",
         )
-        outputs = []
-        for setting in (None, "1", "4", "0"):
-            if setting is None:
-                monkeypatch.delenv("MLF_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("MLF_THREADS", setting)
-            _, out, _ = run_cli(capsys, *args)
-            outputs.append(out)
-        assert len(set(outputs)) == 1
-
-    def test_invalid_worker_count(self, capsys, monkeypatch):
-        for bad in ("abc", "-2"):
-            monkeypatch.setenv("MLF_THREADS", bad)
-            code, _, err = run_cli(
-                capsys, "eval-bessel", "--xi-points", "3"
-            )
-            assert code == 2
-            assert "MLF_THREADS" in err
+        monkeypatch.delenv("MLF_THREADS", raising=False)
+        code, unset, _ = run_cli(capsys, *args)
+        assert code == 0
+        for setting in ("abc", "4"):
+            monkeypatch.setenv("MLF_THREADS", setting)
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            assert out == unset
 
 
 class TestExitCodeMapping:
-    def test_convergence_failure_maps_to_three(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (ConvergenceError, 3),
+            (AccuracyError, 3),
+            (PoleError, 2),
+            (FitError, 4),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_error_maps_to_exit_code(self, capsys, monkeypatch, error, code):
         def boom(*args, **kwargs):
-            raise ConvergenceError("acceleration stagnated")
+            raise error("evaluation failed here")
 
         monkeypatch.setattr(cli, "ml_eval", boom)
-        code, _, err = run_cli(capsys, "eval-ml", "--alpha", "1")
-        assert code == 3
-        assert "stagnated" in err
-
-    def test_accuracy_failure_maps_to_three(self, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AccuracyError("target accuracy unreachable")
-
-        monkeypatch.setattr(cli, "ml_eval", boom)
-        code, _, err = run_cli(capsys, "eval-ml", "--alpha", "1")
-        assert code == 3
+        got, _, err = run_cli(capsys, "eval-ml", "--alpha", "1")
+        assert got == code
+        assert "evaluation failed here" in err

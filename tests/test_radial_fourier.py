@@ -431,6 +431,23 @@ class TestQKernel:
         c1, c2 = _qtilde_constants(2, s)
         assert abs(c1 - s * (s - 1)) < 1e-12
         assert abs(c2 - 2 * s * s) < 1e-12
+        # Orders 3..6 against symbolic differentiation of the definition:
+        # at u = 1 and z = E + 1 every factor u^(j S) (z - E u^S)^(-(j+1))
+        # is 1, so u^ell d^ell/du^ell (z - E u^S)^(-1) becomes
+        # sum_j C~_j E^j and C~_j is the coefficient of E^j.
+        import sympy as sp
+
+        u, z, E, S = sp.symbols("u z E S")
+        for ell in range(3, 7):
+            deriv = sp.diff(1 / (z - E * u**S), u, ell)
+            poly = sp.Poly(sp.expand(deriv.subs({u: 1, z: E + 1})), E)
+            for s in (0.7, 2.2):
+                got = _qtilde_constants(ell, s)
+                assert len(got) == ell
+                for j, c in enumerate(got, start=1):
+                    coeff = poly.coeff_monomial(E**j)
+                    want = float(coeff.subs(S, sp.Rational(str(s))))
+                    assert abs(c - want) <= 1e-12 * max(abs(want), 1.0)
 
     def test_large_r_boundary_decay(self):
         # r^sigma |Q_0| approaches 2 pi alpha / |Gamma(beta - alpha)| from
