@@ -8,11 +8,13 @@ once from the defining series at 60-digit working precision.
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
+from mlfourier import mittag_leffler
 from mlfourier.errors import AccuracyError, DomainError
 from mlfourier.mittag_leffler import (
     ContourSpec,
@@ -27,6 +29,7 @@ from mlfourier.mittag_leffler import (
     sector_decay_supremum,
     sector_growth_rate,
     validate_contour,
+    _ml_laplace,
 )
 from mlfourier.special_core import complex_gamma
 
@@ -303,3 +306,110 @@ def test_decay_supremum_stabilizes():
     assert all(b >= a for a, b in zip(sup, sup[1:]))
     assert sup[-1] == sup[-2]  # bounded: the running max has stopped moving
     assert sup[-1] < 0.5
+
+
+def _mp_series(alpha, beta, z):
+    """E_{alpha,beta}(z) summed in a private mpmath context with enough
+    digits to absorb the cancellation of the peak term e^(|z|^(1/alpha))."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 30 + int(abs(z) ** (1.0 / alpha) / math.log(10.0))
+    zz, a, b = ctx.mpc(z), ctx.mpf(alpha), ctx.mpf(beta)
+    acc, power, k = ctx.mpc(0), ctx.mpc(1), 0
+    while True:
+        term = power * ctx.rgamma(a * k + b)
+        acc += term
+        power *= zz
+        k += 1
+        if k > abs(z) ** (1.0 / alpha) and abs(term) < ctx.mpf(10) ** (-ctx.dps):
+            return complex(acc)
+
+
+def _decay_phases(alpha):
+    """Arguments of z inside the decay sector |arg z| > pi alpha/2, from
+    0.02 rad off its boundary to the negative axis, both half-planes."""
+    edge = math.pi * alpha / 2.0
+    phases = {min(edge + d, math.pi) for d in (0.02, 0.3)} | {math.pi}
+    return sorted(phases | {-ph for ph in phases if ph < math.pi})
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_eval_near_sector_boundary(alpha, sign):
+    # 0.02 rad off the sector boundary, where the ray/arc contour's
+    # quadrature used to raise ConvergenceError for alpha >= 1.3.
+    p = MLParams(alpha, 1.0)
+    phase = sign * (math.pi * alpha / 2.0 + 0.02)
+    for r in (6.6, 8.467, 12.0, 22.5, 33.6):
+        z = r * cmath.exp(1j * phase)
+        want = _mp_series(alpha, 1.0, z)
+        assert abs(ml_eval(p, z) - want) <= 1e-12 * abs(want)
+
+
+def test_laplace_half_order_erfcx():
+    p = MLParams(0.5, 1.0)
+    for phase in _decay_phases(0.5):
+        for r in (0.3, 1.0, 3.0, 8.0, 20.0, 40.0):
+            z = r * cmath.exp(1j * phase)
+            want = complex(erfcx(-z))
+            assert abs(_ml_laplace(p, z) - want) <= 1e-13 * abs(want)
+
+
+def test_laplace_exponential():
+    # E_{1,1} = exp is the one case whose algebraic part vanishes, so |E|
+    # sinks to e^{-40} in the decay sector; the evaluator's absolute floor
+    # (~1e-17 there) then decides, as for the ray/arc contour before it.
+    p = MLParams(1.0, 1.0)
+    for phase in _decay_phases(1.0):
+        for r in (0.3, 1.0, 3.0, 8.0, 20.0, 40.0):
+            z = r * cmath.exp(1j * phase)
+            want = cmath.exp(z)
+            assert abs(_ml_laplace(p, z) - want) <= 1e-12 * abs(want) + 1e-16
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.8), (0.8, 1.0), (1.3, 1.7), (1.9, 1.0)])
+def test_laplace_matches_series_and_contour(alpha, beta):
+    p = MLParams(alpha, beta)
+    for phase in _decay_phases(alpha):
+        for r in (0.5, 1.0, 2.0, 3.5, 5.0):
+            z = r * cmath.exp(1j * phase)
+            want = ml_series(p, z)
+            assert abs(_ml_laplace(p, z) - want) <= 1e-12 * abs(want)
+        if abs(abs(phase) - math.pi * alpha / 2.0) < 0.1:
+            continue  # the ray/arc quadrature does not converge this close
+        for r in (5.0, 9.0, 17.0, 28.0, 40.0):
+            want = ml_on_ray(p, phase, r)
+            got = _ml_laplace(p, r * cmath.exp(1j * phase))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_eval_decay_sector_never_escalates_to_mpmath(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("slow branch reached")
+
+    monkeypatch.setattr(mittag_leffler, "_series_mpmath", unreachable)
+    for alpha, beta in ((0.5, 1.0), (0.8, 1.0), (0.8, 1.7), (1.3, 0.8), (1.9, 1.0)):
+        p = MLParams(alpha, beta)
+        for phase in _decay_phases(alpha):
+            for r in (0.58, 1.0, 1.7, 3.0, 4.5, 5.0, 12.0, 39.0, 60.0):
+                assert math.isfinite(abs(ml_eval(p, r * cmath.exp(1j * phase))))
+
+
+def test_eval_over_node_cap_takes_earlier_route(monkeypatch):
+    # Over the node cap the evaluator gives up rather than loosen its
+    # target, and ml_eval returns the ray/arc contour value, or the
+    # mpmath-escalated series where the double series cancels.
+    p = MLParams(0.8, 1.0)
+    assert _ml_laplace(p, -12.0) is not None
+    monkeypatch.setattr(mittag_leffler, "_LAPLACE_MAX_NODES", 5)
+    assert _ml_laplace(p, -12.0) is None
+    assert ml_eval(p, -12.0) == ml_on_ray(p, math.pi, 12.0)
+    assert ml_eval(p, -3.0) == ml_series(p, -3.0)
+
+
+def test_eval_sector_sum_skips_rounded_pole_terms():
+    # beta - 6 alpha rounds to -7.000000000000001: that term is ~1e-21,
+    # and the sector sum used to stop on it and return a value 2e-5 off.
+    p = MLParams(1.3, 0.8)
+    for r in (40.0, 45.0, 60.0, 80.0):
+        want = _mp_series(1.3, 0.8, -r)
+        assert abs(ml_eval(p, -r) - want) <= 1e-12 * abs(want)
