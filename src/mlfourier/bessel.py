@@ -306,10 +306,11 @@ def bessel_asymptotic(exp: BesselExpansion, r: float) -> Complex:
     return _asymptotic_eval(exp.coeffs, r)
 
 
-def _asymptotic_eval(coeffs: tuple, r: float) -> Complex:
-    e_plus = cmath.exp(1j * r)
-    e_minus = e_plus.conjugate()
-    rp = 1.0 / math.sqrt(r)
+def _asymptotic_eval(coeffs: tuple, r):
+    """The truncated expansion at a float or an array of r."""
+    e_plus = np.exp(1j * r)
+    e_minus = np.conj(e_plus)
+    rp = 1.0 / np.sqrt(r)
     acc = 0.0 + 0.0j
     for cp, cm in coeffs:
         acc += (cp * e_plus + cm * e_minus) * rp
@@ -410,15 +411,23 @@ def remainder_decay_certificate(lam, M: int, r_grid) -> DecayCertificate:
     )
 
 
-def jbar(n: int, r: float) -> Complex:
+def jbar(n: int, r):
     """Scaled radial kernel J_{n/2-1}(2 pi r) r^(n/2), with J from
-    scipy.special.jv through bessel_j_reference (the order is real).
+    scipy.special.jv (the order is real), at a float or an array of r.
 
     n = 1 collapses to cos(2 pi r)/pi through the half-order identity;
-    r = 0 gives 1/pi for n = 1 and 0 for n >= 2.
+    r = 0 gives 1/pi for n = 1 and 0 for n >= 2.  A float r gives a
+    complex value, an array a real array.
     """
     if n < 1:
         raise DomainError("n >= 1 required")
+    if np.ndim(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0.0):
+            raise DomainError("r >= 0 required")
+        if n == 1:
+            return np.cos(2.0 * np.pi * r) / np.pi
+        return jv(0.5 * n - 1.0, 2.0 * np.pi * r) * r ** (0.5 * n)
     if r < 0.0:
         raise DomainError("r >= 0 required")
     if n == 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
@@ -257,10 +258,17 @@ def ml_series(p: MLParams, z: Complex, tol: float = 1e-14) -> Complex:
     if z == 0:
         return reciprocal_gamma(p.beta)
     value, ratio = _series_double(p, z, tol)
-    if _EPS * ratio <= 0.1 * tol:
+    if _series_accepts(ratio, tol):
         return value
     dps = min(max(18 + int(math.log10(max(ratio, 1.0))) + 8, 26), 400)
     return _series_mpmath(p, z, tol, dps)
+
+
+def _series_accepts(ratio, tol: float):
+    """Whether a double Taylor sum with cancellation ratio `ratio` (scalar
+    or array) carries relative accuracy tol: rounding of its large terms
+    costs ~eps * ratio."""
+    return _EPS * ratio <= 0.1 * tol
 
 
 def _series_double(p: MLParams, z: Complex, tol: float) -> tuple[Complex, float]:
@@ -499,13 +507,37 @@ def _exponential_waves(p: MLParams, z: Complex) -> Complex:
     return total
 
 
+_SECTOR_TERMS = 59
+
+
+@lru_cache(maxsize=64)
+def _sector_coefficients(a: float, b: float) -> tuple[Complex | None, ...]:
+    """1/Gamma(b - a k) for k = 1.._SECTOR_TERMS, None for a skipped term:
+    one whose reciprocal gamma lands on a pole zero, exactly or up to the
+    rounding of a*k.  Such terms carry no information about where the
+    series stops being useful; alpha = 1.3, beta = 0.8, k = 6 gives
+    -7.000000000000001, and a term of 1e-21 there would read as
+    convergence."""
+    out = []
+    for k in range(1, _SECTOR_TERMS + 1):
+        arg = b - a * k
+        rg = reciprocal_gamma(arg)
+        pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg)
+        out.append(None if pole else rg)
+    return tuple(out)
+
+
+def _sector_accepts(value, err):
+    """Whether the sector sum's first-omitted-term estimate err (scalar or
+    array) meets the tolerance ml_eval asks of it:
+    30 err <= max(1e-13, 1e-9 |value|)."""
+    return (30.0 * err <= 1e-13) | (30.0 * err <= 1e-9 * abs(value))
+
+
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """Optimally truncated sector sum plus the exponentially small wave
-    terms, with a first-omitted-term error estimate.
-
-    Terms whose reciprocal gamma lands on a pole zero, exactly or up to the
-    rounding of alpha*k, are skipped: they carry no information about where
-    the series stops being useful.
+    terms, with a first-omitted-term error estimate.  Terms on a gamma
+    pole are skipped (see _sector_coefficients).
     """
     acc = CompensatedSum()
     winv = 1.0 / z
@@ -513,13 +545,9 @@ def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     prev = math.inf
     omitted = math.inf
     majorant = 0.0
-    for k in range(1, 60):
+    for rg in _sector_coefficients(p.alpha, p.beta):
         wpow *= winv
-        arg = p.beta - p.alpha * k
-        rg = reciprocal_gamma(arg)
-        # alpha = 1.3, beta = 0.8, k = 6 gives -7.000000000000001: a term
-        # of 1e-21 there would read as convergence.
-        if rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg):
+        if rg is None:
             continue
         mag_term = abs(wpow) * abs(rg)
         if mag_term > prev:
@@ -621,19 +649,18 @@ def _parabola_beyond(phi0: float, p0: float) -> tuple[float, float, int] | None:
     return _LAPLACE_MU_MAX, w / n, n
 
 
-def _ml_laplace(p: MLParams, z: Complex) -> Complex | None:
-    """E_{alpha,beta}(z), z != 0, by inverting its Laplace transform
-    s^(alpha-beta)/(s^alpha - z) with the trapezoid rule on the optimal
-    parabola s = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal. 53 (2015);
-    contours after Weideman & Trefethen, Math. Comp. 76 (2007)).
+def _laplace_parabola(
+    a: float, b: float, z: Complex
+) -> tuple[float, float, int, tuple[Complex, ...]] | None:
+    """(mu, h, N, poles) of the cheapest parabola for E_{a,b}(z), z != 0,
+    and the poles right of it; None when none meets the target within
+    _LAPLACE_MAX_NODES.
 
-    The poles s* = |z|^(1/alpha) e^{i(arg z + 2 pi k)/alpha} right of the
-    parabola enter through their residues (1/alpha) s*^(1-beta) e^{s*}.
-    The parabola is chosen among the gaps between singularities for the
-    fewest nodes at absolute accuracy about 1e-15 relative to the integrand
-    scale; None when no parabola meets that within _LAPLACE_MAX_NODES.
+    The poles s* = |z|^(1/a) e^{i(arg z + 2 pi k)/a} of s^(a-b)/(s^a - z)
+    in the principal sheet and the branch point at the origin (strength
+    2(b - a - 1) when positive) are the singularities; the parabola is
+    chosen among the gaps between them for the fewest nodes.
     """
-    a, b = p.alpha, p.beta
     theta = cmath.phase(z)
     root = abs(z) ** (1.0 / a)
     # phi(s) = (Re s + |s|)/2 = (Re sqrt(s))^2: s lies left of the parabola
@@ -661,22 +688,78 @@ def _ml_laplace(p: MLParams, z: Complex) -> Complex | None:
     if best is None or best[1][2] > _LAPLACE_MAX_NODES:
         return None
     j, (mu, h, n) = best
+    return mu, h, n, tuple(q[1] for q in poles[j:])
+
+
+def _laplace_route(
+    p: MLParams, z: Complex
+) -> tuple[int, float, float, int, tuple[Complex, ...]] | None:
+    """(m, mu, h, N, poles): the parabola of E_{a, b - m a}(z) for the
+    smallest m >= 0 that has one.
+
+    Each step of E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z lowers the
+    strength 2(b - a - 1) of the origin singularity by 2a, so a strong
+    origin (beta > alpha + 1), which can leave no admissible parabola,
+    moves to a weaker one.  None when no step helps.
+    """
+    b = p.beta
+    steps = 0
+    while True:
+        plan = _laplace_parabola(p.alpha, b, z)
+        if plan is not None:
+            return (steps,) + plan
+        if b <= p.alpha + 1.0:
+            return None
+        b -= p.alpha
+        steps += 1
+
+
+def _laplace_sum(a: float, b: float, mu: float, h: float, n: int, z):
+    """Trapezoid sum of (2 pi i)^{-1} e^s s^(a-b)/(s^a - z) ds over the
+    2N+1 nodes of s = mu (1 + iu)^2, broadcast over an array of z."""
     u = h * np.arange(-n, n + 1)
     s = mu * (1.0 + 1j * u) ** 2
     ds = 2.0 * mu * (1j - u)
     log_s = np.log(s)
-    f = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * ds
-    value = complex(h * f.sum() / (2j * math.pi))
-    for _phi, s_star in poles[j:]:
+    zz = np.asarray(z)[..., np.newaxis]
+    f = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - zz) * ds
+    return h * f.sum(axis=-1) / (2j * math.pi)
+
+
+def _ml_laplace(p: MLParams, z: Complex) -> Complex | None:
+    """E_{alpha,beta}(z), z != 0, by inverting its Laplace transform
+    s^(alpha-beta)/(s^alpha - z) with the trapezoid rule on the optimal
+    parabola s = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal. 53 (2015);
+    contours after Weideman & Trefethen, Math. Comp. 76 (2007)).
+
+    The poles s* right of the parabola enter through their residues
+    (1/alpha) s*^(1-beta) e^{s*}.  The parabola is chosen for the fewest
+    nodes at absolute accuracy about 1e-15 relative to the integrand scale
+    (see _laplace_route for beta > alpha + 1); None when no parabola meets
+    that within _LAPLACE_MAX_NODES.
+    """
+    route = _laplace_route(p, z)
+    if route is None:
+        return None
+    steps, mu, h, n, poles = route
+    a = p.alpha
+    b = p.beta - steps * a
+    value = complex(_laplace_sum(a, b, mu, h, n, z))
+    for s_star in poles:
         value += s_star ** (1.0 - b) * cmath.exp(s_star) / a
+    for _ in range(steps):
+        value = (value - reciprocal_gamma(b)) / z
+        b += a
     if z.imag == 0.0:
         value = complex(value.real, 0.0)
     return value
 
 
 def ml_eval(
-    p: MLParams, z: Complex, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> Complex:
+    p: MLParams,
+    z: Complex | np.ndarray,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> Complex | np.ndarray:
     """Dispatching evaluator.
 
     - |z| <= SERIES_RADIUS: the double Taylor series.  Where it would
@@ -695,7 +778,16 @@ def ml_eval(
     values wherever |E| is algebraic in 1/|z|.  Only E_{1,1} = exp, whose
     algebraic part vanishes, sinks below the absolute floor (~1e-17) in
     the decay sector.
+
+    An ndarray z gives an ndarray of its shape, by the same rules applied
+    as masks: the double series where its guard accepts, the sector sum
+    where its estimate does, Laplace inversion with one broadcast trapezoid
+    sum per distinct parabola for the rest, and the scalar route point by
+    point for the growth sector, z = 0 and points over the node cap.  Real
+    z give an exactly real value.
     """
+    if isinstance(z, np.ndarray):
+        return _ml_eval_array(p, z, cfg)
     z = complex(z)
     absz = abs(z)
     phi = cmath.phase(z)
@@ -704,7 +796,7 @@ def ml_eval(
         if not decay:
             return ml_series(p, z, tol=1e-14)
         value, ratio = _series_double(p, z, 1e-14)
-        if _EPS * ratio <= 0.1 * 1e-14:  # ml_series's guard
+        if _series_accepts(ratio, 1e-14):
             return value
     elif not decay:
         raise DomainError(
@@ -713,7 +805,7 @@ def ml_eval(
         )
     elif absz >= SECTOR_SUM_RADIUS:
         value, err = _sector_sum_adaptive(p, z)
-        if 30.0 * err <= max(1e-13, 1e-9 * abs(value)):
+        if _sector_accepts(value, err):
             return value
     value = _ml_laplace(p, z)
     if value is not None:
@@ -721,6 +813,193 @@ def ml_eval(
     if absz <= SERIES_RADIUS:
         return ml_series(p, z, tol=1e-14)
     return ml_on_ray(p, phi, absz, cfg=cfg)
+
+
+# ---------------------------------------------------------------------------
+# Array form of ml_eval: the scalar dispatch rules, applied as masks
+# ---------------------------------------------------------------------------
+
+_SERIES_MAX_TERMS = 4000
+_SERIES_BLOCK = 32  # Taylor terms summed per vectorised step
+# Points per pass and (points x nodes) entries per trapezoid broadcast: they
+# bound the temporaries at a few MB whatever the size of the input.
+_ARRAY_BLOCK = 4096
+_BROADCAST_ENTRIES = 1 << 18
+
+
+@lru_cache(maxsize=64)
+def _lgamma_table(a: float, b: float) -> np.ndarray:
+    # math.lgamma, as _series_double uses, so both paths see the same terms.
+    return np.array([math.lgamma(a * k + b) for k in range(_SERIES_MAX_TERMS)])
+
+
+def _series_double_array(
+    p: MLParams, z: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """_series_double at every z != 0 of a 1-D array: the same log-form
+    terms and the same stop after 3 consecutive terms below tol * |sum|,
+    summed a block of terms at a time."""
+    lgam = _lgamma_table(p.alpha, p.beta)
+    lnz = np.log(z)
+    value = np.empty(z.shape, complex)
+    ratio = np.empty(z.shape)
+    live = np.arange(z.size)
+    acc = np.zeros(z.size, complex)
+    majorant = np.zeros(z.size)
+    quiet = np.zeros((z.size, 2), bool)  # quiet flags of the last 2 terms
+    for k0 in range(0, _SERIES_MAX_TERMS, _SERIES_BLOCK):
+        k = np.arange(k0, k0 + _SERIES_BLOCK)
+        terms = np.exp(k * lnz[live, np.newaxis] - lgam[k])
+        sums = acc[:, np.newaxis] + np.cumsum(terms, axis=1)
+        mags = majorant[:, np.newaxis] + np.cumsum(np.abs(terms), axis=1)
+        flags = np.hstack(
+            [quiet, np.abs(terms) < tol * np.maximum(np.abs(sums), 1e-300)]
+        )
+        stop = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
+        done = stop.any(axis=1)
+        at = stop.argmax(axis=1)[done]
+        rows = np.flatnonzero(done)
+        value[live[done]] = sums[rows, at]
+        ratio[live[done]] = mags[rows, at] / np.maximum(
+            np.abs(sums[rows, at]), 1e-300
+        )
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return value, ratio
+        acc = sums[keep, -1]
+        majorant = mags[keep, -1]
+        quiet = flags[keep, -2:]
+    raise ConvergenceError("ml_series did not converge within 4000 terms")
+
+
+def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|z| and arg z of a 1-D array, rounded as abs() and cmath.phase round
+    them, so that the branch masks are the scalar path's tests exactly."""
+    phase = np.fromiter(map(cmath.phase, z.tolist()), float, z.size)
+    return np.hypot(z.real, z.imag), phase
+
+
+def _sector_sum_array(p: MLParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sector_sum_adaptive at every z of a 1-D array: the same terms, the
+    same stop at the first rising term or at a term below 1e-18 |sum|."""
+    coeffs = _sector_coefficients(p.alpha, p.beta)
+    ks = np.array([k for k, rg in enumerate(coeffs, 1) if rg is not None], int)
+    rgs = np.array([rg for rg in coeffs if rg is not None], complex)
+    # The wave terms stay scalar: their phase |z|^(1/alpha) sin(arg z /
+    # alpha) reaches 500 rad at |z| = 150, where an ulp of numpy's complex
+    # exp against cmath's moves them by 1e-13.
+    wave = np.array([_exponential_waves(p, v) for v in z.tolist()], complex)
+    if not ks.size:
+        # Every algebraic term sits on a gamma pole: the waves are the value.
+        return wave, _EPS * np.abs(wave)
+    # z^-k by repeated multiplication, as the scalar loop forms it.
+    winv = np.broadcast_to((1.0 / z)[:, np.newaxis], (z.size, _SECTOR_TERMS))
+    wpow = np.cumprod(winv, axis=1)[:, ks - 1]
+    mags = np.abs(wpow) * np.abs(rgs)
+    sums = np.cumsum(-wpow * rgs, axis=1)
+    rising = np.zeros(mags.shape, bool)
+    rising[:, 1:] = mags[:, 1:] > mags[:, :-1]
+    tiny = mags < 1e-18 * np.maximum(np.abs(sums), 1e-300)
+    last = ks.size
+    k_rise = np.where(rising.any(axis=1), rising.argmax(axis=1), last)
+    k_tiny = np.where(tiny.any(axis=1), tiny.argmax(axis=1), last)
+    used = np.minimum(k_rise, k_tiny + 1)  # terms added; >= 1
+    rows = np.arange(z.size)
+    omitted = np.where(
+        k_rise < np.minimum(k_tiny + 1, last),
+        mags[rows, np.minimum(k_rise, last - 1)],
+        mags[rows, used - 1],
+    )
+    majorant = np.cumsum(mags, axis=1)[rows, used - 1]
+    return (
+        sums[rows, used - 1] + wave,
+        omitted + _EPS * (majorant + np.abs(wave)),
+    )
+
+
+def _ml_laplace_array(
+    p: MLParams, z: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_ml_laplace at every z != 0 (arg z = theta) of a 1-D array, with one
+    broadcast trapezoid sum per distinct parabola.  Returns the values and
+    a mask of the points that had one (the rest are over the node cap)."""
+    a = p.alpha
+    # Without poles in the principal sheet (the k range of
+    # _laplace_parabola is empty) the parabola depends on (alpha, beta)
+    # only, so those points share one route.
+    free = np.ceil(-a / 2 - theta / (2 * math.pi)) > np.floor(
+        a / 2 - theta / (2 * math.pi)
+    )
+    routes: dict[tuple, list[int]] = {}
+    residues: dict[int, tuple[Complex, ...]] = {}
+    free_idx = np.flatnonzero(free)
+    if free_idx.size:
+        route = _laplace_route(p, complex(z[free_idx[0]]))
+        if route is not None:
+            routes[route[:4]] = list(free_idx)
+    for i in np.flatnonzero(~free):
+        route = _laplace_route(p, complex(z[i]))
+        if route is not None:
+            routes.setdefault(route[:4], []).append(i)
+            residues[i] = route[4]
+    value = np.zeros(z.shape, complex)
+    found = np.zeros(z.shape, bool)
+    for (steps, mu, h, n), members in routes.items():
+        idx = np.array(members)
+        b = p.beta - steps * a
+        zi = z[idx]
+        step = max(1, _BROADCAST_ENTRIES // (2 * n + 1))
+        val = np.concatenate([
+            _laplace_sum(a, b, mu, h, n, zi[i:i + step])
+            for i in range(0, zi.size, step)
+        ])
+        for pos, i in enumerate(members):
+            for s_star in residues.get(i, ()):
+                val[pos] += s_star ** (1.0 - b) * cmath.exp(s_star) / a
+        for _ in range(steps):
+            val = (val - reciprocal_gamma(b)) / zi
+            b += a
+        value[idx] = val
+        found[idx] = True
+    return value, found
+
+
+def _ml_eval_array(p: MLParams, z: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    flat = np.asarray(z, dtype=complex).ravel()
+    out = np.empty(flat.shape, complex)
+    for i in range(0, flat.size, _ARRAY_BLOCK):
+        out[i:i + _ARRAY_BLOCK] = _ml_eval_block(p, flat[i:i + _ARRAY_BLOCK], cfg)
+    return out.reshape(np.shape(z))
+
+
+def _ml_eval_block(p: MLParams, flat: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    out = np.empty(flat.shape, complex)
+    absz, phi = _polar(flat)
+    decay = (flat != 0) & (np.abs(phi) > math.pi * p.alpha / 2.0)
+    pending = decay.copy()
+
+    def settle(idx: np.ndarray, values: np.ndarray, ok: np.ndarray) -> None:
+        out[idx[ok]] = values[ok]
+        pending[idx[ok]] = False
+
+    idx = np.flatnonzero(decay & (absz <= SERIES_RADIUS))
+    if idx.size:
+        value, ratio = _series_double_array(p, flat[idx], 1e-14)
+        settle(idx, value, _series_accepts(ratio, 1e-14))
+    idx = np.flatnonzero(decay & (absz >= SECTOR_SUM_RADIUS))
+    if idx.size:
+        value, err = _sector_sum_array(p, flat[idx])
+        settle(idx, value, _sector_accepts(value, err))
+    idx = np.flatnonzero(pending)
+    if idx.size:
+        settle(idx, *_ml_laplace_array(p, flat[idx], phi[idx]))
+    # The growth sector, z = 0 and points over the node cap take the
+    # scalar route.
+    for i in np.flatnonzero(~decay | pending):
+        out[i] = ml_eval(p, complex(flat[i]), cfg)
+    out.imag[flat.imag == 0.0] = 0.0
+    return out
 
 
 def sector_decay_supremum(

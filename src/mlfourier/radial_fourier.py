@@ -14,6 +14,14 @@ term summed over half-period chunks with iterated Aitken acceleration, plus
 an absolutely convergent remainder integral), or by applying the same
 chunk-and-accelerate treatment to the raw integrand.
 
+On the transform path (compute_M and the expansion tail) the integrand is
+evaluated on whole node arrays, with ml_eval, jbar and the cutoffs taking
+arrays: M is a set of tanh-sinh panels integrated in one batched call, the
+tail's two transition chunks [1, 1.5] and [1.5, 2] of every term are
+another such call, and the 16-node Gauss-Legendre chunks from r = 2 on are
+evaluated a block of chunks at a time.  QUADPACK (integrate_finite) serves
+the direct strategy and the cross-checks.
+
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Structurally Q_0(u) is the contour integral
 of e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
@@ -41,6 +49,7 @@ from .special_core import (
     accelerated_limit,
     gauss_legendre_rule,
     integrate_finite,
+    integrate_panels,
 )
 from .mittag_leffler import (
     ContourSpec,
@@ -130,21 +139,22 @@ def default_strategy(n: int) -> TailStrategy:
 # ---------------------------------------------------------------------------
 
 
-def _bump(t: float) -> float:
-    return math.exp(-1.0 / t) if t > 0.0 else 0.0
+def _bump(t: np.ndarray) -> np.ndarray:
+    pos = t > 0.0
+    return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
 
 
-def cutoff_phi(r: float) -> float:
-    """Smooth transition equal to 1 on [-1, 1], supported in [-2, 2]."""
-    t = abs(r)
+def cutoff_phi(r):
+    """Smooth transition equal to 1 on [-1, 1], supported in [-2, 2], at a
+    float or an array of r."""
+    t = np.abs(np.asarray(r, dtype=float))
     hi = _bump(2.0 - t)
     lo = _bump(t - 1.0)
-    if hi == 0.0:
-        return 0.0
-    return hi / (hi + lo)
+    out = np.where(hi == 0.0, 0.0, hi / np.where(hi == 0.0, 1.0, hi + lo))
+    return out if np.ndim(r) else float(out)
 
 
-def cutoff_psi(r: float) -> float:
+def cutoff_psi(r):
     """Complement 1 - cutoff_phi: vanishes on [-1, 1], equals 1 beyond 2."""
     return 1.0 - cutoff_phi(r)
 
@@ -192,16 +202,43 @@ def cutoff_derivative(m: int, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _profile(tp: TransformProblem, xi_mag: float) -> Callable[[float], Complex]:
+def _profile(tp: TransformProblem, xi_mag: float) -> Callable:
+    """r -> E(e^{i phi} (r/|xi|)^sigma) at a float or an array of r."""
     phase = cmath.exp(1j * tp.phi)
     p = tp.ml
     sig = tp.sigma
     inv = 1.0 / xi_mag
 
-    def g(r: float) -> Complex:
+    def g(r):
         return ml_eval(p, phase * (r * inv) ** sig)
 
     return g
+
+
+# At 1 the n = 3, sigma = 2.2 transform at |xi| ~ 100 lost 1.4 digits
+# against an independent Mellin-Barnes value; at 1e-6 rel_tol becomes 1e-16,
+# which tanh-sinh cannot reach.
+_PANEL_TOL_FACTOR = 1e-3
+
+
+def _panel_tolerances(
+    tp: TransformProblem, xi_mag: float, cfg: QuadratureConfig
+) -> tuple[float, float]:
+    """(abs_tol, rel_tol) for the tanh-sinh panels of M and of the tail's
+    transition chunks.
+
+    Below |xi| = 1 both parts shrink like |xi|^min(sigma, n): the profile
+    falls off as (r/|xi|)^-sigma and jbar_n grows like r^(n-1) from the
+    origin.  A fixed abs_tol would let any relative error through there,
+    so it is taken relative to that size.  Both tolerances are tightened
+    by _PANEL_TOL_FACTOR because the panel errors add up and the
+    2 pi/|xi|^n scaling magnifies them.
+    """
+    size = min(1.0, xi_mag) ** min(tp.sigma, tp.n)
+    return (
+        _PANEL_TOL_FACTOR * cfg.abs_tol * size,
+        _PANEL_TOL_FACTOR * cfg.rel_tol,
+    )
 
 
 def _require_xi(xi_mag: float) -> None:
@@ -255,16 +292,12 @@ def compute_M(
     g = _profile(tp, xi_mag)
     n = tp.n
 
-    def f(r: float) -> Complex:
-        w = cutoff_phi(r)
-        if w == 0.0:
-            return 0.0 + 0.0j
-        return w * g(r) * jbar(n, r)
+    def f(r: np.ndarray) -> np.ndarray:
+        return cutoff_phi(r) * g(r) * jbar(n, r)
 
     # At small |xi| the profile turns over on the scale r ~ |xi| and then
-    # decays like r^-sigma out to r = 1: hand the layer and each decade of
-    # the decay to the adaptive quadrature as explicit breakpoints; a single
-    # subinterval spanning many decades defeats QUADPACK's extrapolation.
+    # decays like r^-sigma out to r = 1: the layer and each decade of the
+    # decay get a panel of their own, all integrated in one batched call.
     pts = {1.0}
     for factor in (1.0, 5.0 ** (1.0 / tp.sigma), 40.0 ** (1.0 / tp.sigma)):
         x = xi_mag * factor
@@ -275,7 +308,10 @@ def compute_M(
         if x > 1e-14:
             pts.add(x)
         x *= 10.0
-    return integrate_finite(f, 0.0, 2.0, cfg, points=sorted(pts)).value
+    edges = np.array([0.0, *sorted(pts), 2.0])
+    atol, rtol = _panel_tolerances(tp, xi_mag, cfg)
+    panels = integrate_panels(f, edges[:-1], edges[1:], atol, rtol)
+    return complex(panels.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +337,12 @@ def _tail_coefficient_pairs(n: int, M: int) -> tuple[tuple, bool]:
     return _expansion_coeffs(lam, M), True
 
 
-def _bessel_remainder(lam: float, x: float, coeffs: tuple) -> Complex:
-    # L(x; M) = J_lambda(x) - order-M truncation.
-    return float(jv(lam, x)) - _asymptotic_eval(coeffs, x)
+def _bessel_remainder(lam: float, x, coeffs: tuple):
+    # L(x; M) = J_lambda(x) - order-M truncation, at a float or an array.
+    return jv(lam, x) - _asymptotic_eval(coeffs, x)
+
+
+_CHUNK_BLOCK = 16  # chunks per batched profile evaluation from k = 2 on
 
 
 def _compute_N_expansion(
@@ -316,76 +355,88 @@ def _compute_N_expansion(
     g = _profile(tp, xi_mag)
     pairs, need_remainder = _tail_coefficient_pairs(n, M)
     two_pi = 2.0 * math.pi
+    lam = 0.5 * n - 1.0
 
-    # Shared per-chunk node data: psi(r) g(r) evaluated once, reused by every
-    # phased term and by the remainder integral.
-    nodes, weights = gauss_legendre_rule(_CHUNK_ORDER)
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def chunk_data(k: int) -> tuple[np.ndarray, np.ndarray]:
-        while len(rows) <= k:
-            i = len(rows)
-            a = 1.0 + 0.5 * i
-            r = a + 0.25 * (nodes + 1.0)
-            vals = np.array(
-                [0.25 * w * cutoff_psi(ri) * g(ri) for w, ri in zip(weights, r)]
-            )
-            rows.append((r, vals))
-        return rows[k]
-
-    total = CompensatedSum()
+    # One accelerated sum per kernel: e^{+-2 pi i r} r^((n-1)/2 - l) with
+    # weight c_l^+- (2 pi)^(-(l+1/2)) for each expansion order l, then the
+    # remainder r^(n/2) L(2 pi r; M) (sign None) with weight 1.
+    terms: list[tuple[Complex, float | None, float]] = []
     for ell in range(M + 1):
         cp, cm = pairs[ell]
-        scale = two_pi ** (-(ell + 0.5))
         if cp == 0 and cm == 0:
             continue
-        power = 0.5 * (n - 1) - ell
+        scale = two_pi ** (-(ell + 0.5))
         for coeff, sign in ((cp, 1.0), (cm, -1.0)):
-
-            def chunk(k: int, s=sign, pw=power) -> Complex:
-                if k < 2:
-                    # psi is non-analytic at the flat contacts r = 1, 2;
-                    # fixed-order nodes lose ~1e-10 there, so refine
-                    a = 1.0 + 0.5 * k
-                    return integrate_finite(
-                        lambda ri: cutoff_psi(ri)
-                        * g(ri)
-                        * cmath.exp(1j * s * two_pi * ri)
-                        * ri ** pw,
-                        a,
-                        a + 0.5,
-                        cfg,
-                    ).value
-                r, vals = chunk_data(k)
-                phases = np.exp(1j * s * two_pi * r)
-                return complex(np.sum(vals * phases * r ** pw))
-
-            lim = _accelerated_chunks(chunk, strategy.accel_order, cfg)
-            total.add(coeff * scale * lim)
-
+            terms.append((coeff * scale, sign, 0.5 * (n - 1) - ell))
     if need_remainder:
-        lam = 0.5 * n - 1.0
-        half = 0.5 * n
+        terms.append((1.0, None, 0.5 * n))
 
-        def l_chunk(k: int) -> Complex:
-            if k < 2:
-                a = 1.0 + 0.5 * k
-                return integrate_finite(
-                    lambda ri: cutoff_psi(ri)
-                    * g(ri)
-                    * _bessel_remainder(lam, two_pi * ri, pairs)
-                    * ri ** half,
-                    a,
-                    a + 0.5,
-                    cfg,
-                ).value
-            r, vals = chunk_data(k)
-            rem = np.array(
-                [_bessel_remainder(lam, two_pi * ri, pairs) for ri in r]
-            )
-            return complex(np.sum(vals * rem * r ** half))
+    def kernel(t: int, r: np.ndarray) -> np.ndarray:
+        _weight, sign, power = terms[t]
+        if sign is None:
+            return _bessel_remainder(lam, two_pi * r, pairs) * r ** power
+        return np.exp(1j * sign * two_pi * r) * r ** power
 
-        total.add(_accelerated_chunks(l_chunk, strategy.accel_order, cfg))
+    # psi is non-analytic at the flat contacts r = 1, 2, where fixed-order
+    # nodes lose ~1e-10: the chunks [1, 1.5] and [1.5, 2] of every kernel
+    # are tanh-sinh panels of one batched call.
+    def transition(r: np.ndarray, kind: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+        rows = r.reshape(kind.size, -1)
+        kind = kind.ravel()
+        chunk = chunk.ravel()
+        base = np.empty(rows.shape, complex)
+        for c in np.unique(chunk):
+            sel = np.flatnonzero(chunk == c)
+            same = rows[sel[0]]
+            # Panels advance level by level together, so the rows of one
+            # chunk coincide and psi g is evaluated once for all kernels.
+            if np.array_equal(rows[sel], np.broadcast_to(same, (sel.size, same.size))):
+                base[sel] = cutoff_psi(same) * g(same)
+            else:
+                base[sel] = cutoff_psi(rows[sel]) * g(rows[sel])
+        out = np.empty(rows.shape, complex)
+        for t in np.unique(kind):
+            sel = kind == t
+            out[sel] = base[sel] * kernel(int(t), rows[sel])
+        return out.reshape(r.shape)
+
+    starts = np.tile([1.0, 1.5], len(terms))
+    atol, rtol = _panel_tolerances(tp, xi_mag, cfg)
+    head = integrate_panels(
+        transition,
+        starts,
+        starts + 0.5,
+        atol,
+        rtol,
+        args=(np.repeat(np.arange(len(terms)), 2), np.tile([0, 1], len(terms))),
+    ).reshape(len(terms), 2)
+
+    # From k = 2 on, 16-node Gauss-Legendre chunks: psi(r) g(r) is
+    # evaluated for a block of chunks at a time and shared by every kernel.
+    nodes, weights = gauss_legendre_rule(_CHUNK_ORDER)
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    sums: dict[tuple[int, int], np.ndarray] = {}
+
+    def chunk_value(t: int, k: int) -> Complex:
+        if k < 2:
+            return complex(head[t, k])
+        j, i = divmod(k - 2, _CHUNK_BLOCK)
+        if (t, j) not in sums:
+            while len(blocks) <= j:
+                first = 2 + _CHUNK_BLOCK * len(blocks)
+                a = 1.0 + 0.5 * np.arange(first, first + _CHUNK_BLOCK)
+                r = a[:, np.newaxis] + 0.25 * (nodes + 1.0)
+                blocks.append((r, 0.25 * weights * cutoff_psi(r) * g(r)))
+            r, vals = blocks[j]
+            sums[t, j] = np.sum(vals * kernel(t, r), axis=1)
+        return complex(sums[t, j][i])
+
+    total = CompensatedSum()
+    for t, (weight, _sign, _power) in enumerate(terms):
+        lim = _accelerated_chunks(
+            lambda k, t=t: chunk_value(t, k), strategy.accel_order, cfg
+        )
+        total.add(weight * lim)
     return total.value
 
 

@@ -3,8 +3,9 @@
 Everything here is plumbing shared by the higher-level modules: the gamma
 pair (scipy.special.gamma behind pole and range checks), principal-branch
 powers, adaptive quadrature over finite and semi-infinite intervals with
-error estimates, compensated summation, and a sequence-acceleration engine
-for slowly convergent oscillatory chunk sums.
+error estimates, batched tanh-sinh quadrature over many panels of a
+vectorised integrand, compensated summation, and a sequence-acceleration
+engine for slowly convergent oscillatory chunk sums.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, tanhsinh
 from scipy.special import gamma
 
 from .errors import AccuracyError, ConvergenceError, DomainError, PoleError
@@ -260,31 +261,53 @@ def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def fixed_quad_complex(
-    f: Callable[[float], Complex], a: float, b: float, order: int = 16
-) -> Complex:
-    """Fixed-order Gauss-Legendre panel, for smooth chunk integrands."""
-    x, w = gauss_legendre_rule(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc = CompensatedSum()
-    for xi, wi in zip(x, w):
-        acc.add(wi * f(mid + half * xi))
-    return half * acc.value
+def integrate_panels(
+    f: Callable[..., np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    abs_tol: float,
+    rel_tol: float,
+    args: tuple = (),
+) -> np.ndarray:
+    """Tanh-sinh quadrature (Takahasi & Mori 1974) of a vectorised
+    integrand over the panels [a_i, b_i], all in one
+    scipy.integrate.tanhsinh call.
+
+    f(x, *args) takes a float array of abscissae, one row per panel that has
+    not converged yet (args filtered to the same rows), and returns the
+    integrand there.  Each panel stops once its error estimate is below
+    abs_tol or rel_tol times its own value; ConvergenceError when a panel
+    misses that within tanhsinh's level budget, as for QUADPACK.
+    """
+    res = tanhsinh(
+        lambda x, *rest: f(x.real, *rest),
+        a,
+        b,
+        args=args,
+        atol=abs_tol,
+        rtol=rel_tol,
+    )
+    if np.any(res.status != 0):
+        bad = int(np.flatnonzero(res.status != 0)[0])
+        raise ConvergenceError(
+            f"tanh-sinh quadrature: status {int(res.status[bad])} on panel "
+            f"[{a[bad]:.6g}, {b[bad]:.6g}], error estimate "
+            f"{abs(res.error[bad]):.3e}"
+        )
+    integral = res.integral
+    if not np.all(np.isfinite(integral)):
+        raise AccuracyError("tanh-sinh quadrature produced a non-finite value")
+    return integral
 
 
-def _aitken_pass(s: list[Complex]) -> list[Complex]:
-    out: list[Complex] = []
-    for i in range(len(s) - 2):
-        d1 = s[i + 1] - s[i]
-        d2 = s[i + 2] - 2.0 * s[i + 1] + s[i]
-        scale = abs(s[i]) + abs(s[i + 1]) + abs(s[i + 2])
-        if abs(d2) <= 1e3 * _EPS * scale:
-            # Already converged at this depth; carry the latest value.
-            out.append(s[i + 2])
-        else:
-            out.append(s[i] - d1 * d1 / d2)
-    return out
+def _aitken(s0: Complex, s1: Complex, s2: Complex) -> Complex:
+    d1 = s1 - s0
+    d2 = s2 - 2.0 * s1 + s0
+    scale = abs(s0) + abs(s1) + abs(s2)
+    if abs(d2) <= 1e3 * _EPS * scale:
+        # Already converged at this depth; carry the latest value.
+        return s2
+    return s0 - d1 * d1 / d2
 
 
 def accelerated_limit(
@@ -304,7 +327,10 @@ def accelerated_limit(
     """
     if not (2 <= order <= 12):
         raise DomainError(f"acceleration order must be in [2, 12], got {order}")
-    partials: list[Complex] = []
+    # columns[d] is the partial-sum sequence after d Aitken passes.  Each
+    # new partial sum extends every column by one entry, built from the
+    # last three of the column before: O(order) work per term.
+    columns: list[list[Complex]] = [[]]
     acc = CompensatedSum()
     estimates: list[Complex] = []
     quiet = 0
@@ -312,22 +338,23 @@ def accelerated_limit(
     for term in terms:
         n_used += 1
         acc.add(term)
-        partials.append(acc.value)
-        depth = min(order, (len(partials) - 1) // 2)
-        table = partials
-        for _ in range(depth):
-            nxt = _aitken_pass(table)
-            if not nxt:
+        columns[0].append(acc.value)
+        for d in range(1, order + 1):
+            prev = columns[d - 1]
+            if len(prev) < 3:
                 break
-            table = nxt
-        est = table[-1]
+            if d == len(columns):
+                columns.append([])
+            columns[d].append(_aitken(prev[-3], prev[-2], prev[-1]))
+        depth = min(order, (n_used - 1) // 2)
+        est = columns[depth][-1]
         estimates.append(est)
         if len(estimates) >= 2:
             diff = abs(estimates[-1] - estimates[-2])
             tol = max(abs_tol, rel_tol * abs(est))
             if diff <= tol:
                 quiet += 1
-                if quiet >= stagnation and len(partials) >= 2 * depth + 3:
+                if quiet >= stagnation and n_used >= 2 * depth + 3:
                     err = max(diff, abs(term))
                     return est, err, n_used
             else:
@@ -337,6 +364,6 @@ def accelerated_limit(
                 f"sequence acceleration stagnated after {max_terms} terms"
             )
     # Series itself was finite: the plain sum is exact.
-    if not partials:
+    if not n_used:
         return 0.0 + 0.0j, 0.0, 0
-    return partials[-1], abs(partials[-1] - estimates[-1]), n_used
+    return columns[0][-1], abs(columns[0][-1] - estimates[-1]), n_used

@@ -9,6 +9,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -413,3 +414,77 @@ def test_eval_sector_sum_skips_rounded_pole_terms():
     for r in (40.0, 45.0, 60.0, 80.0):
         want = _mp_series(1.3, 0.8, -r)
         assert abs(ml_eval(p, -r) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5])
+def test_eval_strong_origin_takes_laplace_recurrence(alpha, monkeypatch):
+    # beta > alpha + 1 leaves no admissible parabola for E_{alpha,beta}
+    # itself; one step of E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z
+    # moves the origin singularity to a weaker one.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("slow branch reached")
+
+    monkeypatch.setattr(mittag_leffler, "ml_on_ray", unreachable)
+    monkeypatch.setattr(mittag_leffler, "_series_mpmath", unreachable)
+    p = MLParams(alpha, 2.5)
+    # The reference series needs ~|z|^(1/alpha) terms at as many digits:
+    # radii past these take seconds to minutes per point.
+    radii = {0.3: (3.0, 5.0), 0.4: (3.0, 8.0), 0.5: (8.0, 15.0)}[alpha]
+    for phase in _decay_phases(alpha):
+        for r in radii:
+            z = r * cmath.exp(1j * phase)
+            assert _ml_laplace(p, z) is not None
+            want = _mp_series(alpha, 2.5, z)
+            assert abs(ml_eval(p, z) - want) <= 1e-12 * abs(want)
+
+
+def _array_cases(alpha):
+    edge = math.pi * alpha / 2.0
+    radii = np.geomspace(1e-8, 1e3, 45)
+    rays = [r * cmath.exp(1j * ph) for ph in (math.pi, -math.pi, edge + 0.02,
+                                              -(edge + 0.02)) for r in radii]
+    # z = 0, real points on both sides of the origin (the positive ones in
+    # the growth sector) and a growth-sector point off the axis.
+    extra = [0.0, -0.5, -3.0, -12.0, -60.0, 0.25, 2.0, 0.5 * cmath.exp(0.1j)]
+    return np.array(rays + extra, dtype=complex)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.3, 1.9])
+@pytest.mark.parametrize("beta", [0.8, 1.0, 1.7, 2.5])
+def test_eval_array_matches_scalar(alpha, beta):
+    p = MLParams(alpha, beta)
+    z = _array_cases(alpha)
+    got = ml_eval(p, z)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    want = np.array([ml_eval(p, complex(v)) for v in z])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_eval_array_keeps_shape_and_real_axis():
+    p = MLParams(0.8, 1.0)
+    z = _array_cases(0.8)[:180].reshape(12, 15)
+    got = ml_eval(p, z)
+    assert got.shape == (12, 15)
+    assert np.array_equal(got.ravel(), ml_eval(p, z.ravel()))
+    real = np.array([-1e-6, -0.3, -2.0, -4.9, -7.0, -39.0, -41.0, -500.0, 0.0, 0.4, 3.0])
+    got = ml_eval(p, real)
+    assert np.all(got.imag == 0.0)
+    want = np.array([ml_eval(p, complex(v)) for v in real])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_eval_array_over_node_cap_takes_scalar_route(monkeypatch):
+    monkeypatch.setattr(mittag_leffler, "_LAPLACE_MAX_NODES", 5)
+    p = MLParams(0.8, 1.0)
+    # Over the cap: the series cancels at the first, the second is past it.
+    z = np.array([3.0 * cmath.exp(3.0j), 12.0 * cmath.exp(3.0j)])
+    got = ml_eval(p, z)
+    z1 = complex(z[1])
+    assert got[0] == ml_series(p, complex(z[0]))
+    assert got[1] == ml_on_ray(p, cmath.phase(z1), abs(z1))
+    assert np.array_equal(got, np.array([ml_eval(p, complex(v)) for v in z]))
+
+
+def test_eval_array_growth_sector_beyond_series_radius_rejected():
+    with pytest.raises(DomainError):
+        ml_eval(MLParams(0.8, 1.0), np.array([-1.0, 6.0]))

@@ -246,14 +246,27 @@ class TestComputeM:
         assert devs[2] < 0.5 * devs[1]
         assert devs[2] < 5e-3
 
-    @pytest.mark.parametrize("xi", [1e-9, 1e-12])
-    @pytest.mark.parametrize("alpha, beta, n", [(0.8, 1.0, 1), (0.5, 1.2, 2)])
-    def test_tiny_xi_matches_log_variable_reference(self, alpha, beta, n, xi):
+    @pytest.mark.parametrize(
+        "alpha, beta, n, sigma, xi, bound",
+        [
+            pytest.param(a, b, n, 0.7, xi, 1e-8, id=f"{a}-{b}-{n}-{xi}")
+            for a, b, n in ((0.8, 1.0, 1), (0.5, 1.2, 2))
+            for xi in (1e-9, 1e-12)
+        ]
+        # |M| ~ xi^2.2 is 1.2e-14 and 2.9e-10 here, under abs_tol = 1e-12:
+        # only a tolerance scaled to that size holds M to 1e-10 (a fixed
+        # abs_tol left 5.5e-10).
+        + [pytest.param(0.8, 1.0, 3, 2.2, xi, 1e-10, id=f"0.8-1.0-3-2.2-{xi}")
+           for xi in (1e-6, 1e-4)],
+    )
+    def test_tiny_xi_matches_log_variable_reference(
+        self, alpha, beta, n, sigma, xi, bound
+    ):
         # The profile turns over at r ~ xi and decays like r^-sigma out to
         # r = 1.  On [0, 1], where cutoff_phi = 1, the variable t = log(r/xi)
         # makes that whole stretch smooth on a unit scale; [1, 2] is taken
         # directly.
-        tp = TransformProblem(alpha, beta, math.pi, 0.7, n)
+        tp = TransformProblem(alpha, beta, math.pi, sigma, n)
         phase = cmath.exp(1j * tp.phi)
 
         def integrand(r):
@@ -274,7 +287,7 @@ class TestComputeM:
                 )
                 want += unit * val
         got = compute_M(tp, xi)
-        assert abs(got - want) <= 1e-8 * abs(want)
+        assert abs(got - want) <= bound * abs(want)
 
     def test_rejects_nonpositive_xi(self):
         with pytest.raises(DomainError):

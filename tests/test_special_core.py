@@ -14,8 +14,8 @@ from mlfourier.special_core import (
     QuadratureConfig,
     accelerated_limit,
     complex_gamma,
-    fixed_quad_complex,
     integrate_finite,
+    integrate_panels,
     integrate_semi_infinite,
     principal_pow,
     reciprocal_gamma,
@@ -158,11 +158,36 @@ def test_compensated_sum_exact_cancellation():
     assert s.value == 1.0
 
 
-def test_fixed_quad_polynomial():
-    # 16-node Gauss-Legendre is exact for polynomials up to degree 31
-    val = fixed_quad_complex(lambda t: t**7 - 2 * t**3 + 1j * t, 0.0, 2.0)
-    want = 2.0**8 / 8 - 2 * 2.0**4 / 4 + 1j * 2.0**2 / 2
-    assert abs(val - want) <= 1e-12 * abs(want)
+def test_integrate_panels_complex_values():
+    # Every panel of one batched call gets its own value; the flat contacts
+    # of exp(-1/t) at a panel end cost tanh-sinh nothing.
+    import numpy as np
+
+    a = np.array([0.0, 1.0, 2.5, 0.0])
+    b = np.array([1.0, 2.5, 7.0, 1.0])
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(1j * x) + np.exp(-1.0 / np.where(x > 0, x, 1.0))
+
+    got = integrate_panels(f, a, b, 1e-15, 1e-13)
+    exact = [
+        (cmath.exp(1j * hi) - cmath.exp(1j * lo)) / 1j
+        + integrate_finite(lambda t: math.exp(-1.0 / t) if t > 0 else 0.0, lo, hi).value
+        for lo, hi in zip(a, b)
+    ]
+    assert got.shape == (4,)
+    assert all(abs(g - e) <= 1e-12 * abs(e) for g, e in zip(got, exact))
+    assert len(calls) < 12  # one call per refinement level, not per node
+
+
+def test_integrate_panels_failure_raises():
+    import numpy as np
+
+    with pytest.raises(ConvergenceError, match="tanh-sinh"):
+        integrate_panels(lambda x: 1.0 / x + 0j, np.array([0.0]), np.array([1.0]),
+                         1e-15, 1e-13)
 
 
 def test_accelerated_limit_alternating_log2():
@@ -207,3 +232,112 @@ def test_accelerated_limit_order_validation():
         accelerated_limit(iter([1.0]), order=1)
     with pytest.raises(DomainError):
         accelerated_limit(iter([1.0]), order=13)
+
+
+def _aitken_table_reference(
+    terms, order=6, abs_tol=1e-12, rel_tol=1e-10, stagnation=3, max_terms=500
+):
+    """The quadratic form of accelerated_limit: after every term the whole
+    iterated-Aitken table is rebuilt from the partial sums."""
+
+    def aitken_pass(s):
+        out = []
+        for i in range(len(s) - 2):
+            d1 = s[i + 1] - s[i]
+            d2 = s[i + 2] - 2.0 * s[i + 1] + s[i]
+            scale = abs(s[i]) + abs(s[i + 1]) + abs(s[i + 2])
+            if abs(d2) <= 1e3 * 2.220446049250313e-16 * scale:
+                out.append(s[i + 2])
+            else:
+                out.append(s[i] - d1 * d1 / d2)
+        return out
+
+    partials, estimates = [], []
+    acc = CompensatedSum()
+    quiet = n_used = 0
+    for term in terms:
+        n_used += 1
+        acc.add(term)
+        partials.append(acc.value)
+        depth = min(order, (len(partials) - 1) // 2)
+        table = partials
+        for _ in range(depth):
+            table = aitken_pass(table)
+        est = table[-1]
+        estimates.append(est)
+        if len(estimates) >= 2:
+            diff = abs(estimates[-1] - estimates[-2])
+            if diff <= max(abs_tol, rel_tol * abs(est)):
+                quiet += 1
+                if quiet >= stagnation and len(partials) >= 2 * depth + 3:
+                    return est, max(diff, abs(term)), n_used
+            else:
+                quiet = 0
+        if n_used >= max_terms:
+            raise ConvergenceError(
+                f"sequence acceleration stagnated after {max_terms} terms"
+            )
+    if not partials:
+        return 0.0 + 0.0j, 0.0, 0
+    return partials[-1], abs(partials[-1] - estimates[-1]), n_used
+
+
+def _same_outcome(terms, **kwargs):
+    try:
+        want = _aitken_table_reference(iter(terms), **kwargs)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            accelerated_limit(iter(terms), **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    assert accelerated_limit(iter(terms), **kwargs) == want
+
+
+def test_accelerated_limit_matches_quadratic_table_on_transform_chunks(
+    monkeypatch,
+):
+    # The chunk sums the tail of the three reference problems accelerates.
+    import mlfourier.radial_fourier as rf
+
+    recorded = []
+
+    def recording(terms, **kwargs):
+        seen = []
+        recorded.append((seen, kwargs))
+
+        def tee():
+            for t in terms:
+                seen.append(t)
+                yield t
+
+        return accelerated_limit(tee(), **kwargs)
+
+    monkeypatch.setattr(rf, "accelerated_limit", recording)
+    for n, sigma in ((1, 0.7), (2, 1.5), (3, 2.2)):
+        for xi in (0.05, 1.0, 20.0):
+            rf.ml_transform(rf.TransformProblem(0.8, 1.0, math.pi, sigma, n), xi)
+    assert len(recorded) >= 9
+    for seen, kwargs in recorded:
+        _same_outcome(seen, **kwargs)
+
+
+@pytest.mark.parametrize("order", [2, 6, 12])
+def test_accelerated_limit_matches_quadratic_table_on_random_sequences(order):
+    import random
+
+    rng = random.Random(order)
+    for trial in range(40):
+        ratio = -rng.uniform(0.3, 0.99) * cmath.exp(1j * rng.uniform(-0.5, 0.5))
+        power = rng.uniform(0.5, 3.0)
+        noise = rng.choice([0.0, 1e-14, 1e-9])
+        terms = [
+            ratio ** k / (k + 1) ** power
+            + noise * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            for k in range(rng.randint(0, 300))
+        ]
+        _same_outcome(terms, order=order, max_terms=250)
+    # A sequence that never settles: both raise at the max_terms budget.
+    walk = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(100)]
+    with pytest.raises(ConvergenceError):
+        accelerated_limit(iter(walk), order=order, max_terms=60)
+    _same_outcome(walk, order=order, max_terms=60)
