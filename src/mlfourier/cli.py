@@ -33,25 +33,13 @@ from .errors import (
 from .special_core import QuadratureConfig
 from .mittag_leffler import MLParams, ml_eval
 from .bessel import bessel_j_reference, jbar
-from .radial_fourier import (
-    TailStrategy,
-    TransformProblem,
-    default_strategy,
-    ibp_identity_check,
-    ml_transform,
-)
+from .radial_fourier import TransformProblem, ibp_identity_check, ml_transform
 from .asymptotics import lp_region, verify_large_xi, verify_small_xi
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_MISMATCH = 4
-
-_STRATEGY_NAMES = {
-    "expansion": "BesselExpansionAccelerated",
-    "direct": "DirectPeriodSum",
-}
-
 
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace("i", "j").replace(" ", "")
@@ -148,7 +136,7 @@ def _cmd_eval_ml(args: argparse.Namespace) -> int:
 
     records = []
     for z in zs:
-        value = ml_eval(p, z, cfg)
+        value = ml_eval(p, z)
         est = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         records.append(_record(abs(z), value, est))
     params = {
@@ -205,16 +193,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
     grid = _geometric_grid(args)
     cfg = _quad_config(args)
-    kind = _STRATEGY_NAMES[args.strategy]
-    order = (
-        args.expansion_order
-        if args.expansion_order is not None
-        else default_strategy(tp.n).M
-    )
-    strategy = TailStrategy(kind=kind, M=order, accel_order=args.accel_order)
 
     def point(xi: float) -> dict:
-        value = ml_transform(tp, xi, strategy, cfg)
+        value = ml_transform(tp, xi, cfg)
         est = (
             2.0
             * math.pi
@@ -230,9 +211,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         "phi": tp.phi,
         "sigma": tp.sigma,
         "dim": tp.n,
-        "strategy": kind,
-        "expansion_order": order,
-        "accel_order": args.accel_order,
         "xi_min": args.xi_min,
         "xi_max": args.xi_max,
         "xi_points": args.xi_points,
@@ -429,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("transform", help="radial transform over a grid")
     _add_grid(s)
-    s.add_argument(
-        "--strategy", choices=tuple(_STRATEGY_NAMES), default="expansion"
-    )
-    s.add_argument("--expansion-order", type=int, default=None)
-    s.add_argument("--accel-order", type=int, default=6)
     _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_transform, default_format="csv")
 

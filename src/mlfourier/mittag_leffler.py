@@ -2,8 +2,14 @@
 inversion on an optimal parabolic contour (Garrappa, SIAM J. Numer. Anal.
 53 (2015)), by contour integrals over a two-ray-plus-arc contour, and by a
 large-argument sector expansion, together with the reciprocal-gamma contour
-identities and sector growth/decay diagnostics.  `ml_eval` dispatches
-between them.
+identities and sector growth/decay diagnostics.
+
+`ml_eval` is the evaluator, for a scalar or an array z, in both sectors:
+the double Taylor series where its cancellation guard accepts (|z| <=
+SERIES_RADIUS), the sector sum where its error estimate accepts (decay
+sector, |z| >= SECTOR_SUM_RADIUS), and Laplace inversion everywhere else.
+The mpmath series (ml_series) and the ray/arc contour (ml_contour,
+ml_on_ray) are independent references; ml_eval reaches neither.
 
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
@@ -38,8 +44,8 @@ from .special_core import (
 )
 
 # |z| below which the Taylor series is the evaluator of choice, and above
-# which the truncated sector sum alone is accurate enough to skip contour
-# quadrature.  Configuration, not contract: the overlap windows are tested.
+# which the truncated sector sum alone is accurate enough to skip Laplace
+# inversion.  Configuration, not contract: the overlap windows are tested.
 SERIES_RADIUS = 5.0
 SECTOR_SUM_RADIUS = 40.0
 
@@ -361,66 +367,15 @@ def ml_on_ray(
         raise DomainError(
             f"|phi| = {abs(phi):.6f} must exceed omega = {c.omega:.6f}"
         )
-    a, b = p.alpha, p.beta
-    om, eps = c.omega, c.epsilon
     J = series_terms
+    if J > 0 and r == 0.0:
+        raise DomainError("series_terms > 0 requires r > 0")
     w = r * cmath.exp(1j * phi)
-
-    head = CompensatedSum()
-    if J > 0:
-        if r == 0.0:
-            raise DomainError("series_terms > 0 requires r > 0")
-        winv = 1.0 / w
-        wpow = 1.0 + 0.0j
-        for j in range(1, J + 1):
-            wpow *= winv
-            head.add(-wpow * reciprocal_gamma(b - a * j))
-
-    rho0 = eps ** (1.0 / a)
-    e_up = cmath.exp(1j * om / a)
-    e_dn = cmath.exp(-1j * om / a)
-    pre_up = a * cmath.exp(1j * om * ((1.0 - b) / a + J))
-    pre_dn = a * cmath.exp(-1j * om * ((1.0 - b) / a + J))
-    den_up = r * cmath.exp(1j * (phi - om))
-    den_dn = r * cmath.exp(1j * (phi + om))
-    eps_pow = eps ** ((1.0 - b) / a + J)
-
-    def ray_plus(rho: float) -> Complex:
-        return (
-            pre_up
-            * cmath.exp(rho * e_up)
-            * rho ** (a - b + a * J)
-            / (rho ** a - den_up)
-        )
-
-    def ray_minus(rho: float) -> Complex:
-        return (
-            -pre_dn
-            * cmath.exp(rho * e_dn)
-            * rho ** (a - b + a * J)
-            / (rho ** a - den_dn)
-        )
-
-    def arc(theta: float) -> Complex:
-        zc = eps * cmath.exp(1j * theta)
-        return (
-            1j
-            * eps
-            * cmath.exp(rho0 * cmath.exp(1j * theta / a))
-            * eps_pow
-            * cmath.exp(1j * theta * ((1.0 - b) / a + J))
-            * cmath.exp(1j * theta)
-            / (zc - w)
-        )
-
-    rate = 0.9 * (-math.cos(om / a))
-    up = integrate_semi_infinite(ray_plus, rho0, rate, cfg)
-    dn = integrate_semi_infinite(ray_minus, rho0, rate, cfg)
-    ac = integrate_finite(arc, -om, om, cfg)
-    contour = (up.value + dn.value + ac.value) / (2j * math.pi * a)
+    res = _contour_integral(p, c, lambda zeta: zeta ** J / (zeta - w), cfg)
+    contour = res.value / (2j * math.pi * p.alpha)
     if J > 0:
         contour *= w ** (-J)
-    return head.value + contour
+    return ml_sector_asymptotic(p, w, J) + contour
 
 
 def ml_sector_asymptotic(p: MLParams, z: Complex, K: int) -> Complex:
@@ -693,14 +648,14 @@ def _laplace_parabola(
 
 def _laplace_route(
     p: MLParams, z: Complex
-) -> tuple[int, float, float, int, tuple[Complex, ...]] | None:
+) -> tuple[int, float, float, int, tuple[Complex, ...]]:
     """(m, mu, h, N, poles): the parabola of E_{a, b - m a}(z) for the
     smallest m >= 0 that has one.
 
     Each step of E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z lowers the
     strength 2(b - a - 1) of the origin singularity by 2a, so a strong
     origin (beta > alpha + 1), which can leave no admissible parabola,
-    moves to a weaker one.  None when no step helps.
+    moves to a weaker one.  ConvergenceError when no step helps.
     """
     b = p.beta
     steps = 0
@@ -709,9 +664,26 @@ def _laplace_route(
         if plan is not None:
             return (steps,) + plan
         if b <= p.alpha + 1.0:
-            return None
+            raise ConvergenceError(
+                f"no parabola meets the 1e-15 target for E_{{{p.alpha},"
+                f"{p.beta}}}({z}) within {_LAPLACE_MAX_NODES} nodes"
+            )
         b -= p.alpha
         steps += 1
+
+
+def _add_residues(value, a: float, b: float, poles: tuple[Complex, ...]):
+    """value plus the residues (1/a) s*^(1-b) e^{s*} of the poles right of
+    the parabola, added one by one; AccuracyError when E leaves double
+    range."""
+    try:
+        for s_star in poles:
+            value += s_star ** (1.0 - b) * cmath.exp(s_star) / a
+    except OverflowError:
+        raise AccuracyError(
+            f"residue e^{{s*}} at Re s* = {s_star.real:.1f} leaves double range"
+        ) from None
+    return value
 
 
 def _laplace_sum(a: float, b: float, mu: float, h: float, n: int, z):
@@ -726,7 +698,7 @@ def _laplace_sum(a: float, b: float, mu: float, h: float, n: int, z):
     return h * f.sum(axis=-1) / (2j * math.pi)
 
 
-def _ml_laplace(p: MLParams, z: Complex) -> Complex | None:
+def _ml_laplace(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z), z != 0, by inverting its Laplace transform
     s^(alpha-beta)/(s^alpha - z) with the trapezoid rule on the optimal
     parabola s = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal. 53 (2015);
@@ -735,84 +707,66 @@ def _ml_laplace(p: MLParams, z: Complex) -> Complex | None:
     The poles s* right of the parabola enter through their residues
     (1/alpha) s*^(1-beta) e^{s*}.  The parabola is chosen for the fewest
     nodes at absolute accuracy about 1e-15 relative to the integrand scale
-    (see _laplace_route for beta > alpha + 1); None when no parabola meets
-    that within _LAPLACE_MAX_NODES.
+    (see _laplace_route for beta > alpha + 1).  ConvergenceError when no
+    parabola meets that within _LAPLACE_MAX_NODES, AccuracyError when E
+    leaves double range.
     """
-    route = _laplace_route(p, z)
-    if route is None:
-        return None
-    steps, mu, h, n, poles = route
+    steps, mu, h, n, poles = _laplace_route(p, z)
     a = p.alpha
     b = p.beta - steps * a
-    value = complex(_laplace_sum(a, b, mu, h, n, z))
-    for s_star in poles:
-        value += s_star ** (1.0 - b) * cmath.exp(s_star) / a
+    value = _add_residues(complex(_laplace_sum(a, b, mu, h, n, z)), a, b, poles)
     for _ in range(steps):
         value = (value - reciprocal_gamma(b)) / z
         b += a
+    if not cmath.isfinite(value):
+        raise AccuracyError(f"E_{{{p.alpha},{p.beta}}}({z}) leaves double range")
     if z.imag == 0.0:
         value = complex(value.real, 0.0)
     return value
 
 
-def ml_eval(
-    p: MLParams,
-    z: Complex | np.ndarray,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex | np.ndarray:
-    """Dispatching evaluator.
+def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
+    """E_{alpha,beta}(z) at a complex z or at every entry of an ndarray,
+    in both sectors, by one rule:
 
-    - |z| <= SERIES_RADIUS: the double Taylor series.  Where it would
-      cancel, the growth sector |arg z| <= pi alpha/2 redoes it in mpmath
-      (ml_series) and the decay sector takes Laplace inversion.
-    - Larger |z| requires the decay sector: Laplace inversion below
-      SECTOR_SUM_RADIUS, and from there the truncated sector sum with its
-      exponentially small wave terms once its first-omitted-term estimate
-      meets tolerance, else Laplace inversion.
-    - Laplace inversion (Garrappa 2015) has a fixed 1e-15 target and node
-      cap; a point over the cap takes the earlier route, ml_series with its
-      mpmath escalation up to SERIES_RADIUS and the ray/arc contour
-      (ml_on_ray) beyond.
+    - z = 0: 1/Gamma(beta).
+    - |z| <= SERIES_RADIUS: the double Taylor series, where its
+      cancellation guard accepts.
+    - |z| >= SECTOR_SUM_RADIUS in the decay sector |arg z| > pi alpha/2:
+      the truncated sector sum with its exponentially small wave terms,
+      where its first-omitted-term estimate meets tolerance.
+    - Everywhere else: Laplace inversion on Garrappa's optimal parabola
+      (2015), with a fixed 1e-15 target and node cap.  A point that has no
+      parabola within the cap raises ConvergenceError; a value outside
+      double range raises AccuracyError.
 
     Accuracy below SECTOR_SUM_RADIUS: ~5e-14 relative against independent
     values wherever |E| is algebraic in 1/|z|.  Only E_{1,1} = exp, whose
     algebraic part vanishes, sinks below the absolute floor (~1e-17) in
     the decay sector.
 
-    An ndarray z gives an ndarray of its shape, by the same rules applied
-    as masks: the double series where its guard accepts, the sector sum
-    where its estimate does, Laplace inversion with one broadcast trapezoid
-    sum per distinct parabola for the rest, and the scalar route point by
-    point for the growth sector, z = 0 and points over the node cap.  Real
+    An ndarray z gives an ndarray of its shape, by the same rule applied
+    as masks, with one broadcast trapezoid sum per distinct parabola.  Real
     z give an exactly real value.
     """
     if isinstance(z, np.ndarray):
-        return _ml_eval_array(p, z, cfg)
+        return _ml_eval_array(p, z)
     z = complex(z)
+    if z == 0:
+        return reciprocal_gamma(p.beta)
     absz = abs(z)
-    phi = cmath.phase(z)
-    decay = z != 0 and abs(phi) > math.pi * p.alpha / 2.0
     if absz <= SERIES_RADIUS:
-        if not decay:
-            return ml_series(p, z, tol=1e-14)
-        value, ratio = _series_double(p, z, 1e-14)
+        try:
+            value, ratio = _series_double(p, z, 1e-14)
+        except OverflowError:  # a Taylor term leaves double range
+            ratio = math.inf
         if _series_accepts(ratio, 1e-14):
             return value
-    elif not decay:
-        raise DomainError(
-            f"|z| > {SERIES_RADIUS} inside the growth sector |arg z| <= "
-            f"pi*alpha/2 = {math.pi * p.alpha / 2.0:.6f} is unsupported"
-        )
-    elif absz >= SECTOR_SUM_RADIUS:
+    elif absz >= SECTOR_SUM_RADIUS and abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
         value, err = _sector_sum_adaptive(p, z)
         if _sector_accepts(value, err):
             return value
-    value = _ml_laplace(p, z)
-    if value is not None:
-        return value
-    if absz <= SERIES_RADIUS:
-        return ml_series(p, z, tol=1e-14)
-    return ml_on_ray(p, phi, absz, cfg=cfg)
+    return _ml_laplace(p, z)
 
 
 # ---------------------------------------------------------------------------
@@ -833,12 +787,14 @@ def _lgamma_table(a: float, b: float) -> np.ndarray:
     return np.array([math.lgamma(a * k + b) for k in range(_SERIES_MAX_TERMS)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _series_double_array(
     p: MLParams, z: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """_series_double at every z != 0 of a 1-D array: the same log-form
     terms and the same stop after 3 consecutive terms below tol * |sum|,
-    summed a block of terms at a time."""
+    summed a block of terms at a time.  A point whose terms leave double
+    range gets ratio inf, which the guard rejects."""
     lgam = _lgamma_table(p.alpha, p.beta)
     lnz = np.log(z)
     value = np.empty(z.shape, complex)
@@ -863,7 +819,9 @@ def _series_double_array(
         ratio[live[done]] = mags[rows, at] / np.maximum(
             np.abs(sums[rows, at]), 1e-300
         )
-        keep = ~done
+        blown = ~done & ~np.isfinite(mags[:, -1])
+        ratio[live[blown]] = np.inf
+        keep = ~(done | blown)
         live = live[keep]
         if not live.size:
             return value, ratio
@@ -918,12 +876,9 @@ def _sector_sum_array(p: MLParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _ml_laplace_array(
-    p: MLParams, z: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _ml_laplace_array(p: MLParams, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """_ml_laplace at every z != 0 (arg z = theta) of a 1-D array, with one
-    broadcast trapezoid sum per distinct parabola.  Returns the values and
-    a mask of the points that had one (the rest are over the node cap)."""
+    broadcast trapezoid sum per distinct parabola."""
     a = p.alpha
     # Without poles in the principal sheet (the k range of
     # _laplace_parabola is empty) the parabola depends on (alpha, beta)
@@ -935,16 +890,12 @@ def _ml_laplace_array(
     residues: dict[int, tuple[Complex, ...]] = {}
     free_idx = np.flatnonzero(free)
     if free_idx.size:
-        route = _laplace_route(p, complex(z[free_idx[0]]))
-        if route is not None:
-            routes[route[:4]] = list(free_idx)
+        routes[_laplace_route(p, complex(z[free_idx[0]]))[:4]] = list(free_idx)
     for i in np.flatnonzero(~free):
         route = _laplace_route(p, complex(z[i]))
-        if route is not None:
-            routes.setdefault(route[:4], []).append(i)
-            residues[i] = route[4]
-    value = np.zeros(z.shape, complex)
-    found = np.zeros(z.shape, bool)
+        routes.setdefault(route[:4], []).append(i)
+        residues[i] = route[4]
+    value = np.empty(z.shape, complex)
     for (steps, mu, h, n), members in routes.items():
         idx = np.array(members)
         b = p.beta - steps * a
@@ -955,49 +906,48 @@ def _ml_laplace_array(
             for i in range(0, zi.size, step)
         ])
         for pos, i in enumerate(members):
-            for s_star in residues.get(i, ()):
-                val[pos] += s_star ** (1.0 - b) * cmath.exp(s_star) / a
+            val[pos] = _add_residues(val[pos], a, b, residues.get(i, ()))
         for _ in range(steps):
             val = (val - reciprocal_gamma(b)) / zi
             b += a
         value[idx] = val
-        found[idx] = True
-    return value, found
+    if not np.all(np.isfinite(value)):
+        raise AccuracyError(f"E_{{{p.alpha},{p.beta}}} leaves double range")
+    return value
 
 
-def _ml_eval_array(p: MLParams, z: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _ml_eval_array(p: MLParams, z: np.ndarray) -> np.ndarray:
     flat = np.asarray(z, dtype=complex).ravel()
     out = np.empty(flat.shape, complex)
     for i in range(0, flat.size, _ARRAY_BLOCK):
-        out[i:i + _ARRAY_BLOCK] = _ml_eval_block(p, flat[i:i + _ARRAY_BLOCK], cfg)
+        out[i:i + _ARRAY_BLOCK] = _ml_eval_block(p, flat[i:i + _ARRAY_BLOCK])
     return out.reshape(np.shape(z))
 
 
-def _ml_eval_block(p: MLParams, flat: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _ml_eval_block(p: MLParams, flat: np.ndarray) -> np.ndarray:
     out = np.empty(flat.shape, complex)
     absz, phi = _polar(flat)
-    decay = (flat != 0) & (np.abs(phi) > math.pi * p.alpha / 2.0)
-    pending = decay.copy()
+    zero = flat == 0
+    out[zero] = reciprocal_gamma(p.beta)
+    pending = ~zero
 
     def settle(idx: np.ndarray, values: np.ndarray, ok: np.ndarray) -> None:
         out[idx[ok]] = values[ok]
         pending[idx[ok]] = False
 
-    idx = np.flatnonzero(decay & (absz <= SERIES_RADIUS))
+    idx = np.flatnonzero(pending & (absz <= SERIES_RADIUS))
     if idx.size:
         value, ratio = _series_double_array(p, flat[idx], 1e-14)
         settle(idx, value, _series_accepts(ratio, 1e-14))
-    idx = np.flatnonzero(decay & (absz >= SECTOR_SUM_RADIUS))
+    idx = np.flatnonzero(
+        (absz >= SECTOR_SUM_RADIUS) & (np.abs(phi) > math.pi * p.alpha / 2.0)
+    )
     if idx.size:
         value, err = _sector_sum_array(p, flat[idx])
         settle(idx, value, _sector_accepts(value, err))
     idx = np.flatnonzero(pending)
     if idx.size:
-        settle(idx, *_ml_laplace_array(p, flat[idx], phi[idx]))
-    # The growth sector, z = 0 and points over the node cap take the
-    # scalar route.
-    for i in np.flatnonzero(~decay | pending):
-        out[i] = ml_eval(p, complex(flat[i]), cfg)
+        out[idx] = _ml_laplace_array(p, flat[idx], phi[idx])
     out.imag[flat.imag == 0.0] = 0.0
     return out
 

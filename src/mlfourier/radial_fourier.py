@@ -8,19 +8,19 @@ compact part
     M(xi) = integral_0^inf phi_cut(r) E(e^{i phi} (r/|xi|)^sigma) jbar_n(r) dr
 
 and an oscillatory tail N(xi) of the same shape with psi_cut.  The full
-transform is (2 pi/|xi|^n) (M + N).  The tail is evaluated either by
-substituting the large-argument Bessel expansion (each e^{+-2 pi i r}-phased
-term summed over half-period chunks with iterated Aitken acceleration, plus
-an absolutely convergent remainder integral), or by applying the same
-chunk-and-accelerate treatment to the raw integrand.
+transform is (2 pi/|xi|^n) (M + N).  The tail substitutes the order
+(n-1)//2 + 1 large-argument Bessel expansion: each e^{+-2 pi i r}-phased
+term is summed over half-period chunks with iterated Aitken acceleration,
+plus an absolutely convergent remainder integral.
 
-On the transform path (compute_M and the expansion tail) the integrand is
-evaluated on whole node arrays, with ml_eval, jbar and the cutoffs taking
-arrays: M is a set of tanh-sinh panels integrated in one batched call, the
-tail's two transition chunks [1, 1.5] and [1.5, 2] of every term are
-another such call, and the 16-node Gauss-Legendre chunks from r = 2 on are
-evaluated a block of chunks at a time.  QUADPACK (integrate_finite) serves
-the direct strategy and the cross-checks.
+On the transform path the integrand is evaluated on whole node arrays,
+with ml_eval, jbar and the cutoffs taking arrays: M is a set of tanh-sinh
+panels integrated in one batched call, the tail's two transition chunks
+[1, 1.5] and [1.5, 2] of every term are another such call, and the 16-node
+Gauss-Legendre chunks from r = 2 on are evaluated a block of chunks at a
+time.  QUADPACK (integrate_finite) serves the references transform_direct
+and fourier_radial_reference, which chunk and accelerate the raw
+integrand, and the integration-by-parts check.
 
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Structurally Q_0(u) is the contour integral
@@ -103,37 +103,6 @@ class TransformProblem:
         return self.sigma > 0.5 * (self.n - 1)
 
 
-@dataclass(frozen=True)
-class TailStrategy:
-    """How the oscillatory tail is evaluated.
-
-    kind "BesselExpansionAccelerated" substitutes the order-M large-argument
-    expansion; "DirectPeriodSum" chunk-accelerates the raw integrand.  M must
-    exceed (n-1)/2 for the remainder term to be absolutely integrable.
-    """
-
-    kind: str
-    M: int
-    accel_order: int = 6
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("BesselExpansionAccelerated", "DirectPeriodSum"):
-            raise DomainError(f"unknown tail strategy kind {self.kind!r}")
-        if self.M < 1:
-            raise DomainError("expansion order M >= 1 required")
-        if not 2 <= self.accel_order <= 12:
-            raise DomainError(
-                f"accel_order must be in [2, 12], got {self.accel_order}"
-            )
-
-
-def default_strategy(n: int) -> TailStrategy:
-    """Smallest admissible expansion order for dimension n."""
-    return TailStrategy(
-        kind="BesselExpansionAccelerated", M=(n - 1) // 2 + 1, accel_order=6
-    )
-
-
 # ---------------------------------------------------------------------------
 # Smooth cutoff pair
 # ---------------------------------------------------------------------------
@@ -162,28 +131,36 @@ def cutoff_psi(r):
 _MAX_CUTOFF_DERIVATIVE = 6
 
 
-@lru_cache(maxsize=1)
-def _psi_derivative_lambdas() -> tuple:
-    # Closed-form derivatives on the transition interval (1, 2), generated
-    # once by symbolic differentiation.
-    import sympy as sp
+def _psi_derivatives(m: int, r: float) -> list[float]:
+    """psi_cut and its first m derivatives at 1 < r < 2, where
+    psi_cut = l/(h + l) with h = e^{-1/(2-r)} and l = e^{-1/(r-1)}.
 
-    r = sp.symbols("r", positive=True)
-    hi = sp.exp(-1 / (2 - r))
-    lo = sp.exp(-1 / (r - 1))
-    psi = 1 - hi / (hi + lo)
-    funcs = []
-    expr = psi
-    for _ in range(_MAX_CUTOFF_DERIVATIVE):
-        expr = sp.diff(expr, r)
-        funcs.append(sp.lambdify(r, expr, modules="math"))
-    return tuple(funcs)
+    An exponential f = e^g has f^(j+1) = sum_k C(j,k) g^(k+1) f^(j-k), and
+    the quotient follows from l = psi_cut (h + l) by Leibniz's rule."""
+    u, v = 2.0 - r, r - 1.0
+    # k-th derivatives, k = 0..m, of the exponents -1/u and -1/v.
+    dg = [-math.factorial(k) / u ** (k + 1) for k in range(m + 1)]
+    dq = [-((-1) ** k) * math.factorial(k) / v ** (k + 1) for k in range(m + 1)]
+
+    def exp_derivatives(d: list[float]) -> list[float]:
+        f = [math.exp(d[0])]
+        for j in range(m):
+            f.append(sum(math.comb(j, k) * d[k + 1] * f[j - k] for k in range(j + 1)))
+        return f
+
+    h, l = exp_derivatives(dg), exp_derivatives(dq)
+    den = [a + b for a, b in zip(h, l)]
+    psi: list[float] = []
+    for j in range(m + 1):
+        lower = sum(math.comb(j, k) * psi[k] * den[j - k] for k in range(j))
+        psi.append((l[j] - lower) / den[0])
+    return psi
 
 
 def cutoff_derivative(m: int, r: float) -> float:
     """m-th derivative of cutoff_psi for r >= 0; supported in [1, 2] for
-    m >= 1.  Derivatives come from symbolic differentiation of the
-    closed-form transition, not finite differences."""
+    m >= 1.  Derivatives come from exact recurrences for the closed-form
+    transition, not finite differences."""
     if m < 0 or m > _MAX_CUTOFF_DERIVATIVE:
         raise DomainError(
             f"derivative order must be in [0, {_MAX_CUTOFF_DERIVATIVE}]"
@@ -194,7 +171,7 @@ def cutoff_derivative(m: int, r: float) -> float:
     # outside (1, 2), and the guard also avoids overflow in exp(-1/(r-1)).
     if r <= 1.0 + 1e-9 or r >= 2.0 - 1e-9:
         return 0.0
-    return float(_psi_derivative_lambdas()[m - 1](r))
+    return _psi_derivatives(m, r)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +233,11 @@ def _require_tail_scope(tp: TransformProblem) -> None:
 
 def _accelerated_chunks(
     chunk_values: Callable[[int], Complex],
-    accel_order: int,
     cfg: QuadratureConfig,
     max_chunks: int = 400,
 ) -> Complex:
-    """Limit of the cumulative chunk sum by iterated Aitken acceleration."""
+    """Limit of the cumulative chunk sum by iterated Aitken acceleration
+    of order 6."""
 
     def gen():
         for k in range(max_chunks):
@@ -268,7 +245,7 @@ def _accelerated_chunks(
 
     value, _err, _used = accelerated_limit(
         gen(),
-        order=accel_order,
+        order=6,
         abs_tol=cfg.abs_tol,
         rel_tol=cfg.rel_tol,
         max_terms=max_chunks,
@@ -345,13 +322,22 @@ def _bessel_remainder(lam: float, x, coeffs: tuple):
 _CHUNK_BLOCK = 16  # chunks per batched profile evaluation from k = 2 on
 
 
-def _compute_N_expansion(
+def compute_N(
     tp: TransformProblem,
     xi_mag: float,
-    strategy: TailStrategy,
-    cfg: QuadratureConfig,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> Complex:
-    n, M = tp.n, strategy.M
+    """Oscillatory tail: integral of psi_cut(r) E(e^{i phi}(r/|xi|)^sigma)
+    jbar_n(r) over [1, infinity), chunked at half-periods of the kernel
+    phase and accelerated.
+
+    jbar_n is replaced by its large-argument expansion of order
+    M = (n-1)//2 + 1, the smallest that exceeds (n-1)/2 and so leaves an
+    absolutely integrable remainder term."""
+    _require_xi(xi_mag)
+    _require_tail_scope(tp)
+    n = tp.n
+    M = (n - 1) // 2 + 1
     g = _profile(tp, xi_mag)
     pairs, need_remainder = _tail_coefficient_pairs(n, M)
     two_pi = 2.0 * math.pi
@@ -433,58 +419,9 @@ def _compute_N_expansion(
 
     total = CompensatedSum()
     for t, (weight, _sign, _power) in enumerate(terms):
-        lim = _accelerated_chunks(
-            lambda k, t=t: chunk_value(t, k), strategy.accel_order, cfg
-        )
+        lim = _accelerated_chunks(lambda k, t=t: chunk_value(t, k), cfg)
         total.add(weight * lim)
     return total.value
-
-
-def _compute_N_direct(
-    tp: TransformProblem,
-    xi_mag: float,
-    strategy: TailStrategy,
-    cfg: QuadratureConfig,
-) -> Complex:
-    n = tp.n
-    g = _profile(tp, xi_mag)
-
-    def chunk(k: int) -> Complex:
-        a = 1.0 + 0.5 * k
-        b = a + 0.5
-
-        def f(r: float) -> Complex:
-            w = cutoff_psi(r)
-            if w == 0.0:
-                return 0.0 + 0.0j
-            return w * g(r) * jbar(n, r)
-
-        return integrate_finite(f, a, b, cfg).value
-
-    return _accelerated_chunks(chunk, strategy.accel_order, cfg)
-
-
-def compute_N(
-    tp: TransformProblem,
-    xi_mag: float,
-    strategy: TailStrategy | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
-    """Oscillatory tail: integral of psi_cut(r) E(e^{i phi}(r/|xi|)^sigma)
-    jbar_n(r) over [1, infinity), chunked at half-periods of the kernel
-    phase and accelerated."""
-    _require_xi(xi_mag)
-    _require_tail_scope(tp)
-    if strategy is None:
-        strategy = default_strategy(tp.n)
-    if not strategy.M > 0.5 * (tp.n - 1):
-        raise DomainError(
-            f"expansion order M = {strategy.M} must exceed (n-1)/2 = "
-            f"{0.5 * (tp.n - 1)}"
-        )
-    if strategy.kind == "DirectPeriodSum":
-        return _compute_N_direct(tp, xi_mag, strategy, cfg)
-    return _compute_N_expansion(tp, xi_mag, strategy, cfg)
 
 
 def min_ibp_order(n: int) -> int:
@@ -498,13 +435,12 @@ def min_ibp_order(n: int) -> int:
 def ml_transform(
     tp: TransformProblem,
     xi_mag: float,
-    strategy: TailStrategy | None = None,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> Complex:
     """Full transform (2 pi/|xi|^n)(M + N)."""
     _require_xi(xi_mag)
     m_part = compute_M(tp, xi_mag, cfg)
-    n_part = compute_N(tp, xi_mag, strategy, cfg)
+    n_part = compute_N(tp, xi_mag, cfg)
     return 2.0 * math.pi / xi_mag ** tp.n * (m_part + n_part)
 
 
@@ -512,10 +448,10 @@ def transform_direct(
     tp: TransformProblem,
     xi_mag: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    accel_order: int = 6,
 ) -> Complex:
     """Single-pass evaluation of the unsplit integrand (no cutoff split):
-    head on [0, 2.5] plus accelerated half-period chunks beyond."""
+    head on [0, 2.5] plus accelerated half-period chunks beyond.  An
+    independent reference for ml_transform."""
     _require_xi(xi_mag)
     g = _profile(tp, xi_mag)
     n = tp.n
@@ -528,7 +464,7 @@ def transform_direct(
     def chunk(k: int) -> Complex:
         return integrate_finite(f, 2.5 + 0.5 * k, 3.0 + 0.5 * k, cfg).value
 
-    return head + _accelerated_chunks(chunk, accel_order, cfg)
+    return head + _accelerated_chunks(chunk, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -555,36 +491,14 @@ def fourier_radial_reference(
     _require_xi(xi_mag)
     half_period = 0.5 / xi_mag
 
+    def f(r: float) -> Complex:
+        return f0(r) * jbar(n, xi_mag * r)
+
     def chunk(k: int) -> Complex:
         a = k * half_period
-        b = a + half_period
+        return integrate_finite(f, a, a + half_period, cfg).value
 
-        def f(r: float) -> Complex:
-            return f0(r) * jbar(n, xi_mag * r)
-
-        return integrate_finite(f, a, b, cfg).value
-
-    def gen():
-        stale = 0
-        for k in range(4000):
-            v = chunk(k)
-            yield v
-            # Hard stop once the profile is long dead, so acceleration does
-            # not chase rounding noise.
-            if abs(v) < 1e-16:
-                stale += 1
-                if stale > 6:
-                    return
-            else:
-                stale = 0
-
-    value, _err, used = accelerated_limit(
-        gen(),
-        order=6,
-        abs_tol=cfg.abs_tol,
-        rel_tol=cfg.rel_tol,
-        max_terms=4000,
-    )
+    value = _accelerated_chunks(chunk, cfg, max_chunks=4000)
     return 2.0 * math.pi * xi_mag ** (1 - n) * value
 
 
@@ -709,7 +623,6 @@ def _oscillatory_power_sum(
     kernel: Callable[[float], Complex],
     power: float,
     weight: Callable[[float], float],
-    accel_order: int,
     cfg: QuadratureConfig,
 ) -> Complex:
     """Accelerated value of integral_1^inf e^{ir} r^power weight(r)
@@ -726,9 +639,7 @@ def _oscillatory_power_sum(
     def chunk(k: int) -> Complex:
         return integrate_finite(f, boundaries[k], boundaries[k + 1], cfg).value
 
-    return _accelerated_chunks(
-        chunk, accel_order, cfg, max_chunks=_IBP_MAX_CHUNKS
-    )
+    return _accelerated_chunks(chunk, cfg, max_chunks=_IBP_MAX_CHUNKS)
 
 
 def _falling(x: float, m: int) -> float:
@@ -776,7 +687,7 @@ def ibp_identity_check(
 
     base_power = 0.5 * (tp.n - 1) - ell
     lhs = _oscillatory_power_sum(
-        lambda r: tables[0](r / xi_mag), base_power, cutoff_psi, 6, cfg
+        lambda r: tables[0](r / xi_mag), base_power, cutoff_psi, cfg
     )
 
     rhs = CompensatedSum()
@@ -797,7 +708,7 @@ def ibp_identity_check(
             power = base_power - N + l2
             kern = lambda r, t=tables[l3]: t(r / xi_mag)
             if l2 == 0:
-                val = _oscillatory_power_sum(kern, power, cutoff_psi, 6, cfg)
+                val = _oscillatory_power_sum(kern, power, cutoff_psi, cfg)
             else:
                 # psi^(l2) is supported in [1, 2]: a single smooth panel.
                 def f(r: float, m=l2, pw=power, kn=kern) -> Complex:

@@ -35,7 +35,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    max_depth: int = 10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol < 1.0):
@@ -44,8 +43,6 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

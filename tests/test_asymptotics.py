@@ -274,7 +274,7 @@ class TestLpNumericalCheck:
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7)
         seen = []
 
-        def recorder(tp, xi, strategy=None, cfg=DEFAULT_QUADRATURE):
+        def recorder(tp, xi, cfg=DEFAULT_QUADRATURE):
             seen.append(cfg)
             return complex(xi ** (tp.sigma - tp.n))
 

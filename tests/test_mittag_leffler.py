@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
 from mlfourier import mittag_leffler
-from mlfourier.errors import AccuracyError, DomainError
+from mlfourier.errors import AccuracyError, ConvergenceError, DomainError
 from mlfourier.mittag_leffler import (
     ContourSpec,
     MLParams,
@@ -266,12 +266,6 @@ def test_eval_sector_sum_handover():
             assert abs(ml_eval(p, -r) - v) <= 1e-6 * abs(v) + 1e-12
 
 
-def test_eval_growth_sector_rejected():
-    p = MLParams(0.8, 1.0)
-    with pytest.raises(DomainError):
-        ml_eval(p, 6.0)
-
-
 def test_eval_exponential_closed_forms():
     p = MLParams(1.0, 1.0)
     for r in (45.0, 80.0, 300.0):
@@ -395,16 +389,86 @@ def test_eval_decay_sector_never_escalates_to_mpmath(monkeypatch):
                 assert math.isfinite(abs(ml_eval(p, r * cmath.exp(1j * phase))))
 
 
-def test_eval_over_node_cap_takes_earlier_route(monkeypatch):
-    # Over the node cap the evaluator gives up rather than loosen its
-    # target, and ml_eval returns the ray/arc contour value, or the
-    # mpmath-escalated series where the double series cancels.
+def _growth_phases(alpha):
+    """Arguments of z inside the growth sector |arg z| <= pi alpha/2, up
+    to 0.02 rad off its boundary, both half-planes."""
+    edge = math.pi * alpha / 2.0
+    return [0.0, edge / 2.0, -edge / 2.0, edge - 0.02, -(edge - 0.02)]
+
+
+def test_eval_growth_sector_beyond_series_radius():
+    # Laplace inversion, residues included, past the series radius.  For
+    # alpha = 0.5 the reference series costs seconds per point beyond
+    # |z| = 10, and at |z| = 30 on the real axis E = e^900 overflows.
+    for alpha in (0.5, 0.8, 1.3, 1.9):
+        radii = (5.5, 10.0) if alpha == 0.5 else (5.5, 12.0, 30.0)
+        for beta in (0.8, 1.0, 1.7):
+            p = MLParams(alpha, beta)
+            z = np.array([r * cmath.exp(1j * ph) for ph in _growth_phases(alpha)
+                          for r in radii])
+            want = np.array([_mp_series(alpha, beta, v) for v in z])
+            scalar = np.array([ml_eval(p, complex(v)) for v in z])
+            assert np.all(np.abs(scalar - want) <= 1e-12 * np.abs(want))
+            assert np.all(np.abs(ml_eval(p, z) - want) <= 1e-12 * np.abs(want))
+
+
+def test_eval_reaches_no_mpmath_or_quadrature(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("slow branch reached")
+
+    for name in ("_series_mpmath", "ml_on_ray", "integrate_finite",
+                 "integrate_semi_infinite"):
+        monkeypatch.setattr(mittag_leffler, name, unreachable)
+    for alpha in (0.3, 0.8, 1.3, 1.9):
+        phases = _growth_phases(alpha) + _decay_phases(alpha)
+        points = [r * cmath.exp(1j * ph) for ph in phases
+                  for r in np.geomspace(1e-3, 1e3, 13)]
+        # Leave out the growth-sector points where E overflows.
+        z = np.array([v for v in points
+                      if abs(v) ** (1.0 / alpha)
+                      * math.cos(cmath.phase(v) / alpha) < 700.0])
+        for beta in (0.8, 1.0, 2.5):
+            p = MLParams(alpha, beta)
+            for v in z:
+                assert cmath.isfinite(ml_eval(p, complex(v)))
+            assert np.all(np.isfinite(ml_eval(p, z)))
+
+
+def test_eval_overflow_raises_accuracy_error():
+    # E_{1/2,1}(x) ~ 2 e^{x^2}: at x = 26.63 e^{x^2} is finite but twice it
+    # is not, and at x = 30 the residue e^900 overflows in exp itself.
+    p = MLParams(0.5, 1.0)
+    for x in (26.63, 30.0):
+        with pytest.raises(AccuracyError):
+            ml_eval(p, x)
+        with pytest.raises(AccuracyError):
+            ml_eval(p, np.array([-1.0, x]))
+
+
+def test_eval_series_overflow_takes_laplace():
+    # At alpha = 0.2 and |z| = 5 the Taylor terms reach e^3125, past double
+    # range, while E itself is about e^221 at arg z = 0.3.  Laplace
+    # inversion then gives E as the residue (1/alpha) s*^(1-beta) e^{s*},
+    # s* = |z|^(1/alpha) e^{i arg z/alpha}, plus a part of size 1.  Im s*
+    # is 3117, so an ulp of arg z moves the phase by about 1e-12.
+    p = MLParams(0.2, 1.0)
+    z = 5.0 * cmath.exp(0.3j)
+    want = cmath.exp(5.0 ** 5 * cmath.exp(1.5j)) / 0.2
+    assert abs(ml_eval(p, z) - want) <= 1e-11 * abs(want)
+    assert abs(ml_eval(p, np.array([z]))[0] - want) <= 1e-11 * abs(want)
+
+
+def test_eval_over_node_cap_raises(monkeypatch):
+    # Over the node cap Laplace inversion gives up rather than loosen its
+    # target, and ml_eval has no other route: a decay-sector point past the
+    # series radius, one where the series cancels, and a growth-sector one.
     p = MLParams(0.8, 1.0)
-    assert _ml_laplace(p, -12.0) is not None
     monkeypatch.setattr(mittag_leffler, "_LAPLACE_MAX_NODES", 5)
-    assert _ml_laplace(p, -12.0) is None
-    assert ml_eval(p, -12.0) == ml_on_ray(p, math.pi, 12.0)
-    assert ml_eval(p, -3.0) == ml_series(p, -3.0)
+    for z in (-12.0, 3.0 * cmath.exp(3.0j), 8.0):
+        with pytest.raises(ConvergenceError):
+            ml_eval(p, z)
+    with pytest.raises(ConvergenceError):
+        _ml_laplace(p, -12.0)
 
 
 def test_eval_sector_sum_skips_rounded_pole_terms():
@@ -445,7 +509,8 @@ def _array_cases(alpha):
                                               -(edge + 0.02)) for r in radii]
     # z = 0, real points on both sides of the origin (the positive ones in
     # the growth sector) and a growth-sector point off the axis.
-    extra = [0.0, -0.5, -3.0, -12.0, -60.0, 0.25, 2.0, 0.5 * cmath.exp(0.1j)]
+    extra = [0.0, -0.5, -3.0, -12.0, -60.0, 0.25, 2.0, 0.5 * cmath.exp(0.1j),
+             6.5, 6.0 * cmath.exp(0.5j * edge)]
     return np.array(rays + extra, dtype=complex)
 
 
@@ -473,18 +538,9 @@ def test_eval_array_keeps_shape_and_real_axis():
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
-def test_eval_array_over_node_cap_takes_scalar_route(monkeypatch):
+def test_eval_array_over_node_cap_raises(monkeypatch):
     monkeypatch.setattr(mittag_leffler, "_LAPLACE_MAX_NODES", 5)
     p = MLParams(0.8, 1.0)
-    # Over the cap: the series cancels at the first, the second is past it.
-    z = np.array([3.0 * cmath.exp(3.0j), 12.0 * cmath.exp(3.0j)])
-    got = ml_eval(p, z)
-    z1 = complex(z[1])
-    assert got[0] == ml_series(p, complex(z[0]))
-    assert got[1] == ml_on_ray(p, cmath.phase(z1), abs(z1))
-    assert np.array_equal(got, np.array([ml_eval(p, complex(v)) for v in z]))
-
-
-def test_eval_array_growth_sector_beyond_series_radius_rejected():
-    with pytest.raises(DomainError):
-        ml_eval(MLParams(0.8, 1.0), np.array([-1.0, 6.0]))
+    # The series takes the first point; the second has no parabola.
+    with pytest.raises(ConvergenceError):
+        ml_eval(p, np.array([-1.0, 12.0 * cmath.exp(3.0j)]))

@@ -22,14 +22,12 @@ from mlfourier.special_core import (
     integrate_finite,
 )
 from mlfourier.radial_fourier import (
-    TailStrategy,
     TransformProblem,
     compute_M,
     compute_N,
     cutoff_derivative,
     cutoff_phi,
     cutoff_psi,
-    default_strategy,
     fourier_radial_reference,
     ibp_identity_check,
     min_ibp_order,
@@ -81,22 +79,6 @@ class TestTransformProblem:
 
 
 class TestTailStrategy:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
-            TailStrategy(kind="Magic", M=1, accel_order=6)
-
-    def test_rejects_bad_orders(self):
-        with pytest.raises(DomainError):
-            TailStrategy(kind="DirectPeriodSum", M=0, accel_order=6)
-        with pytest.raises(DomainError):
-            TailStrategy(kind="DirectPeriodSum", M=1, accel_order=1)
-        with pytest.raises(DomainError):
-            TailStrategy(kind="DirectPeriodSum", M=1, accel_order=13)
-
-    def test_default_exceeds_half_dimension(self):
-        for n in range(1, 8):
-            assert default_strategy(n).M > 0.5 * (n - 1)
-
     def test_min_ibp_order(self):
         assert [min_ibp_order(n) for n in (1, 2, 3, 4, 5)] == [2, 2, 3, 3, 4]
         for n in (1, 2, 3, 4, 5):
@@ -148,6 +130,23 @@ class TestCutoffs:
         for r in (1.2, 1.5, 1.8):
             fd = (cutoff_psi(r + h) - cutoff_psi(r - h)) / (2 * h)
             assert abs(cutoff_derivative(1, r) - fd) < 1e-6
+
+    def test_derivatives_match_symbolic(self):
+        # The float recurrences against symbolic differentiation of
+        # psi_cut = l/(h + l), h = e^{-1/(2-r)}, l = e^{-1/(r-1)}.
+        import sympy as sp
+
+        r = sp.symbols("r", positive=True)
+        hi = sp.exp(-1 / (2 - r))
+        lo = sp.exp(-1 / (r - 1))
+        expr = lo / (hi + lo)
+        grid = np.linspace(1.01, 1.99, 50)
+        for m in range(1, 7):
+            expr = sp.diff(expr, r)
+            exact = sp.lambdify(r, expr, modules="math")
+            want = np.array([exact(x) for x in grid])
+            got = np.array([cutoff_derivative(m, x) for x in grid])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_higher_derivatives_match_finite_difference(self):
         h = 1e-4
@@ -296,17 +295,11 @@ class TestComputeM:
 
 class TestComputeN:
     def test_strategies_agree(self):
+        # The expansion tail against the raw integrand's chunk sum, less the
+        # compact part.
         for xi in (0.1, 1.0, 10.0):
-            a = compute_N(
-                BASE_TP,
-                xi,
-                TailStrategy("BesselExpansionAccelerated", M=1, accel_order=6),
-            )
-            b = compute_N(
-                BASE_TP,
-                xi,
-                TailStrategy("DirectPeriodSum", M=1, accel_order=6),
-            )
+            a = compute_N(BASE_TP, xi)
+            b = transform_direct(BASE_TP, xi) - compute_M(BASE_TP, xi)
             assert abs(a - b) < 1e-6 * max(abs(a), abs(b))
 
     def test_small_xi_scaled_limit_nonzero(self):
@@ -335,12 +328,6 @@ class TestComputeN:
         tp = TransformProblem(0.8, 1.0, math.pi, 0.9, 3)
         with pytest.raises(DomainError, match="sigma"):
             compute_N(tp, 1.0)
-
-    def test_expansion_order_gate(self):
-        tp = TransformProblem(0.8, 1.0, math.pi, 1.6, 3)
-        bad = TailStrategy("BesselExpansionAccelerated", M=1, accel_order=6)
-        with pytest.raises(DomainError, match="exceed"):
-            compute_N(tp, 1.0, bad)
 
 
 class TestMlTransform:
