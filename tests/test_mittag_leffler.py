@@ -6,6 +6,7 @@ once from the defining series at 60-digit working precision.
 """
 
 import cmath
+import functools
 import math
 
 import mpmath
@@ -396,20 +397,33 @@ def _growth_phases(alpha):
     return [0.0, edge / 2.0, -edge / 2.0, edge - 0.02, -(edge - 0.02)]
 
 
-def test_eval_growth_sector_beyond_series_radius():
-    # Laplace inversion, residues included, past the series radius.  For
-    # alpha = 0.5 the reference series costs seconds per point beyond
-    # |z| = 10, and at |z| = 30 on the real axis E = e^900 overflows.
+@functools.lru_cache(maxsize=None)
+def _growth_reference():
+    """(params, z, mpmath series) past the series radius in the growth
+    sector, shared by the scalar and array tests.  For alpha = 0.5 the
+    reference series costs seconds per point beyond |z| = 10, and at
+    |z| = 30 on the real axis E = e^900 overflows."""
+    cases = []
     for alpha in (0.5, 0.8, 1.3, 1.9):
         radii = (5.5, 10.0) if alpha == 0.5 else (5.5, 12.0, 30.0)
         for beta in (0.8, 1.0, 1.7):
-            p = MLParams(alpha, beta)
             z = np.array([r * cmath.exp(1j * ph) for ph in _growth_phases(alpha)
                           for r in radii])
             want = np.array([_mp_series(alpha, beta, v) for v in z])
-            scalar = np.array([ml_eval(p, complex(v)) for v in z])
-            assert np.all(np.abs(scalar - want) <= 1e-12 * np.abs(want))
-            assert np.all(np.abs(ml_eval(p, z) - want) <= 1e-12 * np.abs(want))
+            cases.append((MLParams(alpha, beta), z, want))
+    return cases
+
+
+def test_eval_growth_sector_beyond_series_radius():
+    # Laplace inversion, residues included, past the series radius.
+    for p, z, want in _growth_reference():
+        got = np.array([ml_eval(p, complex(v)) for v in z])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_eval_array_growth_sector_beyond_series_radius():
+    for p, z, want in _growth_reference():
+        assert np.all(np.abs(ml_eval(p, z) - want) <= 1e-12 * np.abs(want))
 
 
 def test_eval_reaches_no_mpmath_or_quadrature(monkeypatch):
