@@ -234,10 +234,6 @@ class BesselExpansion:
     M: int
     coeffs: tuple  # ((c_0^+, c_0^-), ..., (c_M^+, c_M^-))
 
-    @property
-    def lam_star(self) -> Complex:
-        return math.pi * self.lam / 2.0 + math.pi / 4.0
-
 
 def _falling_factorial(x: Complex, m: int) -> Complex:
     out = 1.0 + 0.0j

@@ -12,7 +12,6 @@ a timestamp is requested.  Exit codes: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -353,15 +352,20 @@ def _cmd_ibp_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, problem: bool) -> None:
+def _add_common(
+    sub: argparse.ArgumentParser, problem: bool, tolerances: bool = True
+) -> None:
+    """Output options, plus the problem parameters and, for subcommands that
+    build a QuadratureConfig, its tolerances."""
     if problem:
         sub.add_argument("--alpha", type=float, default=0.8)
         sub.add_argument("--beta", type=float, default=1.0)
         sub.add_argument("--phi", type=float, default=math.pi)
         sub.add_argument("--sigma", type=float, default=1.0)
         sub.add_argument("--dim", type=int, default=1)
-    sub.add_argument("--abs-tol", type=float, default=1e-12)
-    sub.add_argument("--rel-tol", type=float, default=1e-10)
+    if tolerances:
+        sub.add_argument("--abs-tol", type=float, default=1e-12)
+        sub.add_argument("--rel-tol", type=float, default=1e-10)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--no-timestamp", action="store_true")
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--dim", type=int, default=1)
     _add_grid(s)
-    _add_common(s, problem=False)
+    _add_common(s, problem=False, tolerances=False)
     s.set_defaults(handler=_cmd_eval_bessel, default_format="csv")
 
     s = subs.add_parser("transform", help="radial transform over a grid")
@@ -423,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_verify_asymptotics, default_format="json")
 
     s = subs.add_parser("lp-region", help="analytic L^p regions")
-    _add_common(s, problem=True)
+    _add_common(s, problem=True, tolerances=False)
     s.set_defaults(handler=_cmd_lp_region, default_format="json")
 
     s = subs.add_parser(

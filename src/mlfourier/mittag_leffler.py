@@ -2,14 +2,15 @@
 inversion on an optimal parabolic contour (Garrappa, SIAM J. Numer. Anal.
 53 (2015)), by contour integrals over a two-ray-plus-arc contour, and by a
 large-argument sector expansion, together with the reciprocal-gamma contour
-identities and sector growth/decay diagnostics.
+identities.
 
-`ml_eval` is the evaluator, for a scalar or an array z, in both sectors:
-the double Taylor series where its cancellation guard accepts (|z| <=
-SERIES_RADIUS), the sector sum where its error estimate accepts (decay
-sector, |z| >= SECTOR_SUM_RADIUS), and Laplace inversion everywhere else.
-The mpmath series (ml_series) and the ray/arc contour (ml_contour,
-ml_on_ray) are independent references; ml_eval reaches neither.
+`ml_eval` is the evaluator, for a scalar or an array z, in both sectors,
+with one accuracy target: the double Taylor series where its cancellation
+guard accepts (|z| <= SERIES_RADIUS), the sector sum where its error
+estimate meets Laplace inversion's 1e-15 relative target (decay sector,
+|z| >= SECTOR_SUM_RADIUS), and Laplace inversion everywhere else.  The
+mpmath series (ml_series) and the ray/arc contour (ml_contour, ml_on_ray)
+are independent references; ml_eval reaches neither.
 
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
@@ -66,12 +67,10 @@ class MLParams:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Geometry of the integration contour: arc radius, ray opening, and the
-    radial truncation point of the rays."""
+    """Geometry of the integration contour: arc radius and ray opening."""
 
     epsilon: float
     omega: float
-    rho_max: float
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
@@ -85,12 +84,6 @@ def validate_contour(p: MLParams, c: ContourSpec) -> None:
         raise DomainError(
             f"omega must satisfy {lo:.6f} < omega < {hi:.6f}, got {c.omega}"
         )
-    # Ray truncation must put the exponential envelope below 1e-18.
-    exponent = c.rho_max ** (1.0 / p.alpha) * math.cos(c.omega / p.alpha)
-    if not math.exp(exponent) < 1e-18:
-        raise DomainError(
-            f"rho_max too small: ray envelope exp({exponent:.3f}) >= 1e-18"
-        )
 
 
 def default_contour(
@@ -101,7 +94,7 @@ def default_contour(
     With a ray angle phi the opening is omega = (pi alpha/2 + min(|phi|,
     pi alpha))/2, maximizing the distance to both constraint boundaries;
     without one the full admissible interval (pi alpha/2, min(pi alpha, pi))
-    is used.  rho_max comes from the 1e-18 envelope bound.
+    is used.
     """
     lo = math.pi * p.alpha / 2.0
     if phi is None:
@@ -113,41 +106,22 @@ def default_contour(
             f"no admissible omega: need |phi| > pi*alpha/2 = {lo:.6f}, "
             f"got |phi| = {hi:.6f}"
         )
-    omega = 0.5 * (lo + hi)
-    rate = -math.cos(omega / p.alpha)
-    rho_max = (42.0 / rate) ** p.alpha  # exp(-42) < 1e-18
-    return ContourSpec(epsilon=epsilon, omega=omega, rho_max=rho_max)
+    return ContourSpec(epsilon=epsilon, omega=0.5 * (lo + hi))
 
 
-@dataclass(frozen=True)
-class RayArcDecomposition:
-    """The three parameterized integrands whose sum is the contour integral.
-
-    ray_plus / ray_minus take the radial variable rho = |z|^(1/alpha) on
-    [epsilon^(1/alpha), infinity); arc takes the angle theta on
-    [-omega, omega].  Each already includes the Jacobian of its
-    parameterization, so integrating the three and summing gives the
-    integral over the full contour.
-    """
-
-    ray_plus: Callable[[float], Complex]
-    ray_minus: Callable[[float], Complex]
-    arc: Callable[[float], Complex]
-    rho_start: float
-    omega: float
-    decay_rate: float
-
-
-def _decompose(
+def _contour_integral(
     p: MLParams,
     c: ContourSpec,
     factor: Callable[[Complex], Complex],
-) -> RayArcDecomposition:
-    """Ray/arc split of the integral of exp(z^(1/a)) z^((1-b)/a) factor(z) dz.
+    cfg: QuadratureConfig,
+) -> IntegralResult:
+    """Integral of exp(z^(1/a)) z^((1-b)/a) factor(z) dz over C(eps, omega),
+    as two rays and an arc.
 
     On the rays z = rho^alpha e^{+-i omega}, dz = alpha rho^(alpha-1)
-    e^{+-i omega} d rho; on the arc z = eps e^{i theta}, dz = i eps e^{i
-    theta} d theta.  The lower ray is traversed inward, hence its sign.
+    e^{+-i omega} d rho, for rho >= eps^(1/alpha); on the arc z = eps
+    e^{i theta}, dz = i eps e^{i theta} d theta.  The lower ray is
+    traversed inward, hence its sign.
     """
     a, b = p.alpha, p.beta
     eps, om = c.epsilon, c.omega
@@ -181,31 +155,15 @@ def _decompose(
             * factor(z)
         )
 
-    return RayArcDecomposition(
-        ray_plus=ray_plus,
-        ray_minus=ray_minus,
-        arc=arc,
-        rho_start=rho0,
-        omega=om,
-        decay_rate=-math.cos(om / a),
-    )
-
-
-def _contour_integral(
-    p: MLParams,
-    c: ContourSpec,
-    factor: Callable[[Complex], Complex],
-    cfg: QuadratureConfig,
-) -> IntegralResult:
-    dec = _decompose(p, c, factor)
     # Conservative rate: the polynomial factor rho^(alpha-beta) and |factor|
-    # erode the pure exponential envelope only logarithmically.
-    rate = 0.9 * dec.decay_rate
-    up = integrate_semi_infinite(dec.ray_plus, dec.rho_start, rate, cfg)
-    dn = integrate_semi_infinite(dec.ray_minus, dec.rho_start, rate, cfg)
-    arc = integrate_finite(dec.arc, -dec.omega, dec.omega, cfg)
+    # erode the pure exponential envelope exp(rho cos(omega/alpha)) only
+    # logarithmically.
+    rate = -0.9 * math.cos(om / a)
+    up = integrate_semi_infinite(ray_plus, rho0, rate, cfg)
+    dn = integrate_semi_infinite(ray_minus, rho0, rate, cfg)
+    arc_res = integrate_finite(arc, -om, om, cfg)
     return IntegralResult(
-        up.value + dn.value + arc.value, up.error + dn.error + arc.error
+        up.value + dn.value + arc_res.value, up.error + dn.error + arc_res.error
     )
 
 
@@ -483,10 +441,9 @@ def _sector_coefficients(a: float, b: float) -> tuple[Complex | None, ...]:
 
 
 def _sector_accepts(value, err):
-    """Whether the sector sum's first-omitted-term estimate err (scalar or
-    array) meets the tolerance ml_eval asks of it:
-    30 err <= max(1e-13, 1e-9 |value|)."""
-    return (30.0 * err <= 1e-13) | (30.0 * err <= 1e-9 * abs(value))
+    """Whether the sector sum's error estimate err (scalar or array) meets
+    the 1e-15 relative target that Laplace inversion works to."""
+    return err <= 1e-15 * abs(value)
 
 
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
@@ -734,16 +691,18 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
       cancellation guard accepts.
     - |z| >= SECTOR_SUM_RADIUS in the decay sector |arg z| > pi alpha/2:
       the truncated sector sum with its exponentially small wave terms,
-      where its first-omitted-term estimate meets tolerance.
+      where its error estimate (first omitted term plus rounding) is at
+      most 1e-15 |value|, the target Laplace inversion works to.
     - Everywhere else: Laplace inversion on Garrappa's optimal parabola
       (2015), with a fixed 1e-15 target and node cap.  A point that has no
       parabola within the cap raises ConvergenceError; a value outside
       double range raises AccuracyError.
 
-    Accuracy below SECTOR_SUM_RADIUS: ~5e-14 relative against independent
-    values wherever |E| is algebraic in 1/|z|.  Only E_{1,1} = exp, whose
-    algebraic part vanishes, sinks below the absolute floor (~1e-17) in
-    the decay sector.
+    Accuracy: ~5e-14 relative against independent values wherever |E| is
+    algebraic in 1/|z|, whichever route serves the point.  Only E_{1,1} =
+    exp, whose algebraic part vanishes, sinks below Laplace inversion's
+    absolute floor (~1e-17) in the decay sector; past SECTOR_SUM_RADIUS
+    the sector sum returns it as its wave term, to rounding.
 
     An ndarray z gives an ndarray of its shape, by the same rule applied
     as masks, with one broadcast trapezoid sum per distinct parabola.  Real
@@ -950,34 +909,3 @@ def _ml_eval_block(p: MLParams, flat: np.ndarray) -> np.ndarray:
         out[idx] = _ml_laplace_array(p, flat[idx], phi[idx])
     out.imag[flat.imag == 0.0] = 0.0
     return out
-
-
-def sector_decay_supremum(
-    p: MLParams, phi: float, sigma: float, r_values
-) -> list[float]:
-    """Running maximum of r^sigma |E(e^{i phi} r^sigma)| over r_values.
-
-    In the decay sector this sequence is bounded and stabilizes.
-    """
-    out: list[float] = []
-    cur = 0.0
-    for r in r_values:
-        w = (r ** sigma) * cmath.exp(1j * phi)
-        cur = max(cur, r ** sigma * abs(ml_eval(p, w)))
-        out.append(cur)
-    return out
-
-
-def sector_growth_rate(p: MLParams, phi: float, r_values) -> float:
-    """Mean of log|E(r e^{i phi})| / r^(1/alpha) over the given radii.
-
-    Inside the growth sector |phi| < pi*alpha/2 this ratio approaches
-    cos(phi/alpha).  Uses the ungated double series, so keep the radii
-    where exp(r^(1/alpha)) stays well inside double range.
-    """
-    vals = []
-    for r in r_values:
-        z = r * cmath.exp(1j * phi)
-        e, _ratio = _series_double(p, z, 1e-17)
-        vals.append(math.log(abs(e)) / r ** (1.0 / p.alpha))
-    return sum(vals) / len(vals)

@@ -35,12 +35,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import jv
 
-from .errors import AccuracyError, ConvergenceError, DomainError
+from .errors import AccuracyError, DomainError
 from .special_core import (
     Complex,
     CompensatedSum,
@@ -52,7 +52,6 @@ from .special_core import (
     integrate_panels,
 )
 from .mittag_leffler import (
-    ContourSpec,
     MLParams,
     _contour_integral,
     default_contour,
@@ -61,6 +60,7 @@ from .mittag_leffler import (
 from .bessel import (
     _asymptotic_eval,
     _expansion_coeffs,
+    _falling_factorial,
     jbar,
 )
 
@@ -238,13 +238,8 @@ def _accelerated_chunks(
 ) -> Complex:
     """Limit of the cumulative chunk sum by iterated Aitken acceleration
     of order 6."""
-
-    def gen():
-        for k in range(max_chunks):
-            yield chunk_values(k)
-
     value, _err, _used = accelerated_limit(
-        gen(),
+        (chunk_values(k) for k in range(max_chunks)),
         order=6,
         abs_tol=cfg.abs_tol,
         rel_tol=cfg.rel_tol,
@@ -642,13 +637,6 @@ def _oscillatory_power_sum(
     return _accelerated_chunks(chunk, cfg, max_chunks=_IBP_MAX_CHUNKS)
 
 
-def _falling(x: float, m: int) -> float:
-    out = 1.0
-    for i in range(m):
-        out *= x - i
-    return out
-
-
 def ibp_identity_check(
     tp: TransformProblem,
     xi_mag: float,
@@ -701,7 +689,7 @@ def ibp_identity_check(
                     * math.factorial(l2)
                     * math.factorial(l3)
                 )
-                * _falling(base_power, l1)
+                * _falling_factorial(base_power, l1)
             )
             if c == 0.0:
                 continue

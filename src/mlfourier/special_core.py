@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +28,9 @@ Complex = complex
 
 _EPS = 2.220446049250313e-16
 
+# QUADPACK's subinterval budget per adaptive pass.
+_QUAD_LIMIT = 200
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -34,15 +38,12 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol < 1.0):
             raise DomainError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -152,22 +153,14 @@ def _complex_quad(
 ) -> IntegralResult:
     # quad integrates the real and imaginary parts separately; a value cache
     # avoids recomputing f where the two adaptive passes share nodes.
-    cache: dict[float, Complex] = {}
-
-    def cached(x: float) -> Complex:
-        v = cache.get(x)
-        if v is None:
-            v = f(x)
-            cache[x] = v
-        return v
-
+    cached = lru_cache(maxsize=None)(f)
     kwargs: dict = {
         "epsabs": 0.5 * cfg.abs_tol,
         "epsrel": 0.5 * cfg.rel_tol,
-        "limit": cfg.max_subdivisions,
+        "limit": _QUAD_LIMIT,
         "full_output": 1,
     }
-    if points is not None and math.isfinite(b):
+    if points is not None:
         interior = [p for p in points if a < p < b]
         if interior:
             kwargs["points"] = interior
@@ -214,48 +207,35 @@ def integrate_semi_infinite(
     decay_hint: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> IntegralResult:
-    """Adaptive quadrature of f over [a, infinity).
+    """Adaptive quadrature of f over [a, infinity) for an integrand with
+    exponential envelope ~ exp(-decay_hint * t), decay_hint > 0.
 
-    decay_hint > 0 declares an exponential envelope ~ exp(-decay_hint * t):
-    the interval is truncated where the probed envelope is negligible and the
-    analytic tail bound joins the error estimate.  decay_hint < -1 declares an
-    algebraic envelope ~ t**decay_hint and uses a rational map to a finite
-    interval.  Hints in [-1, 0] describe non-integrable envelopes.
+    The interval is truncated where the probed envelope is negligible, and
+    the analytic tail bound joins the error estimate.
     """
-    if decay_hint > 0.0:
-        c = decay_hint
-        t_cut = a + 55.0 / c
+    if not decay_hint > 0.0:
+        raise DomainError(f"decay_hint must be > 0, got {decay_hint}")
+    c = decay_hint
+    t_cut = a + 55.0 / c
+    tail = abs(f(t_cut)) / c
+    budget = 24
+    while tail > 0.1 * cfg.abs_tol and budget > 0:
+        t_cut += 30.0 / c
         tail = abs(f(t_cut)) / c
-        budget = 24
-        while tail > 0.1 * cfg.abs_tol and budget > 0:
-            t_cut += 30.0 / c
-            tail = abs(f(t_cut)) / c
-            budget -= 1
-        if tail > 0.1 * cfg.abs_tol:
-            raise ConvergenceError(
-                "semi-infinite tail does not fall under the exponential "
-                f"envelope hint (rate {decay_hint})"
-            )
-        res = _complex_quad(f, a, t_cut, cfg)
-        return IntegralResult(res.value, res.error + 2.0 * tail)
-    if decay_hint < -1.0:
-        return _complex_quad(f, a, math.inf, cfg)
-    raise DomainError(
-        "decay_hint must be > 0 (exponential) or < -1 (algebraic); "
-        f"got {decay_hint}"
-    )
+        budget -= 1
+    if tail > 0.1 * cfg.abs_tol:
+        raise ConvergenceError(
+            "semi-infinite tail does not fall under the exponential "
+            f"envelope hint (rate {decay_hint})"
+        )
+    res = _complex_quad(f, a, t_cut, cfg)
+    return IntegralResult(res.value, res.error + 2.0 * tail)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached per order."""
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = rule
-    return rule
+    return np.polynomial.legendre.leggauss(order)
 
 
 def integrate_panels(

@@ -16,7 +16,8 @@ exponents nor constants:
 - criterion 4, small xi: M / xi^sigma approaches its constant with relative
   remainder O(xi^min(n-sigma, sigma)).
 
-verify_large_xi still asserts the slope -n; its tests pin that separately.
+verify_large_xi asserts the criterion-7 slope and compares the tail with
+its constant; test_asymptotics runs it on the reference problems.
 """
 
 import cmath

@@ -128,11 +128,29 @@ class TestVerifySmallXi:
 
 class TestVerifyLargeXi:
     def test_observed_decay_is_steeper_than_dimension(self):
-        # the tail of the computed transform falls like |xi|^{-(n+sigma)}:
-        # the two split parts cancel in the limit, so the |xi|^{-n} law
-        # check reports a mismatch rather than pass silently
-        with pytest.raises(LawMismatchError, match="slope"):
-            verify_large_xi(POWER_TP)
+        # the tail of the computed transform falls like |xi|^{-(n+sigma)},
+        # not |xi|^{-n}: the |xi|^{-n} coefficient carries 1/Gamma(0) = 0;
+        # checked with its constant on the three reference problems
+        for n, sigma in ((1, 0.7), (2, 1.5), (3, 2.2)):
+            rep = verify_large_xi(TransformProblem(0.8, 1.0, math.pi, sigma, n))
+            assert abs(rep.large_slope_fit.slope + n + sigma) < 0.05
+            assert rep.constants_matched
+
+    def test_constant_mismatch_is_reported(self, monkeypatch):
+        # a transform 10% off keeps its slope but misses the constant
+        def off(tp, xi, cfg):
+            return 1.1 * ml_transform(tp, xi, cfg=cfg)
+
+        monkeypatch.setattr(asymptotics, "ml_transform", off)
+        rep = verify_large_xi(POWER_TP, grid=np.geomspace(100.0, 1e4, 6))
+        assert abs(rep.large_slope_fit.slope + 1.7) < 0.05
+        assert not rep.constants_matched
+
+    def test_even_integer_sigma_has_no_power_law(self):
+        # every residue at s = -k sigma vanishes: F decays faster than any
+        # power, so no slope may be fitted
+        with pytest.raises(DomainError, match="even-integer"):
+            verify_large_xi(CONST_TP)
 
     def test_fitted_decay_exponent(self):
         grid = np.geomspace(10.0, 1e4, 7)

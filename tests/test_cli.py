@@ -179,16 +179,18 @@ class TestVerifyAsymptotics:
         assert abs(small["fit"]["slope"] + 0.3) < 0.05
         assert small["constants_matched"] is True
 
-    def test_large_regime_reports_mismatch(self, capsys):
-        # computed tail decays faster than the stated law; the command
-        # surfaces that as the law-mismatch exit code
-        code, _, err = run_cli(
+    def test_large_regime_matches_sharp_law(self, capsys):
+        # the tail decays like |xi|^-(n+sigma) with the closed-form constant
+        code, out, _ = run_cli(
             capsys,
             "verify-asymptotics", "--regime", "large",
             "--alpha", "0.8", "--beta", "1", "--sigma", "0.7", "--dim", "1",
+            "--no-timestamp",
         )
-        assert code == 4
-        assert "slope" in err
+        assert code == 0
+        large = json.loads(out)["report"]["large"]
+        assert abs(large["fit"]["slope"] + 1.7) < 0.05
+        assert large["constants_matched"] is True
 
     def test_out_of_scope_sigma(self, capsys):
         code, _, err = run_cli(
@@ -274,6 +276,16 @@ class TestLpRegionCommand:
         )
         assert code == 2
         assert "sigma" in err
+
+
+@pytest.mark.parametrize("command", ["lp-region", "eval-bessel"])
+def test_tolerance_flags_only_where_quadrature_runs(command, capsys):
+    # lp-region and eval-bessel build no QuadratureConfig, so they take no
+    # tolerances: argparse rejects the flag with its usage exit code
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--abs-tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--abs-tol" in capsys.readouterr().err
 
 
 class TestIbpCheck:

@@ -28,8 +28,6 @@ from mlfourier.mittag_leffler import (
     ml_on_ray,
     ml_sector_asymptotic,
     ml_series,
-    sector_decay_supremum,
-    sector_growth_rate,
     validate_contour,
     _ml_laplace,
 )
@@ -100,11 +98,11 @@ def test_series_domain_gate():
 def test_contour_validation():
     p = MLParams(0.8, 1.0)
     with pytest.raises(DomainError):
-        validate_contour(p, ContourSpec(1.0, 0.3 * math.pi, 1e6))  # omega low
+        validate_contour(p, ContourSpec(1.0, 0.3 * math.pi))  # omega low
     with pytest.raises(DomainError):
-        validate_contour(p, ContourSpec(1.0, 0.9 * math.pi, 1e6))  # omega high
+        validate_contour(p, ContourSpec(1.0, 0.9 * math.pi))  # omega high
     with pytest.raises(DomainError):
-        validate_contour(p, ContourSpec(1.0, 0.6 * math.pi, 1.5))  # rho_max low
+        ContourSpec(0.0, 0.6 * math.pi)  # epsilon not positive
     validate_contour(p, default_contour(p))
 
 
@@ -289,18 +287,16 @@ def test_series_conjugate_symmetry(alpha, beta, z):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-12)
 
 
-def test_growth_rate_diagnostic():
-    # Inside the growth sector log|E| / r^(1/alpha) approaches cos(phi/alpha).
-    rate = sector_growth_rate(MLParams(0.8, 1.0), 0.0, [2.0, 2.5, 3.0])
-    assert 0.7 < rate < 1.3
-
-
 def test_decay_supremum_stabilizes():
-    sup = sector_decay_supremum(
-        MLParams(0.8, 1.0), math.pi, 1.0, [1.0, 5.0, 20.0, 60.0, 100.0]
-    )
-    assert all(b >= a for a, b in zip(sup, sup[1:]))
-    assert sup[-1] == sup[-2]  # bounded: the running max has stopped moving
+    # In the decay sector r^sigma |E(e^{i phi} r^sigma)| is bounded: its
+    # running maximum over r stops moving.
+    p, sigma = MLParams(0.8, 1.0), 1.0
+    sup, cur = [], 0.0
+    for r in (1.0, 5.0, 20.0, 60.0, 100.0):
+        w = r ** sigma * cmath.exp(1j * math.pi)
+        cur = max(cur, r ** sigma * abs(ml_eval(p, w)))
+        sup.append(cur)
+    assert sup[-1] == sup[-2]
     assert sup[-1] < 0.5
 
 
@@ -424,6 +420,38 @@ def test_eval_growth_sector_beyond_series_radius():
 def test_eval_array_growth_sector_beyond_series_radius():
     for p, z, want in _growth_reference():
         assert np.all(np.abs(ml_eval(p, z) - want) <= 1e-12 * np.abs(want))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_reference():
+    """(params, z, mpmath series) in the decay sector past
+    SECTOR_SUM_RADIUS, 0.1 rad off its boundary and on the negative axis,
+    shared by the scalar and array tests.  At alpha = 1.3, beta = 0.8,
+    |z| = 71.8, 0.1 rad off the boundary, the optimally truncated sector
+    sum is off by 3.5e-11: its estimate there is far above 1e-15 |E|."""
+    cases = []
+    for alpha in (0.8, 1.3, 1.9):
+        edge = math.pi * alpha / 2.0
+        phases = (edge + 0.1, -(edge + 0.1), math.pi)
+        for beta in (0.8, 1.0, 1.7):
+            z = np.array([r * cmath.exp(1j * ph) for ph in phases
+                          for r in (41.0, 71.8, 150.0)])
+            want = np.array([_mp_series(alpha, beta, v) for v in z])
+            cases.append((MLParams(alpha, beta), z, want))
+    return cases
+
+
+def test_eval_sector_region_meets_laplace_target():
+    # The sector sum is returned only where its estimate meets 1e-15
+    # relative; every other point there goes to Laplace inversion.
+    for p, z, want in _sector_reference():
+        got = np.array([ml_eval(p, complex(v)) for v in z])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_eval_array_sector_region_meets_laplace_target():
+    for p, z, want in _sector_reference():
+        assert np.all(np.abs(ml_eval(p, z) - want) <= 1e-13 * np.abs(want))
 
 
 def test_eval_reaches_no_mpmath_or_quadrature(monkeypatch):
