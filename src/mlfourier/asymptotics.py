@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, LawMismatchError
 from .special_core import Complex, DEFAULT_QUADRATURE, QuadratureConfig
+from .mellin import residue_coefficient
 from .radial_fourier import TransformProblem, ml_transform
 
 SLOPE_TOL = 0.05
@@ -243,41 +244,47 @@ def verify_small_xi(
     )
 
 
+def large_xi_law(tp: TransformProblem) -> tuple[float, complex]:
+    """The |xi| -> infinity law F ~ C |xi|^exponent: exponent -(n+sigma)
+    and C = e^{i phi}/Gamma(alpha+beta) pi^(-sigma-n/2)
+    Gamma((n+sigma)/2)/Gamma(-sigma/2), the k = 1 coefficient of the residue
+    series (mellin.residue_coefficient).  That is the transform of the
+    |x|^sigma term of E at the origin, as a homogeneous distribution; the
+    exponent is independent of alpha and beta.  For even-integer sigma C = 0
+    and F decays faster than any power: DomainError.  DomainError also for
+    sigma <= (n-1)/2."""
+    _ = small_xi_law(tp.n, tp.sigma)  # enforces sigma > (n-1)/2
+    constant = residue_coefficient(tp, 1)
+    if constant == 0.0:
+        raise DomainError(
+            f"no large-xi power law for even-integer sigma = {tp.sigma}: "
+            "the transform decays faster than any power"
+        )
+    return -(tp.n + tp.sigma), constant
+
+
 def verify_large_xi(
     tp: TransformProblem,
     grid: Sequence[float] | None = None,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> AsymptoticReport:
-    """Verify the |xi| -> infinity law F ~ C |xi|^-(n+sigma), C =
-    e^{i phi}/Gamma(alpha+beta) pi^(-sigma-n/2) Gamma((n+sigma)/2)/Gamma(-sigma/2):
-    the transform of the |x|^sigma term of E at the origin, as a homogeneous
-    distribution.  The fitted slope must equal -(n+sigma) within SLOPE_TOL,
+    """Verify the |xi| -> infinity law F ~ C |xi|^-(n+sigma) of
+    large_xi_law.  The fitted slope must equal -(n+sigma) within SLOPE_TOL,
     else LawMismatchError; constants_matched reports whether |F|
     |xi|^(n+sigma) at the largest grid point is within 5% of |C|.  For
     even-integer sigma C = 0, F decays faster than any power, and
     DomainError is raised."""
-    n, sigma = tp.n, tp.sigma
-    _ = small_xi_law(n, sigma)  # enforces sigma > (n-1)/2
-    if (sigma / 2.0).is_integer():
-        raise DomainError(
-            f"no large-xi power law for even-integer sigma = {sigma}: "
-            "the transform decays faster than any power"
-        )
+    expected, constant = large_xi_law(tp)
     xs = np.array(grid if grid is not None else _default_large_grid(), float)
     samples = _transform_samples(tp, xs, cfg)
     fit = fit_exponent(samples)
-    expected = -(n + sigma)
     if abs(fit.slope - expected) > SLOPE_TOL:
         raise LawMismatchError(
             f"large-xi slope {fit.slope:.4f} deviates from -(n + sigma) = "
             f"{expected:.4f} beyond {SLOPE_TOL}"
         )
-    c_abs = abs(
-        math.pi ** (-sigma - n / 2.0)
-        * math.gamma((n + sigma) / 2.0)
-        / (math.gamma(tp.alpha + tp.beta) * math.gamma(-sigma / 2.0))
-    )
-    scaled = abs(samples[-1][1]) * xs[-1] ** (n + sigma)
+    c_abs = abs(constant)
+    scaled = abs(samples[-1][1]) * xs[-1] ** -expected
     rel = abs(scaled - c_abs) / c_abs
     return AsymptoticReport(
         small_xi_law=None,

@@ -12,6 +12,7 @@ a timestamp is requested.  Exit codes: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -194,7 +195,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     cfg = _quad_config(args)
 
     def point(xi: float) -> dict:
-        value = ml_transform(tp, xi, cfg)
+        value = ml_transform(tp, xi, cfg, strategy=args.strategy)
         est = (
             2.0
             * math.pi
@@ -215,6 +216,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         "xi_points": args.xi_points,
         "abs_tol": args.abs_tol,
         "rel_tol": args.rel_tol,
+        "strategy": args.strategy,
     }
     _emit_records(args, params, records)
     return EXIT_OK
@@ -377,7 +379,10 @@ def _add_grid(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--xi-points", type=int, default=9)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mlf parser, built once per process: parsing leaves it unchanged,
+    since every parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mlf",
         description=(
@@ -410,6 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_eval_bessel, default_format="csv")
 
     s = subs.add_parser("transform", help="radial transform over a grid")
+    s.add_argument(
+        "--strategy",
+        choices=("mellin", "split"),
+        default="mellin",
+        help="mellin: residue series or Mellin-Barnes line, fixed 1e-15 "
+        "target, tolerances not read; split: the paper's compact part plus "
+        "oscillatory tail, with --abs-tol/--rel-tol",
+    )
     _add_grid(s)
     _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_transform, default_format="csv")

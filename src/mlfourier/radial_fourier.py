@@ -22,6 +22,10 @@ time.  QUADPACK (integrate_finite) serves the references transform_direct
 and fourier_radial_reference, which chunk and accelerate the raw
 integrand, and the integration-by-parts check.
 
+This split is ml_transform's strategy="split".  Its default route,
+strategy="mellin", is the Mellin-Barnes form of the same transform in
+mlfourier.mellin, which needs neither M nor N.
+
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Structurally Q_0(u) is the contour integral
 of e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
@@ -42,6 +46,7 @@ from scipy.special import jv
 
 from .errors import AccuracyError, DomainError
 from .special_core import (
+    _EPS,
     Complex,
     CompensatedSum,
     DEFAULT_QUADRATURE,
@@ -57,6 +62,7 @@ from .mittag_leffler import (
     default_contour,
     ml_eval,
 )
+from .mellin import mellin_transform
 from .bessel import (
     _asymptotic_eval,
     _expansion_coeffs,
@@ -196,6 +202,11 @@ def _profile(tp: TransformProblem, xi_mag: float) -> Callable:
 # against an independent Mellin-Barnes value; at 1e-6 rel_tol becomes 1e-16,
 # which tanh-sinh cannot reach.
 _PANEL_TOL_FACTOR = 1e-3
+# A few ulp of the expected size: below it tanh-sinh cannot certify a panel
+# (abs_tol = 1e-15 raised ConvergenceError with an estimate of 1.1e-17 on
+# the transition panel [1.5, 2] at n = 3, sigma = 2.2, xi = 100).  It binds
+# only for abs_tol < 8.9e-13, so the default tolerances are unaffected.
+_PANEL_ATOL_FLOOR = 4.0 * _EPS
 
 
 def _panel_tolerances(
@@ -209,11 +220,12 @@ def _panel_tolerances(
     origin.  A fixed abs_tol would let any relative error through there,
     so it is taken relative to that size.  Both tolerances are tightened
     by _PANEL_TOL_FACTOR because the panel errors add up and the
-    2 pi/|xi|^n scaling magnifies them.
+    2 pi/|xi|^n scaling magnifies them.  abs_tol is floored at
+    _PANEL_ATOL_FLOOR times the size.
     """
     size = min(1.0, xi_mag) ** min(tp.sigma, tp.n)
     return (
-        _PANEL_TOL_FACTOR * cfg.abs_tol * size,
+        max(_PANEL_TOL_FACTOR * cfg.abs_tol, _PANEL_ATOL_FLOOR) * size,
         _PANEL_TOL_FACTOR * cfg.rel_tol,
     )
 
@@ -431,9 +443,30 @@ def ml_transform(
     tp: TransformProblem,
     xi_mag: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    strategy: str = "mellin",
 ) -> Complex:
-    """Full transform (2 pi/|xi|^n)(M + N)."""
+    """The n-dimensional radial Fourier transform F at |xi| = xi_mag.
+
+    strategy="mellin" (the default) is the Mellin-Barnes route of
+    mlfourier.mellin: the residue series at s = -k sigma where its error
+    estimate is at most 1e-15 relative, else a trapezoid sum on one line of
+    the Mellin-Barnes integral.  Its accuracy target is fixed, like
+    ml_eval's, and it does not read cfg.
+
+    strategy="split" is the paper's construction, (2 pi/|xi|^n)(M + N) with
+    compute_M and compute_N; cfg sets their tolerances.
+
+    Both raise DomainError for xi_mag <= 0 and for sigma <= (n-1)/2, and
+    neither falls back on the other.
+    """
     _require_xi(xi_mag)
+    if strategy == "mellin":
+        _require_tail_scope(tp)
+        return mellin_transform(tp, xi_mag)
+    if strategy != "split":
+        raise DomainError(
+            f"strategy must be 'mellin' or 'split', got {strategy!r}"
+        )
     m_part = compute_M(tp, xi_mag, cfg)
     n_part = compute_N(tp, xi_mag, cfg)
     return 2.0 * math.pi / xi_mag ** tp.n * (m_part + n_part)

@@ -17,6 +17,7 @@ from mlfourier.asymptotics import (
     ExponentFit,
     LpRegion,
     fit_exponent,
+    large_xi_law,
     lp_numerical_check,
     lp_region,
     small_xi_law,
@@ -157,6 +158,31 @@ class TestVerifyLargeXi:
         fit = fit_exponent([(x, ml_transform(POWER_TP, x)) for x in grid])
         want = -(POWER_TP.n + POWER_TP.sigma)
         assert abs(fit.slope - want) < 0.05
+
+
+class TestLargeXiLaw:
+    def test_closed_form_constant(self):
+        # alpha = beta = sigma = n = 1: 2/(1 + 4 pi^2 xi^2) ~ xi^-2/(2 pi^2)
+        exponent, constant = large_xi_law(TransformProblem(1.0, 1.0, math.pi, 1.0, 1))
+        assert exponent == -2.0
+        assert abs(constant - 1.0 / (2.0 * math.pi ** 2)) <= 1e-16
+
+    def test_constant_of_the_reference_problems(self):
+        # the transform itself approaches C xi^-(n+sigma)
+        for n, sigma in ((1, 0.7), (2, 1.5), (3, 2.2)):
+            tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
+            exponent, constant = large_xi_law(tp)
+            assert exponent == -(n + sigma)
+            scaled = ml_transform(tp, 1e8) * 1e8 ** (n + sigma)
+            assert abs(scaled - constant) <= 1e-3 * abs(constant)
+
+    def test_even_integer_sigma_has_no_law(self):
+        with pytest.raises(DomainError, match="even-integer"):
+            large_xi_law(CONST_TP)
+
+    def test_out_of_scope(self):
+        with pytest.raises(DomainError):
+            large_xi_law(TransformProblem(0.8, 1.0, math.pi, 0.9, 3))
 
 
 class TestParameterInvariance:

@@ -70,6 +70,16 @@ class TestEvalMl:
         _, rows = csv_rows(out)
         assert len(rows) == 2
 
+    def test_reused_parser_starts_each_call_afresh(self, capsys):
+        # build_parser is cached; an append option's values must not carry
+        # over from one call to the next
+        args = ("eval-ml", "--alpha", "1", "--no-timestamp")
+        _, out, _ = run_cli(capsys, *args, "--z", "1", "--z", "2")
+        assert len(csv_rows(out)[1]) == 2
+        _, out, _ = run_cli(capsys, *args, "--z", "3")
+        assert len(csv_rows(out)[1]) == 1
+        assert cli.build_parser() is cli.build_parser()
+
     def test_alpha_validation_names_the_range(self, capsys):
         code, _, err = run_cli(capsys, "eval-ml", "--alpha", "2.5")
         assert code == 2
@@ -151,12 +161,30 @@ class TestTransform:
         assert payload["schema"] == 1
         assert set(payload["params"]) == {
             "alpha", "beta", "phi", "sigma", "dim",
-            "xi_min", "xi_max", "xi_points", "abs_tol", "rel_tol",
+            "xi_min", "xi_max", "xi_points", "abs_tol", "rel_tol", "strategy",
         }
+        assert payload["params"]["strategy"] == "mellin"
         assert len(payload["records"]) == 2
         assert payload["records"][0]["xi_mag"] == 0.5
         redumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert redumped == out
+
+    def test_strategy_flag(self, capsys):
+        # the split pipeline from the CLI, recorded in the JSON params; it
+        # agrees with the default route on the Gaussian
+        base = self.GAUSS[:-1] + ("--format", "json", "--no-timestamp")
+        _, default, _ = run_cli(capsys, *base)
+        code, split, _ = run_cli(capsys, *base, "--strategy", "split")
+        assert code == 0
+        default, split = json.loads(default), json.loads(split)
+        assert split["params"]["strategy"] == "split"
+        a, b = default["records"][0]["abs"], split["records"][0]["abs"]
+        assert abs(a - b) < 1e-6 * a
+
+    def test_unknown_strategy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.GAUSS, "--strategy", "expansion"])
+        assert exc.value.code == 2
 
     def test_estimated_error_positive(self, capsys):
         _, out, _ = run_cli(capsys, *self.GAUSS)

@@ -18,6 +18,7 @@ from mlfourier.errors import DomainError
 from mlfourier.mittag_leffler import MLParams, default_contour, ml_eval
 from mlfourier.special_core import (
     DEFAULT_QUADRATURE,
+    QuadratureConfig,
     complex_gamma,
     integrate_finite,
 )
@@ -336,6 +337,16 @@ class TestMlTransform:
             got = ml_transform(GAUSS_TP, xi)
             want = gauss_closed_form(xi)
             assert abs(got - want) < 1e-6 * abs(want)
+
+    def test_split_accepts_a_tight_abs_tol(self):
+        # abs_tol = 1e-15 asks tanh-sinh for a few ulp less than it can
+        # certify on the tail's transition panels; the panel tolerance is
+        # floored at 4 eps of the expected size instead of failing
+        tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-12)
+        split = ml_transform(tp, 100.0, cfg, strategy="split")
+        mellin = ml_transform(tp, 100.0)
+        assert abs(split - mellin) < 1e-5 * abs(mellin)
 
     def test_depends_on_magnitude_only(self):
         # the API admits no direction argument; same magnitude, same value
