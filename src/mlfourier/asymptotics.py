@@ -178,7 +178,8 @@ def verify_small_xi(
     third of the grid).  log case: |F| must be linear in log|xi| (R^2 >
     0.99) and the log model must beat the power model by >= 5x in relative
     residual.  constant case: slope 0 within 0.05.  Raises
-    LawMismatchError when the computed behavior deviates.
+    LawMismatchError when the computed behavior deviates.  cfg is passed to
+    ml_transform, whose default route does not read it.
     """
     law = small_xi_law(tp.n, tp.sigma)
     xs = np.array(grid if grid is not None else _default_small_grid(), float)
@@ -273,7 +274,8 @@ def verify_large_xi(
     else LawMismatchError; constants_matched reports whether |F|
     |xi|^(n+sigma) at the largest grid point is within 5% of |C|.  For
     even-integer sigma C = 0, F decays faster than any power, and
-    DomainError is raised."""
+    DomainError is raised.  cfg is passed to ml_transform, whose default
+    route does not read it."""
     expected, constant = large_xi_law(tp)
     xs = np.array(grid if grid is not None else _default_large_grid(), float)
     samples = _transform_samples(tp, xs, cfg)
@@ -384,7 +386,8 @@ def lp_numerical_check(
     [1, 1e3]; divergence at an end is declared when the shell contributions
     fail to decay geometrically (ratio >= 0.97) over 6 consecutive shells.
     Theorem-endpoint p values are the analytic classifier's job
-    (lp_region); this probe cannot certify borderline divergence."""
+    (lp_region); this probe cannot certify borderline divergence.  cfg is
+    passed to ml_transform, whose default route does not read it."""
     if p < 1.0:
         raise DomainError("p >= 1 required")
     inner = _shell_integrals(tp, p, inward=True, cfg=cfg)

@@ -248,11 +248,10 @@ def _fit_grid(args: argparse.Namespace):
 
 def _cmd_verify_asymptotics(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
-    cfg = _quad_config(args)
     grid = _fit_grid(args)
     reports = {}
     if args.regime in ("small", "both"):
-        rep = verify_small_xi(tp, grid=grid, cfg=cfg)
+        rep = verify_small_xi(tp, grid=grid)
         reports["small"] = {
             "small_xi_law": rep.small_xi_law,
             "fit": _fit_dict(rep.small_slope_fit),
@@ -260,7 +259,7 @@ def _cmd_verify_asymptotics(args: argparse.Namespace) -> int:
             "notes": rep.notes,
         }
     if args.regime in ("large", "both"):
-        rep = verify_large_xi(tp, grid=grid, cfg=cfg)
+        rep = verify_large_xi(tp, grid=grid)
         reports["large"] = {
             "fit": _fit_dict(rep.large_slope_fit),
             "constants_matched": rep.constants_matched,
@@ -420,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("mellin", "split"),
         default="mellin",
         help="mellin: residue series or Mellin-Barnes line, fixed 1e-15 "
-        "target, tolerances not read; split: the paper's compact part plus "
-        "oscillatory tail, with --abs-tol/--rel-tol",
+        "target; --abs-tol/--rel-tol are not read, and est_error is not an "
+        "estimate of this route's error; split: the paper's compact part "
+        "plus oscillatory tail, with --abs-tol/--rel-tol",
     )
     _add_grid(s)
     _add_common(s, problem=True)
@@ -436,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--xi-min", type=float, default=None)
     s.add_argument("--xi-max", type=float, default=None)
     s.add_argument("--xi-points", type=int, default=None)
-    _add_common(s, problem=True)
+    # The transforms run on ml_transform's default route, which reads no
+    # tolerances.
+    _add_common(s, problem=True, tolerances=False)
     s.set_defaults(handler=_cmd_verify_asymptotics, default_format="json")
 
     s = subs.add_parser("lp-region", help="analytic L^p regions")

@@ -46,8 +46,9 @@ from .special_core import _EPS
 _TARGET = 1e-15  # the series' relative error estimate must meet this
 
 _SERIES_TERMS = 256
-# Safety factor on the saddle-point size of the exponential term, which
-# came within a factor 1.5 of the series' measured error where it decides.
+# Safety factor on the saddle-point size of the exponential term.  Near the
+# sector boundary that size exceeded the series' error against a 30-digit
+# mpmath line by a factor 1.41 to 1.5 wherever it was measured.
 _WAVE_MARGIN = 10.0
 
 # The trapezoid error is about exp(-2 pi d/h) times the integrand's largest

@@ -306,10 +306,12 @@ class TestLpRegionCommand:
         assert "sigma" in err
 
 
-@pytest.mark.parametrize("command", ["lp-region", "eval-bessel"])
+@pytest.mark.parametrize("command", ["lp-region", "eval-bessel", "verify-asymptotics"])
 def test_tolerance_flags_only_where_quadrature_runs(command, capsys):
-    # lp-region and eval-bessel build no QuadratureConfig, so they take no
-    # tolerances: argparse rejects the flag with its usage exit code
+    # lp-region and eval-bessel build no QuadratureConfig, and
+    # verify-asymptotics runs the transform's default route, which reads
+    # none, so they take no tolerances: argparse rejects the flag with its
+    # usage exit code
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--abs-tol", "1e-9"])
     assert exc.value.code == 2

@@ -4,8 +4,9 @@ Oracles: the closed forms for alpha = beta = 1, phi = pi at sigma = 1 and
 sigma = 2; the residue series against the line integral where both hold;
 and a private-context mpmath reference on the three reference problems:
 the residue series in 40-digit arithmetic where it converges, elsewhere a
-30-digit trapezoid sum on a third line, Re s = min(sigma, n)/2, that the
-route never takes.
+30-digit trapezoid sum on a third line, Re s = (min(sigma, n) - sigma)/2,
+that the route never takes.  Near the sector boundary, where the series
+lacks E's exponential term, only that mpmath line is the reference.
 """
 
 import math
@@ -77,17 +78,32 @@ def _mp_series(alpha, beta, phi, sigma, n, xi):
 
 
 def _mp_line(alpha, beta, phi, sigma, n, xi):
-    """Trapezoid sum on Re s = min(sigma, n)/2 in 30 digits, with the step
-    and length set for about 1e-20 relative to the integrand.  At phi = pi
-    the integrand is real-symmetric, f(-t) = conj f(t), and half the nodes
+    """Trapezoid sum on Re s = c = (min(sigma, n) - sigma)/2 in 30 digits,
+    the middle of the strip between the poles s = -sigma and
+    s = min(sigma, n); s = 0 is removable, and the nodes (j + 1/2) h miss it.
+
+    The step is set for about 1e-20 of the result.  On the strip the
+    integrand exceeds its value on the line by up to e^(d |log(pi xi)|),
+    and on the line it exceeds the result, which the nearest pole sets, by
+    (pi xi)^(c - min(sigma, n)) at small xi and (pi xi)^(c + sigma) at
+    large xi.  The length is set for about 1e-20 of the integrand's peak.
+    The integrand decays like exp(-(pi - pi alpha/2 - theta) t/sigma) for
+    t > 0 and exp(-(pi - pi alpha/2 + theta)|t|/sigma) for t < 0, so near
+    the sector boundary one side decays slowly and the other fast.  At
+    phi = pi it is real-symmetric, f(-t) = conj f(t), and half the nodes
     suffice."""
     ctx = _MP
     a, b, sg = ctx.mpf(alpha), ctx.mpf(beta), ctx.mpf(sigma)
     theta = phi - math.pi if phi > 0 else phi + math.pi
-    c = 0.5 * min(sigma, n)
-    h = 2.0 * math.pi * c / (46.0 + c * abs(math.log(math.pi * xi)))
-    rate = (abs(phi) - 0.5 * math.pi * alpha) / sigma
-    m = math.ceil(52.0 / rate / h)
+    upper = min(sigma, n)
+    c = 0.5 * (upper - sigma)
+    d = 0.5 * (upper + sigma)
+    log_pi_xi = math.log(math.pi * xi)
+    excess = (c + sigma if log_pi_xi > 0.0 else c - upper) * log_pi_xi
+    h = 2.0 * math.pi * d / (46.0 + d * abs(log_pi_xi) + excess)
+    base = math.pi - 0.5 * math.pi * alpha
+    m_pos = math.ceil(52.0 * sigma / (base - theta) / h)
+    m_neg = math.ceil(52.0 * sigma / (base + theta) / h)
     pxi = ctx.pi * ctx.mpf(xi)
 
     def f(t):
@@ -104,13 +120,13 @@ def _mp_line(alpha, beta, phi, sigma, n, xi):
         ) / sg
 
     with ctx.workdps(30):
-        # Nodes j h in working precision: doubles would move them by an ulp,
+        # Nodes in working precision: doubles would move them by an ulp,
         # a relative error the integrand's cancellation magnifies.
         step = ctx.mpf(h)
         if theta == 0.0:
-            total = f(0) + 2 * ctx.re(ctx.fsum(f(step * j) for j in range(1, m + 1)))
+            total = 2 * ctx.re(ctx.fsum(f(step * (j + 0.5)) for j in range(m_pos)))
         else:
-            total = ctx.fsum(f(step * j) for j in range(-m, m + 1))
+            total = ctx.fsum(f(step * (j + 0.5)) for j in range(-m_neg, m_pos))
         return complex(
             step * total * ctx.pi ** (-ctx.mpf(n) / 2) * ctx.mpf(xi) ** (-n) / (2 * ctx.pi)
         )
@@ -231,17 +247,46 @@ def test_near_sector_boundary(alpha, offset, sigma, n, xi):
     assert rel_err(value, second_line(tp, xi, 0.3)) <= 1e-9
 
 
-def test_near_boundary_series_against_mpmath():
-    # (1.9, 0.02, 2.2, 3, 1.0) takes the residue series; at (1.3, 0.02,
-    # 1.5, 2, 0.5) the series misses E's exponential term by 1.2e-8, and
-    # its estimate sends the point to the line.
-    phi = 0.5 * math.pi * 1.9 + 0.02
-    tp = TransformProblem(1.9, 1.0, phi, 2.2, 3)
-    assert residue_series(tp, 1.0)[1] <= 1e-15
-    want = _mp_series(1.9, 1.0, phi, 2.2, 3, 1.0)
-    assert rel_err(ml_transform(tp, 1.0), want) <= 1e-13
-    tp = TransformProblem(1.3, 1.0, 0.5 * math.pi * 1.3 + 0.02, 1.5, 2)
-    assert residue_series(tp, 0.5)[1] > 1e-15
+@pytest.mark.parametrize(
+    "alpha,beta,offset,sigma,n",
+    [
+        (1.1, 1.0, 0.3, 1.5, 3),
+        (1.3, 1.0, 0.1, 2.1, 3),
+        (1.5, 1.5, 0.1, 2.3, 3),
+        (1.5, 1.0, 0.3, 2.3, 2),
+        (1.9, 1.0, 0.02, 2.2, 3),
+    ],
+)
+def test_series_estimate_near_sector_boundary(alpha, beta, offset, sigma, n):
+    # Near the sector boundary the residue series lacks E's exponential
+    # term, and only the saddle-point size of that term in its estimate
+    # keeps the route off a wrong series.  Scan xi for the first point where
+    # the series is taken: there the route matches the mpmath line to
+    # 1e-13.  At the scan point below it, where the exponential term
+    # rejected the series, the estimate bounds the series' true error, and
+    # is no more than 100 times it.
+    phi = 0.5 * math.pi * alpha + offset
+    tp = TransformProblem(alpha, beta, phi, sigma, n)
+    xs = np.geomspace(0.1, 20.0, 47)
+    first = next(i for i, x in enumerate(xs) if residue_series(tp, x)[1] <= 1e-15)
+    assert first > 0
+    xi, below = float(xs[first]), float(xs[first - 1])
+    want = _mp_line(alpha, beta, phi, sigma, n, xi)
+    assert rel_err(ml_transform(tp, xi), want) <= 1e-13
+    value, err = residue_series(tp, below)
+    true = rel_err(value, _mp_line(alpha, beta, phi, sigma, n, below))
+    assert err / 100.0 <= true <= err
+
+
+def test_series_rejected_where_it_misses_the_exponential_term():
+    # At (alpha, phi, sigma, n, xi) = (1.5, 2.5, 2.2, 3, 1), 0.14 rad inside
+    # the sector, the series is 86% off; its estimate sends the point to the
+    # line.
+    tp = TransformProblem(1.5, 1.0, 2.5, 2.2, 3)
+    want = _mp_line(1.5, 1.0, 2.5, 2.2, 3, 1.0)
+    value, err = residue_series(tp, 1.0)
+    assert 0.5 <= rel_err(value, want) <= err
+    assert rel_err(ml_transform(tp, 1.0), want) <= 1e-12
 
 
 def test_line_node_cap():

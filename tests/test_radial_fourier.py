@@ -332,11 +332,16 @@ class TestComputeN:
 
 
 class TestMlTransform:
+    # Each end-to-end check runs both routes: the Mellin-Barnes default and
+    # the paper's split pipeline (2 pi/|xi|^n)(M + N).
+    STRATEGIES = ("mellin", "split")
+
     def test_gaussian_oracle(self):
-        for xi in (0.3, 1.0):
-            got = ml_transform(GAUSS_TP, xi)
-            want = gauss_closed_form(xi)
-            assert abs(got - want) < 1e-6 * abs(want)
+        for strategy in self.STRATEGIES:
+            for xi in (0.3, 1.0):
+                got = ml_transform(GAUSS_TP, xi, strategy=strategy)
+                want = gauss_closed_form(xi)
+                assert abs(got - want) < 1e-6 * abs(want), strategy
 
     def test_split_accepts_a_tight_abs_tol(self):
         # abs_tol = 1e-15 asks tanh-sinh for a few ulp less than it can
@@ -353,15 +358,17 @@ class TestMlTransform:
         assert ml_transform(GAUSS_TP, 0.7) == ml_transform(GAUSS_TP, 0.7)
 
     def test_scaling_consistency(self):
-        # the substituted form (profile argument r/|xi|, scaled kernel)
-        # matches the unsubstituted reference transform of the raw profile
+        # the split's substituted form (profile argument r/|xi|, scaled
+        # kernel) and the Mellin-Barnes route both match the unsubstituted
+        # reference transform of the raw profile
         tp = BASE_TP
         xi = 2.0
-        got = ml_transform(tp, xi)
         p = MLParams(tp.alpha, tp.beta)
         f0 = lambda r: ml_eval(p, cmath.exp(1j * tp.phi) * r ** tp.sigma)
         want = fourier_radial_reference(f0, 1, xi)
-        assert abs(got - want) < 1e-8 * abs(want)
+        for strategy in self.STRATEGIES:
+            got = ml_transform(tp, xi, strategy=strategy)
+            assert abs(got - want) < 1e-8 * abs(want), strategy
 
     @pytest.mark.parametrize(
         "alpha,beta,phi,sigma,n,xi",
@@ -381,19 +388,22 @@ class TestMlTransform:
 
     def test_continuity_on_local_grids(self):
         # linear midpoint prediction on a tight geometric triple; a jump
-        # would blow the deviation up to O(1)
-        for xi in (0.02, 3.0, 80.0):
-            h = 5e-3
-            lo = ml_transform(BASE_TP, xi * (1 - h))
-            mid = ml_transform(BASE_TP, xi)
-            hi = ml_transform(BASE_TP, xi * (1 + h))
-            assert abs(0.5 * (lo + hi) - mid) < 5e-2 * abs(mid)
+        # would blow the deviation up to O(1).  xi = 80 lies on the split's
+        # large-xi cancellation floor.
+        for strategy in self.STRATEGIES:
+            for xi in (0.02, 3.0, 80.0):
+                h = 5e-3
+                lo = ml_transform(BASE_TP, xi * (1 - h), strategy=strategy)
+                mid = ml_transform(BASE_TP, xi, strategy=strategy)
+                hi = ml_transform(BASE_TP, xi * (1 + h), strategy=strategy)
+                assert abs(0.5 * (lo + hi) - mid) < 5e-2 * abs(mid), strategy
 
     def test_no_jump_under_tiny_step(self):
-        for xi in (0.5, 20.0):
-            a = ml_transform(BASE_TP, xi)
-            b = ml_transform(BASE_TP, xi * (1 + 1e-6))
-            assert abs(a - b) < 1e-4 * abs(a)
+        for strategy in self.STRATEGIES:
+            for xi in (0.5, 20.0):
+                a = ml_transform(BASE_TP, xi, strategy=strategy)
+                b = ml_transform(BASE_TP, xi * (1 + 1e-6), strategy=strategy)
+                assert abs(a - b) < 1e-4 * abs(a), strategy
 
 
 class TestQKernel:
