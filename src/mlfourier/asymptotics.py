@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, LawMismatchError
-from .special_core import Complex, DEFAULT_QUADRATURE, QuadratureConfig
+from .special_core import Complex
 from .mellin import residue_coefficient
 from .radial_fourier import TransformProblem, ml_transform
 
@@ -135,9 +135,9 @@ def _default_large_grid() -> np.ndarray:
 
 
 def _transform_samples(
-    tp: TransformProblem, grid: Sequence[float], cfg: QuadratureConfig
+    tp: TransformProblem, grid: Sequence[float]
 ) -> list[tuple[float, Complex]]:
-    return [(float(x), ml_transform(tp, float(x), cfg=cfg)) for x in grid]
+    return [(float(x), ml_transform(tp, float(x))) for x in grid]
 
 
 def _relative_rms(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -167,9 +167,7 @@ def _log_model_stats(
 
 
 def verify_small_xi(
-    tp: TransformProblem,
-    grid: Sequence[float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tp: TransformProblem, grid: Sequence[float] | None = None
 ) -> AsymptoticReport:
     """Verify the |xi| -> 0 law of the transform against the theorem case.
 
@@ -178,12 +176,11 @@ def verify_small_xi(
     third of the grid).  log case: |F| must be linear in log|xi| (R^2 >
     0.99) and the log model must beat the power model by >= 5x in relative
     residual.  constant case: slope 0 within 0.05.  Raises
-    LawMismatchError when the computed behavior deviates.  cfg is passed to
-    ml_transform, whose default route does not read it.
+    LawMismatchError when the computed behavior deviates.
     """
     law = small_xi_law(tp.n, tp.sigma)
     xs = np.array(grid if grid is not None else _default_small_grid(), float)
-    samples = _transform_samples(tp, xs, cfg)
+    samples = _transform_samples(tp, xs)
     mags = np.array([abs(v) for _, v in samples])
     fit = fit_exponent(samples)
     notes: list[str] = []
@@ -265,20 +262,17 @@ def large_xi_law(tp: TransformProblem) -> tuple[float, complex]:
 
 
 def verify_large_xi(
-    tp: TransformProblem,
-    grid: Sequence[float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tp: TransformProblem, grid: Sequence[float] | None = None
 ) -> AsymptoticReport:
     """Verify the |xi| -> infinity law F ~ C |xi|^-(n+sigma) of
     large_xi_law.  The fitted slope must equal -(n+sigma) within SLOPE_TOL,
     else LawMismatchError; constants_matched reports whether |F|
     |xi|^(n+sigma) at the largest grid point is within 5% of |C|.  For
     even-integer sigma C = 0, F decays faster than any power, and
-    DomainError is raised.  cfg is passed to ml_transform, whose default
-    route does not read it."""
+    DomainError is raised."""
     expected, constant = large_xi_law(tp)
     xs = np.array(grid if grid is not None else _default_large_grid(), float)
-    samples = _transform_samples(tp, xs, cfg)
+    samples = _transform_samples(tp, xs)
     fit = fit_exponent(samples)
     if abs(fit.slope - expected) > SLOPE_TOL:
         raise LawMismatchError(
@@ -346,15 +340,11 @@ _DETECTOR_RUN = 6
 
 
 @lru_cache(maxsize=4096)
-def _transform_mag_cached(
-    tp: TransformProblem, xi: float, cfg: QuadratureConfig
-) -> float:
-    return abs(ml_transform(tp, xi, cfg=cfg))
+def _transform_mag_cached(tp: TransformProblem, xi: float) -> float:
+    return abs(ml_transform(tp, xi))
 
 
-def _shell_integrals(
-    tp: TransformProblem, p: float, inward: bool, cfg: QuadratureConfig
-) -> np.ndarray:
+def _shell_integrals(tp: TransformProblem, p: float, inward: bool) -> np.ndarray:
     """Integrals of |F|^p |xi|^(n-1) over dyadic shells marching away from
     |xi| = 1 (toward 0 when inward, toward infinity otherwise)."""
     nodes, weights = np.polynomial.legendre.leggauss(_SHELL_NODES)
@@ -366,7 +356,7 @@ def _shell_integrals(
             a, b = 2.0 ** k, 2.0 ** (k + 1)
         xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         vals = [
-            _transform_mag_cached(tp, float(x), cfg) ** p
+            _transform_mag_cached(tp, float(x)) ** p
             * float(x) ** (tp.n - 1)
             for x in xs
         ]
@@ -374,11 +364,7 @@ def _shell_integrals(
     return np.array(out)
 
 
-def lp_numerical_check(
-    tp: TransformProblem,
-    p: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> str:
+def lp_numerical_check(tp: TransformProblem, p: float) -> str:
     """Empirical p-integrability probe: 'finite', 'divergent-at-0', or
     'divergent-at-infty'.
 
@@ -386,15 +372,14 @@ def lp_numerical_check(
     [1, 1e3]; divergence at an end is declared when the shell contributions
     fail to decay geometrically (ratio >= 0.97) over 6 consecutive shells.
     Theorem-endpoint p values are the analytic classifier's job
-    (lp_region); this probe cannot certify borderline divergence.  cfg is
-    passed to ml_transform, whose default route does not read it."""
+    (lp_region); this probe cannot certify borderline divergence."""
     if p < 1.0:
         raise DomainError("p >= 1 required")
-    inner = _shell_integrals(tp, p, inward=True, cfg=cfg)
+    inner = _shell_integrals(tp, p, inward=True)
     ratios_in = inner[1:] / inner[:-1]
     if np.all(ratios_in[-_DETECTOR_RUN:] >= _DECAY_THRESHOLD):
         return "divergent-at-0"
-    outer = _shell_integrals(tp, p, inward=False, cfg=cfg)
+    outer = _shell_integrals(tp, p, inward=False)
     ratios_out = outer[1:] / outer[:-1]
     if np.all(ratios_out[-_DETECTOR_RUN:] >= _DECAY_THRESHOLD):
         return "divergent-at-infty"

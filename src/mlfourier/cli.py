@@ -41,6 +41,17 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_MISMATCH = 4
 
+# est_error of eval-ml and transform is max(EST_ERROR_ABS, EST_ERROR_REL
+# |value|), times 2 pi/xi^n for transform: fixed figures, not an estimate
+# that ml_eval or ml_transform computes.
+EST_ERROR_ABS = 1e-12
+EST_ERROR_REL = 1e-10
+
+
+def _est_error(value: complex) -> float:
+    return max(EST_ERROR_ABS, EST_ERROR_REL * abs(value))
+
+
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace("i", "j").replace(" ", "")
     try:
@@ -59,10 +70,6 @@ def _geometric_grid(args: argparse.Namespace) -> np.ndarray:
     if args.xi_points == 1:
         return np.array([args.xi_min])
     return np.geomspace(args.xi_min, args.xi_max, args.xi_points)
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
 def _timestamp_line(args: argparse.Namespace) -> str | None:
@@ -132,20 +139,11 @@ def _cmd_eval_ml(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     zs = [_parse_complex(z) for z in (args.z or ["1+0i"])]
-    cfg = _quad_config(args)
-
     records = []
     for z in zs:
         value = ml_eval(p, z)
-        est = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        records.append(_record(abs(z), value, est))
-    params = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "z": [str(z) for z in zs],
-        "abs_tol": args.abs_tol,
-        "rel_tol": args.rel_tol,
-    }
+        records.append(_record(abs(z), value, _est_error(value)))
+    params = {"alpha": args.alpha, "beta": args.beta, "z": [str(z) for z in zs]}
     _emit_records(args, params, records)
     return EXIT_OK
 
@@ -192,17 +190,10 @@ def _problem_from_args(args: argparse.Namespace) -> TransformProblem:
 def _cmd_transform(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
     grid = _geometric_grid(args)
-    cfg = _quad_config(args)
 
     def point(xi: float) -> dict:
-        value = ml_transform(tp, xi, cfg, strategy=args.strategy)
-        est = (
-            2.0
-            * math.pi
-            / xi ** tp.n
-            * max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        )
-        return _record(xi, value, est)
+        value = ml_transform(tp, xi)
+        return _record(xi, value, 2.0 * math.pi / xi ** tp.n * _est_error(value))
 
     records = [point(float(x)) for x in grid]
     params = {
@@ -214,9 +205,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         "xi_min": args.xi_min,
         "xi_max": args.xi_max,
         "xi_points": args.xi_points,
-        "abs_tol": args.abs_tol,
-        "rel_tol": args.rel_tol,
-        "strategy": args.strategy,
     }
     _emit_records(args, params, records)
     return EXIT_OK
@@ -315,7 +303,7 @@ def _cmd_lp_region(args: argparse.Namespace) -> int:
 
 def _cmd_ibp_check(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     xis = args.xi or [1.0]
     checks = []
     worst = 0.0
@@ -353,20 +341,14 @@ def _cmd_ibp_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(
-    sub: argparse.ArgumentParser, problem: bool, tolerances: bool = True
-) -> None:
-    """Output options, plus the problem parameters and, for subcommands that
-    build a QuadratureConfig, its tolerances."""
+def _add_common(sub: argparse.ArgumentParser, problem: bool) -> None:
+    """Output options, plus the problem parameters."""
     if problem:
         sub.add_argument("--alpha", type=float, default=0.8)
         sub.add_argument("--beta", type=float, default=1.0)
         sub.add_argument("--phi", type=float, default=math.pi)
         sub.add_argument("--sigma", type=float, default=1.0)
         sub.add_argument("--dim", type=int, default=1)
-    if tolerances:
-        sub.add_argument("--abs-tol", type=float, default=1e-12)
-        sub.add_argument("--rel-tol", type=float, default=1e-10)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--no-timestamp", action="store_true")
@@ -410,19 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--dim", type=int, default=1)
     _add_grid(s)
-    _add_common(s, problem=False, tolerances=False)
+    _add_common(s, problem=False)
     s.set_defaults(handler=_cmd_eval_bessel, default_format="csv")
 
     s = subs.add_parser("transform", help="radial transform over a grid")
-    s.add_argument(
-        "--strategy",
-        choices=("mellin", "split"),
-        default="mellin",
-        help="mellin: residue series or Mellin-Barnes line, fixed 1e-15 "
-        "target; --abs-tol/--rel-tol are not read, and est_error is not an "
-        "estimate of this route's error; split: the paper's compact part "
-        "plus oscillatory tail, with --abs-tol/--rel-tol",
-    )
     _add_grid(s)
     _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_transform, default_format="csv")
@@ -436,13 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--xi-min", type=float, default=None)
     s.add_argument("--xi-max", type=float, default=None)
     s.add_argument("--xi-points", type=int, default=None)
-    # The transforms run on ml_transform's default route, which reads no
-    # tolerances.
-    _add_common(s, problem=True, tolerances=False)
+    _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_verify_asymptotics, default_format="json")
 
     s = subs.add_parser("lp-region", help="analytic L^p regions")
-    _add_common(s, problem=True, tolerances=False)
+    _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_lp_region, default_format="json")
 
     s = subs.add_parser(
@@ -452,6 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ell", type=int, default=0)
     s.add_argument("--ibp-order", type=int, default=1)
     s.add_argument("--threshold", type=float, default=1e-5)
+    # The only subcommand that runs QUADPACK: its tolerances.
+    s.add_argument("--abs-tol", type=float, default=1e-12)
+    s.add_argument("--rel-tol", type=float, default=1e-10)
     _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_ibp_check, default_format="json")
 

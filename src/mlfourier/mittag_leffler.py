@@ -9,8 +9,11 @@ with one accuracy target: the double Taylor series where its cancellation
 guard accepts (|z| <= SERIES_RADIUS), the sector sum where its error
 estimate meets Laplace inversion's 1e-15 relative target (decay sector,
 |z| >= SECTOR_SUM_RADIUS), and Laplace inversion everywhere else.  The
-mpmath series (ml_series) and the ray/arc contour (ml_contour, ml_on_ray)
-are independent references; ml_eval reaches neither.
+sector sum is the one evaluator of the large-argument expansion: the
+optimally truncated algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus
+E's exponentially small saddle terms.  The mpmath series (ml_series) and
+the ray/arc contour (ml_contour, ml_on_ray) are independent references;
+ml_eval reaches neither.
 
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
@@ -293,26 +296,14 @@ def ml_on_ray(
     r: float,
     c: ContourSpec | None = None,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    series_terms: int = 0,
 ) -> Complex:
     """E_{alpha,beta}(r e^{i phi}) for any r >= 0 through the explicit
     ray/arc split of the unit-arc contour with opening
-    pi alpha/2 < omega < min(|phi|, pi alpha).
-
-    series_terms = J >= 1 peels off the exact identity
-        E(w) = -sum_{j=1}^{J} w^{-j}/Gamma(beta - alpha j)
-               + w^{-J} (2 pi i alpha)^{-1} * integral of G(z) z^J/(z-w) dz,
-    which removes the cancellation that otherwise grows with |w| (the moment
-    integrals of G(z) z^{j-1} are reciprocal-gamma values).  J = 0 is the
-    plain representation.  Large J inflates the ray integrand by rho^(alpha
-    J) before the exponential takes over, so J is only worth its cost once
-    |w|^J dominates that enlarged moment; keep J small when alpha is close
-    to 2 and the ray decay is slow.
+    pi alpha/2 < omega < min(|phi|, pi alpha).  The integrand cancels more
+    as r grows; ml_eval's sector sum is the large-argument evaluator.
     """
     if r < 0.0:
         raise DomainError("r >= 0 required")
-    if series_terms < 0:
-        raise DomainError("series_terms >= 0 required")
     if abs(phi) <= math.pi * p.alpha / 2.0:
         raise DomainError(
             f"|phi| > pi*alpha/2 = {math.pi * p.alpha / 2.0:.6f} required, "
@@ -325,41 +316,9 @@ def ml_on_ray(
         raise DomainError(
             f"|phi| = {abs(phi):.6f} must exceed omega = {c.omega:.6f}"
         )
-    J = series_terms
-    if J > 0 and r == 0.0:
-        raise DomainError("series_terms > 0 requires r > 0")
     w = r * cmath.exp(1j * phi)
-    res = _contour_integral(p, c, lambda zeta: zeta ** J / (zeta - w), cfg)
-    contour = res.value / (2j * math.pi * p.alpha)
-    if J > 0:
-        contour *= w ** (-J)
-    return ml_sector_asymptotic(p, w, J) + contour
-
-
-def ml_sector_asymptotic(p: MLParams, z: Complex, K: int) -> Complex:
-    """Truncated large-argument expansion
-    -sum_{k=1}^{K} z^{-k}/Gamma(beta - alpha k), valid in the decay sector
-    |arg z| > pi*alpha/2 (accuracy domain |z| >= 20).
-
-    Pole terms of Gamma(beta - alpha k) vanish through reciprocal_gamma.
-    """
-    if K < 0:
-        raise DomainError("K >= 0 required")
-    if K == 0:
-        return 0.0 + 0.0j
-    z = complex(z)
-    if z == 0 or abs(cmath.phase(z)) <= math.pi * p.alpha / 2.0:
-        raise DomainError(
-            "sector expansion requires |arg z| > pi*alpha/2 "
-            f"= {math.pi * p.alpha / 2.0:.6f}, got z = {z}"
-        )
-    acc = CompensatedSum()
-    winv = 1.0 / z
-    wpow = 1.0 + 0.0j
-    for k in range(1, K + 1):
-        wpow *= winv
-        acc.add(-wpow * reciprocal_gamma(p.beta - p.alpha * k))
-    return acc.value
+    res = _contour_integral(p, c, lambda zeta: 1.0 / (zeta - w), cfg)
+    return res.value / (2j * math.pi * p.alpha)
 
 
 def hankel_reciprocal_gamma(

@@ -1,9 +1,14 @@
 """Radial Fourier transform of Mittag-Leffler profiles.
 
-The n-dimensional transform of E_{alpha,beta}(e^{i phi} |x|^sigma) reduces to
-a one-dimensional Bessel-weighted integral.  After rescaling r -> r/|xi| it
-splits, through a smooth partition of unity phi_cut + psi_cut = 1, into a
-compact part
+ml_transform is the transform: the Mellin-Barnes form of mlfourier.mellin,
+a residue series or one line integral, which needs no split of the
+integrand.
+
+split_transform is the paper's construction, kept as a named reference.
+The n-dimensional transform of E_{alpha,beta}(e^{i phi} |x|^sigma) reduces
+to a one-dimensional Bessel-weighted integral.  After rescaling r -> r/|xi|
+it splits, through a smooth partition of unity phi_cut + psi_cut = 1, into
+a compact part
 
     M(xi) = integral_0^inf phi_cut(r) E(e^{i phi} (r/|xi|)^sigma) jbar_n(r) dr
 
@@ -13,18 +18,13 @@ transform is (2 pi/|xi|^n) (M + N).  The tail substitutes the order
 term is summed over half-period chunks with iterated Aitken acceleration,
 plus an absolutely convergent remainder integral.
 
-On the transform path the integrand is evaluated on whole node arrays,
-with ml_eval, jbar and the cutoffs taking arrays: M is a set of tanh-sinh
-panels integrated in one batched call, the tail's two transition chunks
-[1, 1.5] and [1.5, 2] of every term are another such call, and the 16-node
-Gauss-Legendre chunks from r = 2 on are evaluated a block of chunks at a
-time.  QUADPACK (integrate_finite) serves the references transform_direct
-and fourier_radial_reference, which chunk and accelerate the raw
-integrand, and the integration-by-parts check.
-
-This split is ml_transform's strategy="split".  Its default route,
-strategy="mellin", is the Mellin-Barnes form of the same transform in
-mlfourier.mellin, which needs neither M nor N.
+The split evaluates its integrand on whole node arrays, with ml_eval, jbar
+and the cutoffs taking arrays: M is a set of tanh-sinh panels integrated in
+one batched call; the tail's two transition chunks [1, 1.5] and [1.5, 2],
+and the chunks where E's exponential term turns too fast for fixed nodes,
+are another such call; the other chunks from r = 2 on are 16-node
+Gauss-Legendre rules evaluated a block of chunks at a time.  QUADPACK
+(integrate_finite) serves the integration-by-parts check.
 
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Structurally Q_0(u) is the contour integral
@@ -243,10 +243,13 @@ def _require_tail_scope(tp: TransformProblem) -> None:
         )
 
 
+_TAIL_CHUNKS = 400  # chunk budget of the tail's accelerated sums
+
+
 def _accelerated_chunks(
     chunk_values: Callable[[int], Complex],
     cfg: QuadratureConfig,
-    max_chunks: int = 400,
+    max_chunks: int = _TAIL_CHUNKS,
 ) -> Complex:
     """Limit of the cumulative chunk sum by iterated Aitken acceleration
     of order 6."""
@@ -327,6 +330,41 @@ def _bessel_remainder(lam: float, x, coeffs: tuple):
 
 
 _CHUNK_BLOCK = 16  # chunks per batched profile evaluation from k = 2 on
+# Radians an integrand may turn through on a chunk for 16 Gauss-Legendre
+# nodes to integrate it to rounding: on [-1, 1] they take e^{i kappa x} to
+# 9e-16 at kappa = 8, 1e-13 at 10 and 3e-11 at 12.
+_CHUNK_MAX_TURN = 16.0
+
+
+def _wave_chunks(tp: TransformProblem, xi_mag: float) -> list[int]:
+    """Tail chunks k >= 2, [1 + k/2, 1.5 + k/2], on which E's exponential
+    term is above rounding and turns faster than _CHUNK_MAX_TURN allows.
+
+    A branch angle theta = phi + 2 pi m with |theta| <= pi alpha (as in
+    mittag_leffler._exponential_waves) contributes exp(rho e^{i theta/alpha})
+    with rho = (r/|xi|)^(sigma/alpha).  Its size is exp(rho cos(theta/alpha)),
+    largest at the chunk's left end, and its phase turns (sigma/alpha) rho
+    |sin(theta/alpha)|/r radians per unit r, fastest at one of the ends,
+    on top of the kernel's 2 pi.  Near the sector boundary cos(theta/alpha)
+    is close to 0 and that term can turn 120 radians per unit r at r = 2.
+    """
+    power = tp.sigma / tp.alpha
+    k = np.arange(2, _TAIL_CHUNKS)
+    lo = 1.0 + 0.5 * k
+    hi = lo + 0.5
+    rho_lo = (lo / xi_mag) ** power
+    rho_hi = (hi / xi_mag) ** power
+    fastest = power * np.maximum(rho_lo / lo, rho_hi / hi)
+    need = np.zeros(k.shape, bool)
+    for m in (-1, 0, 1):
+        ang = tp.phi + 2.0 * math.pi * m
+        if abs(ang) > math.pi * tp.alpha + 1e-9:
+            continue
+        theta = ang / tp.alpha
+        log_size = math.cos(theta) * rho_lo
+        turn = 0.5 * (abs(math.sin(theta)) * fastest + 2.0 * math.pi)
+        need |= (log_size > math.log(_EPS)) & (turn > _CHUNK_MAX_TURN)
+    return k[need].tolist()
 
 
 def compute_N(
@@ -371,8 +409,9 @@ def compute_N(
         return np.exp(1j * sign * two_pi * r) * r ** power
 
     # psi is non-analytic at the flat contacts r = 1, 2, where fixed-order
-    # nodes lose ~1e-10: the chunks [1, 1.5] and [1.5, 2] of every kernel
-    # are tanh-sinh panels of one batched call.
+    # nodes lose ~1e-10, and on the wave chunks E's exponential term turns
+    # too fast for them: the chunks [1, 1.5], [1.5, 2] and the wave chunks
+    # of every kernel are tanh-sinh panels of one batched call.
     def transition(r: np.ndarray, kind: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         rows = r.reshape(kind.size, -1)
         kind = kind.ravel()
@@ -393,7 +432,9 @@ def compute_N(
             out[sel] = base[sel] * kernel(int(t), rows[sel])
         return out.reshape(r.shape)
 
-    starts = np.tile([1.0, 1.5], len(terms))
+    panel_chunks = [0, 1, *_wave_chunks(tp, xi_mag)]
+    panel = {k: i for i, k in enumerate(panel_chunks)}
+    starts = np.tile(1.0 + 0.5 * np.array(panel_chunks), len(terms))
     atol, rtol = _panel_tolerances(tp, xi_mag, cfg)
     head = integrate_panels(
         transition,
@@ -401,18 +442,21 @@ def compute_N(
         starts + 0.5,
         atol,
         rtol,
-        args=(np.repeat(np.arange(len(terms)), 2), np.tile([0, 1], len(terms))),
-    ).reshape(len(terms), 2)
+        args=(
+            np.repeat(np.arange(len(terms)), len(panel)),
+            np.tile(panel_chunks, len(terms)),
+        ),
+    ).reshape(len(terms), len(panel))
 
-    # From k = 2 on, 16-node Gauss-Legendre chunks: psi(r) g(r) is
+    # The other chunks are 16-node Gauss-Legendre rules: psi(r) g(r) is
     # evaluated for a block of chunks at a time and shared by every kernel.
     nodes, weights = gauss_legendre_rule(_CHUNK_ORDER)
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     sums: dict[tuple[int, int], np.ndarray] = {}
 
     def chunk_value(t: int, k: int) -> Complex:
-        if k < 2:
-            return complex(head[t, k])
+        if k in panel:
+            return complex(head[t, panel[k]])
         j, i = divmod(k - 2, _CHUNK_BLOCK)
         if (t, j) not in sums:
             while len(blocks) <= j:
@@ -439,95 +483,30 @@ def min_ibp_order(n: int) -> int:
     return (n + 1) // 2 + 1
 
 
-def ml_transform(
+def ml_transform(tp: TransformProblem, xi_mag: float) -> Complex:
+    """The n-dimensional radial Fourier transform F at |xi| = xi_mag, by the
+    Mellin-Barnes route of mlfourier.mellin: the residue series at
+    s = -k sigma where its error estimate is at most 1e-15 relative, else a
+    trapezoid sum on one line of the Mellin-Barnes integral.  Its accuracy
+    target is fixed, like ml_eval's.  DomainError for xi_mag <= 0 and for
+    sigma <= (n-1)/2."""
+    _require_xi(xi_mag)
+    _require_tail_scope(tp)
+    return mellin_transform(tp, xi_mag)
+
+
+def split_transform(
     tp: TransformProblem,
     xi_mag: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    strategy: str = "mellin",
 ) -> Complex:
-    """The n-dimensional radial Fourier transform F at |xi| = xi_mag.
-
-    strategy="mellin" (the default) is the Mellin-Barnes route of
-    mlfourier.mellin: the residue series at s = -k sigma where its error
-    estimate is at most 1e-15 relative, else a trapezoid sum on one line of
-    the Mellin-Barnes integral.  Its accuracy target is fixed, like
-    ml_eval's, and it does not read cfg.
-
-    strategy="split" is the paper's construction, (2 pi/|xi|^n)(M + N) with
-    compute_M and compute_N; cfg sets their tolerances.
-
-    Both raise DomainError for xi_mag <= 0 and for sigma <= (n-1)/2, and
-    neither falls back on the other.
-    """
-    _require_xi(xi_mag)
-    if strategy == "mellin":
-        _require_tail_scope(tp)
-        return mellin_transform(tp, xi_mag)
-    if strategy != "split":
-        raise DomainError(
-            f"strategy must be 'mellin' or 'split', got {strategy!r}"
-        )
+    """The same transform by the paper's construction,
+    (2 pi/|xi|^n)(M + N) with compute_M and compute_N, whose tolerances cfg
+    sets.  A reference for ml_transform: neither falls back on the other.
+    DomainError for xi_mag <= 0 and for sigma <= (n-1)/2."""
     m_part = compute_M(tp, xi_mag, cfg)
     n_part = compute_N(tp, xi_mag, cfg)
     return 2.0 * math.pi / xi_mag ** tp.n * (m_part + n_part)
-
-
-def transform_direct(
-    tp: TransformProblem,
-    xi_mag: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
-    """Single-pass evaluation of the unsplit integrand (no cutoff split):
-    head on [0, 2.5] plus accelerated half-period chunks beyond.  An
-    independent reference for ml_transform."""
-    _require_xi(xi_mag)
-    g = _profile(tp, xi_mag)
-    n = tp.n
-
-    def f(r: float) -> Complex:
-        return g(r) * jbar(n, r)
-
-    head = integrate_finite(f, 0.0, 2.5, cfg, points=[1.0, 2.0]).value
-
-    def chunk(k: int) -> Complex:
-        return integrate_finite(f, 2.5 + 0.5 * k, 3.0 + 0.5 * k, cfg).value
-
-    return head + _accelerated_chunks(chunk, cfg)
-
-
-# ---------------------------------------------------------------------------
-# Reference transform of a generic radial profile
-# ---------------------------------------------------------------------------
-
-
-def fourier_radial_reference(
-    f0: Callable[[float], Complex],
-    n: int,
-    xi_mag: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
-    """n-dimensional radial Fourier transform of the profile f0:
-
-        (2 pi / |xi|^(n/2-1)) integral_0^inf f0(r) J_(n/2-1)(2 pi |xi| r)
-        r^(n/2) dr
-
-    evaluated as 2 pi |xi|^(1-n) times the accelerated half-period chunk sum
-    of f0(r) jbar_n(|xi| r).  Intended for decaying, non-oscillatory
-    profiles."""
-    if n < 1:
-        raise DomainError("n >= 1 required")
-    _require_xi(xi_mag)
-    half_period = 0.5 / xi_mag
-
-    def f(r: float) -> Complex:
-        return f0(r) * jbar(n, xi_mag * r)
-
-    def chunk(k: int) -> Complex:
-        a = k * half_period
-        return integrate_finite(f, a, a + half_period, cfg).value
-
-    value = _accelerated_chunks(chunk, cfg, max_chunks=4000)
-    return 2.0 * math.pi * xi_mag ** (1 - n) * value
 
 
 # ---------------------------------------------------------------------------

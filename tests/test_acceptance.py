@@ -54,6 +54,7 @@ from mlfourier.radial_fourier import (
     cutoff_phi,
     ibp_identity_check,
     ml_transform,
+    split_transform,
     _tail_coefficient_pairs,
 )
 from mlfourier.asymptotics import (
@@ -383,15 +384,17 @@ def test_criterion_8_integrability_regions():
 
 def test_criterion_9_gaussian_oracle():
     t0 = time.monotonic()
-    # Both routes: the Mellin-Barnes default and the paper's split pipeline.
+    # Both routes: ml_transform (Mellin-Barnes) and split_transform, the
+    # paper's split pipeline.
     tp = TransformProblem(1.0, 1.0, math.pi, 2.0, 1)
     worst = {}
-    for strategy in ("mellin", "split"):
-        worst[strategy] = 0.0
+    for route in (ml_transform, split_transform):
+        name = route.__name__
+        worst[name] = 0.0
         for xi in (0.3, 1.0):
             want = math.sqrt(math.pi) * math.exp(-math.pi ** 2 * xi ** 2)
-            got = ml_transform(tp, xi, strategy=strategy)
-            worst[strategy] = max(worst[strategy], abs(got - want) / want)
+            got = route(tp, xi)
+            worst[name] = max(worst[name], abs(got - want) / want)
     ok = max(worst.values()) < 1e-6 and time.monotonic() - t0 < 30.0
     detail = ", ".join(f"{k} {v:.3e}" for k, v in worst.items())
     line = report(9, ok, t0, f"worst relative deviation {detail} (< 1e-6)")

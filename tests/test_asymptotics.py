@@ -30,7 +30,6 @@ from mlfourier.errors import (
     LawMismatchError,
 )
 from mlfourier.radial_fourier import TransformProblem, ml_transform
-from mlfourier.special_core import DEFAULT_QUADRATURE, QuadratureConfig
 
 POWER_TP = TransformProblem(0.8, 1.0, math.pi, 0.7, 1)
 LOG_TP = TransformProblem(0.8, 1.0, math.pi, 1.0, 1)
@@ -139,8 +138,8 @@ class TestVerifyLargeXi:
 
     def test_constant_mismatch_is_reported(self, monkeypatch):
         # a transform 10% off keeps its slope but misses the constant
-        def off(tp, xi, cfg):
-            return 1.1 * ml_transform(tp, xi, cfg=cfg)
+        def off(tp, xi):
+            return 1.1 * ml_transform(tp, xi)
 
         monkeypatch.setattr(asymptotics, "ml_transform", off)
         rep = verify_large_xi(POWER_TP, grid=np.geomspace(100.0, 1e4, 6))
@@ -314,20 +313,25 @@ class TestLpNumericalCheck:
         with pytest.raises(DomainError):
             lp_numerical_check(POWER_TP, 0.9)
 
-    def test_transforms_use_the_given_config(self, monkeypatch):
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7)
+    def test_transforms_go_through_ml_transform(self, monkeypatch):
+        # every shell node is one ml_transform(tp, xi) call, and a node the
+        # cache has seen is not recomputed
         seen = []
 
-        def recorder(tp, xi, cfg=DEFAULT_QUADRATURE):
-            seen.append(cfg)
+        def recorder(tp, xi):
+            seen.append((tp, xi))
             return complex(xi ** (tp.sigma - tp.n))
 
         monkeypatch.setattr(asymptotics, "ml_transform", recorder)
         asymptotics._transform_mag_cached.cache_clear()
         try:
-            lp_numerical_check(POWER_TP, 1.5, cfg=cfg)
+            lp_numerical_check(POWER_TP, 1.5)
+            calls = len(seen)
+            lp_numerical_check(POWER_TP, 2.0)
         finally:
             # drop the recorder's values from the shared cache
             asymptotics._transform_mag_cached.cache_clear()
-        assert seen
-        assert all(c == cfg for c in seen)
+        assert calls > 0
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
+        assert all(tp == POWER_TP for tp, _ in seen)

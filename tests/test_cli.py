@@ -43,6 +43,10 @@ class TestEvalMl:
         assert len(rows) == 1
         assert abs(rows[0]["re"] - math.exp(-1)) < 1e-9
         assert abs(rows[0]["im"]) < 1e-12
+        # README's line, est_error = 1e-10 |E| included
+        assert out.splitlines()[1] == (
+            "1.0,0.3678794411714418,0.0,0.3678794411714418,3.678794411714418e-11"
+        )
 
     def test_value_at_origin(self, capsys):
         code, out, _ = run_cli(
@@ -161,30 +165,19 @@ class TestTransform:
         assert payload["schema"] == 1
         assert set(payload["params"]) == {
             "alpha", "beta", "phi", "sigma", "dim",
-            "xi_min", "xi_max", "xi_points", "abs_tol", "rel_tol", "strategy",
+            "xi_min", "xi_max", "xi_points",
         }
-        assert payload["params"]["strategy"] == "mellin"
         assert len(payload["records"]) == 2
         assert payload["records"][0]["xi_mag"] == 0.5
         redumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert redumped == out
 
-    def test_strategy_flag(self, capsys):
-        # the split pipeline from the CLI, recorded in the JSON params; it
-        # agrees with the default route on the Gaussian
-        base = self.GAUSS[:-1] + ("--format", "json", "--no-timestamp")
-        _, default, _ = run_cli(capsys, *base)
-        code, split, _ = run_cli(capsys, *base, "--strategy", "split")
-        assert code == 0
-        default, split = json.loads(default), json.loads(split)
-        assert split["params"]["strategy"] == "split"
-        a, b = default["records"][0]["abs"], split["records"][0]["abs"]
-        assert abs(a - b) < 1e-6 * a
-
     def test_unknown_strategy_is_a_usage_error(self, capsys):
+        # transform has one route: --strategy is no option, whatever its value
         with pytest.raises(SystemExit) as exc:
-            cli.main([*self.GAUSS, "--strategy", "expansion"])
+            cli.main([*self.GAUSS, "--strategy", "mellin"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
 
     def test_estimated_error_positive(self, capsys):
         _, out, _ = run_cli(capsys, *self.GAUSS)
@@ -306,16 +299,33 @@ class TestLpRegionCommand:
         assert "sigma" in err
 
 
-@pytest.mark.parametrize("command", ["lp-region", "eval-bessel", "verify-asymptotics"])
-def test_tolerance_flags_only_where_quadrature_runs(command, capsys):
-    # lp-region and eval-bessel build no QuadratureConfig, and
-    # verify-asymptotics runs the transform's default route, which reads
-    # none, so they take no tolerances: argparse rejects the flag with its
-    # usage exit code
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lp-region", "--abs-tol", "1e-9"],
+        ["eval-bessel", "--abs-tol", "1e-9"],
+        ["verify-asymptotics", "--abs-tol", "1e-9"],
+        ["transform", "--abs-tol", "1e-9"],
+        ["transform", "--rel-tol", "1e-9"],
+        ["eval-ml", "--alpha", "1", "--abs-tol", "1e-9"],
+        ["eval-ml", "--alpha", "1", "--rel-tol", "1e-9"],
+        ["transform", "--strategy", "split"],
+    ],
+    ids=[
+        "lp-region", "eval-bessel", "verify-asymptotics", "transform",
+        "transform-rel-tol", "eval-ml", "eval-ml-rel-tol", "transform-strategy",
+    ],
+)
+def test_tolerance_flags_only_where_quadrature_runs(argv, capsys):
+    # Only ibp-check builds a QuadratureConfig.  lp-region and eval-bessel
+    # compute nothing that takes one, and ml_eval and ml_transform work to
+    # fixed targets, so the other subcommands take no tolerances, and
+    # transform has no --strategy: argparse rejects the flag with its usage
+    # exit code
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--abs-tol", "1e-9"])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert "--abs-tol" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 class TestIbpCheck:

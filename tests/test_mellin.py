@@ -25,7 +25,7 @@ from mlfourier.mellin import (
     residue_coefficient,
     residue_series,
 )
-from mlfourier.radial_fourier import TransformProblem, ml_transform
+from mlfourier.radial_fourier import TransformProblem, ml_transform, split_transform
 from mlfourier.special_core import QuadratureConfig
 
 REFERENCE_PROBLEMS = ((1, 0.7), (2, 1.5), (3, 2.2))
@@ -225,8 +225,8 @@ def test_agrees_with_split(alpha, beta, room, sign, n, excess, log_xi):
     )
     xi = 10.0 ** log_xi
     try:
-        split = ml_transform(tp, xi, strategy="split")
-        tight = ml_transform(tp, xi, QuadratureConfig(1e-14, 1e-12), strategy="split")
+        split = split_transform(tp, xi)
+        tight = split_transform(tp, xi, QuadratureConfig(1e-14, 1e-12))
     except ConvergenceError:
         assume(False)
     assume(rel_err(tight, split) <= 1e-7)
@@ -239,7 +239,7 @@ def test_agrees_with_split(alpha, beta, room, sign, n, excess, log_xi):
 )
 def test_near_sector_boundary(alpha, offset, sigma, n, xi):
     # The split pipeline's accelerated tail stagnates here (ConvergenceError
-    # with strategy="split"); the route returns values that a second line
+    # from split_transform); the route returns values that a second line
     # confirms.  The second line's own cancellation is about 2e-10 at the
     # second point.
     tp = TransformProblem(alpha, 1.0, 0.5 * math.pi * alpha + offset, sigma, n)
@@ -300,20 +300,24 @@ def test_line_node_cap():
 class TestValidation:
     def test_sigma_below_tail_scope(self):
         tp = TransformProblem(0.8, 1.0, math.pi, 0.9, 3)
-        for strategy in ("mellin", "split"):
+        for route in (ml_transform, split_transform):
             with pytest.raises(DomainError, match="sigma"):
-                ml_transform(tp, 1.0, strategy=strategy)
+                route(tp, 1.0)
 
     def test_nonpositive_xi(self):
         tp = TransformProblem(0.8, 1.0, math.pi, 0.7, 1)
-        for strategy in ("mellin", "split"):
+        for route in (ml_transform, split_transform):
             with pytest.raises(DomainError):
-                ml_transform(tp, 0.0, strategy=strategy)
+                route(tp, 0.0)
 
     def test_unknown_strategy(self):
+        # ml_transform has one route and takes neither a strategy nor
+        # tolerances; the split is split_transform
         tp = TransformProblem(0.8, 1.0, math.pi, 0.7, 1)
-        with pytest.raises(DomainError, match="strategy"):
-            ml_transform(tp, 1.0, strategy="expansion")
+        with pytest.raises(TypeError, match="strategy"):
+            ml_transform(tp, 1.0, strategy="split")
+        with pytest.raises(TypeError):
+            ml_transform(tp, 1.0, QuadratureConfig())
 
 
 def test_residue_coefficient_closed_form():

@@ -29,13 +29,15 @@ from mlfourier.radial_fourier import (
     cutoff_derivative,
     cutoff_phi,
     cutoff_psi,
-    fourier_radial_reference,
     ibp_identity_check,
     min_ibp_order,
     ml_transform,
     q_kernel,
-    transform_direct,
+    split_transform,
+    _accelerated_chunks,
+    _profile,
     _qtilde_constants,
+    _require_xi,
 )
 
 GAUSS_TP = TransformProblem(alpha=1.0, beta=1.0, phi=math.pi, sigma=2.0, n=1)
@@ -44,6 +46,52 @@ BASE_TP = TransformProblem(alpha=0.8, beta=1.0, phi=math.pi, sigma=1.0, n=1)
 
 def gauss_closed_form(xi: float) -> float:
     return math.sqrt(math.pi) * math.exp(-math.pi ** 2 * xi ** 2)
+
+
+def rel_err(a, b) -> float:
+    return abs(a - b) / abs(b)
+
+
+def transform_direct(tp, xi_mag):
+    """Single-pass QUADPACK evaluation of the unsplit integrand (no cutoff
+    split): head on [0, 2.5] plus accelerated half-period chunks beyond.
+    An independent reference for the split's M + N."""
+    g = _profile(tp, xi_mag)
+    n = tp.n
+
+    def f(r: float):
+        return g(r) * jbar(n, r)
+
+    cfg = DEFAULT_QUADRATURE
+    head = integrate_finite(f, 0.0, 2.5, cfg, points=[1.0, 2.0]).value
+
+    def chunk(k: int):
+        return integrate_finite(f, 2.5 + 0.5 * k, 3.0 + 0.5 * k, cfg).value
+
+    return head + _accelerated_chunks(chunk, cfg)
+
+
+def fourier_radial_reference(f0, n, xi_mag):
+    """n-dimensional radial Fourier transform of the profile f0,
+
+        (2 pi / |xi|^(n/2-1)) integral_0^inf f0(r) J_(n/2-1)(2 pi |xi| r)
+        r^(n/2) dr,
+
+    as 2 pi |xi|^(1-n) times the accelerated half-period chunk sum of
+    f0(r) jbar_n(|xi| r), each chunk by QUADPACK.  For decaying,
+    non-oscillatory profiles."""
+    _require_xi(xi_mag)
+    half_period = 0.5 / xi_mag
+
+    def f(r: float):
+        return f0(r) * jbar(n, xi_mag * r)
+
+    def chunk(k: int):
+        a = k * half_period
+        return integrate_finite(f, a, a + half_period, DEFAULT_QUADRATURE).value
+
+    value = _accelerated_chunks(chunk, DEFAULT_QUADRATURE, max_chunks=4000)
+    return 2.0 * math.pi * xi_mag ** (1 - n) * value
 
 
 class TestTransformProblem:
@@ -330,18 +378,29 @@ class TestComputeN:
         with pytest.raises(DomainError, match="sigma"):
             compute_N(tp, 1.0)
 
+    def test_fast_exponential_term_near_the_sector_boundary(self):
+        # 0.18 rad inside the sector E's exponential term turns about 120
+        # rad per unit r at r = 2 here, and 1/Gamma(beta - alpha) is near a
+        # pole, so that term is about 2% of the profile.  16 Gauss-Legendre
+        # nodes on [2, 2.5] leave N 1.5e-3 off, and F 9.5e-7, unless such
+        # chunks are tanh-sinh panels.
+        alpha = 1.7637
+        tp = TransformProblem(alpha, 0.7765, 0.5 * math.pi * alpha + 0.1799, 2.4197, 3)
+        xi = 0.0459
+        assert rel_err(split_transform(tp, xi), ml_transform(tp, xi)) <= 1e-10
+
 
 class TestMlTransform:
-    # Each end-to-end check runs both routes: the Mellin-Barnes default and
-    # the paper's split pipeline (2 pi/|xi|^n)(M + N).
-    STRATEGIES = ("mellin", "split")
+    # Each end-to-end check runs both routes: ml_transform, the
+    # Mellin-Barnes route, and split_transform, the paper's split pipeline
+    # (2 pi/|xi|^n)(M + N).
 
     def test_gaussian_oracle(self):
-        for strategy in self.STRATEGIES:
+        for route in (ml_transform, split_transform):
             for xi in (0.3, 1.0):
-                got = ml_transform(GAUSS_TP, xi, strategy=strategy)
+                got = route(GAUSS_TP, xi)
                 want = gauss_closed_form(xi)
-                assert abs(got - want) < 1e-6 * abs(want), strategy
+                assert abs(got - want) < 1e-6 * abs(want), route.__name__
 
     def test_split_accepts_a_tight_abs_tol(self):
         # abs_tol = 1e-15 asks tanh-sinh for a few ulp less than it can
@@ -349,7 +408,7 @@ class TestMlTransform:
         # floored at 4 eps of the expected size instead of failing
         tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-12)
-        split = ml_transform(tp, 100.0, cfg, strategy="split")
+        split = split_transform(tp, 100.0, cfg)
         mellin = ml_transform(tp, 100.0)
         assert abs(split - mellin) < 1e-5 * abs(mellin)
 
@@ -366,9 +425,9 @@ class TestMlTransform:
         p = MLParams(tp.alpha, tp.beta)
         f0 = lambda r: ml_eval(p, cmath.exp(1j * tp.phi) * r ** tp.sigma)
         want = fourier_radial_reference(f0, 1, xi)
-        for strategy in self.STRATEGIES:
-            got = ml_transform(tp, xi, strategy=strategy)
-            assert abs(got - want) < 1e-8 * abs(want), strategy
+        for route in (ml_transform, split_transform):
+            got = route(tp, xi)
+            assert abs(got - want) < 1e-8 * abs(want), route.__name__
 
     @pytest.mark.parametrize(
         "alpha,beta,phi,sigma,n,xi",
@@ -390,20 +449,29 @@ class TestMlTransform:
         # linear midpoint prediction on a tight geometric triple; a jump
         # would blow the deviation up to O(1).  xi = 80 lies on the split's
         # large-xi cancellation floor.
-        for strategy in self.STRATEGIES:
+        for route in (ml_transform, split_transform):
             for xi in (0.02, 3.0, 80.0):
                 h = 5e-3
-                lo = ml_transform(BASE_TP, xi * (1 - h), strategy=strategy)
-                mid = ml_transform(BASE_TP, xi, strategy=strategy)
-                hi = ml_transform(BASE_TP, xi * (1 + h), strategy=strategy)
-                assert abs(0.5 * (lo + hi) - mid) < 5e-2 * abs(mid), strategy
+                lo = route(BASE_TP, xi * (1 - h))
+                mid = route(BASE_TP, xi)
+                hi = route(BASE_TP, xi * (1 + h))
+                assert abs(0.5 * (lo + hi) - mid) < 5e-2 * abs(mid), route.__name__
 
     def test_no_jump_under_tiny_step(self):
-        for strategy in self.STRATEGIES:
+        for route in (ml_transform, split_transform):
             for xi in (0.5, 20.0):
-                a = ml_transform(BASE_TP, xi, strategy=strategy)
-                b = ml_transform(BASE_TP, xi * (1 + 1e-6), strategy=strategy)
-                assert abs(a - b) < 1e-4 * abs(a), strategy
+                a = route(BASE_TP, xi)
+                b = route(BASE_TP, xi * (1 + 1e-6))
+                assert abs(a - b) < 1e-4 * abs(a), route.__name__
+
+    @pytest.mark.parametrize("n,sigma", [(1, 0.7), (2, 1.5), (3, 2.2)])
+    def test_split_on_the_reference_problems(self, n, sigma):
+        # The worst point is (3, 2.2) at xi = 100, 4.3e-7: the split's M + N
+        # cancellation floor.  Every point with xi <= 1 is within 2.3e-12.
+        tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
+        for xi in np.geomspace(1e-2, 1e2, 7):
+            split, mellin = split_transform(tp, xi), ml_transform(tp, xi)
+            assert rel_err(split, mellin) <= 1e-6, xi
 
 
 class TestQKernel:

@@ -313,9 +313,7 @@ def test_accelerated_limit_matches_quadratic_table_on_transform_chunks(
     monkeypatch.setattr(rf, "accelerated_limit", recording)
     for n, sigma in ((1, 0.7), (2, 1.5), (3, 2.2)):
         for xi in (0.05, 1.0, 20.0):
-            rf.ml_transform(
-                rf.TransformProblem(0.8, 1.0, math.pi, sigma, n), xi, strategy="split"
-            )
+            rf.split_transform(rf.TransformProblem(0.8, 1.0, math.pi, sigma, n), xi)
     assert len(recorded) >= 9
     for seen, kwargs in recorded:
         _same_outcome(seen, **kwargs)
