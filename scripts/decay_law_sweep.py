@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("need at least 12 points to fit both ends")
     tp = TransformProblem(args.alpha, args.beta, args.phi, args.sigma, args.dim)
     grid = np.geomspace(args.xi_min, args.xi_max, args.points)
-    samples = [(float(xi), ml_transform(tp, float(xi))) for xi in grid]
+    samples = list(zip(grid.tolist(), ml_transform(tp, grid).tolist()))
 
     print("xi,abs_value")
     for xi, val in samples:

@@ -137,7 +137,8 @@ def _default_large_grid() -> np.ndarray:
 def _transform_samples(
     tp: TransformProblem, grid: Sequence[float]
 ) -> list[tuple[float, Complex]]:
-    return [(float(x), ml_transform(tp, float(x))) for x in grid]
+    xs = np.asarray(grid, dtype=float)
+    return list(zip(xs.tolist(), ml_transform(tp, xs).tolist()))
 
 
 def _relative_rms(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -339,29 +340,29 @@ _DECAY_THRESHOLD = 0.97
 _DETECTOR_RUN = 6
 
 
-@lru_cache(maxsize=4096)
-def _transform_mag_cached(tp: TransformProblem, xi: float) -> float:
-    return abs(ml_transform(tp, xi))
+@lru_cache(maxsize=64)
+def _shell_nodes(
+    tp: TransformProblem, inward: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-widths of the dyadic shells marching away from |xi| = 1 (toward
+    0 when inward, toward infinity otherwise), their Gauss-Legendre nodes,
+    one row per shell, and |F| at those nodes from one ml_transform call."""
+    k = np.arange(_SHELL_COUNT)
+    a, b = (2.0 ** -(k + 1.0), 2.0 ** -k) if inward else (2.0 ** k, 2.0 ** (k + 1.0))
+    nodes, _ = np.polynomial.legendre.leggauss(_SHELL_NODES)
+    half = 0.5 * (b - a)
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+    mags = np.abs(ml_transform(tp, xs))
+    for arr in (half, xs, mags):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return half, xs, mags
 
 
 def _shell_integrals(tp: TransformProblem, p: float, inward: bool) -> np.ndarray:
-    """Integrals of |F|^p |xi|^(n-1) over dyadic shells marching away from
-    |xi| = 1 (toward 0 when inward, toward infinity otherwise)."""
-    nodes, weights = np.polynomial.legendre.leggauss(_SHELL_NODES)
-    out = []
-    for k in range(_SHELL_COUNT):
-        if inward:
-            a, b = 2.0 ** (-(k + 1)), 2.0 ** (-k)
-        else:
-            a, b = 2.0 ** k, 2.0 ** (k + 1)
-        xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        vals = [
-            _transform_mag_cached(tp, float(x)) ** p
-            * float(x) ** (tp.n - 1)
-            for x in xs
-        ]
-        out.append(0.5 * (b - a) * float(np.dot(weights, vals)))
-    return np.array(out)
+    """Integrals of |F|^p |xi|^(n-1) over the shells of _shell_nodes."""
+    half, xs, mags = _shell_nodes(tp, inward)
+    _, weights = np.polynomial.legendre.leggauss(_SHELL_NODES)
+    return half * ((mags ** p * xs ** (tp.n - 1)) @ weights)
 
 
 def lp_numerical_check(tp: TransformProblem, p: float) -> str:

@@ -190,12 +190,10 @@ def _problem_from_args(args: argparse.Namespace) -> TransformProblem:
 def _cmd_transform(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
     grid = _geometric_grid(args)
-
-    def point(xi: float) -> dict:
-        value = ml_transform(tp, xi)
-        return _record(xi, value, 2.0 * math.pi / xi ** tp.n * _est_error(value))
-
-    records = [point(float(x)) for x in grid]
+    records = [
+        _record(xi, value, 2.0 * math.pi / xi ** tp.n * _est_error(value))
+        for xi, value in zip(grid.tolist(), ml_transform(tp, grid).tolist())
+    ]
     params = {
         "alpha": tp.alpha,
         "beta": tp.beta,

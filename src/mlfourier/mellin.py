@@ -29,8 +29,13 @@ for sigma >= alpha.
 
 mellin_transform takes the series where its error estimate (the first
 omitted term, rounding, and E's exponential term, which the series lacks)
-is at most 1e-15 of the sum, and the line integral everywhere else.  The line is the trapezoid rule with the step set by the
-distance to the poles (Trefethen & Weideman, SIAM Rev. 56 (2014)).
+is at most 1e-15 of the sum, and the line integral everywhere else.  The
+line is the trapezoid rule with the step set by the distance to the poles
+(Trefethen & Weideman, SIAM Rev. 56 (2014)).  K does not depend on xi,
+only (pi xi)^s does, so a grid of xi shares one evaluation of K per line
+and step (Talman, J. Comput. Phys. 29 (1978)).  Every public function
+takes a float xi or an ndarray of them; each point's value is computed by
+the same arithmetic whatever the other points are.
 """
 
 from __future__ import annotations
@@ -54,9 +59,32 @@ _WAVE_MARGIN = 10.0
 # The trapezoid error is about exp(-2 pi d/h) times the integrand's largest
 # value on the strip |Re s - c| < d, where (pi xi)^s grows by e^{d |log pi xi|}.
 _STEP_EFOLDS = 40.0
+# Steps are rounded down onto h_base 2^(-k/_RUNGS), h_base = 2 pi d/40, so
+# that points of a grid share steps, and so kernel values.
+_RUNGS = 4
 # Nodes stop once the integrand has fallen below 1e-18 of its peak.
 _TAIL_EFOLDS = 41.5
 _MAX_NODES = 2**20
+
+# Points per block of the residue series' (points x terms) arrays.
+_SERIES_ROWS = 128
+# The line's (points x nodes) sums take the nodes in chunks of _CHUNK and
+# write node j0 + a _GROUP + b of a chunk as e^{i t L} = e^{i t_a L}
+# e^{i t_b L}, so each point needs exponentials at (a + b) nodes, not a b;
+# rows of points go in blocks of at most _BLOCK products.
+_GROUP = 64
+_CHUNK = 256 * _GROUP
+_BLOCK = 2**16
+
+
+def _flat(xi) -> np.ndarray:
+    return np.asarray(xi, dtype=float).reshape(-1)
+
+
+def _like(xi, values: np.ndarray):
+    """values, one per entry of _flat(xi), in xi's form: an array of its
+    shape for an ndarray xi, else a Python scalar."""
+    return values.reshape(xi.shape) if isinstance(xi, np.ndarray) else values[0].item()
 
 
 def _sinpi(x: np.ndarray) -> np.ndarray:
@@ -99,9 +127,9 @@ def residue_coefficient(tp, k: int) -> complex:
     )
 
 
-def _log_wave_size(tp, xi: float) -> float:
+def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     """log of the size of the transform of E's exponential term, which the
-    residue series does not contain; -inf where there is none.
+    residue series does not contain, at each xi; -inf where there is none.
 
     E(z) carries (1/alpha) z^((1-beta)/alpha) e^{z^(1/alpha)} for
     |arg z| < pi alpha.  On the profile that is a wave e^{w r^p}, p =
@@ -115,27 +143,63 @@ def _log_wave_size(tp, xi: float) -> float:
     """
     p = tp.sigma / tp.alpha
     delta = abs(tp.phi) / tp.alpha - 0.5 * math.pi
-    if p <= 1.0 or delta >= 0.5 * math.pi:
-        return -math.inf
-    gamma = delta / (p - 1.0)
-    if gamma >= math.pi:
-        return -math.inf
-    log_r = math.log(2.0 * math.pi * xi / p) / (p - 1.0)
-    if log_r > 700.0:
-        return -math.inf
-    r = math.exp(log_r)
-    return (
+    gamma = delta / (p - 1.0) if p > 1.0 else math.inf
+    if delta >= 0.5 * math.pi or gamma >= math.pi:
+        return np.full(xi.shape, -math.inf)
+    log_r = np.log(2.0 * math.pi * xi / p) / (p - 1.0)
+    r = np.exp(np.minimum(log_r, 700.0))
+    size = (
         math.log(2.0 * math.pi / tp.alpha)
-        + (1.0 - 0.5 * tp.n) * math.log(xi)
+        + (1.0 - 0.5 * tp.n) * np.log(xi)
         - 2.0 * math.pi * xi * (1.0 - 1.0 / p) * r * math.sin(gamma)
-        - 0.5 * math.log(2.0 * math.pi ** 2 * xi)
+        - 0.5 * np.log(2.0 * math.pi ** 2 * xi)
         + 0.5 * math.log(2.0 * math.pi / (p * (p - 1.0)))
         + (tp.sigma * (1.0 - tp.beta) / tp.alpha + 0.5 * tp.n - 0.5 * p + 0.5) * log_r
     )
+    return np.where(log_r > 700.0, -math.inf, size)
 
 
-def residue_series(tp, xi: float) -> tuple[complex, float]:
-    """The residue series at |xi| = xi and its relative error estimate.
+def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """residue_series on a 1-D array, _SERIES_ROWS points at a time."""
+    k = np.arange(1.0, _SERIES_TERMS + 1.0)
+    log_env, sin = _log_envelopes(tp, k)
+    values = np.zeros(xi.size, complex)
+    errs = np.full(xi.size, math.inf)
+    if sin[0] == 0.0:
+        return values, errs
+    signed = -sin * np.exp(1j * tp.phi * k)
+    for lo in range(0, xi.size, _SERIES_ROWS):
+        x = xi[lo:lo + _SERIES_ROWS]
+        rows = np.arange(x.size)
+        # Envelopes relative to the k = 1 one, which carries the scale
+        # through exact powers: the large logs of small (pi xi)^(-k sigma)
+        # only enter terms that they make small.
+        log_x = -tp.sigma * np.log(math.pi * x)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            envelope = np.exp(log_env - log_env[0] + np.multiply.outer(log_x, k - 1.0))
+            stop = np.argmin(envelope, axis=1)
+            terms = np.where(k - 1.0 < stop[:, None], signed * envelope, 0.0)
+            total = terms.sum(axis=1)
+            value = (
+                math.exp(log_env[0])
+                * (math.pi * x) ** -tp.sigma
+                * math.pi ** (-0.5 * tp.n)
+                * x ** -tp.n
+                * total
+            )
+            err = (envelope[rows, stop] + _EPS * np.abs(terms).sum(axis=1)) / np.abs(total)
+            wave = _log_wave_size(tp, x) - np.log(np.abs(value))
+            err += _WAVE_MARGIN * np.exp(np.minimum(wave, 0.0))
+        summed = (total != 0.0) & np.isfinite(np.abs(total))
+        values[lo:lo + x.size] = np.where(summed, value, 0.0)
+        errs[lo:lo + x.size] = np.where(summed, err, math.inf)
+    return values, errs
+
+
+def residue_series(tp, xi):
+    """The residue series at |xi| = xi and its relative error estimate: a
+    (complex, float) pair for a float xi, a pair of arrays of xi's shape
+    for an ndarray.  Every point shares one set of the 256 coefficients.
 
     Near k sigma/2 = integer a term is small for its sin(pi k sigma/2)
     factor alone, so truncation follows the envelope |c_k/sin(pi k sigma/2)|
@@ -147,35 +211,12 @@ def residue_series(tp, xi: float) -> tuple[complex, float]:
     of the series carries.  It is inf where the sum is 0, as for
     even-integer sigma, where every term vanishes.
     """
-    k = np.arange(1.0, _SERIES_TERMS + 1.0)
-    log_env, sin = _log_envelopes(tp, k)
-    if sin[0] == 0.0:
-        return 0j, math.inf
-    # Envelopes relative to the k = 1 one, which carries the scale through
-    # exact powers: the large logs of small (pi xi)^(-k sigma) only enter
-    # terms that they make small.
-    log_x = -tp.sigma * math.log(math.pi * xi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        envelope = np.exp(log_env - log_env[0] + (k - 1.0) * log_x)
-    stop = int(np.argmin(envelope))
-    terms = -sin[:stop] * envelope[:stop] * np.exp(1j * tp.phi * k[:stop])
-    total = complex(np.sum(terms))
-    if not (total != 0.0 and math.isfinite(abs(total))):
-        return 0j, math.inf
-    scale = (
-        math.exp(log_env[0])
-        * (math.pi * xi) ** -tp.sigma
-        * math.pi ** (-0.5 * tp.n)
-        * xi ** -tp.n
-    )
-    value = scale * total
-    err = (envelope[stop] + _EPS * float(np.sum(np.abs(terms)))) / abs(total)
-    wave = _log_wave_size(tp, xi) - math.log(abs(value))
-    return value, err + _WAVE_MARGIN * math.exp(min(wave, 0.0))
+    values, errs = _series(tp, _flat(xi))
+    return _like(xi, values), _like(xi, errs)
 
 
-def _log_integrand(tp, s: np.ndarray, log_pi_xi: float) -> np.ndarray:
-    """log of K(s) (pi xi)^s, up to multiples of 2 pi i."""
+def _log_integrand(tp, s: np.ndarray) -> np.ndarray:
+    """log K(s), up to multiples of 2 pi i; the integrand is K(s) (pi xi)^s."""
     q = s / tp.sigma
     theta = tp.phi - math.pi if tp.phi > 0.0 else tp.phi + math.pi
     # pi/sin(pi q) with sin(pi q) = (sg i/2) e^{-sg i pi q}(1 - e^{2 sg i pi q})
@@ -193,12 +234,121 @@ def _log_integrand(tp, s: np.ndarray, log_pi_xi: float) -> np.ndarray:
         - loggamma(tp.beta - tp.alpha * q)
         + loggamma(0.5 * (tp.n - s))
         - loggamma(0.5 * s)
-        + s * log_pi_xi
     )
 
 
-def line_integral(tp, xi: float) -> complex:
-    """The transform at |xi| = xi as a trapezoid sum on Re s = c.
+def _line_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
+    """(j0, K(c + i h j) for j = j0, j0 + 1, ..., m_+), each node evaluated
+    once.  At phi = pi, f(-t) = conj f(t) and only t >= 0 is taken, j0 = 0;
+    else j0 = -m_-.
+
+    |K(c + it)| decays like t^p exp(-(pi - pi alpha/2 - theta) t/sigma) for
+    t > 0 and like |t|^p exp(-(pi - pi alpha/2 + theta)|t|/sigma) for t < 0,
+    p = 1/2 - beta + alpha c/sigma + n/2 - c.  Each side starts at the
+    length where that form has fallen by e^-41.5 and is extended, by the
+    nodes its exponential rate says it lacks, until its last node is below
+    e^-41.5 of the peak over all nodes.  Nothing here depends on xi.
+    ConvergenceError before the count would pass 2^20 nodes.
+    """
+    theta = tp.phi - math.pi if tp.phi > 0.0 else tp.phi + math.pi
+    base = math.pi - 0.5 * math.pi * tp.alpha
+    rates = {1: (base - theta) / tp.sigma}
+    if tp.phi != math.pi:
+        rates[-1] = (base + theta) / tp.sigma
+    power = max(0.5 - tp.beta + tp.alpha * c / tp.sigma + 0.5 * tp.n - c, 0.0)
+    lacking = {
+        side: math.ceil(
+            (_TAIL_EFOLDS + power * math.log(max(_TAIL_EFOLDS / rate, 1.0))) / rate / h
+        )
+        for side, rate in rates.items()
+    }
+    blocks: dict[int, list[np.ndarray]] = {side: [] for side in rates}
+    length = dict.fromkeys(rates, 0)
+    centre = None
+    while lacking:
+        if 1 + sum(length.values()) + sum(lacking.values()) > _MAX_NODES:
+            raise ConvergenceError(
+                f"Mellin-Barnes line needs more than {_MAX_NODES} nodes "
+                f"(step {h:.3g}, decay rate {min(rates.values()):.3g})"
+            )
+        if centre is None:
+            centre = np.exp(_log_integrand(tp, np.array([complex(c)])))
+            peak = abs(centre[0])
+        for side, extra in lacking.items():
+            j = side * np.arange(length[side] + 1.0, length[side] + extra + 1.0)
+            f = np.exp(_log_integrand(tp, c + 1j * (h * j)))
+            blocks[side].append(f)
+            length[side] += extra
+            peak = max(peak, float(np.abs(f).max()))
+        floor = math.exp(-_TAIL_EFOLDS) * peak
+        lacking = {}
+        for side, rate in rates.items():
+            end = abs(blocks[side][-1][-1])
+            if end > floor:
+                lacking[side] = math.ceil((math.log(end / floor) + 1.0) / rate / h)
+    if -1 not in rates:
+        return 0, np.concatenate([centre, *blocks[1]])
+    left = np.concatenate(blocks[-1])[::-1]
+    return -length[-1], np.concatenate([left, centre, *blocks[1]])
+
+
+def _phase_sums(kernel: np.ndarray, j0: int, h: float, log_pi_xi: np.ndarray) -> np.ndarray:
+    """sum_i kernel[i] e^{i h (j0 + i) L} for each L in log_pi_xi.  The
+    node chunks and the order of every addition are fixed by the kernel
+    alone, so each row's sum is the same in any batch."""
+    out = np.zeros(log_pi_xi.size, complex)
+    fine = h * np.arange(_GROUP)
+    for lo in range(0, kernel.size, _CHUNK):
+        part = kernel[lo:lo + _CHUNK]
+        groups = -(-part.size // _GROUP)
+        block = np.zeros(groups * _GROUP, complex)
+        block[:part.size] = part
+        block = block.reshape(groups, _GROUP)
+        coarse = h * (j0 + lo + _GROUP * np.arange(groups))
+        rows = max(1, _BLOCK // block.size)
+        for r in range(0, log_pi_xi.size, rows):
+            L = log_pi_xi[r:r + rows, None]
+            inner = (block * np.exp(1j * (L * fine))[:, None, :]).sum(axis=2)
+            out[r:r + rows] += (np.exp(1j * (L * coarse)) * inner).sum(axis=1)
+    return out
+
+
+def _line(tp, xi: np.ndarray) -> np.ndarray:
+    """line_integral on a 1-D array: for each line and step, one kernel
+    evaluation shared by the points that take them."""
+    upper = min(tp.sigma, float(tp.n))
+    log_pi_xi = np.log(math.pi * xi)
+    values = np.empty(xi.size, complex)
+    left = 2.0 * math.pi * xi >= 1.0
+    for c, on_line in ((-0.5 * tp.sigma, left), (0.6 * upper, ~left)):
+        if not on_line.any():
+            continue
+        d = min(c + tp.sigma, upper - c)
+        L = log_pi_xi[on_line]
+        h_base = 2.0 * math.pi * d / _STEP_EFOLDS
+        rule = 2.0 * math.pi * d / (_STEP_EFOLDS + d * np.abs(L))
+        rung = np.ceil(_RUNGS * np.log2(h_base / rule)).astype(int)
+        ladder = np.array([h_base * 2.0 ** (-k / _RUNGS) for k in range(rung.max() + 2)])
+        rung += ladder[rung] > rule
+        sums = np.empty(L.size, complex)
+        for k in np.unique(rung):
+            h = float(ladder[k])
+            at = rung == k
+            j0, kernel = _line_kernel(tp, c, h)
+            if j0 == 0:  # the half line: h (f_0 + 2 Re sum_{t > 0} f)
+                tail = _phase_sums(kernel[1:], 1, h, L[at])
+                sums[at] = h * (kernel[0].real + 2.0 * tail.real)
+            else:
+                sums[at] = h * _phase_sums(kernel, j0, h, L[at])
+        values[on_line] = (
+            sums * np.exp(c * L) * xi[on_line] ** -tp.n * (math.pi ** (-0.5 * tp.n) / (2.0 * math.pi))
+        )
+    return values
+
+
+def line_integral(tp, xi):
+    """The transform at |xi| = xi as a trapezoid sum on Re s = c: a complex
+    for a float xi, an array of xi's shape for an ndarray.
 
     The integrand exceeds the result by about (pi xi)^(c + sigma) at large
     xi and (pi xi)^(c - sigma) at small xi, so the line sits left at large
@@ -207,37 +357,27 @@ def line_integral(tp, xi: float) -> complex:
     vanishes there; the poles nearest the strip are s = -sigma and
     s = min(sigma, n).  The step keeps exp(-2 pi d/h) below 1e-17 of the
     integrand on the strip of half-width d, the distance from c to those
-    poles; the nodes reach until the integrand has decayed below 1e-18 of
-    its peak.  ConvergenceError past 2^20 nodes.
+    poles, h <= 2 pi d/(40 + d |log pi xi|), rounded down onto the ladder
+    h_base 2^(-k/4), h_base = 2 pi d/40.  K(s) does not depend on xi, so
+    it is evaluated once per line and rung, in one pass over the nodes,
+    and each point adds (pi xi)^c sum_j K_j e^{i t_j log(pi xi)}.  At
+    phi = pi the integrand is conjugate-symmetric and the sum runs over
+    t >= 0; elsewhere each side of the line has its own length
+    (_line_kernel).  ConvergenceError past 2^20 nodes.  The rung depends
+    on xi alone and each point's sum is reduced on its own, so a point's
+    value is the same, bit for bit, in any array.
     """
-    upper = min(tp.sigma, float(tp.n))
-    c = -0.5 * tp.sigma if 2.0 * math.pi * xi >= 1.0 else 0.6 * upper
-    d = min(c + tp.sigma, upper - c)
-    log_pi_xi = math.log(math.pi * xi)
-    h = 2.0 * math.pi * d / (_STEP_EFOLDS + d * abs(log_pi_xi))
-    rate = (abs(tp.phi) - 0.5 * math.pi * tp.alpha) / tp.sigma
-    t_max = _TAIL_EFOLDS / rate
-    while True:
-        m = math.ceil(t_max / h)
-        if 2 * m + 1 > _MAX_NODES:
-            raise ConvergenceError(
-                f"Mellin-Barnes line needs more than {_MAX_NODES} nodes "
-                f"(step {h:.3g}, decay rate {rate:.3g})"
-            )
-        t = h * np.arange(-m, m + 1)
-        f = np.exp(_log_integrand(tp, c + 1j * t, log_pi_xi))
-        mag = np.abs(f)
-        if max(mag[0], mag[-1]) <= math.exp(-_TAIL_EFOLDS) * mag.max():
-            break
-        t_max *= 2.0
-    total = complex(h * np.sum(f))
-    return total * math.pi ** (-0.5 * tp.n) * xi ** -tp.n / (2.0 * math.pi)
+    return _like(xi, _line(tp, _flat(xi)))
 
 
-def mellin_transform(tp, xi: float) -> complex:
+def mellin_transform(tp, xi):
     """The transform at |xi| = xi: the residue series where its error
-    estimate is at most 1e-15 relative, else the line integral."""
-    value, err = residue_series(tp, xi)
-    if err <= _TARGET:
-        return value
-    return line_integral(tp, xi)
+    estimate is at most 1e-15 relative, else the line integral.  A float xi
+    gives a complex, an ndarray an array of its shape; each point's value
+    is the same, bit for bit, whatever the other points of the array."""
+    x = _flat(xi)
+    values, errs = _series(tp, x)
+    on_line = errs > _TARGET
+    if on_line.any():
+        values[on_line] = _line(tp, x[on_line])
+    return _like(xi, values)

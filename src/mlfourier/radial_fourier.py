@@ -483,14 +483,25 @@ def min_ibp_order(n: int) -> int:
     return (n + 1) // 2 + 1
 
 
-def ml_transform(tp: TransformProblem, xi_mag: float) -> Complex:
+def ml_transform(
+    tp: TransformProblem, xi_mag: float | np.ndarray
+) -> Complex | np.ndarray:
     """The n-dimensional radial Fourier transform F at |xi| = xi_mag, by the
     Mellin-Barnes route of mlfourier.mellin: the residue series at
     s = -k sigma where its error estimate is at most 1e-15 relative, else a
     trapezoid sum on one line of the Mellin-Barnes integral.  Its accuracy
-    target is fixed, like ml_eval's.  DomainError for xi_mag <= 0 and for
-    sigma <= (n-1)/2."""
-    _require_xi(xi_mag)
+    target is fixed, like ml_eval's.
+
+    An ndarray xi_mag gives an array of its shape, with one line evaluation
+    shared by the points that take the same line and step; each entry
+    equals, bit for bit, the value at that float alone.  DomainError for
+    xi_mag <= 0 (for any entry) and for sigma <= (n-1)/2."""
+    if isinstance(xi_mag, np.ndarray):
+        bad = xi_mag[~(xi_mag > 0.0)]
+        if bad.size:
+            _require_xi(float(bad[0]))
+    else:
+        _require_xi(xi_mag)
     _require_tail_scope(tp)
     return mellin_transform(tp, xi_mag)
 

@@ -314,24 +314,34 @@ class TestLpNumericalCheck:
             lp_numerical_check(POWER_TP, 0.9)
 
     def test_transforms_go_through_ml_transform(self, monkeypatch):
-        # every shell node is one ml_transform(tp, xi) call, and a node the
-        # cache has seen is not recomputed
+        # each side's 40 shell nodes are one ml_transform(tp, xs) call, every
+        # node goes through it, and a side the cache has seen is not
+        # recomputed
         seen = []
 
         def recorder(tp, xi):
-            seen.append((tp, xi))
-            return complex(xi ** (tp.sigma - tp.n))
+            assert isinstance(xi, np.ndarray)
+            seen.extend((tp, float(x)) for x in xi.ravel())
+            return xi.astype(complex) ** (tp.sigma - tp.n)
 
+        k = np.arange(10.0)
+        nodes, _ = np.polynomial.legendre.leggauss(4)
+        shells = [(2.0 ** -(k + 1.0), 2.0 ** -k), (2.0 ** k, 2.0 ** (k + 1.0))]
+        shell_nodes = {
+            float(x)
+            for a, b in shells
+            for x in ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * nodes).ravel()
+        }
         monkeypatch.setattr(asymptotics, "ml_transform", recorder)
-        asymptotics._transform_mag_cached.cache_clear()
+        asymptotics._shell_nodes.cache_clear()
         try:
             lp_numerical_check(POWER_TP, 1.5)
             calls = len(seen)
             lp_numerical_check(POWER_TP, 2.0)
         finally:
             # drop the recorder's values from the shared cache
-            asymptotics._transform_mag_cached.cache_clear()
-        assert calls > 0
+            asymptotics._shell_nodes.cache_clear()
+        assert {xi for _, xi in seen} == shell_nodes
         assert len(seen) == calls
         assert len(set(seen)) == calls
         assert all(tp == POWER_TP for tp, _ in seen)

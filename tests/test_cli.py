@@ -184,6 +184,31 @@ class TestTransform:
         _, rows = csv_rows(out)
         assert rows[0]["est_error"] > 0
 
+    @pytest.mark.parametrize("n,sigma", [(1, "0.7"), (2, "1.5"), (3, "2.2")])
+    def test_grid_rows_match_one_point_runs(self, capsys, n, sigma):
+        # One ml_transform call serves the whole grid, and a row does not
+        # depend on the other points: each of the 25 rows is byte for byte
+        # the row of a one-point run at its xi.
+        problem = (
+            "transform", "--alpha", "0.8", "--beta", "1",
+            "--phi", "3.141592653589793", "--sigma", sigma, "--dim", str(n),
+            "--no-timestamp",
+        )
+        code, out, _ = run_cli(
+            capsys, *problem,
+            "--xi-min", "1e-4", "--xi-max", "1e3", "--xi-points", "25",
+        )
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 25
+        for row in rows:
+            xi = row.split(",")[0]
+            code, single, _ = run_cli(
+                capsys, *problem, "--xi-min", xi, "--xi-max", xi, "--xi-points", "1",
+            )
+            assert code == 0
+            assert single == f"{header}\n{row}\n"
+
 
 class TestVerifyAsymptotics:
     def test_small_regime_power_law(self, capsys):

@@ -150,7 +150,8 @@ def second_line(tp, xi, fraction):
     h = 2.0 * math.pi * d / (40.0 + d * abs(log_pi_xi))
     rate = (abs(tp.phi) - 0.5 * math.pi * tp.alpha) / tp.sigma
     t = h * np.arange(-math.ceil(46.0 / rate / h), math.ceil(46.0 / rate / h) + 1)
-    f = np.exp(mellin._log_integrand(tp, c + 1j * t, log_pi_xi))
+    s = c + 1j * t
+    f = np.exp(mellin._log_integrand(tp, s) + s * log_pi_xi)
     return complex(h * f.sum()) * math.pi ** (-0.5 * tp.n) * xi ** -tp.n / (2.0 * math.pi)
 
 
@@ -325,3 +326,92 @@ def test_residue_coefficient_closed_form():
     tp = TransformProblem(1.0, 1.0, math.pi, 1.0, 1)
     assert abs(residue_coefficient(tp, 1) - 1.0 / (2.0 * math.pi ** 2)) <= 1e-16
     assert residue_coefficient(tp, 2) == 0.0
+
+
+def _recorded_nodes(monkeypatch):
+    """Every s given to mellin._log_integrand from here on."""
+    given_nodes = []
+    evaluate = mellin._log_integrand
+
+    def recorder(tp, s):
+        given_nodes.append(np.array(s, dtype=complex))
+        return evaluate(tp, s)
+
+    monkeypatch.setattr(mellin, "_log_integrand", recorder)
+    return given_nodes
+
+
+def test_line_evaluates_each_node_once(monkeypatch):
+    # At phi = pi the integrand is conjugate-symmetric and the line is summed
+    # over t >= 0: the nodes are exactly 0, h, ..., m h, each evaluated once,
+    # and the last one has passed the 1e-18 tail check.
+    tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
+    given_nodes = _recorded_nodes(monkeypatch)
+    assert residue_series(tp, 1e-2)[1] > 1e-15  # a line point
+    ml_transform(tp, 1e-2)
+    s = np.concatenate(given_nodes)
+    assert np.all(s.real == 0.6 * 2.2)
+    t = np.sort(s.imag)
+    h = t[1]
+    assert t[0] == 0.0 and np.array_equal(t, h * np.arange(t.size))
+    mag = np.abs(np.exp(mellin._log_integrand(tp, s)))
+    assert mag[np.argmax(s.imag)] <= math.exp(-41.5) * mag.max()
+    assert t.size <= 600  # 438 nodes at this step; extensions stay short
+
+
+def test_line_sides_have_their_own_length(monkeypatch):
+    # 0.02 rad inside the sector at alpha = 1.5 the integrand decays like
+    # e^{-0.0087 |t|} on one side and e^{-0.67 t} on the other: each side
+    # stops where its own tail check passes.
+    alpha, sigma = 1.5, 2.2
+    tp = TransformProblem(alpha, 1.0, 0.5 * math.pi * alpha + 0.02, sigma, 3)
+    given_nodes = _recorded_nodes(monkeypatch)
+    line_integral(tp, 0.05)
+    t = np.concatenate(given_nodes).imag
+    assert np.unique(t).size == t.size
+    slow, fast = -t.min(), t.max()
+    assert 40.0 * fast < slow
+    assert fast >= 41.5 * sigma / (math.pi - 0.5 * math.pi * alpha - (tp.phi - math.pi))
+
+
+class TestArrays:
+    TP = TransformProblem(0.8, 1.0, math.pi, 1.5, 2)
+
+    def test_shapes(self):
+        xs = np.geomspace(1e-3, 1e2, 12).reshape(3, 4)
+        values = ml_transform(self.TP, xs)
+        assert values.shape == (3, 4) and values.dtype == complex
+        assert isinstance(ml_transform(self.TP, 0.5), complex)
+        assert ml_transform(self.TP, np.array([])).shape == (0,)
+        value, err = residue_series(self.TP, xs)
+        assert value.shape == err.shape == (3, 4)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_every_entry_is_checked(self, bad):
+        with pytest.raises(DomainError):
+            ml_transform(self.TP, np.array([0.5, bad, 2.0]))
+
+    def test_reruns_are_byte_identical(self):
+        xs = np.geomspace(1e-4, 1e3, 25)
+        assert ml_transform(self.TP, xs).tobytes() == ml_transform(self.TP, xs).tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    problem=st.sampled_from(REFERENCE_PROBLEMS),
+    phi=st.sampled_from([math.pi, 0.5 * math.pi * 0.8 + 0.3, -2.0]),
+    low=st.floats(-8.0, -1.0),
+    high=st.floats(0.0, 1.5),
+    points=st.integers(2, 9),
+)
+def test_batch_matches_each_point_bit_for_bit(problem, phi, low, high, points):
+    # The grids straddle 2 pi xi = 1, where the line moves, reach the
+    # series/line switch of each reference problem, and span several rungs
+    # of the step ladder below xi = 1e-4; a point's value must not depend
+    # on the other points of its grid.
+    n, sigma = problem
+    tp = TransformProblem(0.8, 1.0, phi, sigma, n)
+    xs = np.geomspace(10.0 ** low, 10.0 ** high, points)
+    batch = ml_transform(tp, xs)
+    for x, value in zip(xs, batch):
+        assert value.tobytes() == np.complex128(ml_transform(tp, float(x))).tobytes()
