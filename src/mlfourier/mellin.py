@@ -69,11 +69,8 @@ _MAX_NODES = 2**20
 # Points per block of the residue series' (points x terms) arrays.
 _SERIES_ROWS = 128
 # The line's (points x nodes) sums take the nodes in chunks of _CHUNK and
-# write node j0 + a _GROUP + b of a chunk as e^{i t L} = e^{i t_a L}
-# e^{i t_b L}, so each point needs exponentials at (a + b) nodes, not a b;
-# rows of points go in blocks of at most _BLOCK products.
-_GROUP = 64
-_CHUNK = 256 * _GROUP
+# the points in row blocks of at most _BLOCK products.
+_CHUNK = 2**14
 _BLOCK = 2**16
 
 
@@ -297,19 +294,13 @@ def _phase_sums(kernel: np.ndarray, j0: int, h: float, log_pi_xi: np.ndarray) ->
     node chunks and the order of every addition are fixed by the kernel
     alone, so each row's sum is the same in any batch."""
     out = np.zeros(log_pi_xi.size, complex)
-    fine = h * np.arange(_GROUP)
     for lo in range(0, kernel.size, _CHUNK):
         part = kernel[lo:lo + _CHUNK]
-        groups = -(-part.size // _GROUP)
-        block = np.zeros(groups * _GROUP, complex)
-        block[:part.size] = part
-        block = block.reshape(groups, _GROUP)
-        coarse = h * (j0 + lo + _GROUP * np.arange(groups))
-        rows = max(1, _BLOCK // block.size)
+        t = h * (j0 + lo + np.arange(part.size))
+        rows = max(1, _BLOCK // part.size)
         for r in range(0, log_pi_xi.size, rows):
             L = log_pi_xi[r:r + rows, None]
-            inner = (block * np.exp(1j * (L * fine))[:, None, :]).sum(axis=2)
-            out[r:r + rows] += (np.exp(1j * (L * coarse)) * inner).sum(axis=1)
+            out[r:r + rows] += (part * np.exp(1j * (L * t))).sum(axis=1)
     return out
 
 
@@ -377,7 +368,7 @@ def mellin_transform(tp, xi):
     is the same, bit for bit, whatever the other points of the array."""
     x = _flat(xi)
     values, errs = _series(tp, x)
-    on_line = errs > _TARGET
+    on_line = ~(errs <= _TARGET)
     if on_line.any():
         values[on_line] = _line(tp, x[on_line])
     return _like(xi, values)

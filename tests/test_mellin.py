@@ -290,6 +290,20 @@ def test_series_rejected_where_it_misses_the_exponential_term():
     assert rel_err(ml_transform(tp, 1.0), want) <= 1e-12
 
 
+def test_series_taken_only_where_its_estimate_meets_the_target(monkeypatch):
+    # A NaN estimate is not known to meet the target: the point goes to the
+    # line, in an array as alone.
+    tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
+    xs = np.array([0.05, 0.5, 5.0])
+    want = line_integral(tp, xs)
+    series = mellin._series
+    monkeypatch.setattr(
+        mellin, "_series", lambda tp, x: (series(tp, x)[0], np.full(x.size, math.nan))
+    )
+    assert np.array_equal(ml_transform(tp, xs), want)
+    assert ml_transform(tp, 0.5) == want[1]
+
+
 def test_line_node_cap():
     # 1e-6 rad from the sector boundary the integrand decays too slowly for
     # 2^20 nodes; the cap is checked before any node is evaluated.
