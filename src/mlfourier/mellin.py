@@ -112,6 +112,15 @@ def _log_envelopes(tp, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_env, _sinpi(x)
 
 
+def _phases(tp, k):
+    """e^{ik phi} at an int k or an array of them, exactly (-1)^k at
+    phi = pi, where every residue is real: e^{ik pi} in floating point
+    leaves an imaginary part of rounding size."""
+    if tp.phi == math.pi:
+        return (-1.0) ** k + 0j
+    return np.exp(1j * tp.phi * k)
+
+
 def residue_coefficient(tp, k: int) -> complex:
     """Coefficient of xi^-(n + k sigma) in the residue series: e^{ik phi}
     pi^(-k sigma - n/2) Gamma((n + k sigma)/2) / (Gamma(alpha k + beta)
@@ -120,7 +129,7 @@ def residue_coefficient(tp, k: int) -> complex:
     return complex(
         -sin[0]
         * math.exp(log_env[0] - (k * tp.sigma + 0.5 * tp.n) * math.log(math.pi))
-        * np.exp(1j * k * tp.phi)
+        * _phases(tp, k)
     )
 
 
@@ -164,7 +173,7 @@ def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     errs = np.full(xi.size, math.inf)
     if sin[0] == 0.0:
         return values, errs
-    signed = -sin * np.exp(1j * tp.phi * k)
+    signed = -sin * _phases(tp, k)
     for lo in range(0, xi.size, _SERIES_ROWS):
         x = xi[lo:lo + _SERIES_ROWS]
         rows = np.arange(x.size)

@@ -4,11 +4,12 @@ inversion on an optimal parabolic contour (Garrappa, SIAM J. Numer. Anal.
 large-argument sector expansion, together with the reciprocal-gamma contour
 identities.
 
-`ml_eval` is the evaluator, for a scalar or an array z, in both sectors,
-with one accuracy target: the double Taylor series where its cancellation
-guard accepts (|z| <= SERIES_RADIUS), the sector sum where its error
-estimate meets Laplace inversion's 1e-15 relative target (decay sector,
-|z| >= SECTOR_SUM_RADIUS), and Laplace inversion everywhere else.  The
+`ml_eval` is the evaluator, in both sectors, with one accuracy target: the
+double Taylor series where its cancellation guard accepts (|z| <=
+SERIES_RADIUS), the sector sum where its error estimate meets Laplace
+inversion's 1e-15 relative target (decay sector, |z| >= SECTOR_SUM_RADIUS),
+and Laplace inversion everywhere else.  An array of z is evaluated entry by
+entry by that same rule, so each entry's value is the scalar one.  The
 sector sum is the one evaluator of the large-argument expansion: the
 optimally truncated algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus
 E's exponentially small saddle terms.  The mpmath series (ml_series) and
@@ -231,10 +232,9 @@ def ml_series(p: MLParams, z: Complex, tol: float = 1e-14) -> Complex:
     return _series_mpmath(p, z, tol, dps)
 
 
-def _series_accepts(ratio, tol: float):
-    """Whether a double Taylor sum with cancellation ratio `ratio` (scalar
-    or array) carries relative accuracy tol: rounding of its large terms
-    costs ~eps * ratio."""
+def _series_accepts(ratio: float, tol: float) -> bool:
+    """Whether a double Taylor sum with cancellation ratio `ratio` carries
+    relative accuracy tol: rounding of its large terms costs ~eps * ratio."""
     return _EPS * ratio <= 0.1 * tol
 
 
@@ -397,12 +397,6 @@ def _sector_coefficients(a: float, b: float) -> tuple[Complex | None, ...]:
         pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg)
         out.append(None if pole else rg)
     return tuple(out)
-
-
-def _sector_accepts(value, err):
-    """Whether the sector sum's error estimate err (scalar or array) meets
-    the 1e-15 relative target that Laplace inversion works to."""
-    return err <= 1e-15 * abs(value)
 
 
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
@@ -588,32 +582,6 @@ def _laplace_route(
         steps += 1
 
 
-def _add_residues(value, a: float, b: float, poles: tuple[Complex, ...]):
-    """value plus the residues (1/a) s*^(1-b) e^{s*} of the poles right of
-    the parabola, added one by one; AccuracyError when E leaves double
-    range."""
-    try:
-        for s_star in poles:
-            value += s_star ** (1.0 - b) * cmath.exp(s_star) / a
-    except OverflowError:
-        raise AccuracyError(
-            f"residue e^{{s*}} at Re s* = {s_star.real:.1f} leaves double range"
-        ) from None
-    return value
-
-
-def _laplace_sum(a: float, b: float, mu: float, h: float, n: int, z):
-    """Trapezoid sum of (2 pi i)^{-1} e^s s^(a-b)/(s^a - z) ds over the
-    2N+1 nodes of s = mu (1 + iu)^2, broadcast over an array of z."""
-    u = h * np.arange(-n, n + 1)
-    s = mu * (1.0 + 1j * u) ** 2
-    ds = 2.0 * mu * (1j - u)
-    log_s = np.log(s)
-    zz = np.asarray(z)[..., np.newaxis]
-    f = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - zz) * ds
-    return h * f.sum(axis=-1) / (2j * math.pi)
-
-
 def _ml_laplace(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z), z != 0, by inverting its Laplace transform
     s^(alpha-beta)/(s^alpha - z) with the trapezoid rule on the optimal
@@ -630,20 +598,30 @@ def _ml_laplace(p: MLParams, z: Complex) -> Complex:
     steps, mu, h, n, poles = _laplace_route(p, z)
     a = p.alpha
     b = p.beta - steps * a
-    value = _add_residues(complex(_laplace_sum(a, b, mu, h, n, z)), a, b, poles)
+    # (2 pi i)^{-1} e^s s^(a-b)/(s^a - z) ds over the 2N+1 nodes.
+    u = h * np.arange(-n, n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    ds = 2.0 * mu * (1j - u)
+    log_s = np.log(s)
+    f = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * ds
+    value = complex(h * f.sum() / (2j * math.pi))
+    try:
+        for s_star in poles:
+            value += s_star ** (1.0 - b) * cmath.exp(s_star) / a
+    except OverflowError:
+        raise AccuracyError(
+            f"residue e^{{s*}} at Re s* = {s_star.real:.1f} leaves double range"
+        ) from None
     for _ in range(steps):
         value = (value - reciprocal_gamma(b)) / z
         b += a
     if not cmath.isfinite(value):
         raise AccuracyError(f"E_{{{p.alpha},{p.beta}}}({z}) leaves double range")
-    if z.imag == 0.0:
-        value = complex(value.real, 0.0)
     return value
 
 
 def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
-    """E_{alpha,beta}(z) at a complex z or at every entry of an ndarray,
-    in both sectors, by one rule:
+    """E_{alpha,beta}(z) at a complex z, in both sectors, by one rule:
 
     - z = 0: 1/Gamma(beta).
     - |z| <= SERIES_RADIUS: the double Taylor series, where its
@@ -663,13 +641,22 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
     absolute floor (~1e-17) in the decay sector; past SECTOR_SUM_RADIUS
     the sector sum returns it as its wave term, to rounding.
 
-    An ndarray z gives an ndarray of its shape, by the same rule applied
-    as masks, with one broadcast trapezoid sum per distinct parabola.  Real
-    z give an exactly real value.
+    E is real on the real axis, and a real z gets an exactly real value.
+    An ndarray z gives an ndarray of its shape holding, entry by entry, the
+    value at that entry as a complex.
     """
     if isinstance(z, np.ndarray):
-        return _ml_eval_array(p, z)
+        values = (ml_eval(p, v) for v in z.flat)
+        return np.fromiter(values, complex, z.size).reshape(z.shape)
     z = complex(z)
+    value = _ml_rule(p, z)
+    # Each route rounds in complex arithmetic, which leaves an imaginary
+    # part of rounding size where E is real.
+    return complex(value.real, 0.0) if z.imag == 0.0 else value
+
+
+def _ml_rule(p: MLParams, z: Complex) -> Complex:
+    """ml_eval's rule at a complex z."""
     if z == 0:
         return reciprocal_gamma(p.beta)
     absz = abs(z)
@@ -682,189 +669,6 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
             return value
     elif absz >= SECTOR_SUM_RADIUS and abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
         value, err = _sector_sum_adaptive(p, z)
-        if _sector_accepts(value, err):
+        if err <= 1e-15 * abs(value):
             return value
     return _ml_laplace(p, z)
-
-
-# ---------------------------------------------------------------------------
-# Array form of ml_eval: the scalar dispatch rules, applied as masks
-# ---------------------------------------------------------------------------
-
-_SERIES_MAX_TERMS = 4000
-_SERIES_BLOCK = 32  # Taylor terms summed per vectorised step
-# Points per pass and (points x nodes) entries per trapezoid broadcast: they
-# bound the temporaries at a few MB whatever the size of the input.
-_ARRAY_BLOCK = 4096
-_BROADCAST_ENTRIES = 1 << 18
-
-
-@lru_cache(maxsize=64)
-def _lgamma_table(a: float, b: float) -> np.ndarray:
-    # math.lgamma, as _series_double uses, so both paths see the same terms.
-    return np.array([math.lgamma(a * k + b) for k in range(_SERIES_MAX_TERMS)])
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _series_double_array(
-    p: MLParams, z: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """_series_double at every z != 0 of a 1-D array: the same log-form
-    terms and the same stop after 3 consecutive terms below tol * |sum|,
-    summed a block of terms at a time.  A point whose terms leave double
-    range gets ratio inf, which the guard rejects."""
-    lgam = _lgamma_table(p.alpha, p.beta)
-    lnz = np.log(z)
-    value = np.empty(z.shape, complex)
-    ratio = np.empty(z.shape)
-    live = np.arange(z.size)
-    acc = np.zeros(z.size, complex)
-    majorant = np.zeros(z.size)
-    quiet = np.zeros((z.size, 2), bool)  # quiet flags of the last 2 terms
-    for k0 in range(0, _SERIES_MAX_TERMS, _SERIES_BLOCK):
-        k = np.arange(k0, k0 + _SERIES_BLOCK)
-        terms = np.exp(k * lnz[live, np.newaxis] - lgam[k])
-        sums = acc[:, np.newaxis] + np.cumsum(terms, axis=1)
-        mags = majorant[:, np.newaxis] + np.cumsum(np.abs(terms), axis=1)
-        flags = np.hstack(
-            [quiet, np.abs(terms) < tol * np.maximum(np.abs(sums), 1e-300)]
-        )
-        stop = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
-        done = stop.any(axis=1)
-        at = stop.argmax(axis=1)[done]
-        rows = np.flatnonzero(done)
-        value[live[done]] = sums[rows, at]
-        ratio[live[done]] = mags[rows, at] / np.maximum(
-            np.abs(sums[rows, at]), 1e-300
-        )
-        blown = ~done & ~np.isfinite(mags[:, -1])
-        ratio[live[blown]] = np.inf
-        keep = ~(done | blown)
-        live = live[keep]
-        if not live.size:
-            return value, ratio
-        acc = sums[keep, -1]
-        majorant = mags[keep, -1]
-        quiet = flags[keep, -2:]
-    raise ConvergenceError("ml_series did not converge within 4000 terms")
-
-
-def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|z| and arg z of a 1-D array, rounded as abs() and cmath.phase round
-    them, so that the branch masks are the scalar path's tests exactly."""
-    phase = np.fromiter(map(cmath.phase, z.tolist()), float, z.size)
-    return np.hypot(z.real, z.imag), phase
-
-
-def _sector_sum_array(p: MLParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_sector_sum_adaptive at every z of a 1-D array: the same terms, the
-    same stop at the first rising term or at a term below 1e-18 |sum|."""
-    coeffs = _sector_coefficients(p.alpha, p.beta)
-    ks = np.array([k for k, rg in enumerate(coeffs, 1) if rg is not None], int)
-    rgs = np.array([rg for rg in coeffs if rg is not None], complex)
-    # The wave terms stay scalar: their phase |z|^(1/alpha) sin(arg z /
-    # alpha) reaches 500 rad at |z| = 150, where an ulp of numpy's complex
-    # exp against cmath's moves them by 1e-13.
-    wave = np.array([_exponential_waves(p, v) for v in z.tolist()], complex)
-    if not ks.size:
-        # Every algebraic term sits on a gamma pole: the waves are the value.
-        return wave, _EPS * np.abs(wave)
-    # z^-k by repeated multiplication, as the scalar loop forms it.
-    winv = np.broadcast_to((1.0 / z)[:, np.newaxis], (z.size, _SECTOR_TERMS))
-    wpow = np.cumprod(winv, axis=1)[:, ks - 1]
-    mags = np.abs(wpow) * np.abs(rgs)
-    sums = np.cumsum(-wpow * rgs, axis=1)
-    rising = np.zeros(mags.shape, bool)
-    rising[:, 1:] = mags[:, 1:] > mags[:, :-1]
-    tiny = mags < 1e-18 * np.maximum(np.abs(sums), 1e-300)
-    last = ks.size
-    k_rise = np.where(rising.any(axis=1), rising.argmax(axis=1), last)
-    k_tiny = np.where(tiny.any(axis=1), tiny.argmax(axis=1), last)
-    used = np.minimum(k_rise, k_tiny + 1)  # terms added; >= 1
-    rows = np.arange(z.size)
-    omitted = np.where(
-        k_rise < np.minimum(k_tiny + 1, last),
-        mags[rows, np.minimum(k_rise, last - 1)],
-        mags[rows, used - 1],
-    )
-    majorant = np.cumsum(mags, axis=1)[rows, used - 1]
-    return (
-        sums[rows, used - 1] + wave,
-        omitted + _EPS * (majorant + np.abs(wave)),
-    )
-
-
-def _ml_laplace_array(p: MLParams, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """_ml_laplace at every z != 0 (arg z = theta) of a 1-D array, with one
-    broadcast trapezoid sum per distinct parabola."""
-    a = p.alpha
-    # Without poles in the principal sheet (the k range of
-    # _laplace_parabola is empty) the parabola depends on (alpha, beta)
-    # only, so those points share one route.
-    free = np.ceil(-a / 2 - theta / (2 * math.pi)) > np.floor(
-        a / 2 - theta / (2 * math.pi)
-    )
-    routes: dict[tuple, list[int]] = {}
-    residues: dict[int, tuple[Complex, ...]] = {}
-    free_idx = np.flatnonzero(free)
-    if free_idx.size:
-        routes[_laplace_route(p, complex(z[free_idx[0]]))[:4]] = list(free_idx)
-    for i in np.flatnonzero(~free):
-        route = _laplace_route(p, complex(z[i]))
-        routes.setdefault(route[:4], []).append(i)
-        residues[i] = route[4]
-    value = np.empty(z.shape, complex)
-    for (steps, mu, h, n), members in routes.items():
-        idx = np.array(members)
-        b = p.beta - steps * a
-        zi = z[idx]
-        step = max(1, _BROADCAST_ENTRIES // (2 * n + 1))
-        val = np.concatenate([
-            _laplace_sum(a, b, mu, h, n, zi[i:i + step])
-            for i in range(0, zi.size, step)
-        ])
-        for pos, i in enumerate(members):
-            val[pos] = _add_residues(val[pos], a, b, residues.get(i, ()))
-        for _ in range(steps):
-            val = (val - reciprocal_gamma(b)) / zi
-            b += a
-        value[idx] = val
-    if not np.all(np.isfinite(value)):
-        raise AccuracyError(f"E_{{{p.alpha},{p.beta}}} leaves double range")
-    return value
-
-
-def _ml_eval_array(p: MLParams, z: np.ndarray) -> np.ndarray:
-    flat = np.asarray(z, dtype=complex).ravel()
-    out = np.empty(flat.shape, complex)
-    for i in range(0, flat.size, _ARRAY_BLOCK):
-        out[i:i + _ARRAY_BLOCK] = _ml_eval_block(p, flat[i:i + _ARRAY_BLOCK])
-    return out.reshape(np.shape(z))
-
-
-def _ml_eval_block(p: MLParams, flat: np.ndarray) -> np.ndarray:
-    out = np.empty(flat.shape, complex)
-    absz, phi = _polar(flat)
-    zero = flat == 0
-    out[zero] = reciprocal_gamma(p.beta)
-    pending = ~zero
-
-    def settle(idx: np.ndarray, values: np.ndarray, ok: np.ndarray) -> None:
-        out[idx[ok]] = values[ok]
-        pending[idx[ok]] = False
-
-    idx = np.flatnonzero(pending & (absz <= SERIES_RADIUS))
-    if idx.size:
-        value, ratio = _series_double_array(p, flat[idx], 1e-14)
-        settle(idx, value, _series_accepts(ratio, 1e-14))
-    idx = np.flatnonzero(
-        (absz >= SECTOR_SUM_RADIUS) & (np.abs(phi) > math.pi * p.alpha / 2.0)
-    )
-    if idx.size:
-        value, err = _sector_sum_array(p, flat[idx])
-        settle(idx, value, _sector_accepts(value, err))
-    idx = np.flatnonzero(pending)
-    if idx.size:
-        out[idx] = _ml_laplace_array(p, flat[idx], phi[idx])
-    out.imag[flat.imag == 0.0] = 0.0
-    return out

@@ -19,12 +19,14 @@ term is summed over half-period chunks with iterated Aitken acceleration,
 plus an absolutely convergent remainder integral.
 
 The split evaluates its integrand on whole node arrays, with ml_eval, jbar
-and the cutoffs taking arrays: M is a set of tanh-sinh panels integrated in
-one batched call; the tail's two transition chunks [1, 1.5] and [1.5, 2],
-and the chunks where E's exponential term turns too fast for fixed nodes,
-are another such call; the other chunks from r = 2 on are 16-node
-Gauss-Legendre rules evaluated a block of chunks at a time.  QUADPACK
-(integrate_finite) serves the integration-by-parts check.
+and the cutoffs taking arrays; ml_eval applies its scalar rule to each
+node, and most of the split's time goes there.  M is a set of tanh-sinh
+panels integrated in one batched call; the tail's two transition chunks
+[1, 1.5] and [1.5, 2], and the chunks where E's exponential term turns
+too fast for fixed nodes, are another such call; the other chunks from
+r = 2 on are 16-node Gauss-Legendre rules evaluated a block of chunks at
+a time.  QUADPACK (integrate_finite) serves the integration-by-parts
+check.
 
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Structurally Q_0(u) is the contour integral

@@ -201,6 +201,8 @@ class TestTransform:
         assert code == 0
         header, *rows = out.splitlines()
         assert len(rows) == 25
+        # At phi = pi the transform is real: every im field is exactly 0.
+        assert {row.split(",")[2] for row in rows} == {"0.0"}
         for row in rows:
             xi = row.split(",")[0]
             code, single, _ = run_cli(

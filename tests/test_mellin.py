@@ -405,6 +405,16 @@ class TestArrays:
         with pytest.raises(DomainError):
             ml_transform(self.TP, np.array([0.5, bad, 2.0]))
 
+    @pytest.mark.parametrize("n,sigma", REFERENCE_PROBLEMS)
+    def test_real_at_phi_pi(self, n, sigma):
+        # At phi = pi every residue and the half line are real; e^{ik pi}
+        # in floating point leaves an imaginary part of 1e-16 relative at
+        # a dozen points of each grid unless the phases are exact.
+        tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
+        values = ml_transform(tp, np.geomspace(1e-4, 1e3, 25))
+        assert np.all(values.imag == 0.0)
+        assert not np.any(np.signbit(values.imag))
+
     def test_reruns_are_byte_identical(self):
         xs = np.geomspace(1e-4, 1e3, 25)
         assert ml_transform(self.TP, xs).tobytes() == ml_transform(self.TP, xs).tobytes()
