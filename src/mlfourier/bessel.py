@@ -37,8 +37,6 @@ from .errors import AccuracyError, DomainError, FitError, DegenerateFitError
 from .special_core import (
     Complex,
     CompensatedSum,
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     _EPS,
     complex_gamma,
     integrate_finite,
@@ -154,9 +152,7 @@ def _log_gamma_shift(lam: Complex, m: int) -> Complex:
     return complex(loggamma(m + lam + 1.0))
 
 
-def bessel_j_poisson(
-    lam, r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> Complex:
+def bessel_j_poisson(lam, r: float) -> Complex:
     """J_lambda(r) through the endpoint-smoothed oscillatory integral
     representation: substituting s = sin t in
     (2^-lambda/(Gamma(1/2)Gamma(lambda+1/2))) r^lambda
@@ -183,7 +179,7 @@ def bessel_j_poisson(
                 return 0.0 + 0.0j
             return cmath.exp(1j * r * math.sin(t) + two_lam * math.log(c))
 
-    res = integrate_finite(f, -math.pi / 2.0, math.pi / 2.0, cfg)
+    res = integrate_finite(f, -math.pi / 2.0, math.pi / 2.0)
     pre = (
         principal_pow(2.0, -lam)
         * principal_pow(r, lam)

@@ -30,7 +30,6 @@ from .errors import (
     LawMismatchError,
     MLFourierError,
 )
-from .special_core import QuadratureConfig
 from .mittag_leffler import MLParams, ml_eval
 from .bessel import bessel_j_reference, jbar
 from .radial_fourier import TransformProblem, ibp_identity_check, ml_transform
@@ -132,12 +131,7 @@ def _emit_records(
 
 
 def _cmd_eval_ml(args: argparse.Namespace) -> int:
-    try:
-        p = MLParams(args.alpha, args.beta)
-    except DomainError as exc:
-        # surface the invariant by name: 0 < alpha < 2
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    p = MLParams(args.alpha, args.beta)
     zs = [_parse_complex(z) for z in (args.z or ["1+0i"])]
     records = []
     for z in zs:
@@ -187,6 +181,18 @@ def _problem_from_args(args: argparse.Namespace) -> TransformProblem:
     )
 
 
+def _problem_params(tp: TransformProblem, **extra) -> dict:
+    """The JSON params of a problem subcommand: the problem, then extra."""
+    return {
+        "alpha": tp.alpha,
+        "beta": tp.beta,
+        "phi": tp.phi,
+        "sigma": tp.sigma,
+        "dim": tp.n,
+        **extra,
+    }
+
+
 def _cmd_transform(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
     grid = _geometric_grid(args)
@@ -194,16 +200,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         _record(xi, value, 2.0 * math.pi / xi ** tp.n * _est_error(value))
         for xi, value in zip(grid.tolist(), ml_transform(tp, grid).tolist())
     ]
-    params = {
-        "alpha": tp.alpha,
-        "beta": tp.beta,
-        "phi": tp.phi,
-        "sigma": tp.sigma,
-        "dim": tp.n,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-        "xi_points": args.xi_points,
-    }
+    params = _problem_params(
+        tp, xi_min=args.xi_min, xi_max=args.xi_max, xi_points=args.xi_points
+    )
     _emit_records(args, params, records)
     return EXIT_OK
 
@@ -251,14 +250,7 @@ def _cmd_verify_asymptotics(args: argparse.Namespace) -> int:
             "constants_matched": rep.constants_matched,
             "notes": rep.notes,
         }
-    params = {
-        "alpha": tp.alpha,
-        "beta": tp.beta,
-        "phi": tp.phi,
-        "sigma": tp.sigma,
-        "dim": tp.n,
-        "regime": args.regime,
-    }
+    params = _problem_params(tp, regime=args.regime)
     _emit(
         args,
         _payload_json(
@@ -283,15 +275,8 @@ def _region_dict(region) -> dict | None:
 def _cmd_lp_region(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
     full, hy = lp_region(tp)
-    params = {
-        "alpha": tp.alpha,
-        "beta": tp.beta,
-        "phi": tp.phi,
-        "sigma": tp.sigma,
-        "dim": tp.n,
-    }
     payload = {
-        "params": params,
+        "params": _problem_params(tp),
         "theorem3": _region_dict(full),
         "hausdorff_young": _region_dict(hy),
     }
@@ -301,12 +286,11 @@ def _cmd_lp_region(args: argparse.Namespace) -> int:
 
 def _cmd_ibp_check(args: argparse.Namespace) -> int:
     tp = _problem_from_args(args)
-    cfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     xis = args.xi or [1.0]
     checks = []
     worst = 0.0
     for xi in xis:
-        rel = ibp_identity_check(tp, xi, args.ell, args.ibp_order, cfg)
+        rel = ibp_identity_check(tp, xi, args.ell, args.ibp_order)
         worst = max(worst, rel)
         checks.append(
             {
@@ -316,14 +300,7 @@ def _cmd_ibp_check(args: argparse.Namespace) -> int:
                 "relative_difference": rel,
             }
         )
-    params = {
-        "alpha": tp.alpha,
-        "beta": tp.beta,
-        "phi": tp.phi,
-        "sigma": tp.sigma,
-        "dim": tp.n,
-        "threshold": args.threshold,
-    }
+    params = _problem_params(tp, threshold=args.threshold)
     _emit(
         args,
         _payload_json(
@@ -421,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ell", type=int, default=0)
     s.add_argument("--ibp-order", type=int, default=1)
     s.add_argument("--threshold", type=float, default=1e-5)
-    # The only subcommand that runs QUADPACK: its tolerances.
-    s.add_argument("--abs-tol", type=float, default=1e-12)
-    s.add_argument("--rel-tol", type=float, default=1e-10)
     _add_common(s, problem=True)
     s.set_defaults(handler=_cmd_ibp_check, default_format="json")
 

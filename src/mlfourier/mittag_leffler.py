@@ -39,9 +39,7 @@ from .errors import AccuracyError, ConvergenceError, DomainError
 from .special_core import (
     Complex,
     CompensatedSum,
-    DEFAULT_QUADRATURE,
     IntegralResult,
-    QuadratureConfig,
     _EPS,
     integrate_finite,
     integrate_semi_infinite,
@@ -117,7 +115,6 @@ def _contour_integral(
     p: MLParams,
     c: ContourSpec,
     factor: Callable[[Complex], Complex],
-    cfg: QuadratureConfig,
 ) -> IntegralResult:
     """Integral of exp(z^(1/a)) z^((1-b)/a) factor(z) dz over C(eps, omega),
     as two rays and an arc.
@@ -163,9 +160,9 @@ def _contour_integral(
     # erode the pure exponential envelope exp(rho cos(omega/alpha)) only
     # logarithmically.
     rate = -0.9 * math.cos(om / a)
-    up = integrate_semi_infinite(ray_plus, rho0, rate, cfg)
-    dn = integrate_semi_infinite(ray_minus, rho0, rate, cfg)
-    arc_res = integrate_finite(arc, -om, om, cfg)
+    up = integrate_semi_infinite(ray_plus, rho0, rate)
+    dn = integrate_semi_infinite(ray_minus, rho0, rate)
+    arc_res = integrate_finite(arc, -om, om)
     return IntegralResult(
         up.value + dn.value + arc_res.value, up.error + dn.error + arc_res.error
     )
@@ -267,12 +264,7 @@ def _series_double(p: MLParams, z: Complex, tol: float) -> tuple[Complex, float]
     return acc.value, majorant / max(abs(acc.value), 1e-300)
 
 
-def ml_contour(
-    p: MLParams,
-    z: Complex,
-    c: ContourSpec,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
+def ml_contour(p: MLParams, z: Complex, c: ContourSpec) -> Complex:
     """E_{alpha,beta}(z) as (2 pi i alpha)^{-1} times the contour integral of
     exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z).
 
@@ -286,46 +278,25 @@ def ml_contour(
             f"contour representation requires |z| < {c.epsilon} or "
             f"|arg z| > {c.omega:.6f}; got z = {z}"
         )
-    res = _contour_integral(p, c, lambda w: 1.0 / (w - z), cfg)
+    res = _contour_integral(p, c, lambda w: 1.0 / (w - z))
     return res.value / (2j * math.pi * p.alpha)
 
 
 def ml_on_ray(
-    p: MLParams,
-    phi: float,
-    r: float,
-    c: ContourSpec | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    p: MLParams, phi: float, r: float, c: ContourSpec | None = None
 ) -> Complex:
-    """E_{alpha,beta}(r e^{i phi}) for any r >= 0 through the explicit
-    ray/arc split of the unit-arc contour with opening
-    pi alpha/2 < omega < min(|phi|, pi alpha).  The integrand cancels more
+    """E_{alpha,beta}(r e^{i phi}) for r >= 0: ml_contour on c, by default
+    the unit-arc contour default_contour(p, phi), whose opening lies
+    between pi alpha/2 and min(|phi|, pi alpha).  The integrand cancels more
     as r grows; ml_eval's sector sum is the large-argument evaluator.
     """
     if r < 0.0:
         raise DomainError("r >= 0 required")
-    if abs(phi) <= math.pi * p.alpha / 2.0:
-        raise DomainError(
-            f"|phi| > pi*alpha/2 = {math.pi * p.alpha / 2.0:.6f} required, "
-            f"got |phi| = {abs(phi):.6f}"
-        )
-    if c is None:
-        c = default_contour(p, phi)
-    validate_contour(p, c)
-    if not abs(phi) > c.omega:
-        raise DomainError(
-            f"|phi| = {abs(phi):.6f} must exceed omega = {c.omega:.6f}"
-        )
-    w = r * cmath.exp(1j * phi)
-    res = _contour_integral(p, c, lambda zeta: 1.0 / (zeta - w), cfg)
-    return res.value / (2j * math.pi * p.alpha)
+    return ml_contour(p, r * cmath.exp(1j * phi), c or default_contour(p, phi))
 
 
 def hankel_reciprocal_gamma(
-    p: MLParams,
-    c: ContourSpec,
-    shift: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    p: MLParams, c: ContourSpec, shift: float
 ) -> Complex:
     """(2 pi i alpha)^{-1} times the contour integral of
     exp(z^(1/alpha)) z^((1-beta-shift)/alpha) dz.
@@ -339,7 +310,7 @@ def hankel_reciprocal_gamma(
     if not p.beta + shift > 0:
         raise DomainError("beta + shift must be positive")
     shifted = MLParams(p.alpha, p.beta + shift)
-    res = _contour_integral(shifted, c, lambda w: 1.0 + 0.0j, cfg)
+    res = _contour_integral(shifted, c, lambda w: 1.0 + 0.0j)
     return res.value / (2j * math.pi * p.alpha)
 
 

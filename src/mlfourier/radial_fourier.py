@@ -29,10 +29,12 @@ a time.  QUADPACK (integrate_finite) serves the integration-by-parts
 check.
 
 The integration-by-parts machinery transfers derivatives from the e^{ir}
-phase onto contour kernels Q_l.  Structurally Q_0(u) is the contour integral
-of e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
-Q_l(u) = u^l (d/du)^l Q_0(u), which expands into pole kernels of order j+1
-with coefficients C~_{j,l}(sigma) generated symbolically.
+phase onto contour kernels Q_l.  Q_0(u) is the contour integral of
+e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
+Q_l(u) = u^l (d/du)^l Q_0(u) is one contour integral too: the derivative
+expands into pole factors of order j+1 with coefficients C~_{j,l}(sigma)
+from a recurrence, summed inside the integrand.  The check runs QUADPACK
+at integrate_finite's and integrate_semi_infinite's default tolerances.
 """
 
 from __future__ import annotations
@@ -548,77 +550,62 @@ def _qtilde_constants(ell: int, sigma: float) -> tuple:
     return tuple(table[j] for j in range(1, ell + 1))
 
 
-def q_kernel(
-    tp: TransformProblem,
-    ell: int,
-    r: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
-    """Contour kernel of the derivative-transfer identity.
+def q_kernel(tp: TransformProblem, ell: int, r: float) -> Complex:
+    """Contour kernel of the derivative-transfer identity: the contour
+    integral of e^{z^(1/alpha)} z^((1-beta)/alpha) times
 
-    ell = 0: contour integral of e^{z^(1/alpha)} z^((1-beta)/alpha) /
-    (z - e^{i phi} r^sigma); ell >= 1: the linear combination of pole kernels
-    of orders j+1 equal to r^ell times the ell-th derivative of the ell = 0
-    kernel in r."""
+        u^ell d^ell/du^ell (z - e^{i phi} u^sigma)^(-1)
+            = sum_j C~_{j,ell} w^j (z - w)^(-(j+1)),   w = e^{i phi} r^sigma,
+
+    at u = r; ell = 0 is the plain pole kernel 1/(z - w).  The sum is taken
+    inside the integrand, as 1/(z - w) times a polynomial in w/(z - w), so
+    each value is one contour integral and the weights w^j scale no
+    quadrature error.  Q_ell(r) is r^ell times the ell-th derivative of
+    Q_0 in r."""
     if ell < 0:
         raise DomainError("ell >= 0 required")
     if r < 0.0:
         raise DomainError("r >= 0 required")
     p = tp.ml
-    contour = default_contour(p, tp.phi)
     w = cmath.exp(1j * tp.phi) * r ** tp.sigma
+    consts = _qtilde_constants(ell, tp.sigma) if ell else ()
 
-    if ell == 0:
-        return _contour_integral(p, contour, lambda z: 1.0 / (z - w), cfg).value
-    if r == 0.0:
-        return 0.0 + 0.0j
-    consts = _qtilde_constants(ell, tp.sigma)
-    phase = cmath.exp(1j * tp.phi)
-    total = CompensatedSum()
-    for j, c in enumerate(consts, start=1):
-        if c == 0.0:
-            continue
-        integral = _contour_integral(
-            p, contour, lambda z, m=j + 1: (z - w) ** -m, cfg
-        ).value
-        total.add(c * phase ** j * r ** (j * tp.sigma) * integral)
-    return total.value
+    def factor(z: Complex) -> Complex:
+        if not consts:
+            return 1.0 / (z - w)
+        t = w / (z - w)
+        acc = 0.0
+        for c in reversed(consts):
+            acc = (acc + c) * t
+        return acc / (z - w)
+
+    return _contour_integral(p, default_contour(p, tp.phi), factor).value
 
 
 class _KernelInterpolant:
-    """Chebyshev fit of a smooth kernel on a log axis, so the oscillatory
-    quadratures do not re-run contour integrals at every node."""
+    """Chebyshev fit of a smooth kernel in log u, so the oscillatory
+    quadratures do not re-run contour integrals at every node.  The degree
+    doubles from 32 until the fit is within 1e-9 of the kernel's largest
+    node value halfway between nodes; AccuracyError past degree 512."""
 
     def __init__(
-        self,
-        func: Callable[[float], Complex],
-        u_lo: float,
-        u_hi: float,
-        tol: float = 1e-9,
+        self, func: Callable[[float], Complex], u_lo: float, u_hi: float
     ) -> None:
         if not 0.0 < u_lo < u_hi:
             raise DomainError("need 0 < u_lo < u_hi")
-        self.t_lo = math.log(u_lo)
-        self.t_hi = math.log(u_hi)
+        lo, hi = math.log(u_lo), math.log(u_hi)
         degree = 32
         while True:
             k = np.arange(degree + 1)
-            t = 0.5 * (self.t_lo + self.t_hi) + 0.5 * (
-                self.t_hi - self.t_lo
-            ) * np.cos(math.pi * k / degree)
-            vals = np.array([func(math.exp(ti)) for ti in t])
-            coeffs = np.polynomial.chebyshev.chebfit(
-                (2.0 * t - (self.t_lo + self.t_hi)) / (self.t_hi - self.t_lo),
-                vals,
-                degree,
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
+                math.pi * k / degree
             )
-            # Check halfway between fit nodes.
-            mid = 0.5 * (t[:-1] + t[1:])
-            probe = np.array([func(math.exp(ti)) for ti in mid[::4]])
-            approx = self._eval_t(coeffs, mid[::4])
+            vals = np.array([func(math.exp(ti)) for ti in t])
+            self.fit = np.polynomial.Chebyshev.fit(t, vals, degree, [lo, hi])
+            mid = 0.5 * (t[:-1] + t[1:])[::4]
+            probe = np.array([func(math.exp(ti)) for ti in mid])
             scale = max(np.max(np.abs(vals)), 1e-300)
-            if np.max(np.abs(probe - approx)) <= tol * scale:
-                self.coeffs = coeffs
+            if np.max(np.abs(probe - self.fit(mid))) <= 1e-9 * scale:
                 return
             if degree >= 512:
                 raise AccuracyError(
@@ -626,30 +613,21 @@ class _KernelInterpolant:
                 )
             degree *= 2
 
-    def _eval_t(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        x = (2.0 * t - (self.t_lo + self.t_hi)) / (self.t_hi - self.t_lo)
-        return np.polynomial.chebyshev.chebval(x, coeffs)
-
     def __call__(self, u: float) -> Complex:
-        t = math.log(u)
-        x = (2.0 * t - (self.t_lo + self.t_hi)) / (self.t_hi - self.t_lo)
-        return complex(np.polynomial.chebyshev.chebval(x, self.coeffs))
+        return complex(self.fit(math.log(u)))
 
 
 _IBP_MAX_CHUNKS = 150
 
 
 def _oscillatory_power_sum(
-    kernel: Callable[[float], Complex],
-    power: float,
-    weight: Callable[[float], float],
-    cfg: QuadratureConfig,
+    kernel: Callable[[float], Complex], power: float
 ) -> Complex:
-    """Accelerated value of integral_1^inf e^{ir} r^power weight(r)
+    """Accelerated value of integral_1^inf e^{ir} r^power psi_cut(r)
     kernel(r) dr, split at consecutive multiples of pi."""
 
     def f(r: float) -> Complex:
-        w = weight(r)
+        w = cutoff_psi(r)
         if w == 0.0:
             return 0.0 + 0.0j
         return cmath.exp(1j * r) * r ** power * w * kernel(r)
@@ -657,17 +635,15 @@ def _oscillatory_power_sum(
     boundaries = [1.0] + [math.pi * k for k in range(1, _IBP_MAX_CHUNKS + 2)]
 
     def chunk(k: int) -> Complex:
-        return integrate_finite(f, boundaries[k], boundaries[k + 1], cfg).value
+        return integrate_finite(f, boundaries[k], boundaries[k + 1]).value
 
-    return _accelerated_chunks(chunk, cfg, max_chunks=_IBP_MAX_CHUNKS)
+    return _accelerated_chunks(
+        chunk, DEFAULT_QUADRATURE, max_chunks=_IBP_MAX_CHUNKS
+    )
 
 
 def ibp_identity_check(
-    tp: TransformProblem,
-    xi_mag: float,
-    ell: int,
-    N: int,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tp: TransformProblem, xi_mag: float, ell: int, N: int
 ) -> float:
     """Relative difference between the oscillatory integral
 
@@ -692,16 +668,12 @@ def ibp_identity_check(
     u_lo = 0.5 / xi_mag
     u_hi = 1.05 * r_max / xi_mag
     tables = [
-        _KernelInterpolant(
-            lambda u, L=ell3: q_kernel(tp, L, u, cfg), u_lo, u_hi
-        )
+        _KernelInterpolant(lambda u, L=ell3: q_kernel(tp, L, u), u_lo, u_hi)
         for ell3 in range(N + 1)
     ]
 
     base_power = 0.5 * (tp.n - 1) - ell
-    lhs = _oscillatory_power_sum(
-        lambda r: tables[0](r / xi_mag), base_power, cutoff_psi, cfg
-    )
+    lhs = _oscillatory_power_sum(lambda r: tables[0](r / xi_mag), base_power)
 
     rhs = CompensatedSum()
     for l1 in range(N + 1):
@@ -721,7 +693,7 @@ def ibp_identity_check(
             power = base_power - N + l2
             kern = lambda r, t=tables[l3]: t(r / xi_mag)
             if l2 == 0:
-                val = _oscillatory_power_sum(kern, power, cutoff_psi, cfg)
+                val = _oscillatory_power_sum(kern, power)
             else:
                 # psi^(l2) is supported in [1, 2]: a single smooth panel.
                 def f(r: float, m=l2, pw=power, kn=kern) -> Complex:
@@ -732,7 +704,7 @@ def ibp_identity_check(
                         * kn(r)
                     )
 
-                val = integrate_finite(f, 1.0, 2.0, cfg).value
+                val = integrate_finite(f, 1.0, 2.0).value
             rhs.add(c * val)
     rhs_val = (1j) ** N * rhs.value
     return abs(lhs - rhs_val) / abs(lhs)

@@ -337,18 +337,21 @@ class TestLpRegionCommand:
         ["eval-ml", "--alpha", "1", "--abs-tol", "1e-9"],
         ["eval-ml", "--alpha", "1", "--rel-tol", "1e-9"],
         ["transform", "--strategy", "split"],
+        ["ibp-check", "--abs-tol", "1e-9"],
+        ["ibp-check", "--rel-tol", "1e-9"],
     ],
     ids=[
         "lp-region", "eval-bessel", "verify-asymptotics", "transform",
         "transform-rel-tol", "eval-ml", "eval-ml-rel-tol", "transform-strategy",
+        "ibp-check", "ibp-check-rel-tol",
     ],
 )
 def test_tolerance_flags_only_where_quadrature_runs(argv, capsys):
-    # Only ibp-check builds a QuadratureConfig.  lp-region and eval-bessel
-    # compute nothing that takes one, and ml_eval and ml_transform work to
-    # fixed targets, so the other subcommands take no tolerances, and
-    # transform has no --strategy: argparse rejects the flag with its usage
-    # exit code
+    # No subcommand takes tolerances.  lp-region and eval-bessel compute
+    # nothing that takes one, ml_eval and ml_transform work to fixed
+    # targets, and ibp-check's contour kernels and quadratures run at the
+    # engines' defaults; transform has no --strategy either.  argparse
+    # rejects each flag with its usage exit code
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

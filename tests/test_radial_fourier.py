@@ -552,6 +552,18 @@ class TestQKernel:
         assert rels[1] < rels[0]
         assert rels[2] < rels[1]
         assert rels[2] < 1e-3
+        # u^ell (d/du)^ell u^-sigma = (-sigma)(-sigma-1)...(-sigma-ell+1)
+        # u^-sigma, so r^sigma |Q_ell| approaches that target times
+        # prod_{j<ell} (sigma + j).  Each Q_ell is one contour integral:
+        # summing ell pole integrals, each to an absolute 1e-12, and then
+        # weighting them by r^(j sigma) left 1.6e-6 at r = 1e4.
+        tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
+        base = 2 * math.pi * tp.alpha / abs(complex_gamma(tp.beta - tp.alpha))
+        r = 1e4
+        for ell in (1, 2, 3):
+            target = base * math.prod(tp.sigma + j for j in range(ell))
+            got = r ** tp.sigma * abs(q_kernel(tp, ell, r))
+            assert abs(got - target) < 1e-7 * target, ell
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -566,6 +578,19 @@ class TestIbpIdentity:
     def test_identity_holds(self, ell, order, xi):
         rel = ibp_identity_check(BASE_TP, xi, ell, order)
         assert rel < 1e-5
+
+    @pytest.mark.parametrize(
+        "n,sigma,k",
+        [(2, 1.5, 0), (2, 1.5, 1), (3, 2.2, 0), (3, 2.2, 1), (3, 2.2, 2),
+         (3, 2.2, 4), (3, 2.2, 5)],
+    )
+    def test_identity_on_the_reference_problems(self, n, sigma, k):
+        # The points xi = geomspace(1e-2, 1e2, 7)[k] where the kernels'
+        # Chebyshev fit missed 1e-9 by degree 512 while Q_ell was a sum of
+        # separately integrated pole kernels.
+        tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
+        xi = float(np.geomspace(1e-2, 1e2, 7)[k])
+        assert ibp_identity_check(tp, xi, 0, min_ibp_order(n)) < 1e-5
 
     def test_boundary_envelope_decreasing(self):
         # psi(r) r^{(n-1)/2 - ell - sigma j} -> 0 for j >= 1
