@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, LawMismatchError
-from .special_core import Complex
+from .special_core import Complex, gauss_legendre_rule
 from .mellin import residue_coefficient
 from .radial_fourier import TransformProblem, ml_transform
 
@@ -349,7 +349,7 @@ def _shell_nodes(
     one row per shell, and |F| at those nodes from one ml_transform call."""
     k = np.arange(_SHELL_COUNT)
     a, b = (2.0 ** -(k + 1.0), 2.0 ** -k) if inward else (2.0 ** k, 2.0 ** (k + 1.0))
-    nodes, _ = np.polynomial.legendre.leggauss(_SHELL_NODES)
+    nodes, _ = gauss_legendre_rule(_SHELL_NODES)
     half = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + half[:, None] * nodes
     mags = np.abs(ml_transform(tp, xs))
@@ -361,7 +361,7 @@ def _shell_nodes(
 def _shell_integrals(tp: TransformProblem, p: float, inward: bool) -> np.ndarray:
     """Integrals of |F|^p |xi|^(n-1) over the shells of _shell_nodes."""
     half, xs, mags = _shell_nodes(tp, inward)
-    _, weights = np.polynomial.legendre.leggauss(_SHELL_NODES)
+    _, weights = gauss_legendre_rule(_SHELL_NODES)
     return half * ((mags ** p * xs ** (tp.n - 1)) @ weights)
 
 

@@ -168,10 +168,15 @@ def _contour_integral(
     )
 
 
-def _series_mpmath(p: MLParams, z: Complex, tol: float, dps: int) -> Complex:
+# Relative accuracy of the Taylor sums: ml_series' target and the
+# acceptance of ml_eval's double series.
+_SERIES_TOL = 1e-14
+
+
+def _series_mpmath(p: MLParams, z: Complex, dps: int) -> Complex:
     # Self-verifying precision: after summing, the residual floor of the
-    # working precision (10^(3-dps) * sum of |term|) must sit below the
-    # requested tolerance of the result, else the run is repeated with more
+    # working precision (10^(3-dps) * sum of |term|) must sit below
+    # _SERIES_TOL of the result, else the run is repeated with more
     # digits.  The initial dps guess can be badly low when the double-pass
     # value it was derived from was itself cancellation noise.
     for _attempt in range(8):
@@ -191,14 +196,14 @@ def _series_mpmath(p: MLParams, z: Complex, tol: float, dps: int) -> Complex:
                 acc += term
                 majorant += abs(term)
                 power *= zz
-                if abs(term) < tol * abs(acc):
+                if abs(term) < _SERIES_TOL * abs(acc):
                     quiet += 1
                     if quiet >= 3:
                         break
                 else:
                     quiet = 0
             floor = mp.mpf(10) ** (3 - dps) * majorant
-            if floor <= tol * abs(acc):
+            if floor <= _SERIES_TOL * abs(acc):
                 return complex(acc)
             needed = int(mp.log10(majorant / abs(acc))) + 26
         dps = min(max(needed, 2 * dps), 1200)
@@ -207,13 +212,13 @@ def _series_mpmath(p: MLParams, z: Complex, tol: float, dps: int) -> Complex:
     )
 
 
-def ml_series(p: MLParams, z: Complex, tol: float = 1e-14) -> Complex:
+def ml_series(p: MLParams, z: Complex) -> Complex:
     """Taylor series sum_{k>=0} z^k / Gamma(alpha k + beta).
 
-    Truncates when the term magnitude stays below tol * |partial sum| for 3
+    Truncates when the term magnitude stays below 1e-14 |partial sum| for 3
     consecutive terms.  Accuracy domain |z| <= 10.  When cancellation in
-    doubles would eat into the requested tolerance the sum is redone in
-    higher precision.
+    doubles would eat into that target the sum is redone in higher
+    precision.
     """
     z = complex(z)
     if abs(z) > 10.0:
@@ -222,20 +227,21 @@ def ml_series(p: MLParams, z: Complex, tol: float = 1e-14) -> Complex:
         )
     if z == 0:
         return reciprocal_gamma(p.beta)
-    value, ratio = _series_double(p, z, tol)
-    if _series_accepts(ratio, tol):
+    value, ratio = _series_double(p, z)
+    if _series_accepts(ratio):
         return value
     dps = min(max(18 + int(math.log10(max(ratio, 1.0))) + 8, 26), 400)
-    return _series_mpmath(p, z, tol, dps)
+    return _series_mpmath(p, z, dps)
 
 
-def _series_accepts(ratio: float, tol: float) -> bool:
+def _series_accepts(ratio: float) -> bool:
     """Whether a double Taylor sum with cancellation ratio `ratio` carries
-    relative accuracy tol: rounding of its large terms costs ~eps * ratio."""
-    return _EPS * ratio <= 0.1 * tol
+    relative accuracy _SERIES_TOL: rounding of its large terms costs
+    ~eps * ratio."""
+    return _EPS * ratio <= 0.1 * _SERIES_TOL
 
 
-def _series_double(p: MLParams, z: Complex, tol: float) -> tuple[Complex, float]:
+def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """Double-precision Taylor sum at z != 0 and its cancellation ratio
     (sum of term magnitudes over |sum|).
 
@@ -253,7 +259,7 @@ def _series_double(p: MLParams, z: Complex, tol: float) -> tuple[Complex, float]
         acc.add(term)
         majorant += abs(term)
         s = acc.value
-        if abs(term) < tol * max(abs(s), 1e-300):
+        if abs(term) < _SERIES_TOL * max(abs(s), 1e-300):
             quiet += 1
             if quiet >= 3:
                 break
@@ -282,17 +288,15 @@ def ml_contour(p: MLParams, z: Complex, c: ContourSpec) -> Complex:
     return res.value / (2j * math.pi * p.alpha)
 
 
-def ml_on_ray(
-    p: MLParams, phi: float, r: float, c: ContourSpec | None = None
-) -> Complex:
-    """E_{alpha,beta}(r e^{i phi}) for r >= 0: ml_contour on c, by default
-    the unit-arc contour default_contour(p, phi), whose opening lies
-    between pi alpha/2 and min(|phi|, pi alpha).  The integrand cancels more
+def ml_on_ray(p: MLParams, phi: float, r: float) -> Complex:
+    """E_{alpha,beta}(r e^{i phi}) for r >= 0: ml_contour on the unit-arc
+    contour default_contour(p, phi), whose opening lies between
+    pi alpha/2 and min(|phi|, pi alpha).  The integrand cancels more
     as r grows; ml_eval's sector sum is the large-argument evaluator.
     """
     if r < 0.0:
         raise DomainError("r >= 0 required")
-    return ml_contour(p, r * cmath.exp(1j * phi), c or default_contour(p, phi))
+    return ml_contour(p, r * cmath.exp(1j * phi), default_contour(p, phi))
 
 
 def hankel_reciprocal_gamma(
@@ -633,10 +637,10 @@ def _ml_rule(p: MLParams, z: Complex) -> Complex:
     absz = abs(z)
     if absz <= SERIES_RADIUS:
         try:
-            value, ratio = _series_double(p, z, 1e-14)
+            value, ratio = _series_double(p, z)
         except OverflowError:  # a Taylor term leaves double range
             ratio = math.inf
-        if _series_accepts(ratio, 1e-14):
+        if _series_accepts(ratio):
             return value
     elif absz >= SECTOR_SUM_RADIUS and abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
         value, err = _sector_sum_adaptive(p, z)

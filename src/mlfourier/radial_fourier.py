@@ -26,7 +26,9 @@ panels integrated in one batched call; the tail's two transition chunks
 too fast for fixed nodes, are another such call; the other chunks from
 r = 2 on are 16-node Gauss-Legendre rules evaluated a block of chunks at
 a time.  QUADPACK (integrate_finite) serves the integration-by-parts
-check.
+check.  Nothing here takes tolerances: the panels work to a thousandth of
+the engines' fixed target, scaled to the expected size of M and N, and
+the tail's sums stop at the accelerator's own target.
 
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Q_0(u) is the contour integral of
@@ -34,7 +36,7 @@ e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
 Q_l(u) = u^l (d/du)^l Q_0(u) is one contour integral too: the derivative
 expands into pole factors of order j+1 with coefficients C~_{j,l}(sigma)
 from a recurrence, summed inside the integrand.  The check runs QUADPACK
-at integrate_finite's and integrate_semi_infinite's default tolerances.
+at integrate_finite's and integrate_semi_infinite's fixed target.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from .special_core import (
     _EPS,
     Complex,
     CompensatedSum,
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     accelerated_limit,
     gauss_legendre_rule,
     integrate_finite,
@@ -202,36 +202,27 @@ def _profile(tp: TransformProblem, xi_mag: float) -> Callable:
     return g
 
 
-# At 1 the n = 3, sigma = 2.2 transform at |xi| ~ 100 lost 1.4 digits
-# against an independent Mellin-Barnes value; at 1e-6 rel_tol becomes 1e-16,
-# which tanh-sinh cannot reach.
-_PANEL_TOL_FACTOR = 1e-3
-# A few ulp of the expected size: below it tanh-sinh cannot certify a panel
-# (abs_tol = 1e-15 raised ConvergenceError with an estimate of 1.1e-17 on
-# the transition panel [1.5, 2] at n = 3, sigma = 2.2, xi = 100).  It binds
-# only for abs_tol < 8.9e-13, so the default tolerances are unaffected.
-_PANEL_ATOL_FLOOR = 4.0 * _EPS
+# A thousandth of the engines' 1e-12 absolute and 1e-10 relative target,
+# because the panel errors add up and the 2 pi/|xi|^n scaling magnifies
+# them: at the engines' own target the n = 3, sigma = 2.2 transform at
+# |xi| ~ 100 lost 1.4 digits against an independent Mellin-Barnes value.
+# Much lower is past what tanh-sinh can certify: an absolute 1e-18 failed
+# with an estimate of 1.1e-17 on the panel [1.5, 2] there.
+_PANEL_ABS_TOL = 1e-15
+_PANEL_REL_TOL = 1e-13
 
 
-def _panel_tolerances(
-    tp: TransformProblem, xi_mag: float, cfg: QuadratureConfig
-) -> tuple[float, float]:
+def _panel_tolerances(tp: TransformProblem, xi_mag: float) -> tuple[float, float]:
     """(abs_tol, rel_tol) for the tanh-sinh panels of M and of the tail's
     transition chunks.
 
     Below |xi| = 1 both parts shrink like |xi|^min(sigma, n): the profile
     falls off as (r/|xi|)^-sigma and jbar_n grows like r^(n-1) from the
     origin.  A fixed abs_tol would let any relative error through there,
-    so it is taken relative to that size.  Both tolerances are tightened
-    by _PANEL_TOL_FACTOR because the panel errors add up and the
-    2 pi/|xi|^n scaling magnifies them.  abs_tol is floored at
-    _PANEL_ATOL_FLOOR times the size.
+    so it is taken relative to that size.
     """
     size = min(1.0, xi_mag) ** min(tp.sigma, tp.n)
-    return (
-        max(_PANEL_TOL_FACTOR * cfg.abs_tol, _PANEL_ATOL_FLOOR) * size,
-        _PANEL_TOL_FACTOR * cfg.rel_tol,
-    )
+    return _PANEL_ABS_TOL * size, _PANEL_REL_TOL
 
 
 def _require_xi(xi_mag: float) -> None:
@@ -250,33 +241,12 @@ def _require_tail_scope(tp: TransformProblem) -> None:
 _TAIL_CHUNKS = 400  # chunk budget of the tail's accelerated sums
 
 
-def _accelerated_chunks(
-    chunk_values: Callable[[int], Complex],
-    cfg: QuadratureConfig,
-    max_chunks: int = _TAIL_CHUNKS,
-) -> Complex:
-    """Limit of the cumulative chunk sum by iterated Aitken acceleration
-    of order 6."""
-    value, _err, _used = accelerated_limit(
-        (chunk_values(k) for k in range(max_chunks)),
-        order=6,
-        abs_tol=cfg.abs_tol,
-        rel_tol=cfg.rel_tol,
-        max_terms=max_chunks,
-    )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Compact part
 # ---------------------------------------------------------------------------
 
 
-def compute_M(
-    tp: TransformProblem,
-    xi_mag: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
+def compute_M(tp: TransformProblem, xi_mag: float) -> Complex:
     """Compact part: integral of phi_cut(r) E(e^{i phi}(r/|xi|)^sigma)
     jbar_n(r) over the support [0, 2]."""
     _require_xi(xi_mag)
@@ -300,7 +270,7 @@ def compute_M(
             pts.add(x)
         x *= 10.0
     edges = np.array([0.0, *sorted(pts), 2.0])
-    atol, rtol = _panel_tolerances(tp, xi_mag, cfg)
+    atol, rtol = _panel_tolerances(tp, xi_mag)
     panels = integrate_panels(f, edges[:-1], edges[1:], atol, rtol)
     return complex(panels.sum())
 
@@ -371,11 +341,7 @@ def _wave_chunks(tp: TransformProblem, xi_mag: float) -> list[int]:
     return k[need].tolist()
 
 
-def compute_N(
-    tp: TransformProblem,
-    xi_mag: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
+def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
     """Oscillatory tail: integral of psi_cut(r) E(e^{i phi}(r/|xi|)^sigma)
     jbar_n(r) over [1, infinity), chunked at half-periods of the kernel
     phase and accelerated.
@@ -439,7 +405,7 @@ def compute_N(
     panel_chunks = [0, 1, *_wave_chunks(tp, xi_mag)]
     panel = {k: i for i, k in enumerate(panel_chunks)}
     starts = np.tile(1.0 + 0.5 * np.array(panel_chunks), len(terms))
-    atol, rtol = _panel_tolerances(tp, xi_mag, cfg)
+    atol, rtol = _panel_tolerances(tp, xi_mag)
     head = integrate_panels(
         transition,
         starts,
@@ -474,7 +440,8 @@ def compute_N(
 
     total = CompensatedSum()
     for t, (weight, _sign, _power) in enumerate(terms):
-        lim = _accelerated_chunks(lambda k, t=t: chunk_value(t, k), cfg)
+        chunks = (chunk_value(t, k) for k in range(_TAIL_CHUNKS))
+        lim, _err, _used = accelerated_limit(chunks, max_terms=_TAIL_CHUNKS)
         total.add(weight * lim)
     return total.value
 
@@ -510,17 +477,13 @@ def ml_transform(
     return mellin_transform(tp, xi_mag)
 
 
-def split_transform(
-    tp: TransformProblem,
-    xi_mag: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Complex:
+def split_transform(tp: TransformProblem, xi_mag: float) -> Complex:
     """The same transform by the paper's construction,
-    (2 pi/|xi|^n)(M + N) with compute_M and compute_N, whose tolerances cfg
-    sets.  A reference for ml_transform: neither falls back on the other.
+    (2 pi/|xi|^n)(M + N) with compute_M and compute_N, at a fixed target.
+    A reference for ml_transform: neither falls back on the other.
     DomainError for xi_mag <= 0 and for sigma <= (n-1)/2."""
-    m_part = compute_M(tp, xi_mag, cfg)
-    n_part = compute_N(tp, xi_mag, cfg)
+    m_part = compute_M(tp, xi_mag)
+    n_part = compute_N(tp, xi_mag)
     return 2.0 * math.pi / xi_mag ** tp.n * (m_part + n_part)
 
 
@@ -634,12 +597,12 @@ def _oscillatory_power_sum(
 
     boundaries = [1.0] + [math.pi * k for k in range(1, _IBP_MAX_CHUNKS + 2)]
 
-    def chunk(k: int) -> Complex:
-        return integrate_finite(f, boundaries[k], boundaries[k + 1]).value
-
-    return _accelerated_chunks(
-        chunk, DEFAULT_QUADRATURE, max_chunks=_IBP_MAX_CHUNKS
+    chunks = (
+        integrate_finite(f, boundaries[k], boundaries[k + 1]).value
+        for k in range(_IBP_MAX_CHUNKS)
     )
+    value, _err, _used = accelerated_limit(chunks, max_terms=_IBP_MAX_CHUNKS)
+    return value
 
 
 def ibp_identity_check(

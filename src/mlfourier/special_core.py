@@ -6,13 +6,16 @@ powers, adaptive quadrature over finite and semi-infinite intervals with
 error estimates, batched tanh-sinh quadrature over many panels of a
 vectorised integrand, compensated summation, and a sequence-acceleration
 engine for slowly convergent oscillatory chunk sums.
+
+The adaptive engines and the accelerator work to one fixed target,
+absolute 1e-12 or relative 1e-10, and take no tolerances; the tanh-sinh
+panels take theirs from the caller, which sizes them per point.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -31,22 +34,14 @@ _EPS = 2.220446049250313e-16
 # QUADPACK's subinterval budget per adaptive pass.
 _QUAD_LIMIT = 200
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budgets for the quadrature engines."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol < 1.0):
-            raise DomainError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# The one target of the adaptive engines and of accelerated_limit: an
+# error of at most max(_ABS_TOL, _REL_TOL * |value|).
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+# Aitken passes (Shanks depth) of accelerated_limit, and the number of
+# consecutive estimates within the target that ends it.
+_AITKEN_ORDER = 6
+_STAGNATION = 3
 
 
 class IntegralResult(NamedTuple):
@@ -148,15 +143,14 @@ def _complex_quad(
     f: Callable[[float], Complex],
     a: float,
     b: float,
-    cfg: QuadratureConfig,
     points: Sequence[float] | None = None,
 ) -> IntegralResult:
     # quad integrates the real and imaginary parts separately; a value cache
     # avoids recomputing f where the two adaptive passes share nodes.
     cached = lru_cache(maxsize=None)(f)
     kwargs: dict = {
-        "epsabs": 0.5 * cfg.abs_tol,
-        "epsrel": 0.5 * cfg.rel_tol,
+        "epsabs": 0.5 * _ABS_TOL,
+        "epsrel": 0.5 * _REL_TOL,
         "limit": _QUAD_LIMIT,
         "full_output": 1,
     }
@@ -168,7 +162,7 @@ def _complex_quad(
     out_im = quad(lambda x: cached(x).imag, a, b, **kwargs)
     value = complex(out_re[0], out_im[0])
     err = out_re[1] + out_im[1]
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    tol = max(_ABS_TOL, _REL_TOL * abs(value))
     for out in (out_re, out_im):
         # with full_output, quad appends a message exactly when QUADPACK
         # flags its own result (ier != 0): subdivision budget, roundoff,
@@ -186,7 +180,6 @@ def integrate_finite(
     f: Callable[[float], Complex],
     a: float,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     points: Sequence[float] | None = None,
 ) -> IntegralResult:
     """Adaptive quadrature of a complex-valued integrand on [a, b].
@@ -194,18 +187,17 @@ def integrate_finite(
     Returns the value together with an error estimate; raises
     ConvergenceError when QUADPACK flags its result (subdivision budget
     exhausted, roundoff, extrapolation breakdown) and the error estimate
-    exceeds the tolerance max(abs_tol, rel_tol * |result|).
+    exceeds the tolerance max(_ABS_TOL, _REL_TOL * |result|).
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
-    return _complex_quad(f, a, b, cfg, points=points)
+    return _complex_quad(f, a, b, points=points)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], Complex],
     a: float,
     decay_hint: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> IntegralResult:
     """Adaptive quadrature of f over [a, infinity) for an integrand with
     exponential envelope ~ exp(-decay_hint * t), decay_hint > 0.
@@ -219,16 +211,16 @@ def integrate_semi_infinite(
     t_cut = a + 55.0 / c
     tail = abs(f(t_cut)) / c
     budget = 24
-    while tail > 0.1 * cfg.abs_tol and budget > 0:
+    while tail > 0.1 * _ABS_TOL and budget > 0:
         t_cut += 30.0 / c
         tail = abs(f(t_cut)) / c
         budget -= 1
-    if tail > 0.1 * cfg.abs_tol:
+    if tail > 0.1 * _ABS_TOL:
         raise ConvergenceError(
             "semi-infinite tail does not fall under the exponential "
             f"envelope hint (rate {decay_hint})"
         )
-    res = _complex_quad(f, a, t_cut, cfg)
+    res = _complex_quad(f, a, t_cut)
     return IntegralResult(res.value, res.error + 2.0 * tail)
 
 
@@ -288,25 +280,19 @@ def _aitken(s0: Complex, s1: Complex, s2: Complex) -> Complex:
 
 
 def accelerated_limit(
-    terms: Iterable[Complex],
-    order: int = 6,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    stagnation: int = 3,
-    max_terms: int = 500,
+    terms: Iterable[Complex], max_terms: int = 500
 ) -> tuple[Complex, float, int]:
     """Limit of sum(terms) by iterated Aitken acceleration of partial sums.
 
-    `order` bounds the number of Aitken passes (Shanks depth).  The iteration
-    stops once `stagnation` consecutive accelerated estimates agree within
-    max(abs_tol, rel_tol * |estimate|); there is no upper truncation of the
-    series before acceleration.  Returns (limit, error_estimate, terms_used).
+    At most _AITKEN_ORDER = 6 Aitken passes (Shanks depth).  The iteration
+    stops once _STAGNATION = 3 consecutive accelerated estimates agree within
+    max(_ABS_TOL, _REL_TOL * |estimate|); there is no upper truncation of the
+    series before acceleration.  ConvergenceError after max_terms terms.
+    Returns (limit, error_estimate, terms_used).
     """
-    if not (2 <= order <= 12):
-        raise DomainError(f"acceleration order must be in [2, 12], got {order}")
     # columns[d] is the partial-sum sequence after d Aitken passes.  Each
     # new partial sum extends every column by one entry, built from the
-    # last three of the column before: O(order) work per term.
+    # last three of the column before: O(_AITKEN_ORDER) work per term.
     columns: list[list[Complex]] = [[]]
     acc = CompensatedSum()
     estimates: list[Complex] = []
@@ -316,22 +302,21 @@ def accelerated_limit(
         n_used += 1
         acc.add(term)
         columns[0].append(acc.value)
-        for d in range(1, order + 1):
+        for d in range(1, _AITKEN_ORDER + 1):
             prev = columns[d - 1]
             if len(prev) < 3:
                 break
             if d == len(columns):
                 columns.append([])
             columns[d].append(_aitken(prev[-3], prev[-2], prev[-1]))
-        depth = min(order, (n_used - 1) // 2)
+        depth = min(_AITKEN_ORDER, (n_used - 1) // 2)
         est = columns[depth][-1]
         estimates.append(est)
         if len(estimates) >= 2:
             diff = abs(estimates[-1] - estimates[-2])
-            tol = max(abs_tol, rel_tol * abs(est))
-            if diff <= tol:
+            if diff <= max(_ABS_TOL, _REL_TOL * abs(est)):
                 quiet += 1
-                if quiet >= stagnation and n_used >= 2 * depth + 3:
+                if quiet >= _STAGNATION and n_used >= 2 * depth + 3:
                     err = max(diff, abs(term))
                     return est, err, n_used
             else:

@@ -43,7 +43,6 @@ from mlfourier.mittag_leffler import (
 )
 from mlfourier.errors import DomainError
 from mlfourier.special_core import (
-    DEFAULT_QUADRATURE,
     complex_gamma,
     integrate_finite,
     reciprocal_gamma,
@@ -190,23 +189,21 @@ def test_criterion_4_compact_part_limit_constants():
     # O(xi^min(n-sigma, sigma)): xi^0.3 for n = 1 and xi^0.7 for n = 2, about
     # 0.18 and 0.018 at xi = 1e-3.  At xi = 1e-12 it is below the tolerance.
     t0 = time.monotonic()
-    cfg = DEFAULT_QUADRATURE
     sigma = 0.7
     xi_small = 1e-12
     legs = []
     for alpha, beta, phi, n in ((0.8, 1.0, math.pi, 1), (0.5, 1.2, math.pi, 2)):
         tp = TransformProblem(alpha, beta, phi, sigma, n)
         moment = integrate_finite(
-            lambda r: cutoff_phi(r) * jbar(n, r), 0.0, 2.0, cfg, points=[1.0]
+            lambda r: cutoff_phi(r) * jbar(n, r), 0.0, 2.0, points=[1.0]
         ).value
         plateau = moment / complex_gamma(beta)
-        got_inf = compute_M(tp, 1e6, cfg)
+        got_inf = compute_M(tp, 1e6)
         if n == 1:
             l1 = integrate_finite(
                 lambda r: abs(cutoff_phi(r) * jbar(n, r)),
                 0.0,
                 2.0,
-                cfg,
                 points=[0.25, 0.75, 1.0, 1.25, 1.75],
             ).value.real
             legs.append(("n=1 plateau", abs(moment) / l1, 1e-12))
@@ -221,11 +218,10 @@ def test_criterion_4_compact_part_limit_constants():
                 lambda r: cutoff_phi(r) * jbar(n, r) * r ** -sigma,
                 0.0,
                 2.0,
-                cfg,
                 points=[1.0],
             ).value
         )
-        got_zero = compute_M(tp, xi_small, cfg) / xi_small ** sigma
+        got_zero = compute_M(tp, xi_small) / xi_small ** sigma
         rel_zero = abs(got_zero - scaled_limit) / abs(scaled_limit)
         legs.append((f"n={n} small-xi", rel_zero, 1e-3))
     ok = all(rel < tol for _, rel, tol in legs) and time.monotonic() - t0 < 120.0

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module under src/mlfourier imports is used.
+"""Source hygiene: every name a module under src/mlfourier imports is used,
+and no public callable takes a tolerance.
 
 An AST scan collects the names each module binds by import and the names
 it reads (bare names and the roots of attribute chains, including those in
@@ -6,9 +7,12 @@ string annotations).  `__init__` re-exports its imports, so it is exempt.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import mlfourier
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mlfourier"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -52,3 +56,20 @@ def test_module_uses_every_import(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_public_callables_take_no_tolerances():
+    # Every evaluator and engine works to a fixed target.
+    knobs = {"cfg", "tol", "abs_tol", "rel_tol"}
+    assert "QuadratureConfig" not in mlfourier.__all__
+    found = []
+    for name in mlfourier.__all__:
+        obj = getattr(mlfourier, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        found += [f"{name}({p})" for p in params if p in knobs]
+    assert not found
