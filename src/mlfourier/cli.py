@@ -2,11 +2,13 @@
 
 Subcommands evaluate the Mittag-Leffler function and Bessel kernels over
 grids, run the radial transform, verify asymptotic laws, emit L^p regions,
-and check the derivative-transfer identity.  Outputs are CSV
-(columns xi,re,im,abs,est_error — the first column is the evaluation point)
-or versioned JSON; identical arguments produce byte-identical output unless
-a timestamp is requested.  Exit codes: 0 success, 2 validation failure,
-3 convergence/accuracy failure, 4 law or fit mismatch.
+and check the derivative-transfer identity.  eval-ml, eval-bessel and
+transform write CSV (columns xi,re,im,abs,est_error — the first column is
+the evaluation point) or, with --format json, versioned JSON; the other
+subcommands always write JSON.  Every output carries a UTC timestamp (a
+CSV comment line or a JSON key) unless --no-timestamp is given; with it,
+identical arguments produce byte-identical output.  Exit codes: 0 success,
+2 validation failure, 3 convergence/accuracy failure, 4 law or fit mismatch.
 """
 
 from __future__ import annotations
@@ -316,15 +318,19 @@ def _cmd_ibp_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, problem: bool) -> None:
-    """Output options, plus the problem parameters."""
+def _add_common(
+    sub: argparse.ArgumentParser, problem: bool, table: bool
+) -> None:
+    """Output options, plus the problem parameters; --format only for the
+    subcommands that write a table, the others always write JSON."""
     if problem:
         sub.add_argument("--alpha", type=float, default=0.8)
         sub.add_argument("--beta", type=float, default=1.0)
         sub.add_argument("--phi", type=float, default=math.pi)
         sub.add_argument("--sigma", type=float, default=1.0)
         sub.add_argument("--dim", type=int, default=1)
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--no-timestamp", action="store_true")
 
@@ -353,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--beta", type=float, default=1.0)
     s.add_argument("--z", action="append", help="complex point, repeatable")
-    _add_common(s, problem=False)
-    s.set_defaults(handler=_cmd_eval_ml, default_format="csv")
+    _add_common(s, problem=False, table=True)
+    s.set_defaults(handler=_cmd_eval_ml)
 
     s = subs.add_parser(
         "eval-bessel", help="evaluate J_order(r) or the scaled kernel"
@@ -367,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--dim", type=int, default=1)
     _add_grid(s)
-    _add_common(s, problem=False)
-    s.set_defaults(handler=_cmd_eval_bessel, default_format="csv")
+    _add_common(s, problem=False, table=True)
+    s.set_defaults(handler=_cmd_eval_bessel)
 
     s = subs.add_parser("transform", help="radial transform over a grid")
     _add_grid(s)
-    _add_common(s, problem=True)
-    s.set_defaults(handler=_cmd_transform, default_format="csv")
+    _add_common(s, problem=True, table=True)
+    s.set_defaults(handler=_cmd_transform)
 
     s = subs.add_parser(
         "verify-asymptotics", help="fit and verify the asymptotic laws"
@@ -384,12 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--xi-min", type=float, default=None)
     s.add_argument("--xi-max", type=float, default=None)
     s.add_argument("--xi-points", type=int, default=None)
-    _add_common(s, problem=True)
-    s.set_defaults(handler=_cmd_verify_asymptotics, default_format="json")
+    _add_common(s, problem=True, table=False)
+    s.set_defaults(handler=_cmd_verify_asymptotics)
 
     s = subs.add_parser("lp-region", help="analytic L^p regions")
-    _add_common(s, problem=True)
-    s.set_defaults(handler=_cmd_lp_region, default_format="json")
+    _add_common(s, problem=True, table=False)
+    s.set_defaults(handler=_cmd_lp_region)
 
     s = subs.add_parser(
         "ibp-check", help="derivative-transfer identity residual"
@@ -398,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ell", type=int, default=0)
     s.add_argument("--ibp-order", type=int, default=1)
     s.add_argument("--threshold", type=float, default=1e-5)
-    _add_common(s, problem=True)
-    s.set_defaults(handler=_cmd_ibp_check, default_format="json")
+    _add_common(s, problem=True, table=False)
+    s.set_defaults(handler=_cmd_ibp_check)
 
     return parser
 
@@ -423,8 +429,6 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.handler(args)
     except DomainError as exc:

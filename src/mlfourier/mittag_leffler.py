@@ -19,9 +19,15 @@ ml_eval reaches neither.
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
 oriented positively (in along the lower ray, around the arc, out along the
-upper ray).  Admissible openings satisfy pi*alpha/2 < omega < min(pi*alpha,
-pi), which makes cos(omega/alpha) < 0 so the ray integrands decay
-exponentially in the radial variable rho = |z|^(1/alpha).
+upper ray).  Its openings satisfy pi*alpha/2 < omega < min(pi*alpha, pi),
+which makes cos(omega/alpha) < 0 so the ray integrands decay exponentially
+in the radial variable rho = |z|^(1/alpha).  The contour references take no
+contour: one rule (_contour) picks it from the point r e^{i phi} that must
+stay off it.  In the decay sector |phi| > pi*alpha/2 the arc is the unit
+circle and omega lies halfway between pi*alpha/2 and min(|phi|, pi*alpha);
+in the growth sector omega lies halfway between pi*alpha/2 and
+min(pi*alpha, pi) and the arc radius is (r^(1/alpha) + 1)^alpha, which
+encloses the point.
 """
 
 from __future__ import annotations
@@ -67,57 +73,26 @@ class MLParams:
             raise DomainError(f"beta > 0 required, got beta = {self.beta}")
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Geometry of the integration contour: arc radius and ray opening."""
-
-    epsilon: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise DomainError(f"epsilon > 0 required, got {self.epsilon}")
-
-
-def validate_contour(p: MLParams, c: ContourSpec) -> None:
+def _contour(p: MLParams, phi: float, r: float) -> tuple[float, float]:
+    """(eps, omega) of the contour for the point r e^{i phi}, by the rule
+    stated under Conventions above.  The growth-sector arc's largest factor
+    e^{eps^(1/alpha)} is e times E's own scale e^{r^(1/alpha)}."""
     lo = math.pi * p.alpha / 2.0
-    hi = min(math.pi * p.alpha, math.pi)
-    if not (lo < c.omega < hi):
-        raise DomainError(
-            f"omega must satisfy {lo:.6f} < omega < {hi:.6f}, got {c.omega}"
-        )
-
-
-def default_contour(
-    p: MLParams, phi: float | None = None, epsilon: float = 1.0
-) -> ContourSpec:
-    """Midpoint-of-admissible-interval contour.
-
-    With a ray angle phi the opening is omega = (pi alpha/2 + min(|phi|,
-    pi alpha))/2, maximizing the distance to both constraint boundaries;
-    without one the full admissible interval (pi alpha/2, min(pi alpha, pi))
-    is used.
-    """
-    lo = math.pi * p.alpha / 2.0
-    if phi is None:
-        hi = min(math.pi * p.alpha, math.pi)
-    else:
-        hi = min(abs(phi), math.pi * p.alpha)
-    if not hi > lo:
-        raise DomainError(
-            f"no admissible omega: need |phi| > pi*alpha/2 = {lo:.6f}, "
-            f"got |phi| = {hi:.6f}"
-        )
-    return ContourSpec(epsilon=epsilon, omega=0.5 * (lo + hi))
+    if abs(phi) > lo:
+        return 1.0, 0.5 * (lo + min(abs(phi), math.pi * p.alpha))
+    eps = (r ** (1.0 / p.alpha) + 1.0) ** p.alpha
+    return eps, 0.5 * (lo + min(math.pi * p.alpha, math.pi))
 
 
 def _contour_integral(
     p: MLParams,
-    c: ContourSpec,
+    phi: float,
+    r: float,
     factor: Callable[[Complex], Complex],
 ) -> IntegralResult:
-    """Integral of exp(z^(1/a)) z^((1-b)/a) factor(z) dz over C(eps, omega),
-    as two rays and an arc.
+    """Integral of exp(z^(1/a)) z^((1-b)/a) factor(z) dz over the contour
+    C(eps, omega) that _contour picks for the point r e^{i phi}, as two
+    rays and an arc.
 
     On the rays z = rho^alpha e^{+-i omega}, dz = alpha rho^(alpha-1)
     e^{+-i omega} d rho, for rho >= eps^(1/alpha); on the arc z = eps
@@ -125,7 +100,7 @@ def _contour_integral(
     traversed inward, hence its sign.
     """
     a, b = p.alpha, p.beta
-    eps, om = c.epsilon, c.omega
+    eps, om = _contour(p, phi, r)
     rho0 = eps ** (1.0 / a)
     e_up = cmath.exp(1j * om / a)
     e_dn = cmath.exp(-1j * om / a)
@@ -270,51 +245,40 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
     return acc.value, majorant / max(abs(acc.value), 1e-300)
 
 
-def ml_contour(p: MLParams, z: Complex, c: ContourSpec) -> Complex:
+def ml_contour(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z) as (2 pi i alpha)^{-1} times the contour integral of
-    exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z).
-
-    Valid for |z| < epsilon or |arg z| > omega, where the pole w = z stays
-    off the contour.
+    exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z), over the contour that
+    _contour picks for z, which leaves the pole w = z outside.
     """
     z = complex(z)
-    validate_contour(p, c)
-    if not (abs(z) < c.epsilon or abs(cmath.phase(z)) > c.omega):
-        raise DomainError(
-            f"contour representation requires |z| < {c.epsilon} or "
-            f"|arg z| > {c.omega:.6f}; got z = {z}"
-        )
-    res = _contour_integral(p, c, lambda w: 1.0 / (w - z))
+    res = _contour_integral(p, cmath.phase(z), abs(z), lambda w: 1.0 / (w - z))
     return res.value / (2j * math.pi * p.alpha)
 
 
 def ml_on_ray(p: MLParams, phi: float, r: float) -> Complex:
-    """E_{alpha,beta}(r e^{i phi}) for r >= 0: ml_contour on the unit-arc
-    contour default_contour(p, phi), whose opening lies between
-    pi alpha/2 and min(|phi|, pi alpha).  The integrand cancels more
-    as r grows; ml_eval's sector sum is the large-argument evaluator.
+    """E_{alpha,beta}(r e^{i phi}) for r >= 0 by ml_contour.  The integrand
+    cancels more as r grows; ml_eval's sector sum is the large-argument
+    evaluator.
     """
     if r < 0.0:
         raise DomainError("r >= 0 required")
-    return ml_contour(p, r * cmath.exp(1j * phi), default_contour(p, phi))
+    return ml_contour(p, r * cmath.exp(1j * phi))
 
 
-def hankel_reciprocal_gamma(
-    p: MLParams, c: ContourSpec, shift: float
-) -> Complex:
+def hankel_reciprocal_gamma(p: MLParams, shift: float) -> Complex:
     """(2 pi i alpha)^{-1} times the contour integral of
-    exp(z^(1/alpha)) z^((1-beta-shift)/alpha) dz.
+    exp(z^(1/alpha)) z^((1-beta-shift)/alpha) dz, over the contour that
+    _contour picks at phi = pi.
 
     Substituting w = z^(1/alpha) reduces this to the classical reciprocal
     gamma contour integral: the value is 1/Gamma(beta + shift - alpha), so
     shift = alpha gives 1/Gamma(beta) and shift = 0 gives 1/Gamma(beta -
     alpha).
     """
-    validate_contour(p, c)
     if not p.beta + shift > 0:
         raise DomainError("beta + shift must be positive")
     shifted = MLParams(p.alpha, p.beta + shift)
-    res = _contour_integral(shifted, c, lambda w: 1.0 + 0.0j)
+    res = _contour_integral(shifted, math.pi, 0.0, lambda w: 1.0 + 0.0j)
     return res.value / (2j * math.pi * p.alpha)
 
 

@@ -63,7 +63,6 @@ from .special_core import (
 from .mittag_leffler import (
     MLParams,
     _contour_integral,
-    default_contour,
     ml_eval,
 )
 from .mellin import mellin_transform
@@ -542,7 +541,7 @@ def q_kernel(tp: TransformProblem, ell: int, r: float) -> Complex:
             acc = (acc + c) * t
         return acc / (z - w)
 
-    return _contour_integral(p, default_contour(p, tp.phi), factor).value
+    return _contour_integral(p, tp.phi, r ** tp.sigma, factor).value
 
 
 class _KernelInterpolant:

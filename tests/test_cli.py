@@ -7,6 +7,8 @@ output formats, reproducibility, and independence from MLF_THREADS.
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +358,41 @@ def test_tolerance_flags_only_where_quadrature_runs(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lp-region", "verify-asymptotics", "ibp-check"])
+def test_format_only_where_a_table_is_written(command, capsys):
+    # these subcommands always write JSON, so --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def readme_cli_block():
+    """The lines of the sh block in README's Command line section,
+    continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
+class TestReadmeCliBlock:
+    def test_every_command_parses(self):
+        commands = [ln for ln in readme_cli_block() if ln.startswith("mlf ")]
+        assert len(commands) == 10
+        parser = cli.build_parser()
+        for line in commands:
+            args = parser.parse_args(cli._normalize_argv(shlex.split(line)[1:]))
+            assert callable(args.handler)
+
+    def test_eval_ml_example_prints_its_row(self, capsys):
+        lines = readme_cli_block()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("mlf eval-ml"))
+        code, out, _ = run_cli(capsys, *shlex.split(lines[at])[1:])
+        assert code == 0
+        assert out.splitlines() == [lines[at + 1][2:], lines[at + 2][2:]]
 
 
 class TestIbpCheck:

@@ -7,6 +7,7 @@ once from the defining series at 60-digit working precision.
 
 import cmath
 import functools
+import inspect
 import math
 
 import mpmath
@@ -16,18 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 
+import mlfourier
 from mlfourier import mittag_leffler
 from mlfourier.errors import AccuracyError, ConvergenceError, DomainError
 from mlfourier.mittag_leffler import (
-    ContourSpec,
     MLParams,
-    default_contour,
     hankel_reciprocal_gamma,
     ml_contour,
     ml_eval,
     ml_on_ray,
     ml_series,
-    validate_contour,
     _ml_laplace,
     _sector_sum_adaptive,
 )
@@ -95,34 +94,12 @@ def test_series_domain_gate():
         ml_series(MLParams(0.8, 1.0), 10.5)
 
 
-def test_contour_validation():
-    p = MLParams(0.8, 1.0)
-    with pytest.raises(DomainError):
-        validate_contour(p, ContourSpec(1.0, 0.3 * math.pi))  # omega low
-    with pytest.raises(DomainError):
-        validate_contour(p, ContourSpec(1.0, 0.9 * math.pi))  # omega high
-    with pytest.raises(DomainError):
-        ContourSpec(0.0, 0.6 * math.pi)  # epsilon not positive
-    validate_contour(p, default_contour(p))
-
-
-def test_contour_rejects_pole_region():
-    p = MLParams(0.8, 1.0)
-    c = default_contour(p)
-    # |z| > epsilon and arg z inside the contour opening
-    with pytest.raises(DomainError):
-        ml_contour(p, 2.0 * cmath.exp(1j * 0.1), c)
-
-
 @pytest.mark.parametrize("alpha,beta", [(0.4, 0.5), (0.8, 1.0), (1.2, 2.0), (1.7, 1.0)])
 def test_contour_matches_series_inside_disc(alpha, beta):
-    # Keep epsilon moderate: the arc kernel magnitude exp(eps^(1/alpha))
-    # grows savagely for small alpha and eats quadrature digits.
     p = MLParams(alpha, beta)
-    c = default_contour(p, epsilon=2.2)
     for z in (0.5 * cmath.exp(0.3j), -1.9, 2.0j):
         s = ml_series(p, z)
-        v = ml_contour(p, z, c)
+        v = ml_contour(p, z)
         assert abs(s - v) <= 1e-9 * abs(s)
 
 
@@ -132,27 +109,54 @@ def test_contour_reaches_growth_sector_point():
     p = MLParams(1.7, 1.0)
     z = 4.0 * cmath.exp(3j * math.pi / 4)
     assert abs(cmath.phase(z)) < math.pi * p.alpha / 2  # growth sector indeed
-    c = default_contour(p, epsilon=5.0)
     s = ml_series(p, z)
-    v = ml_contour(p, z, c)
+    v = ml_contour(p, z)
     assert abs(s - v) <= 1e-8 * abs(s)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,z",
+    [
+        # inside the widest opening, outside the unit arc
+        (0.8, 1.0, 2.0 * cmath.exp(0.1j)),
+        # on the positive axis, where E_{1/2,beta} grows like e^{z^2}
+        (0.5, 1.5, 3.0),
+    ],
+    ids=["inside-opening", "positive-axis"],
+)
+def test_contour_picks_growth_sector_contour(alpha, beta, z):
+    p = MLParams(alpha, beta)
+    s = ml_series(p, z)
+    assert abs(ml_contour(p, z) - s) <= 1e-9 * abs(s)
+
+
+def test_contour_references_take_no_contour():
+    assert "ContourSpec" not in mlfourier.__all__
+    assert "default_contour" not in mlfourier.__all__
+    assert not hasattr(mittag_leffler, "ContourSpec")
+    assert not hasattr(mittag_leffler, "default_contour")
+    assert list(inspect.signature(ml_contour).parameters) == ["p", "z"]
+    assert list(inspect.signature(hankel_reciprocal_gamma).parameters) == [
+        "p", "shift"
+    ]
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.4, 0.5), (0.8, 1.0), (1.2, 2.0)])
 def test_contour_matches_series_outside_opening(alpha, beta):
     p = MLParams(alpha, beta)
-    c = default_contour(p, phi=math.pi)
     for r in (0.5, 2.0, 4.0):
         z = -r
         s = ml_series(p, z)
-        v = ml_contour(p, z, c)
+        v = ml_contour(p, z)
         assert abs(s - v) <= 1e-9 * abs(s)
 
 
-def test_on_ray_requires_decay_sector():
+def test_on_ray_domain():
     p = MLParams(0.8, 1.0)
-    with pytest.raises(DomainError):
-        ml_on_ray(p, 0.3 * math.pi, 2.0)  # |phi| <= pi*alpha/2
+    # |phi| <= pi*alpha/2: the growth sector has a value too
+    z = 2.0 * cmath.exp(0.3j * math.pi)
+    s = ml_series(p, z)
+    assert abs(ml_on_ray(p, 0.3 * math.pi, 2.0) - s) <= 1e-9 * abs(s)
     with pytest.raises(DomainError):
         ml_on_ray(p, math.pi, -1.0)
 
@@ -191,7 +195,7 @@ def test_on_ray_frozen_large_argument():
 )
 def test_hankel_reciprocal_gamma_regular(alpha, beta, shift):
     p = MLParams(alpha, beta)
-    got = hankel_reciprocal_gamma(p, default_contour(p), shift)
+    got = hankel_reciprocal_gamma(p, shift)
     want = 1.0 / complex_gamma(beta + shift - alpha)
     assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
 
@@ -200,14 +204,14 @@ def test_hankel_reciprocal_gamma_regular(alpha, beta, shift):
 def test_hankel_reciprocal_gamma_at_poles(alpha, beta, shift):
     # beta + shift - alpha lands on a nonpositive integer: the value is 0.
     p = MLParams(alpha, beta)
-    got = hankel_reciprocal_gamma(p, default_contour(p), shift)
+    got = hankel_reciprocal_gamma(p, shift)
     assert abs(got) <= 1e-10
 
 
 def test_hankel_reciprocal_gamma_shift_domain():
     p = MLParams(0.8, 1.0)
     with pytest.raises(DomainError):
-        hankel_reciprocal_gamma(p, default_contour(p), -1.0)
+        hankel_reciprocal_gamma(p, -1.0)
 
 
 def test_sector_asymptotic_zero_terms():

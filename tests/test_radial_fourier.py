@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from mlfourier.bessel import jbar
 from mlfourier.errors import DomainError
-from mlfourier.mittag_leffler import MLParams, default_contour, ml_eval
+from mlfourier.mittag_leffler import MLParams, _contour, ml_eval
 from mlfourier.special_core import (
     accelerated_limit,
     complex_gamma,
@@ -464,6 +464,29 @@ class TestMlTransform:
             split, mellin = split_transform(tp, xi), ml_transform(tp, xi)
             assert rel_err(split, mellin) <= 1e-6, xi
 
+    @pytest.mark.parametrize(
+        "alpha,beta,phi,sigma,n,h",
+        [
+            (0.8, 1.0, math.pi, 0.7, 1, 0.1),
+            (0.8, 1.0, math.pi, 1.5, 2, 0.1),
+            (0.8, 1.0, math.pi, 2.2, 3, 0.1),
+            # F turns faster in log xi here: h = 0.1 leaves 2.9e-7
+            (1.3, 0.7, -2.5, 1.5, 2, 0.05),
+        ],
+    )
+    def test_inversion_at_the_origin(self, alpha, beta, phi, sigma, n, h):
+        # f(0) = E(0) = 1/Gamma(beta) is the integral of F over R^n:
+        # |S^(n-1)| times the integral of F(e^u) e^(nu) du, whose integrand
+        # decays like e^(-sigma u) and e^(nu) at the two ends, so the
+        # trapezoid sum on [-60/sigma, 60/sigma] converges geometrically.
+        tp = TransformProblem(alpha, beta, phi, sigma, n)
+        k = math.ceil(60.0 / sigma / h)
+        u = h * np.arange(-k, k + 1)
+        terms = ml_transform(tp, np.exp(u)) * np.exp(n * u)
+        sphere = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+        got = sphere * h * complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(got - 1.0 / math.gamma(beta)) <= 1e-13
+
 
 class TestQKernel:
     def test_value_at_origin(self):
@@ -613,19 +636,21 @@ class TestContourSeparation:
         # away from the kernel pole r e^{i phi}
         tp = BASE_TP
         p = MLParams(tp.alpha, tp.beta)
-        c = default_contour(p, tp.phi)
-        gap = math.sin(abs(tp.phi) - c.omega)
+        eps, omega = _contour(p, tp.phi, 0.0)
+        gap = math.sin(abs(tp.phi) - omega)
         assert gap > 0.0
         zs = [
-            c.epsilon * cmath.exp(1j * t)
-            for t in np.linspace(-c.omega, c.omega, 17)
+            eps * cmath.exp(1j * t)
+            for t in np.linspace(-omega, omega, 17)
         ]
         zs += [
-            rho * cmath.exp(sign * 1j * c.omega)
-            for rho in np.geomspace(c.epsilon, 50.0, 9)
+            rho * cmath.exp(sign * 1j * omega)
+            for rho in np.geomspace(eps, 50.0, 9)
             for sign in (1.0, -1.0)
         ]
         for r in (0.1, 1.0, 10.0):
+            # in the decay sector the contour does not depend on |pole|
+            assert _contour(p, tp.phi, r) == (eps, omega)
             pole = r * cmath.exp(1j * tp.phi)
             bound = max(1.0, r) * gap
             for z in zs:
