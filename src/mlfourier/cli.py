@@ -7,8 +7,16 @@ transform write CSV (columns xi,re,im,abs,est_error — the first column is
 the evaluation point) or, with --format json, versioned JSON; the other
 subcommands always write JSON.  Every output carries a UTC timestamp (a
 CSV comment line or a JSON key) unless --no-timestamp is given; with it,
-identical arguments produce byte-identical output.  Exit codes: 0 success,
-2 validation failure, 3 convergence/accuracy failure, 4 law or fit mismatch.
+identical arguments produce byte-identical output.
+
+Output goes to stdout or, with --out, over the named file in place: it is
+not truncated to size 0 first but written over and cut to the new length,
+symlinks are followed and the file's mode is kept.  The write is neither
+atomic nor fsynced.  An --out that cannot be opened or written
+exits 2 with "error: cannot write --out <path>: <reason>".
+
+Exit codes: 0 success, 2 validation failure or unwritable --out,
+3 convergence/accuracy failure, 4 law or fit mismatch.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -80,11 +90,27 @@ def _timestamp_line(args: argparse.Namespace) -> str | None:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or over --out in place.
+
+    No O_TRUNC: on ext4, truncating an existing file to size 0 makes close()
+    flush it (auto_da_alloc), tens of milliseconds, far more than a
+    transform.  The file is cut to the written length afterwards instead,
+    and only a regular file, since /dev/null, FIFOs and ttys reject
+    ftruncate.
+    """
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise DomainError(
+            f"cannot write --out {args.out}: {exc.strerror}"
+        ) from None
 
 
 def _records_csv(records: list[dict], stamp: str | None) -> str:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -73,6 +74,10 @@ class MLParams:
             raise DomainError(f"beta > 0 required, got beta = {self.beta}")
 
 
+# Largest x with e^x in double range.
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
 def _contour(p: MLParams, phi: float, r: float) -> tuple[float, float]:
     """(eps, omega) of the contour for the point r e^{i phi}, by the rule
     stated under Conventions above.  The growth-sector arc's largest factor
@@ -97,11 +102,16 @@ def _contour_integral(
     On the rays z = rho^alpha e^{+-i omega}, dz = alpha rho^(alpha-1)
     e^{+-i omega} d rho, for rho >= eps^(1/alpha); on the arc z = eps
     e^{i theta}, dz = i eps e^{i theta} d theta.  The lower ray is
-    traversed inward, hence its sign.
+    traversed inward, hence its sign.  AccuracyError when the arc's
+    largest factor e^{eps^(1/alpha)} leaves double range.
     """
     a, b = p.alpha, p.beta
     eps, om = _contour(p, phi, r)
     rho0 = eps ** (1.0 / a)
+    if rho0 > _LOG_DOUBLE_MAX:
+        raise AccuracyError(
+            f"contour arc factor e^{{{rho0:.1f}}} leaves double range"
+        )
     e_up = cmath.exp(1j * om / a)
     e_dn = cmath.exp(-1j * om / a)
     # alpha * e^{i omega (1 - beta + alpha)/alpha} rho^{alpha-beta} ... d rho
@@ -248,7 +258,9 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
 def ml_contour(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z) as (2 pi i alpha)^{-1} times the contour integral of
     exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z), over the contour that
-    _contour picks for z, which leaves the pole w = z outside.
+    _contour picks for z, which leaves the pole w = z outside.  A
+    growth-sector z whose arc factor e^{|z|^(1/alpha) + 1} leaves double
+    range raises AccuracyError.
     """
     z = complex(z)
     res = _contour_integral(p, cmath.phase(z), abs(z), lambda w: 1.0 / (w - z))

@@ -7,7 +7,9 @@ output formats, reproducibility, and independence from MLF_THREADS.
 
 import json
 import math
+import os
 import shlex
+import stat
 from pathlib import Path
 
 import pytest
@@ -441,6 +443,79 @@ class TestOutputPlumbing:
         assert out == ""
         header, rows = csv_rows(target.read_text())
         assert header[0] == "xi" and len(rows) == 2
+
+    def test_out_overwrites_longer_file_in_place(self, capsys, tmp_path):
+        target = tmp_path / "t.csv"
+        args = ("transform", "--no-timestamp")
+        run_cli(capsys, *args, "--xi-points", "9", "--out", str(target))
+        long_size = target.stat().st_size
+        inode = target.stat().st_ino
+        code, _, _ = run_cli(
+            capsys, *args, "--xi-points", "3", "--out", str(target)
+        )
+        assert code == 0
+        _, printed, _ = run_cli(capsys, *args, "--xi-points", "3")
+        assert target.read_bytes() == printed.encode("utf-8")
+        assert target.stat().st_size < long_size
+        assert target.stat().st_ino == inode
+
+    def test_out_symlink_rewrites_its_target(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("stale\n" * 100)
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, _, _ = run_cli(
+            capsys, "lp-region", "--no-timestamp", "--out", str(link)
+        )
+        assert code == 0
+        assert link.is_symlink()
+        assert "theorem3" in json.loads(real.read_text())
+
+    def test_out_keeps_file_mode(self, capsys, tmp_path):
+        target = tmp_path / "private.json"
+        target.write_text("{}\n")
+        target.chmod(0o600)
+        code, _, _ = run_cli(
+            capsys, "lp-region", "--no-timestamp", "--out", str(target)
+        )
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_out_dev_null(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lp-region", "--no-timestamp", "--out", os.devnull
+        )
+        assert (code, out, err) == (0, "", "")
+
+    def test_out_is_opened_without_truncation(self, capsys, tmp_path, monkeypatch):
+        # Truncating an existing file to size 0 makes ext4 flush it on
+        # close, which costs more than the transform.
+        target = tmp_path / "t.csv"
+        target.write_text("stale\n" * 100)
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *rest, **kwargs):
+            if os.fspath(path) == str(target):
+                flags.append(flag)
+            return real_open(path, flag, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        code, _, _ = run_cli(
+            capsys, "transform", "--xi-points", "2", "--no-timestamp",
+            "--out", str(target),
+        )
+        assert code == 0
+        assert flags and not any(f & os.O_TRUNC for f in flags)
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        path = tmp_path / "missing" / "x.json" if where == "missing-parent" else tmp_path
+        code, out, err = run_cli(capsys, "lp-region", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {path}: ")
+        assert "Traceback" not in err
 
     def test_byte_identical_reruns(self, capsys):
         args = (

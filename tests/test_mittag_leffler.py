@@ -130,6 +130,16 @@ def test_contour_picks_growth_sector_contour(alpha, beta, z):
     assert abs(ml_contour(p, z) - s) <= 1e-9 * abs(s)
 
 
+def test_contour_arc_out_of_double_range_is_accuracy_error():
+    # The arc factor e^{9^(1/0.3) + 1} = e^1517 is past double range, as is
+    # E_{0.3,1}(9) itself; both evaluators say so by the same typed error.
+    p = MLParams(0.3, 1.0)
+    with pytest.raises(AccuracyError, match="double range"):
+        ml_contour(p, 9.0)
+    with pytest.raises(AccuracyError, match="double range"):
+        ml_eval(p, 9.0)
+
+
 def test_contour_references_take_no_contour():
     assert "ContourSpec" not in mlfourier.__all__
     assert "default_contour" not in mlfourier.__all__
