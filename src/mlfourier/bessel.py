@@ -1,7 +1,8 @@
 """Bessel J evaluators and the extended large-argument expansion.
 
-Real orders are evaluated with scipy.special.jv; the ascending series and
-the integral representation serve complex orders, which jv does not accept.
+Real orders are evaluated with scipy.special.jv; complex orders, which jv
+does not accept, with the ascending series summed in mpmath at a working
+precision it raises until rounding is below 1e-17 of the value.
 
 The expansion writes J_lambda(r) = sum_{l=0}^{M} sum_{+-} c_l^{+-}(lambda)
 r^{-(l+1/2)} e^{+-ir} + L_lambda(r; M) with |L| = O(r^{-M-3/2}).  The
@@ -31,15 +32,12 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import jv, loggamma
+from scipy.special import jv
 
 from .errors import AccuracyError, DomainError, FitError, DegenerateFitError
 from .special_core import (
     Complex,
-    CompensatedSum,
-    _EPS,
     complex_gamma,
-    integrate_finite,
     principal_pow,
     reciprocal_gamma,
 )
@@ -47,8 +45,8 @@ from .special_core import (
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Order of J_lambda.  Re lambda > -1/2 for the series and integral
-    evaluators; lambda = -1/2 exactly is reachable only through the
+    """Order of J_lambda.  Re lambda > -1/2 for the series and the
+    reference; lambda = -1/2 exactly is reachable only through the
     closed-form identity."""
 
     lam: Complex
@@ -79,113 +77,49 @@ def _require_series_domain(lam: Complex) -> None:
 
 
 def _series_mpmath(lam: Complex, r: float, dps: int) -> Complex:
-    with mp.workdps(dps):
-        half = mp.mpf(r) / 2
-        lam_mp = mp.mpc(lam) if lam.imag else mp.mpf(lam.real)
-        acc = mp.mpc(0)
-        term = mp.power(half, lam_mp) * mp.rgamma(lam_mp + 1)
-        m = 0
-        while m < 10000:
-            acc += term
-            if abs(term) < mp.mpf(1e-30) * max(abs(acc), mp.mpf(1)):
-                break
-            term *= -(half * half) / ((m + 1) * (lam_mp + m + 1))
-            m += 1
-        return complex(acc)
+    # Self-verifying precision: after summing, the residual floor of the
+    # working precision (10^(3-dps) * sum of |term|) must sit below 1e-17
+    # of the result, else the run is repeated with more digits.  The
+    # alternating terms peak near e^r/sqrt(2 pi r) against |J| ~
+    # sqrt(2/(pi r)), and near a zero of J the cancellation is deeper.
+    for _attempt in range(8):
+        with mp.workdps(dps):
+            half = mp.mpf(r) / 2
+            lam_mp = mp.mpc(lam) if lam.imag else mp.mpf(lam.real)
+            acc = mp.mpc(0)
+            majorant = mp.mpf(0)
+            term = mp.power(half, lam_mp) * mp.rgamma(lam_mp + 1)
+            m = 0
+            while abs(term) >= mp.mpf(1e-30) * abs(acc):
+                acc += term
+                majorant += abs(term)
+                term *= -(half * half) / ((m + 1) * (lam_mp + m + 1))
+                m += 1
+            floor = mp.mpf(10) ** (3 - dps) * majorant
+            if floor <= mp.mpf(1e-17) * abs(acc):
+                return complex(acc)
+            needed = int(mp.log10(majorant / abs(acc))) + 24
+        dps = min(max(needed, 2 * dps), 1200)
+    raise AccuracyError(
+        "series cancellation exceeds the supported precision range"
+    )
 
 
 def bessel_j_series(lam, r: float) -> Complex:
-    """Ascending series sum_m (-1)^m (r/2)^(2m+lambda)/(m! Gamma(m+lambda+1)).
-
-    Absolute error <= 1e-11 for r <= 40; the alternating-sum cancellation
-    (peak term ~2e15 at r = 40) is escalated to higher precision when doubles
-    cannot carry it.
-    """
+    """Ascending series sum_m (-1)^m (r/2)^(2m+lambda)/(m! Gamma(m+lambda+1))
+    at a finite r >= 0, summed in mpmath from 20 + ceil(0.45 r) digits up,
+    until rounding is below 1e-17 of the value (_series_mpmath)."""
     lam = _as_lambda(lam)
     _require_series_domain(lam)
-    if r < 0.0:
-        raise DomainError("r >= 0 required")
-    if r > 40.0:
-        raise AccuracyError(
-            f"series accuracy domain is r <= 40, got r = {r:.3f}"
-        )
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"finite r >= 0 required, got r = {r}")
     if r == 0.0:
         if lam == 0:
             return 1.0 + 0.0j
         if lam.real > 0.0:
             return 0.0 + 0.0j
         raise DomainError("J_lambda(0) diverges for Re lambda < 0")
-    if r <= 10.0:
-        # Product recurrence: majorant <= ~3e3 here, doubles suffice.
-        acc = CompensatedSum()
-        quarter = 0.25 * r * r
-        term = principal_pow(0.5 * r, lam) * reciprocal_gamma(lam + 1)
-        for m in range(0, 200):
-            acc.add(term)
-            if abs(term) < 1e-17 * max(abs(acc.value), 1e-300):
-                return acc.value
-            term *= -quarter / ((m + 1) * (lam + m + 1))
-        return acc.value
-    # Log-form terms avoid power overflow; track the majorant to decide
-    # whether double cancellation stays inside the error budget.
-    ln_half = math.log(0.5 * r)
-    acc = CompensatedSum()
-    majorant = 0.0
-    for m in range(0, 400):
-        expo = (2 * m + lam) * ln_half - math.lgamma(m + 1)
-        expo -= _log_gamma_shift(lam, m)
-        term = (-1.0 if m % 2 else 1.0) * cmath.exp(expo)
-        acc.add(term)
-        majorant += abs(term)
-        if abs(term) < 1e-17 * max(abs(acc.value), 1e-300) and m > 2:
-            break
-    if _EPS * majorant > 1e-12:
-        dps = int(math.log10(max(majorant, 1.0))) + 18
-        return _series_mpmath(lam, r, dps)
-    return acc.value
-
-
-def _log_gamma_shift(lam: Complex, m: int) -> Complex:
-    # log Gamma(m + lambda + 1) for Re lambda > -1/2, m >= 0.
-    if lam.imag == 0.0:
-        return math.lgamma(m + lam.real + 1.0)
-    return complex(loggamma(m + lam + 1.0))
-
-
-def bessel_j_poisson(lam, r: float) -> Complex:
-    """J_lambda(r) through the endpoint-smoothed oscillatory integral
-    representation: substituting s = sin t in
-    (2^-lambda/(Gamma(1/2)Gamma(lambda+1/2))) r^lambda
-    integral_{-1}^{1} e^{irs}(1-s^2)^{lambda-1/2} ds
-    turns the endpoint weight into cos^{2 lambda} t, smooth for
-    Re lambda > -1/2."""
-    lam = _as_lambda(lam)
-    _require_series_domain(lam)
-    if not r > 0.0:
-        raise DomainError("r > 0 required")
-    two_lam = 2.0 * lam
-
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        lam_r = lam.real
-
-        def f(t: float) -> Complex:
-            return cmath.exp(1j * r * math.sin(t)) * math.cos(t) ** two_lam.real
-
-    else:
-
-        def f(t: float) -> Complex:
-            c = math.cos(t)
-            if c <= 0.0:
-                return 0.0 + 0.0j
-            return cmath.exp(1j * r * math.sin(t) + two_lam * math.log(c))
-
-    res = integrate_finite(f, -math.pi / 2.0, math.pi / 2.0)
-    pre = (
-        principal_pow(2.0, -lam)
-        * principal_pow(r, lam)
-        / (math.sqrt(math.pi) * complex_gamma(lam + 0.5))
-    )
-    return pre * res.value
+    return _series_mpmath(lam, r, 20 + math.ceil(0.45 * r))
 
 
 def bessel_j_half_identity(r: float) -> float:
@@ -310,28 +244,19 @@ def _asymptotic_eval(coeffs: tuple, r):
     return acc
 
 
-_REFERENCE_M = 6
-
-
 def bessel_j_reference(lam, r: float) -> Complex:
-    """J_lambda(r) for Re lambda > -1/2 and r >= 0.
-
-    Real orders use scipy.special.jv.  Complex orders, which jv does not
-    accept, go through the ascending series for r <= 40 and the order-6
-    expansion beyond (the two agree to ~3e-8 absolute on the overlap
-    [20, 40], and the expansion remainder is ~2e-12 at the switch point).
-    """
+    """J_lambda(r) for Re lambda > -1/2 and r >= 0: scipy.special.jv for
+    real orders, bessel_j_series for complex ones, which jv does not
+    accept."""
     lam = _as_lambda(lam)
-    if lam.imag == 0.0:
-        _require_series_domain(lam)
-        if r < 0.0:
-            raise DomainError("r >= 0 required")
-        if r == 0.0 and lam.real < 0.0:
-            raise DomainError("J_lambda(0) diverges for Re lambda < 0")
-        return complex(jv(lam.real, r))
-    if r <= 40.0:
+    if lam.imag:
         return bessel_j_series(lam, r)
-    return _asymptotic_eval(_expansion_coeffs(lam, _REFERENCE_M), r)
+    _require_series_domain(lam)
+    if r < 0.0:
+        raise DomainError("r >= 0 required")
+    if r == 0.0 and lam.real < 0.0:
+        raise DomainError("J_lambda(0) diverges for Re lambda < 0")
+    return complex(jv(lam.real, r))
 
 
 @dataclass(frozen=True)
@@ -427,5 +352,4 @@ def jbar(n: int, r):
         return complex(math.cos(2.0 * math.pi * r) / math.pi)
     if r == 0.0:
         return 0.0 + 0.0j
-    lam = 0.5 * n - 1.0
-    return bessel_j_reference(lam, 2.0 * math.pi * r) * r ** (0.5 * n)
+    return complex(jv(0.5 * n - 1.0, 2.0 * math.pi * r)) * r ** (0.5 * n)

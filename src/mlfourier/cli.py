@@ -15,8 +15,9 @@ symlinks are followed and the file's mode is kept.  The write is neither
 atomic nor fsynced.  An --out that cannot be opened or written
 exits 2 with "error: cannot write --out <path>: <reason>".
 
-Exit codes: 0 success, 2 validation failure or unwritable --out,
-3 convergence/accuracy failure, 4 law or fit mismatch.
+Exit codes: 0 success, 2 validation failure (a non-finite --z or
+--xi-max among them) or unwritable --out, 3 convergence/accuracy failure,
+4 law or fit mismatch.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _geometric_grid(args: argparse.Namespace) -> np.ndarray:
         raise DomainError("grid needs at least 1 point (--xi-points >= 1)")
     if not (args.xi_min > 0.0):
         raise DomainError("--xi-min must be > 0")
-    if args.xi_max < args.xi_min:
-        raise DomainError("--xi-max must be >= --xi-min")
+    if not args.xi_min <= args.xi_max < math.inf:
+        raise DomainError("--xi-max must be finite and >= --xi-min")
     if args.xi_points == 1:
         return np.array([args.xi_min])
     return np.geomspace(args.xi_min, args.xi_max, args.xi_points)

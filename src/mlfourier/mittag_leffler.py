@@ -162,8 +162,8 @@ def _series_mpmath(p: MLParams, z: Complex, dps: int) -> Complex:
     # Self-verifying precision: after summing, the residual floor of the
     # working precision (10^(3-dps) * sum of |term|) must sit below
     # _SERIES_TOL of the result, else the run is repeated with more
-    # digits.  The initial dps guess can be badly low when the double-pass
-    # value it was derived from was itself cancellation noise.
+    # digits.  ml_series starts at 26 digits, too few wherever the terms
+    # cancel deeply; the first pass then measures by how much.
     for _attempt in range(8):
         with mp.workdps(dps):
             zz = mp.mpc(z)
@@ -198,12 +198,12 @@ def _series_mpmath(p: MLParams, z: Complex, dps: int) -> Complex:
 
 
 def ml_series(p: MLParams, z: Complex) -> Complex:
-    """Taylor series sum_{k>=0} z^k / Gamma(alpha k + beta).
+    """Taylor series sum_{k>=0} z^k / Gamma(alpha k + beta), summed in
+    mpmath (_series_mpmath) at a working precision it raises until
+    rounding is below 1e-14 of the value.
 
     Truncates when the term magnitude stays below 1e-14 |partial sum| for 3
-    consecutive terms.  Accuracy domain |z| <= 10.  When cancellation in
-    doubles would eat into that target the sum is redone in higher
-    precision.
+    consecutive terms.  Accuracy domain |z| <= 10.
     """
     z = complex(z)
     if abs(z) > 10.0:
@@ -212,11 +212,7 @@ def ml_series(p: MLParams, z: Complex) -> Complex:
         )
     if z == 0:
         return reciprocal_gamma(p.beta)
-    value, ratio = _series_double(p, z)
-    if _series_accepts(ratio):
-        return value
-    dps = min(max(18 + int(math.log10(max(ratio, 1.0))) + 8, 26), 400)
-    return _series_mpmath(p, z, dps)
+    return _series_mpmath(p, z, 26)
 
 
 def _series_accepts(ratio: float) -> bool:
@@ -594,12 +590,15 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
 
     E is real on the real axis, and a real z gets an exactly real value.
     An ndarray z gives an ndarray of its shape holding, entry by entry, the
-    value at that entry as a complex.
+    value at that entry as a complex.  A non-finite z, or entry, raises
+    DomainError.
     """
     if isinstance(z, np.ndarray):
         values = (ml_eval(p, v) for v in z.flat)
         return np.fromiter(values, complex, z.size).reshape(z.shape)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"finite z required, got {z}")
     value = _ml_rule(p, z)
     # Each route rounds in complex arithmetic, which leaves an imaginary
     # part of rounding size where E is real.

@@ -225,8 +225,8 @@ def _panel_tolerances(tp: TransformProblem, xi_mag: float) -> tuple[float, float
 
 
 def _require_xi(xi_mag: float) -> None:
-    if not xi_mag > 0.0:
-        raise DomainError(f"xi_mag > 0 required, got {xi_mag}")
+    if not 0.0 < xi_mag < math.inf:
+        raise DomainError(f"finite xi_mag > 0 required, got {xi_mag}")
 
 
 def _require_tail_scope(tp: TransformProblem) -> None:
@@ -465,9 +465,9 @@ def ml_transform(
     An ndarray xi_mag gives an array of its shape, with one line evaluation
     shared by the points that take the same line and step; each entry
     equals, bit for bit, the value at that float alone.  DomainError for
-    xi_mag <= 0 (for any entry) and for sigma <= (n-1)/2."""
+    xi_mag <= 0 or not finite (for any entry) and for sigma <= (n-1)/2."""
     if isinstance(xi_mag, np.ndarray):
-        bad = xi_mag[~(xi_mag > 0.0)]
+        bad = xi_mag[~((0.0 < xi_mag) & (xi_mag < math.inf))]
         if bad.size:
             _require_xi(float(bad[0]))
     else:
@@ -480,7 +480,7 @@ def split_transform(tp: TransformProblem, xi_mag: float) -> Complex:
     """The same transform by the paper's construction,
     (2 pi/|xi|^n)(M + N) with compute_M and compute_N, at a fixed target.
     A reference for ml_transform: neither falls back on the other.
-    DomainError for xi_mag <= 0 and for sigma <= (n-1)/2."""
+    DomainError for xi_mag <= 0 or not finite and for sigma <= (n-1)/2."""
     m_part = compute_M(tp, xi_mag)
     n_part = compute_N(tp, xi_mag)
     return 2.0 * math.pi / xi_mag ** tp.n * (m_part + n_part)

@@ -93,6 +93,12 @@ class TestEvalMl:
         assert code == 2
         assert "0 < alpha < 2" in err
 
+    @pytest.mark.parametrize("z", ["nan", "1+nani", "1e400"])
+    def test_non_finite_z_exits_2(self, capsys, z):
+        code, _, err = run_cli(capsys, "eval-ml", "--alpha", "0.8", "--z", z)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+
     def test_unparseable_z(self, capsys):
         code, _, err = run_cli(
             capsys, "eval-ml", "--alpha", "1", "--z", "not-a-number"
@@ -175,6 +181,14 @@ class TestTransform:
         assert payload["records"][0]["xi_mag"] == 0.5
         redumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert redumped == out
+
+    def test_non_finite_xi_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "transform", "--xi-min", "1", "--xi-max", "inf",
+            "--xi-points", "2",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
 
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         # transform has one route: --strategy is no option, whatever its value

@@ -94,6 +94,22 @@ def test_series_domain_gate():
         ml_series(MLParams(0.8, 1.0), 10.5)
 
 
+def test_series_never_sums_in_doubles(monkeypatch):
+    # ml_series is the mpmath sum alone, not ml_eval's double series.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("double series reached")
+
+    monkeypatch.setattr(mittag_leffler, "_series_double", unreachable)
+    cases = [
+        (MLParams(0.4, 0.5), -4.0, E_04_05_AT_M4),
+        (MLParams(0.7, 1.3), 2.5 * cmath.exp(3j * math.pi / 4), E_07_13_AT_25_3PI4),
+        (MLParams(1.7, 1.0), -4.0, E_17_10_AT_M4),
+        (MLParams(1.0, 1.0), 2 + 1j, cmath.exp(2 + 1j)),
+    ]
+    for p, z, want in cases:
+        assert abs(ml_series(p, z) - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.4, 0.5), (0.8, 1.0), (1.2, 2.0), (1.7, 1.0)])
 def test_contour_matches_series_inside_disc(alpha, beta):
     p = MLParams(alpha, beta)
@@ -298,11 +314,12 @@ def test_decay_supremum_stabilizes():
     assert sup[-1] < 0.5
 
 
-def _mp_series(alpha, beta, z):
-    """E_{alpha,beta}(z) summed in a private mpmath context with enough
-    digits to absorb the cancellation of the peak term e^(|z|^(1/alpha))."""
+def _mp_series(alpha, beta, z, dps=30):
+    """E_{alpha,beta}(z) summed in a private mpmath context with dps
+    digits more than the cancellation of the peak term e^(|z|^(1/alpha))
+    absorbs."""
     ctx = mpmath.MPContext()
-    ctx.dps = 30 + int(abs(z) ** (1.0 / alpha) / math.log(10.0))
+    ctx.dps = dps + int(abs(z) ** (1.0 / alpha) / math.log(10.0))
     zz, a, b = ctx.mpc(z), ctx.mpf(alpha), ctx.mpf(beta)
     acc, power, k = ctx.mpc(0), ctx.mpc(1), 0
     while True:
@@ -312,6 +329,33 @@ def _mp_series(alpha, beta, z):
         k += 1
         if k > abs(z) ** (1.0 / alpha) and abs(term) < ctx.mpf(10) ** (-ctx.dps):
             return complex(acc)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.3, 1.9])
+@pytest.mark.parametrize("beta", [0.8, 1.0, 1.7, 2.5, 3.5])
+def test_eval_taylor_route_near_origin(alpha, beta):
+    # Near the origin the Taylor series is the route: Laplace inversion's
+    # recurrence for beta > alpha + 1 divides by z and would lose every
+    # digit there (1e25 relative at alpha 0.3, beta 3.5, |z| = 1e-8).
+    p = MLParams(alpha, beta)
+    for r in (1e-8, 1e-5, 1e-3):
+        for phase in (0.0, math.pi * alpha / 4, math.pi * alpha / 2 + 0.02, math.pi):
+            z = r * cmath.exp(1j * phase)
+            want = _mp_series(alpha, beta, z, dps=60)
+            assert abs(ml_eval(p, z) - want) <= 1e-14 * abs(want), (r, phase)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)],
+    ids=["nan", "inf", "-inf", "1+nan*i", "inf+0i"],
+)
+def test_eval_rejects_non_finite_z(z):
+    p = MLParams(0.8, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        ml_eval(p, z)
+    with pytest.raises(DomainError, match="finite"):
+        ml_eval(p, np.array([-1.0, z]))
 
 
 def _decay_phases(alpha):

@@ -335,6 +335,12 @@ class TestComputeM:
         with pytest.raises(DomainError):
             compute_M(BASE_TP, 0.0)
 
+    @pytest.mark.parametrize("xi", [math.inf, math.nan])
+    def test_rejects_non_finite_xi(self, xi):
+        for part in (compute_M, compute_N):
+            with pytest.raises(DomainError, match="finite"):
+                part(BASE_TP, xi)
+
 
 class TestComputeN:
     def test_strategies_agree(self):
@@ -463,6 +469,13 @@ class TestMlTransform:
         for xi in np.geomspace(1e-2, 1e2, 7):
             split, mellin = split_transform(tp, xi), ml_transform(tp, xi)
             assert rel_err(split, mellin) <= 1e-6, xi
+
+    @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_xi(self, xi):
+        with pytest.raises(DomainError, match="finite"):
+            ml_transform(BASE_TP, xi)
+        with pytest.raises(DomainError, match="finite"):
+            ml_transform(BASE_TP, np.array([1.0, xi]))
 
     @pytest.mark.parametrize(
         "alpha,beta,phi,sigma,n,h",
