@@ -112,13 +112,13 @@ def fit_exponent(samples: Sequence[tuple[float, Complex]]) -> ExponentFit:
     )
 
 
-def small_xi_law(n: int, sigma: float) -> str:
-    """Theorem case for the |xi| -> 0 behavior: 'power', 'log', 'constant'."""
-    if not sigma > 0.5 * (n - 1):
-        raise DomainError("laws require sigma > (n-1)/2")
-    if sigma < n:
+def small_xi_law(tp: TransformProblem) -> str:
+    """Theorem case for the |xi| -> 0 behavior: 'power' for sigma < n, 'log'
+    for sigma = n, 'constant' for sigma > n.  Like every law and region
+    here it holds for sigma > (n-1)/2, which TransformProblem enforces."""
+    if tp.sigma < tp.n:
         return "power"
-    if sigma == n:
+    if tp.sigma == tp.n:
         return "log"
     return "constant"
 
@@ -179,7 +179,7 @@ def verify_small_xi(
     residual.  constant case: slope 0 within 0.05.  Raises
     LawMismatchError when the computed behavior deviates.
     """
-    law = small_xi_law(tp.n, tp.sigma)
+    law = small_xi_law(tp)
     xs = np.array(grid if grid is not None else _default_small_grid(), float)
     samples = _transform_samples(tp, xs)
     mags = np.array([abs(v) for _, v in samples])
@@ -250,9 +250,7 @@ def large_xi_law(tp: TransformProblem) -> tuple[float, complex]:
     series (mellin.residue_coefficient).  That is the transform of the
     |x|^sigma term of E at the origin, as a homogeneous distribution; the
     exponent is independent of alpha and beta.  For even-integer sigma C = 0
-    and F decays faster than any power: DomainError.  DomainError also for
-    sigma <= (n-1)/2."""
-    _ = small_xi_law(tp.n, tp.sigma)  # enforces sigma > (n-1)/2
+    and F decays faster than any power: DomainError."""
     constant = residue_coefficient(tp, 1)
     if constant == 0.0:
         raise DomainError(
@@ -309,12 +307,8 @@ def lp_region(tp: TransformProblem) -> tuple[LpRegion, LpRegion | None]:
     open/closed for sigma > n.  Second element: the Hausdorff-Young region —
     [2, inf] for sigma > n; [2, inf) for sigma = n; [2, n/(n-sigma)) for
     n/2 < sigma < n; None when sigma <= n/2 (no conclusion from that
-    route)."""
+    route).  TransformProblem has already put sigma above (n-1)/2."""
     n, sigma = tp.n, tp.sigma
-    if not sigma > 0.5 * (n - 1):
-        raise DomainError(
-            f"L^p regions require sigma > (n-1)/2 = {0.5 * (n - 1)}"
-        )
     if sigma < n:
         full = LpRegion(1.0, n / (n - sigma), True, True, "FullTheorem")
     elif sigma == n:

@@ -245,15 +245,15 @@ def _asymptotic_eval(coeffs: tuple, r):
 
 
 def bessel_j_reference(lam, r: float) -> Complex:
-    """J_lambda(r) for Re lambda > -1/2 and r >= 0: scipy.special.jv for
-    real orders, bessel_j_series for complex ones, which jv does not
+    """J_lambda(r) for Re lambda > -1/2 and finite r >= 0: scipy.special.jv
+    for real orders, bessel_j_series for complex ones, which jv does not
     accept."""
     lam = _as_lambda(lam)
     if lam.imag:
         return bessel_j_series(lam, r)
     _require_series_domain(lam)
-    if r < 0.0:
-        raise DomainError("r >= 0 required")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"finite r >= 0 required, got r = {r}")
     if r == 0.0 and lam.real < 0.0:
         raise DomainError("J_lambda(0) diverges for Re lambda < 0")
     return complex(jv(lam.real, r))
@@ -334,19 +334,20 @@ def jbar(n: int, r):
 
     n = 1 collapses to cos(2 pi r)/pi through the half-order identity;
     r = 0 gives 1/pi for n = 1 and 0 for n >= 2.  A float r gives a
-    complex value, an array a real array.
+    complex value, an array a real array.  DomainError unless r (every
+    entry) is finite and >= 0.
     """
     if n < 1:
         raise DomainError("n >= 1 required")
     if np.ndim(r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0):
-            raise DomainError("r >= 0 required")
+        if not np.all((0.0 <= r) & (r < math.inf)):
+            raise DomainError("finite r >= 0 required")
         if n == 1:
             return np.cos(2.0 * np.pi * r) / np.pi
         return jv(0.5 * n - 1.0, 2.0 * np.pi * r) * r ** (0.5 * n)
-    if r < 0.0:
-        raise DomainError("r >= 0 required")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"finite r >= 0 required, got r = {r}")
     if n == 1:
         # sqrt(2/pi) (2 pi r)^(-1/2) cos(2 pi r) * r^(1/2) == cos(2 pi r)/pi
         return complex(math.cos(2.0 * math.pi * r) / math.pi)

@@ -203,9 +203,12 @@ def ml_series(p: MLParams, z: Complex) -> Complex:
     rounding is below 1e-14 of the value.
 
     Truncates when the term magnitude stays below 1e-14 |partial sum| for 3
-    consecutive terms.  Accuracy domain |z| <= 10.
+    consecutive terms.  Accuracy domain |z| <= 10; DomainError for a
+    non-finite z.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"finite z required, got {z}")
     if abs(z) > 10.0:
         raise AccuracyError(
             f"ml_series accuracy domain is |z| <= 10, got |z| = {abs(z):.3f}"
@@ -256,20 +259,22 @@ def ml_contour(p: MLParams, z: Complex) -> Complex:
     exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z), over the contour that
     _contour picks for z, which leaves the pole w = z outside.  A
     growth-sector z whose arc factor e^{|z|^(1/alpha) + 1} leaves double
-    range raises AccuracyError.
+    range raises AccuracyError, a non-finite z DomainError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"finite z required, got {z}")
     res = _contour_integral(p, cmath.phase(z), abs(z), lambda w: 1.0 / (w - z))
     return res.value / (2j * math.pi * p.alpha)
 
 
 def ml_on_ray(p: MLParams, phi: float, r: float) -> Complex:
-    """E_{alpha,beta}(r e^{i phi}) for r >= 0 by ml_contour.  The integrand
-    cancels more as r grows; ml_eval's sector sum is the large-argument
-    evaluator.
+    """E_{alpha,beta}(r e^{i phi}) for finite r >= 0 by ml_contour.  The
+    integrand cancels more as r grows; ml_eval's sector sum is the
+    large-argument evaluator.
     """
-    if r < 0.0:
-        raise DomainError("r >= 0 required")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"finite r >= 0 required, got r = {r}")
     return ml_contour(p, r * cmath.exp(1j * phi))
 
 

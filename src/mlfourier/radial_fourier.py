@@ -78,9 +78,10 @@ from .bessel import (
 class TransformProblem:
     """Parameters of the profile E_{alpha,beta}(e^{i phi} |x|^sigma) on R^n.
 
-    The phase must lie in the algebraic-decay sector |phi| > pi alpha/2;
-    tail asymptotics additionally need sigma > (n-1)/2, which is enforced by
-    the tail operations rather than here.
+    The phase must lie in the algebraic-decay sector |phi| > pi alpha/2,
+    and sigma must be finite and > (n-1)/2, the scope of the paper's
+    results: every transform, law and region takes its problem from here
+    and checks neither again.
     """
 
     alpha: float
@@ -98,18 +99,17 @@ class TransformProblem:
                 f"|phi| > pi*alpha/2 required for algebraic decay, got "
                 f"|phi| = {abs(self.phi):.6f} <= {math.pi * self.alpha / 2:.6f}"
             )
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma > 0 required, got {self.sigma}")
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"n must be a positive integer, got {self.n}")
+        if not 0.5 * (self.n - 1) < self.sigma < math.inf:
+            raise DomainError(
+                f"finite sigma > (n-1)/2 = {0.5 * (self.n - 1)} required, "
+                f"got sigma = {self.sigma}"
+            )
 
     @property
     def ml(self) -> MLParams:
         return MLParams(self.alpha, self.beta)
-
-    @property
-    def tail_admissible(self) -> bool:
-        return self.sigma > 0.5 * (self.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,40 +201,21 @@ def _profile(tp: TransformProblem, xi_mag: float) -> Callable:
     return g
 
 
-# A thousandth of the engines' 1e-12 absolute and 1e-10 relative target,
-# because the panel errors add up and the 2 pi/|xi|^n scaling magnifies
-# them: at the engines' own target the n = 3, sigma = 2.2 transform at
-# |xi| ~ 100 lost 1.4 digits against an independent Mellin-Barnes value.
-# Much lower is past what tanh-sinh can certify: an absolute 1e-18 failed
-# with an estimate of 1.1e-17 on the panel [1.5, 2] there.
-_PANEL_ABS_TOL = 1e-15
-_PANEL_REL_TOL = 1e-13
-
-
-def _panel_tolerances(tp: TransformProblem, xi_mag: float) -> tuple[float, float]:
-    """(abs_tol, rel_tol) for the tanh-sinh panels of M and of the tail's
-    transition chunks.
+def _panel_scale(tp: TransformProblem, xi_mag: float) -> float:
+    """Expected size of M and of the tail's transition chunks, the scale of
+    their tanh-sinh panels' absolute target.
 
     Below |xi| = 1 both parts shrink like |xi|^min(sigma, n): the profile
     falls off as (r/|xi|)^-sigma and jbar_n grows like r^(n-1) from the
-    origin.  A fixed abs_tol would let any relative error through there,
-    so it is taken relative to that size.
+    origin.  A fixed absolute target would let any relative error through
+    there.
     """
-    size = min(1.0, xi_mag) ** min(tp.sigma, tp.n)
-    return _PANEL_ABS_TOL * size, _PANEL_REL_TOL
+    return min(1.0, xi_mag) ** min(tp.sigma, tp.n)
 
 
 def _require_xi(xi_mag: float) -> None:
     if not 0.0 < xi_mag < math.inf:
         raise DomainError(f"finite xi_mag > 0 required, got {xi_mag}")
-
-
-def _require_tail_scope(tp: TransformProblem) -> None:
-    if not tp.tail_admissible:
-        raise DomainError(
-            f"tail asymptotics require sigma > (n-1)/2 = "
-            f"{0.5 * (tp.n - 1)}, got sigma = {tp.sigma}"
-        )
 
 
 _TAIL_CHUNKS = 400  # chunk budget of the tail's accelerated sums
@@ -269,8 +250,7 @@ def compute_M(tp: TransformProblem, xi_mag: float) -> Complex:
             pts.add(x)
         x *= 10.0
     edges = np.array([0.0, *sorted(pts), 2.0])
-    atol, rtol = _panel_tolerances(tp, xi_mag)
-    panels = integrate_panels(f, edges[:-1], edges[1:], atol, rtol)
+    panels = integrate_panels(f, edges[:-1], edges[1:], _panel_scale(tp, xi_mag))
     return complex(panels.sum())
 
 
@@ -349,7 +329,6 @@ def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
     M = (n-1)//2 + 1, the smallest that exceeds (n-1)/2 and so leaves an
     absolutely integrable remainder term."""
     _require_xi(xi_mag)
-    _require_tail_scope(tp)
     n = tp.n
     M = (n - 1) // 2 + 1
     g = _profile(tp, xi_mag)
@@ -404,13 +383,11 @@ def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
     panel_chunks = [0, 1, *_wave_chunks(tp, xi_mag)]
     panel = {k: i for i, k in enumerate(panel_chunks)}
     starts = np.tile(1.0 + 0.5 * np.array(panel_chunks), len(terms))
-    atol, rtol = _panel_tolerances(tp, xi_mag)
     head = integrate_panels(
         transition,
         starts,
         starts + 0.5,
-        atol,
-        rtol,
+        _panel_scale(tp, xi_mag),
         args=(
             np.repeat(np.arange(len(terms)), len(panel)),
             np.tile(panel_chunks, len(terms)),
@@ -465,14 +442,14 @@ def ml_transform(
     An ndarray xi_mag gives an array of its shape, with one line evaluation
     shared by the points that take the same line and step; each entry
     equals, bit for bit, the value at that float alone.  DomainError for
-    xi_mag <= 0 or not finite (for any entry) and for sigma <= (n-1)/2."""
+    xi_mag <= 0 or not finite (for any entry); tp is in the paper's scope
+    sigma > (n-1)/2 by construction."""
     if isinstance(xi_mag, np.ndarray):
         bad = xi_mag[~((0.0 < xi_mag) & (xi_mag < math.inf))]
         if bad.size:
             _require_xi(float(bad[0]))
     else:
         _require_xi(xi_mag)
-    _require_tail_scope(tp)
     return mellin_transform(tp, xi_mag)
 
 
@@ -480,7 +457,8 @@ def split_transform(tp: TransformProblem, xi_mag: float) -> Complex:
     """The same transform by the paper's construction,
     (2 pi/|xi|^n)(M + N) with compute_M and compute_N, at a fixed target.
     A reference for ml_transform: neither falls back on the other.
-    DomainError for xi_mag <= 0 or not finite and for sigma <= (n-1)/2."""
+    DomainError for xi_mag <= 0 or not finite.  sigma > (n-1)/2, which
+    TransformProblem enforces, leaves compute_N's remainder integrable."""
     m_part = compute_M(tp, xi_mag)
     n_part = compute_N(tp, xi_mag)
     return 2.0 * math.pi / xi_mag ** tp.n * (m_part + n_part)
@@ -620,7 +598,6 @@ def ibp_identity_check(
     Both sides are quadratured independently; the contour kernels are
     interpolated once on a log axis before the oscillatory sweeps."""
     _require_xi(xi_mag)
-    _require_tail_scope(tp)
     if N not in (1, 2, 3):
         raise DomainError("N must be 1, 2, or 3")
     if ell not in (0, 1):

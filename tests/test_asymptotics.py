@@ -78,19 +78,24 @@ class TestFitExponent:
 
 
 class TestSmallXiLaw:
+    @staticmethod
+    def law(n, sigma):
+        return small_xi_law(TransformProblem(0.8, 1.0, math.pi, sigma, n))
+
     def test_three_cases(self):
-        assert small_xi_law(1, 0.7) == "power"
-        assert small_xi_law(1, 1.0) == "log"
-        assert small_xi_law(1, 2.0) == "constant"
-        assert small_xi_law(2, 2.0) == "log"
-        assert small_xi_law(3, 2.2) == "power"
-        assert small_xi_law(2, 3.5) == "constant"
+        assert self.law(1, 0.7) == "power"
+        assert self.law(1, 1.0) == "log"
+        assert self.law(1, 2.0) == "constant"
+        assert self.law(2, 2.0) == "log"
+        assert self.law(3, 2.2) == "power"
+        assert self.law(2, 3.5) == "constant"
 
     def test_out_of_scope(self):
-        with pytest.raises(DomainError):
-            small_xi_law(3, 1.0)
-        with pytest.raises(DomainError):
-            small_xi_law(2, 0.5)
+        # The problem type refuses sigma <= (n-1)/2 before the law is asked.
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
+            self.law(3, 1.0)
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
+            self.law(2, 0.5)
 
 
 class TestVerifySmallXi:
@@ -121,9 +126,8 @@ class TestVerifySmallXi:
             verify_small_xi(POWER_TP, grid=np.geomspace(10.0, 1e3, 7))
 
     def test_out_of_scope(self):
-        tp = TransformProblem(0.8, 1.0, math.pi, 0.9, 3)
-        with pytest.raises(DomainError):
-            verify_small_xi(tp)
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
+            verify_small_xi(TransformProblem(0.8, 1.0, math.pi, 0.9, 3))
 
 
 class TestVerifyLargeXi:
@@ -180,7 +184,7 @@ class TestLargeXiLaw:
             large_xi_law(CONST_TP)
 
     def test_out_of_scope(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
             large_xi_law(TransformProblem(0.8, 1.0, math.pi, 0.9, 3))
 
 
@@ -268,7 +272,7 @@ class TestLpRegion:
         assert hy is None
 
     def test_out_of_scope(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
             lp_region(TransformProblem(0.8, 1.0, math.pi, 1.0, 3))
 
     def test_containment(self):

@@ -83,6 +83,12 @@ class TestSeries:
             with pytest.raises(DomainError):
                 evaluate(0, -1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_reference_rejects_non_finite_radius(self, r):
+        # scipy's jv would return nan on the real-order route
+        with pytest.raises(DomainError, match="finite"):
+            bessel_j_reference(1.0, r)
+
     def test_rejects_divergent_origin(self):
         for evaluate in (bessel_j_series, bessel_j_reference):
             with pytest.raises(DomainError):
@@ -292,3 +298,13 @@ class TestScaledKernel:
             jbar(0, 1.0)
         with pytest.raises(DomainError):
             jbar(2, -0.5)
+
+    @pytest.mark.parametrize(
+        "r",
+        [math.nan, math.inf, np.array([1.0, math.nan]), np.array([1.0, math.inf])],
+        ids=["nan", "inf", "array-nan", "array-inf"],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_non_finite_radius(self, n, r):
+        with pytest.raises(DomainError, match="finite"):
+            jbar(n, r)

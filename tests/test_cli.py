@@ -345,6 +345,17 @@ class TestLpRegionCommand:
 
 
 @pytest.mark.parametrize(
+    "command", ["transform", "verify-asymptotics", "lp-region", "ibp-check"]
+)
+def test_out_of_scope_sigma_exits_2_with_one_message(command, capsys):
+    # sigma > (n-1)/2 is checked once, where the problem is built
+    code, out, err = run_cli(capsys, command, "--sigma", "0.9", "--dim", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: finite sigma > (n-1)/2 = 1.0 required, got sigma = 0.9\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["lp-region", "--abs-tol", "1e-9"],

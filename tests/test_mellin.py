@@ -309,10 +309,10 @@ def test_line_node_cap():
 
 class TestValidation:
     def test_sigma_below_tail_scope(self):
-        tp = TransformProblem(0.8, 1.0, math.pi, 0.9, 3)
+        # Neither route sees sigma <= (n-1)/2: the problem type refuses it.
         for route in (ml_transform, split_transform):
-            with pytest.raises(DomainError, match="sigma"):
-                route(tp, 1.0)
+            with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
+                route(TransformProblem(0.8, 1.0, math.pi, 0.9, 3), 1.0)
 
     def test_nonpositive_xi(self):
         tp = TransformProblem(0.8, 1.0, math.pi, 0.7, 1)

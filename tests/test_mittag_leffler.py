@@ -94,6 +94,12 @@ def test_series_domain_gate():
         ml_series(MLParams(0.8, 1.0), 10.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_series_rejects_non_finite_z(z):
+    with pytest.raises(DomainError, match="finite"):
+        ml_series(MLParams(0.8, 1.0), z)
+
+
 def test_series_never_sums_in_doubles(monkeypatch):
     # ml_series is the mpmath sum alone, not ml_eval's double series.
     def unreachable(*args, **kwargs):
@@ -175,6 +181,20 @@ def test_contour_matches_series_outside_opening(alpha, beta):
         s = ml_series(p, z)
         v = ml_contour(p, z)
         assert abs(s - v) <= 1e-9 * abs(s)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_contour_rejects_non_finite_z(z):
+    with pytest.raises(DomainError, match="finite"):
+        ml_contour(MLParams(0.8, 1.0), z)
+
+
+@pytest.mark.parametrize(
+    "phi,r", [(math.pi, math.nan), (math.pi, math.inf), (math.nan, 1.0)]
+)
+def test_on_ray_rejects_non_finite_arguments(phi, r):
+    with pytest.raises(DomainError, match="finite"):
+        ml_on_ray(MLParams(0.8, 1.0), phi, r)
 
 
 def test_on_ray_domain():

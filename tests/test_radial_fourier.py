@@ -92,8 +92,9 @@ def fourier_radial_reference(f0, n, xi_mag):
 
 class TestTransformProblem:
     def test_accepts_admissible(self):
-        tp = TransformProblem(0.8, 1.0, math.pi, 1.0, 1)
-        assert tp.tail_admissible
+        for sigma, n in ((1.0, 1), (1.1, 3)):
+            tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
+            assert (tp.sigma, tp.n) == (sigma, n)
 
     def test_rejects_alpha_outside_range(self):
         with pytest.raises(DomainError):
@@ -113,14 +114,22 @@ class TestTransformProblem:
     def test_rejects_bad_sigma_and_dim(self):
         with pytest.raises(DomainError):
             TransformProblem(0.8, 1.0, math.pi, 0.0, 1)
+        with pytest.raises(DomainError, match="finite sigma"):
+            TransformProblem(0.8, 1.0, math.pi, math.inf, 1)
         with pytest.raises(DomainError):
             TransformProblem(0.8, 1.0, math.pi, 1.0, 0)
         with pytest.raises(DomainError):
             TransformProblem(0.8, 1.0, math.pi, 1.0, 1.5)
 
-    def test_tail_admissible_threshold(self):
-        assert not TransformProblem(0.8, 1.0, math.pi, 0.9, 3).tail_admissible
-        assert TransformProblem(0.8, 1.0, math.pi, 1.1, 3).tail_admissible
+    def test_rejects_sigma_at_or_below_the_paper_scope(self):
+        # sigma > (n-1)/2 is the scope of the paper's results; for n = 3,
+        # 1.0 is the boundary (n-1)/2 itself, and it is outside
+        for sigma in (0.9, 1.0):
+            with pytest.raises(DomainError) as exc:
+                TransformProblem(0.8, 1.0, math.pi, sigma, 3)
+            assert str(exc.value) == (
+                f"finite sigma > (n-1)/2 = 1.0 required, got sigma = {sigma}"
+            )
 
 
 class TestTailStrategy:
@@ -373,9 +382,9 @@ class TestComputeN:
         assert abs(got - target) < 1e-2 * abs(target)
 
     def test_sigma_scope_gate(self):
-        tp = TransformProblem(0.8, 1.0, math.pi, 0.9, 3)
-        with pytest.raises(DomainError, match="sigma"):
-            compute_N(tp, 1.0)
+        # The problem type refuses sigma <= (n-1)/2 before compute_N runs.
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
+            compute_N(TransformProblem(0.8, 1.0, math.pi, 0.9, 3), 1.0)
 
     def test_fast_exponential_term_near_the_sector_boundary(self):
         # 0.18 rad inside the sector E's exponential term turns about 120
@@ -638,9 +647,9 @@ class TestIbpIdentity:
             ibp_identity_check(BASE_TP, 1.0, 2, 1)
 
     def test_sigma_scope_gate(self):
-        tp = TransformProblem(0.8, 1.0, math.pi, 0.9, 3)
-        with pytest.raises(DomainError):
-            ibp_identity_check(tp, 1.0, 0, 1)
+        # The problem type refuses sigma <= (n-1)/2 before the check runs.
+        with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
+            ibp_identity_check(TransformProblem(0.8, 1.0, math.pi, 0.9, 3), 1.0, 0, 1)
 
 
 class TestContourSeparation:
