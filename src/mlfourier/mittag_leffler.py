@@ -6,8 +6,8 @@ identities.
 
 `ml_eval` is the evaluator, in both sectors, with one accuracy target: the
 double Taylor series where its cancellation guard accepts (|z| <=
-SERIES_RADIUS), the sector sum where its error estimate meets Laplace
-inversion's 1e-15 relative target (decay sector, |z| >= SECTOR_SUM_RADIUS),
+SERIES_RADIUS), the sector sum where its error estimate is at most 1e-15
+relative (decay sector, |z| >= SECTOR_SUM_RADIUS),
 and Laplace inversion everywhere else.  An array of z is evaluated entry by
 entry by that same rule, so each entry's value is the scalar one.  The
 sector sum is the one evaluator of the large-argument expansion: the
@@ -70,8 +70,8 @@ class MLParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 2.0):
             raise DomainError(f"0 < alpha < 2 required, got alpha = {self.alpha}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta > 0 required, got beta = {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"finite beta > 0 required, got beta = {self.beta}")
 
 
 # Largest x with e^x in double range.
@@ -581,11 +581,11 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
     - |z| >= SECTOR_SUM_RADIUS in the decay sector |arg z| > pi alpha/2:
       the truncated sector sum with its exponentially small wave terms,
       where its error estimate (first omitted term plus rounding) is at
-      most 1e-15 |value|, the target Laplace inversion works to.
+      most 1e-15 |value|, a bound relative to E.
     - Everywhere else: Laplace inversion on Garrappa's optimal parabola
-      (2015), with a fixed 1e-15 target and node cap.  A point that has no
-      parabola within the cap raises ConvergenceError; a value outside
-      double range raises AccuracyError.
+      (2015) with a node cap, to a fixed 1e-15 absolute on its integrand's
+      scale (not relative to |E|).  A point that has no parabola within the
+      cap raises ConvergenceError; a value outside double range, AccuracyError.
 
     Accuracy: ~5e-14 relative against independent values wherever |E| is
     algebraic in 1/|z|, whichever route serves the point.  Only E_{1,1} =

@@ -21,22 +21,24 @@ plus an absolutely convergent remainder integral.
 The split evaluates its integrand on whole node arrays, with ml_eval, jbar
 and the cutoffs taking arrays; ml_eval applies its scalar rule to each
 node, and most of the split's time goes there.  M is a set of tanh-sinh
-panels integrated in one batched call; the tail's two transition chunks
-[1, 1.5] and [1.5, 2], and the chunks where E's exponential term turns
-too fast for fixed nodes, are another such call; the other chunks from
-r = 2 on are 16-node Gauss-Legendre rules evaluated a block of chunks at
-a time.  QUADPACK (integrate_finite) serves the integration-by-parts
-check.  Nothing here takes tolerances: the panels work to a thousandth of
-the engines' fixed target, scaled to the expected size of M and N, and
-the tail's sums stop at the accelerator's own target.
+panels integrated in one batched call.  N and the check below share one
+chunk-and-accelerate routine, _chunk_limits: the transition chunks
+[1, 1.5] and [1.5, 2], and the chunks a caller names (for N, where E's
+exponential term turns too fast for fixed nodes), are tanh-sinh panels
+of one batched call, the other chunks from r = 2 on 16-node
+Gauss-Legendre rules evaluated a block of chunks at a time.  Nothing here
+takes tolerances: the panels work to a thousandth of the engines' fixed
+target, scaled to the expected size of M and N, and the chunk sums stop
+at the accelerator's own target.
 
 The integration-by-parts machinery transfers derivatives from the e^{ir}
 phase onto contour kernels Q_l.  Q_0(u) is the contour integral of
 e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
 Q_l(u) = u^l (d/du)^l Q_0(u) is one contour integral too: the derivative
 expands into pole factors of order j+1 with coefficients C~_{j,l}(sigma)
-from a recurrence, summed inside the integrand.  The check runs QUADPACK
-at integrate_finite's and integrate_semi_infinite's fixed target.
+from a recurrence, summed inside the integrand.  The check sums its
+e^{ir}-phased integrals on chunks of width pi, and its psi^(l)-weighted
+terms on [1, 2] are tanh-sinh panels of one batched call.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import jv
@@ -57,7 +59,6 @@ from .special_core import (
     CompensatedSum,
     accelerated_limit,
     gauss_legendre_rule,
-    integrate_finite,
     integrate_panels,
 )
 from .mittag_leffler import (
@@ -140,8 +141,8 @@ def cutoff_psi(r):
 _MAX_CUTOFF_DERIVATIVE = 6
 
 
-def _psi_derivatives(m: int, r: float) -> list[float]:
-    """psi_cut and its first m derivatives at 1 < r < 2, where
+def _psi_derivatives(m: int, r: np.ndarray) -> list[np.ndarray]:
+    """psi_cut and its first m derivatives at an array of 1 < r < 2, where
     psi_cut = l/(h + l) with h = e^{-1/(2-r)} and l = e^{-1/(r-1)}.
 
     An exponential f = e^g has f^(j+1) = sum_k C(j,k) g^(k+1) f^(j-k), and
@@ -151,36 +152,38 @@ def _psi_derivatives(m: int, r: float) -> list[float]:
     dg = [-math.factorial(k) / u ** (k + 1) for k in range(m + 1)]
     dq = [-((-1) ** k) * math.factorial(k) / v ** (k + 1) for k in range(m + 1)]
 
-    def exp_derivatives(d: list[float]) -> list[float]:
-        f = [math.exp(d[0])]
+    def exp_derivatives(d: list[np.ndarray]) -> list[np.ndarray]:
+        f = [np.exp(d[0])]
         for j in range(m):
             f.append(sum(math.comb(j, k) * d[k + 1] * f[j - k] for k in range(j + 1)))
         return f
 
     h, l = exp_derivatives(dg), exp_derivatives(dq)
     den = [a + b for a, b in zip(h, l)]
-    psi: list[float] = []
+    psi: list[np.ndarray] = []
     for j in range(m + 1):
         lower = sum(math.comb(j, k) * psi[k] * den[j - k] for k in range(j))
         psi.append((l[j] - lower) / den[0])
     return psi
 
 
-def cutoff_derivative(m: int, r: float) -> float:
-    """m-th derivative of cutoff_psi for r >= 0; supported in [1, 2] for
-    m >= 1.  Derivatives come from exact recurrences for the closed-form
-    transition, not finite differences."""
+def cutoff_derivative(m: int, r):
+    """m-th derivative of cutoff_psi for r >= 0, at a float or an array of
+    r; supported in [1, 2] for m >= 1.  Derivatives come from exact
+    recurrences for the closed-form transition, not finite differences."""
     if m < 0 or m > _MAX_CUTOFF_DERIVATIVE:
         raise DomainError(
             f"derivative order must be in [0, {_MAX_CUTOFF_DERIVATIVE}]"
         )
     if m == 0:
         return cutoff_psi(r)
+    t = np.atleast_1d(np.asarray(r, dtype=float))
     # The transition has flat contact at both ends: all derivatives vanish
     # outside (1, 2), and the guard also avoids overflow in exp(-1/(r-1)).
-    if r <= 1.0 + 1e-9 or r >= 2.0 - 1e-9:
-        return 0.0
-    return _psi_derivatives(m, r)[m]
+    inside = (t > 1.0 + 1e-9) & (t < 2.0 - 1e-9)
+    out = np.zeros(t.shape)
+    out[inside] = _psi_derivatives(m, t[inside])[m]
+    return out.reshape(np.shape(r)) if np.ndim(r) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,82 +323,53 @@ def _wave_chunks(tp: TransformProblem, xi_mag: float) -> list[int]:
     return k[need].tolist()
 
 
-def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
-    """Oscillatory tail: integral of psi_cut(r) E(e^{i phi}(r/|xi|)^sigma)
-    jbar_n(r) over [1, infinity), chunked at half-periods of the kernel
-    phase and accelerated.
+def _chunk_limits(
+    base: Callable, kernels: list[Callable], half: float, budget: int,
+    scale: float, extra: Iterable[int] = (),
+) -> list[Complex]:
+    """Accelerated integral_1^inf psi_cut(r) base(r) kernel(r) dr for each
+    kernel, chunk by chunk as in Longman (Proc. Cambridge Philos. Soc. 52, 1956).
 
-    jbar_n is replaced by its large-argument expansion of order
-    M = (n-1)//2 + 1, the smallest that exceeds (n-1)/2 and so leaves an
-    absolutely integrable remainder term."""
-    _require_xi(xi_mag)
-    n = tp.n
-    M = (n - 1) // 2 + 1
-    g = _profile(tp, xi_mag)
-    pairs, need_remainder = _tail_coefficient_pairs(n, M)
-    two_pi = 2.0 * math.pi
-    lam = 0.5 * n - 1.0
+    Chunk k is [1 + k/2, 1.5 + k/2] for k = 0, 1, where psi_cut switches
+    on, and [2 + (k-2) half, 2 + (k-1) half] from k = 2 on, half being the
+    half-period of the kernels' phase.  psi_cut is non-analytic at the flat
+    contacts r = 1, 2, where fixed-order nodes lose ~1e-10: chunks 0, 1 and
+    those in extra are tanh-sinh panels of one batched call, for integrals
+    of expected size scale.  The other chunks are 16-node Gauss-Legendre
+    rules, with psi_cut base evaluated a block of chunks at a time and
+    shared by every kernel.  Each kernel's chunk sums are accelerated over
+    at most budget chunks.
+    """
 
-    # One accelerated sum per kernel: e^{+-2 pi i r} r^((n-1)/2 - l) with
-    # weight c_l^+- (2 pi)^(-(l+1/2)) for each expansion order l, then the
-    # remainder r^(n/2) L(2 pi r; M) (sign None) with weight 1.
-    terms: list[tuple[Complex, float | None, float]] = []
-    for ell in range(M + 1):
-        cp, cm = pairs[ell]
-        if cp == 0 and cm == 0:
-            continue
-        scale = two_pi ** (-(ell + 0.5))
-        for coeff, sign in ((cp, 1.0), (cm, -1.0)):
-            terms.append((coeff * scale, sign, 0.5 * (n - 1) - ell))
-    if need_remainder:
-        terms.append((1.0, None, 0.5 * n))
+    def lower(k: np.ndarray) -> np.ndarray:
+        return np.where(k < 2, 1.0 + 0.5 * k, 2.0 + half * (k - 2))
 
-    def kernel(t: int, r: np.ndarray) -> np.ndarray:
-        _weight, sign, power = terms[t]
-        if sign is None:
-            return _bessel_remainder(lam, two_pi * r, pairs) * r ** power
-        return np.exp(1j * sign * two_pi * r) * r ** power
-
-    # psi is non-analytic at the flat contacts r = 1, 2, where fixed-order
-    # nodes lose ~1e-10, and on the wave chunks E's exponential term turns
-    # too fast for them: the chunks [1, 1.5], [1.5, 2] and the wave chunks
-    # of every kernel are tanh-sinh panels of one batched call.
     def transition(r: np.ndarray, kind: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         rows = r.reshape(kind.size, -1)
-        kind = kind.ravel()
-        chunk = chunk.ravel()
-        base = np.empty(rows.shape, complex)
+        kind, chunk = kind.ravel(), chunk.ravel()
+        # Panels advance level by level together, so the rows of one chunk
+        # coincide and psi base is evaluated once for all kernels.
+        shared = np.empty(rows.shape, complex)
         for c in np.unique(chunk):
-            sel = np.flatnonzero(chunk == c)
-            same = rows[sel[0]]
-            # Panels advance level by level together, so the rows of one
-            # chunk coincide and psi g is evaluated once for all kernels.
-            if np.array_equal(rows[sel], np.broadcast_to(same, (sel.size, same.size))):
-                base[sel] = cutoff_psi(same) * g(same)
-            else:
-                base[sel] = cutoff_psi(rows[sel]) * g(rows[sel])
+            sel = chunk == c
+            row = rows[np.argmax(sel)]
+            shared[sel] = cutoff_psi(row) * base(row)
         out = np.empty(rows.shape, complex)
         for t in np.unique(kind):
             sel = kind == t
-            out[sel] = base[sel] * kernel(int(t), rows[sel])
+            out[sel] = shared[sel] * kernels[t](rows[sel])
         return out.reshape(r.shape)
 
-    panel_chunks = [0, 1, *_wave_chunks(tp, xi_mag)]
-    panel = {k: i for i, k in enumerate(panel_chunks)}
-    starts = np.tile(1.0 + 0.5 * np.array(panel_chunks), len(terms))
+    panel_chunks = np.array([0, 1, *extra])
+    panel = {k: i for i, k in enumerate(panel_chunks.tolist())}
+    starts = np.tile(lower(panel_chunks), len(kernels))
+    widths = np.tile(np.where(panel_chunks < 2, 0.5, half), len(kernels))
+    kinds = np.repeat(np.arange(len(kernels)), len(panel))
     head = integrate_panels(
-        transition,
-        starts,
-        starts + 0.5,
-        _panel_scale(tp, xi_mag),
-        args=(
-            np.repeat(np.arange(len(terms)), len(panel)),
-            np.tile(panel_chunks, len(terms)),
-        ),
-    ).reshape(len(terms), len(panel))
+        transition, starts, starts + widths, scale,
+        args=(kinds, np.tile(panel_chunks, len(kernels))),
+    ).reshape(len(kernels), len(panel))
 
-    # The other chunks are 16-node Gauss-Legendre rules: psi(r) g(r) is
-    # evaluated for a block of chunks at a time and shared by every kernel.
     nodes, weights = gauss_legendre_rule(_CHUNK_ORDER)
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     sums: dict[tuple[int, int], np.ndarray] = {}
@@ -407,17 +381,64 @@ def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
         if (t, j) not in sums:
             while len(blocks) <= j:
                 first = 2 + _CHUNK_BLOCK * len(blocks)
-                a = 1.0 + 0.5 * np.arange(first, first + _CHUNK_BLOCK)
-                r = a[:, np.newaxis] + 0.25 * (nodes + 1.0)
-                blocks.append((r, 0.25 * weights * cutoff_psi(r) * g(r)))
+                a = lower(np.arange(first, first + _CHUNK_BLOCK))
+                r = a[:, np.newaxis] + 0.5 * half * (nodes + 1.0)
+                blocks.append((r, 0.5 * half * weights * cutoff_psi(r) * base(r)))
             r, vals = blocks[j]
-            sums[t, j] = np.sum(vals * kernel(t, r), axis=1)
+            sums[t, j] = np.sum(vals * kernels[t](r), axis=1)
         return complex(sums[t, j][i])
 
+    limits = []
+    for t in range(len(kernels)):
+        chunks = (chunk_value(t, k) for k in range(budget))
+        limits.append(accelerated_limit(chunks, max_terms=budget)[0])
+    return limits
+
+
+def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
+    """Oscillatory tail: integral of psi_cut(r) E(e^{i phi}(r/|xi|)^sigma)
+    jbar_n(r) over [1, infinity), chunked at half-periods of the kernel
+    phase and accelerated.
+
+    jbar_n is replaced by its large-argument expansion of order
+    M = (n-1)//2 + 1, the smallest that exceeds (n-1)/2 and so leaves an
+    absolutely integrable remainder term."""
+    _require_xi(xi_mag)
+    n = tp.n
+    M = (n - 1) // 2 + 1
+    pairs, need_remainder = _tail_coefficient_pairs(n, M)
+    two_pi = 2.0 * math.pi
+    lam = 0.5 * n - 1.0
+
+    # One accelerated sum per kernel: e^{+-2 pi i r} r^((n-1)/2 - l) with
+    # weight c_l^+- (2 pi)^(-(l+1/2)) for each expansion order l, then the
+    # remainder r^(n/2) L(2 pi r; M) with weight 1.
+    weights: list[Complex] = []
+    kernels: list[Callable] = []
+    for ell in range(M + 1):
+        cp, cm = pairs[ell]
+        if cp == 0 and cm == 0:
+            continue
+        scale = two_pi ** (-(ell + 0.5))
+        for coeff, sign in ((cp, 1.0), (cm, -1.0)):
+            weights.append(coeff * scale)
+            power = 0.5 * (n - 1) - ell
+            kernels.append(
+                lambda r, s=sign, p=power: np.exp(1j * s * two_pi * r) * r ** p
+            )
+    if need_remainder:
+        weights.append(1.0)
+        kernels.append(
+            lambda r, p=0.5 * n: _bessel_remainder(lam, two_pi * r, pairs) * r ** p
+        )
+
+    # On the wave chunks E's exponential term turns too fast for fixed
+    # nodes: they join the transition chunks' tanh-sinh panels.
+    g, scale = _profile(tp, xi_mag), _panel_scale(tp, xi_mag)
+    wave = _wave_chunks(tp, xi_mag)
+    limits = _chunk_limits(g, kernels, 0.5, _TAIL_CHUNKS, scale, wave)
     total = CompensatedSum()
-    for t, (weight, _sign, _power) in enumerate(terms):
-        chunks = (chunk_value(t, k) for k in range(_TAIL_CHUNKS))
-        lim, _err, _used = accelerated_limit(chunks, max_terms=_TAIL_CHUNKS)
+    for weight, lim in zip(weights, limits):
         total.add(weight * lim)
     return total.value
 
@@ -537,9 +558,7 @@ class _KernelInterpolant:
         degree = 32
         while True:
             k = np.arange(degree + 1)
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
-                math.pi * k / degree
-            )
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(math.pi * k / degree)
             vals = np.array([func(math.exp(ti)) for ti in t])
             self.fit = np.polynomial.Chebyshev.fit(t, vals, degree, [lo, hi])
             mid = 0.5 * (t[:-1] + t[1:])[::4]
@@ -548,43 +567,17 @@ class _KernelInterpolant:
             if np.max(np.abs(probe - self.fit(mid))) <= 1e-9 * scale:
                 return
             if degree >= 512:
-                raise AccuracyError(
-                    "kernel interpolation failed to reach tolerance"
-                )
+                raise AccuracyError("kernel interpolation failed to reach tolerance")
             degree *= 2
 
-    def __call__(self, u: float) -> Complex:
-        return complex(self.fit(math.log(u)))
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self.fit(np.log(u))
 
 
-_IBP_MAX_CHUNKS = 150
+_IBP_MAX_CHUNKS = 150  # chunk budget of the check's accelerated sums
 
 
-def _oscillatory_power_sum(
-    kernel: Callable[[float], Complex], power: float
-) -> Complex:
-    """Accelerated value of integral_1^inf e^{ir} r^power psi_cut(r)
-    kernel(r) dr, split at consecutive multiples of pi."""
-
-    def f(r: float) -> Complex:
-        w = cutoff_psi(r)
-        if w == 0.0:
-            return 0.0 + 0.0j
-        return cmath.exp(1j * r) * r ** power * w * kernel(r)
-
-    boundaries = [1.0] + [math.pi * k for k in range(1, _IBP_MAX_CHUNKS + 2)]
-
-    chunks = (
-        integrate_finite(f, boundaries[k], boundaries[k + 1]).value
-        for k in range(_IBP_MAX_CHUNKS)
-    )
-    value, _err, _used = accelerated_limit(chunks, max_terms=_IBP_MAX_CHUNKS)
-    return value
-
-
-def ibp_identity_check(
-    tp: TransformProblem, xi_mag: float, ell: int, N: int
-) -> float:
+def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) -> float:
     """Relative difference between the oscillatory integral
 
         integral_0^inf e^{ir} r^((n-1)/2 - ell) psi_cut(r) Q_0(r/|xi|) dr
@@ -603,47 +596,54 @@ def ibp_identity_check(
     if ell not in (0, 1):
         raise DomainError("ell must be 0 or 1")
 
-    r_max = math.pi * (_IBP_MAX_CHUNKS + 2)
-    u_lo = 0.5 / xi_mag
-    u_hi = 1.05 * r_max / xi_mag
+    # The kernels' domain covers every chunk: the last ends at r_max.
+    r_max = 2.0 + math.pi * (_IBP_MAX_CHUNKS - 2)
+    u_lo, u_hi = 0.5 / xi_mag, 1.05 * r_max / xi_mag
     tables = [
         _KernelInterpolant(lambda u, L=ell3: q_kernel(tp, L, u), u_lo, u_hi)
         for ell3 in range(N + 1)
     ]
 
-    base_power = 0.5 * (tp.n - 1) - ell
-    lhs = _oscillatory_power_sum(lambda r: tables[0](r / xi_mag), base_power)
+    def kernel(power: float, l3: int) -> Callable:
+        return lambda r: r ** power * tables[l3](r / xi_mag)
 
-    rhs = CompensatedSum()
+    # The right side's terms (coefficient, power, l2, l3): those with
+    # l2 = 0 run out to infinity, the others live where psi^(l2) does.
+    base_power = 0.5 * (tp.n - 1) - ell
+    tail, edge = [], []
     for l1 in range(N + 1):
         for l2 in range(N + 1 - l1):
-            l3 = N - l1 - l2
-            c = (
-                math.factorial(N)
-                / (
-                    math.factorial(l1)
-                    * math.factorial(l2)
-                    * math.factorial(l3)
-                )
-                * _falling_factorial(base_power, l1)
-            )
-            if c == 0.0:
-                continue
-            power = base_power - N + l2
-            kern = lambda r, t=tables[l3]: t(r / xi_mag)
-            if l2 == 0:
-                val = _oscillatory_power_sum(kern, power)
-            else:
-                # psi^(l2) is supported in [1, 2]: a single smooth panel.
-                def f(r: float, m=l2, pw=power, kn=kern) -> Complex:
-                    return (
-                        cmath.exp(1j * r)
-                        * r ** pw
-                        * cutoff_derivative(m, r)
-                        * kn(r)
-                    )
+            multinomial = math.comb(N, l1) * math.comb(N - l1, l2)
+            c = multinomial * _falling_factorial(base_power, l1)
+            term = (c, base_power - N + l2, l2, N - l1 - l2)
+            if c != 0.0:
+                (edge if l2 else tail).append(term)
 
-                val = integrate_finite(f, 1.0, 2.0).value
-            rhs.add(c * val)
+    # The left side and the tail terms share one chunked sum over
+    # half-periods pi of their e^{ir} phase.
+    kernels = [kernel(base_power, 0)] + [kernel(pw, l3) for _c, pw, _l2, l3 in tail]
+    limits = _chunk_limits(
+        lambda r: np.exp(1j * r), kernels, math.pi, _IBP_MAX_CHUNKS, 1.0
+    )
+    lhs = limits[0]
+
+    # psi^(l2) is supported in [1, 2]: one smooth panel per term, all in one
+    # batched call.
+    def edge_integrand(r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        rows = r.reshape(which.size, -1)
+        out = np.empty(rows.shape, complex)
+        for i, j in enumerate(which.ravel()):
+            _c, pw, l2, l3 = edge[j]
+            r_i = rows[i]
+            out[i] = np.exp(1j * r_i) * cutoff_derivative(l2, r_i) * kernel(pw, l3)(r_i)
+        return out.reshape(r.shape)
+
+    ones = np.ones(len(edge))
+    edge_vals = integrate_panels(
+        edge_integrand, ones, 2.0 * ones, 1.0, args=(np.arange(len(edge)),)
+    )
+    rhs = CompensatedSum()
+    for (c, *_rest), val in zip(tail + edge, [*limits[1:], *edge_vals]):
+        rhs.add(c * val)
     rhs_val = (1j) ** N * rhs.value
     return abs(lhs - rhs_val) / abs(lhs)

@@ -99,6 +99,13 @@ class TestEvalMl:
         assert code == 2
         assert err.startswith("error:") and "finite" in err
 
+    def test_infinite_beta_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval-ml", "--alpha", "0.8", "--beta", "inf", "--z", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "finite beta > 0" in err
+
     def test_unparseable_z(self, capsys):
         code, _, err = run_cli(
             capsys, "eval-ml", "--alpha", "1", "--z", "not-a-number"
@@ -189,6 +196,11 @@ class TestTransform:
         )
         assert code == 2
         assert err.startswith("error:") and "finite" in err
+
+    def test_infinite_beta_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "--beta", "inf", "--xi-points", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "finite beta > 0" in err
 
     def test_unknown_strategy_is_a_usage_error(self, capsys):
         # transform has one route: --strategy is no option, whatever its value

@@ -48,6 +48,8 @@ def test_params_validation():
         MLParams(1.0, 0.0)
     with pytest.raises(DomainError):
         MLParams(1.0, -3.0)
+    with pytest.raises(DomainError, match="finite beta > 0"):
+        MLParams(0.8, math.inf)
 
 
 def test_series_exponential():

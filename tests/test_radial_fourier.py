@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mlfourier import radial_fourier
 from mlfourier.bessel import jbar
 from mlfourier.errors import DomainError
 from mlfourier.mittag_leffler import MLParams, _contour, ml_eval
@@ -121,6 +122,10 @@ class TestTransformProblem:
         with pytest.raises(DomainError):
             TransformProblem(0.8, 1.0, math.pi, 1.0, 1.5)
 
+    def test_rejects_infinite_beta(self):
+        with pytest.raises(DomainError, match="finite beta > 0"):
+            TransformProblem(0.8, math.inf, math.pi, 0.7, 1)
+
     def test_rejects_sigma_at_or_below_the_paper_scope(self):
         # sigma > (n-1)/2 is the scope of the paper's results; for n = 3,
         # 1.0 is the boundary (n-1)/2 itself, and it is outside
@@ -212,6 +217,16 @@ class TestCutoffs:
                 ) / (2 * h)
                 scale = max(1.0, abs(fd))
                 assert abs(cutoff_derivative(m, r) - fd) < 1e-5 * scale
+
+    def test_derivative_of_an_array_is_the_scalar_values(self):
+        # r <= 1 and r >= 2 among the points, where the derivatives vanish.
+        ends = [0.0, 0.5, 1.0, 1.0 + 1e-10, 2.0 - 1e-10, 2.0, 2.5, 7.0]
+        r = np.concatenate((ends, np.linspace(1.0, 2.0, 100)))
+        for m in range(1, 7):
+            got = cutoff_derivative(m, r.reshape(3, -1))
+            assert got.shape == (3, r.size // 3)
+            want = np.array([cutoff_derivative(m, float(x)) for x in r])
+            assert np.array_equal(got.ravel(), want), m
 
     def test_order_gate(self):
         with pytest.raises(DomainError):
@@ -627,6 +642,19 @@ class TestIbpIdentity:
         tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
         xi = float(np.geomspace(1e-2, 1e2, 7)[k])
         assert ibp_identity_check(tp, xi, 0, min_ibp_order(n)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "alpha,beta,phi,sigma,n", [(0.5, 1.5, 2.0, 2.5, 4), (0.8, 1.0, -2.0, 1.5, 2)]
+    )
+    def test_identity_off_the_negative_axis(self, alpha, beta, phi, sigma, n):
+        # Phases other than pi, and n = 4 past the reference problems.
+        tp = TransformProblem(alpha, beta, phi, sigma, n)
+        assert ibp_identity_check(tp, 0.3, 0, min_ibp_order(n)) < 1e-5
+
+    def test_module_reaches_no_quadpack(self):
+        # The check sums on compute_N's chunk routine, not per-chunk QUADPACK.
+        for name in ("integrate_finite", "integrate_semi_infinite"):
+            assert not hasattr(radial_fourier, name), name
 
     def test_boundary_envelope_decreasing(self):
         # psi(r) r^{(n-1)/2 - ell - sigma j} -> 0 for j >= 1
