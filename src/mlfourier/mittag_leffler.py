@@ -27,7 +27,9 @@ stay off it.  In the decay sector |phi| > pi*alpha/2 the arc is the unit
 circle and omega lies halfway between pi*alpha/2 and min(|phi|, pi*alpha);
 in the growth sector omega lies halfway between pi*alpha/2 and
 min(pi*alpha, pi) and the arc radius is (r^(1/alpha) + 1)^alpha, which
-encloses the point.
+encloses the point.  One routine (_contour_integral) sums on it 16-node
+Gauss-Legendre panels, in rho on the rays and arg z on the arc, sized from
+the nearest singularity (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .special_core import (
+    _ABS_TOL,
+    _EPS,
+    _REL_TOL,
     Complex,
     CompensatedSum,
-    IntegralResult,
-    _EPS,
-    integrate_finite,
-    integrate_semi_infinite,
+    gauss_legendre_rule,
     reciprocal_gamma,
 )
 
@@ -89,21 +91,41 @@ def _contour(p: MLParams, phi: float, r: float) -> tuple[float, float]:
     return eps, 0.5 * (lo + min(math.pi * p.alpha, math.pi))
 
 
+# Contour quadrature: 16-node Gauss-Legendre panels, a node budget, the
+# e-folds the ray integrands fall through before the rays stop, and the
+# (values x nodes) products summed per block.
+_PANEL_NODES = 16
+_MAX_NODES = 2**20
+_RAY_EFOLDS = 45.0
+_BLOCK = 2**20
+
+
+def _panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the panels between edges."""
+    t, w = gauss_legendre_rule(_PANEL_NODES)
+    half = 0.5 * np.diff(edges)[:, np.newaxis]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, np.newaxis]
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
 def _contour_integral(
     p: MLParams,
     phi: float,
     r: float,
-    factor: Callable[[Complex], Complex],
-) -> IntegralResult:
+    factor: Callable[..., np.ndarray],
+    args: tuple = (),
+) -> Complex | np.ndarray:
     """Integral of exp(z^(1/a)) z^((1-b)/a) factor(z) dz over the contour
-    C(eps, omega) that _contour picks for the point r e^{i phi}, as two
-    rays and an arc.
+    C(eps, omega) that _contour picks for the point r e^{i phi}: the sum of
+    factor(z_k) w_k over the panels described under Conventions above.
 
-    On the rays z = rho^alpha e^{+-i omega}, dz = alpha rho^(alpha-1)
-    e^{+-i omega} d rho, for rho >= eps^(1/alpha); on the arc z = eps
-    e^{i theta}, dz = i eps e^{i theta} d theta.  The lower ray is
-    traversed inward, hence its sign.  AccuracyError when the arc's
-    largest factor e^{eps^(1/alpha)} leaves double range.
+    factor(z, *args) takes the nodes as a row and each of args as a column,
+    one row per value; with no args it gives one value, a complex.  Each
+    row is summed on its own, so a value is the same in any batch.
+    AccuracyError when the arc's largest factor e^{eps^(1/alpha)} leaves
+    double range, or where rounding, eps times the sum of |terms|, exceeds
+    the target max(_ABS_TOL, _REL_TOL |value|); ConvergenceError when the
+    contour needs more than _MAX_NODES nodes.
     """
     a, b = p.alpha, p.beta
     eps, om = _contour(p, phi, r)
@@ -112,45 +134,56 @@ def _contour_integral(
         raise AccuracyError(
             f"contour arc factor e^{{{rho0:.1f}}} leaves double range"
         )
-    e_up = cmath.exp(1j * om / a)
-    e_dn = cmath.exp(-1j * om / a)
-    # alpha * e^{i omega (1 - beta + alpha)/alpha} rho^{alpha-beta} ... d rho
-    pre_up = a * cmath.exp(1j * om * (1.0 - b + a) / a)
-    pre_dn = a * cmath.exp(-1j * om * (1.0 - b + a) / a)
-    z_up = cmath.exp(1j * om)
-    z_dn = cmath.exp(-1j * om)
-    eps_pow = eps ** ((1.0 - b) / a)
-
-    def ray_plus(rho: float) -> Complex:
-        z = (rho ** a) * z_up
-        return pre_up * cmath.exp(rho * e_up) * rho ** (a - b) * factor(z)
-
-    def ray_minus(rho: float) -> Complex:
-        z = (rho ** a) * z_dn
-        return -pre_dn * cmath.exp(rho * e_dn) * rho ** (a - b) * factor(z)
-
-    def arc(theta: float) -> Complex:
-        z = eps * cmath.exp(1j * theta)
-        return (
-            1j
-            * eps
-            * cmath.exp(rho0 * cmath.exp(1j * theta / a))
-            * eps_pow
-            * cmath.exp(1j * theta * (1.0 - b) / a)
-            * cmath.exp(1j * theta)
-            * factor(z)
+    # The nearest singularity: the point, an angle gap off the rays, and in
+    # the growth sector ln(eps/r) inside the arc's parameter strip.
+    if abs(phi) > math.pi * a / 2.0:
+        gap = min(abs(phi) - om, 1.0)
+        arc_width = 0.5 * gap
+    else:
+        gap = min(om - abs(phi), 1.0)
+        depth = math.log(eps) - math.log(r) if r > 0.0 else math.inf
+        arc_width = 0.5 * min(1.0 / rho0, depth, 1.0)
+    rate = -math.cos(om / a)
+    rho1 = rho0 + (_RAY_EFOLDS + 5.0 * math.log(_RAY_EFOLDS / rate)) / rate
+    # A singularity an angle gap off a ray lies about rho gap/alpha from it:
+    # ray panels grow with rho until the exponential's own scale caps them.
+    rel, cap = 0.5 * gap / a, 2.0 / max(abs(math.sin(om / a)), rate)
+    turn = min(max(cap / rel, rho0), rho1)
+    grow = math.log(turn / rho0) / math.log1p(rel)
+    arcs = 2.0 * om / arc_width
+    count = _PANEL_NODES * (2.0 * (grow + (rho1 - turn) / cap) + arcs)
+    if not count <= _MAX_NODES:
+        raise ConvergenceError(
+            f"contour needs about {count:.3g} nodes, more than {_MAX_NODES} (gap {gap:.3g})"
         )
-
-    # Conservative rate: the polynomial factor rho^(alpha-beta) and |factor|
-    # erode the pure exponential envelope exp(rho cos(omega/alpha)) only
-    # logarithmically.
-    rate = -0.9 * math.cos(om / a)
-    up = integrate_semi_infinite(ray_plus, rho0, rate)
-    dn = integrate_semi_infinite(ray_minus, rho0, rate)
-    arc_res = integrate_finite(arc, -om, om)
-    return IntegralResult(
-        up.value + dn.value + arc_res.value, up.error + dn.error + arc_res.error
-    )
+    ray = rho0 * (1.0 + rel) ** np.arange(math.ceil(grow) + 1)
+    ray = np.append(ray, ray[-1] + cap * np.arange(1, (rho1 - ray[-1]) // cap + 2))
+    arc = np.linspace(-om, om, math.ceil(arcs) + 1)
+    # Each node as rho e^{i psi} = z^(1/alpha), with d(log z) for its rule.
+    theta, w_theta = _panels(arc)
+    rho, w_rho = _panels(ray)
+    rad = np.concatenate([np.full(theta.size, rho0), rho, rho])
+    psi = np.concatenate([theta, np.full(rho.size, om), np.full(rho.size, -om)]) / a
+    dlog = np.concatenate([1j * w_theta, a * w_rho / rho, -a * w_rho / rho])
+    z = rad ** a * np.exp(1j * a * psi)
+    # One exponent keeps the arc's factors' product in range wherever it is.
+    w = dlog * np.exp(rad * np.exp(1j * psi) + (1.0 - b + a) * (np.log(rad) + 1j * psi))
+    rows = len(args[0]) if args else 1
+    block = max(1, _BLOCK // z.size)
+    out = np.empty(rows, complex)
+    for lo in range(0, rows, block):
+        terms = np.atleast_2d(factor(z, *(c[lo:lo + block, None] for c in args))) * w
+        value = terms.sum(axis=1)
+        bound = _EPS * np.abs(terms).sum(axis=1)
+        miss = ~(bound <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(value)))
+        if miss.any():
+            i = int(np.argmax(miss))
+            raise AccuracyError(
+                f"contour sum of size {abs(value[i]):.3e} leaves double range "
+                f"or its rounding {bound[i]:.3e} misses the target"
+            )
+        out[lo:lo + block] = value
+    return out if args else complex(out[0])
 
 
 # Relative accuracy of the Taylor sums: ml_series' target and the
@@ -257,15 +290,16 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
 def ml_contour(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z) as (2 pi i alpha)^{-1} times the contour integral of
     exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z), over the contour that
-    _contour picks for z, which leaves the pole w = z outside.  A
-    growth-sector z whose arc factor e^{|z|^(1/alpha) + 1} leaves double
-    range raises AccuracyError, a non-finite z DomainError.
+    _contour picks for z, which leaves the pole w = z outside.
+    AccuracyError where the arc factor e^{|z|^(1/alpha) + 1} leaves double
+    range or the sum's rounding misses its target (_contour_integral), and
+    DomainError for a non-finite z.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"finite z required, got {z}")
-    res = _contour_integral(p, cmath.phase(z), abs(z), lambda w: 1.0 / (w - z))
-    return res.value / (2j * math.pi * p.alpha)
+    value = _contour_integral(p, cmath.phase(z), abs(z), lambda w: 1.0 / (w - z))
+    return value / (2j * math.pi * p.alpha)
 
 
 def ml_on_ray(p: MLParams, phi: float, r: float) -> Complex:
@@ -291,8 +325,8 @@ def hankel_reciprocal_gamma(p: MLParams, shift: float) -> Complex:
     if not p.beta + shift > 0:
         raise DomainError("beta + shift must be positive")
     shifted = MLParams(p.alpha, p.beta + shift)
-    res = _contour_integral(shifted, math.pi, 0.0, lambda w: 1.0 + 0.0j)
-    return res.value / (2j * math.pi * p.alpha)
+    value = _contour_integral(shifted, math.pi, 0.0, np.ones_like)
+    return value / (2j * math.pi * p.alpha)
 
 
 def _exponential_waves(p: MLParams, z: Complex) -> Complex:

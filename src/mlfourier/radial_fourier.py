@@ -23,8 +23,8 @@ and the cutoffs taking arrays; ml_eval applies its scalar rule to each
 node, and most of the split's time goes there.  M is a set of tanh-sinh
 panels integrated in one batched call.  N and the check below share one
 chunk-and-accelerate routine, _chunk_limits: the transition chunks
-[1, 1.5] and [1.5, 2], and the chunks a caller names (for N, where E's
-exponential term turns too fast for fixed nodes), are tanh-sinh panels
+[1, 1.5] and [1.5, 2], and the chunks where E's exponential term turns
+too fast for fixed nodes (_wave_chunks), are tanh-sinh panels
 of one batched call, the other chunks from r = 2 on 16-node
 Gauss-Legendre rules evaluated a block of chunks at a time.  Nothing here
 takes tolerances: the panels work to a thousandth of the engines' fixed
@@ -36,9 +36,9 @@ phase onto contour kernels Q_l.  Q_0(u) is the contour integral of
 e^{z^(1/alpha)} z^((1-beta)/alpha)/(z - e^{i phi} u^sigma), and
 Q_l(u) = u^l (d/du)^l Q_0(u) is one contour integral too: the derivative
 expands into pole factors of order j+1 with coefficients C~_{j,l}(sigma)
-from a recurrence, summed inside the integrand.  The check sums its
-e^{ir}-phased integrals on chunks of width pi, and its psi^(l)-weighted
-terms on [1, 2] are tanh-sinh panels of one batched call.
+from a recurrence, summed inside the integrand.  q_kernel takes arrays of
+u on one set of contour nodes, and the check calls it at every node of its
+e^{ir}-phased chunks of width pi and psi^(l)-weighted panels on [1, 2].
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.special import jv
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .special_core import (
     _EPS,
     Complex,
@@ -221,7 +221,7 @@ def _require_xi(xi_mag: float) -> None:
         raise DomainError(f"finite xi_mag > 0 required, got {xi_mag}")
 
 
-_TAIL_CHUNKS = 400  # chunk budget of the tail's accelerated sums
+_TAIL_CHUNKS = 400  # chunk budget of the tail's and the check's accelerated sums
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,14 @@ _CHUNK_BLOCK = 16  # chunks per batched profile evaluation from k = 2 on
 _CHUNK_MAX_TURN = 16.0
 
 
-def _wave_chunks(tp: TransformProblem, xi_mag: float) -> list[int]:
-    """Tail chunks k >= 2, [1 + k/2, 1.5 + k/2], on which E's exponential
+def _chunk_lower(k: np.ndarray, half: float) -> np.ndarray:
+    """Left ends of the tail chunks k: [1 + k/2, 1.5 + k/2] for k = 0, 1,
+    then chunks half wide from r = 2."""
+    return np.where(k < 2, 1.0 + 0.5 * k, 2.0 + half * (k - 2))
+
+
+def _wave_chunks(tp: TransformProblem, xi_mag: float, half: float) -> list[int]:
+    """Tail chunks k >= 2 of _chunk_limits' layout on which E's exponential
     term is above rounding and turns faster than _CHUNK_MAX_TURN allows.
 
     A branch angle theta = phi + 2 pi m with |theta| <= pi alpha (as in
@@ -301,13 +307,14 @@ def _wave_chunks(tp: TransformProblem, xi_mag: float) -> list[int]:
     with rho = (r/|xi|)^(sigma/alpha).  Its size is exp(rho cos(theta/alpha)),
     largest at the chunk's left end, and its phase turns (sigma/alpha) rho
     |sin(theta/alpha)|/r radians per unit r, fastest at one of the ends,
-    on top of the kernel's 2 pi.  Near the sector boundary cos(theta/alpha)
-    is close to 0 and that term can turn 120 radians per unit r at r = 2.
+    on top of the pi that the caller's e^{+-i r pi/half} phase turns on a
+    chunk.  Near the sector boundary cos(theta/alpha) is close to 0 and
+    that term can turn 120 radians per unit r at r = 2.
     """
     power = tp.sigma / tp.alpha
     k = np.arange(2, _TAIL_CHUNKS)
-    lo = 1.0 + 0.5 * k
-    hi = lo + 0.5
+    lo = _chunk_lower(k, half)
+    hi = _chunk_lower(k + 1, half)
     rho_lo = (lo / xi_mag) ** power
     rho_hi = (hi / xi_mag) ** power
     fastest = power * np.maximum(rho_lo / lo, rho_hi / hi)
@@ -318,14 +325,14 @@ def _wave_chunks(tp: TransformProblem, xi_mag: float) -> list[int]:
             continue
         theta = ang / tp.alpha
         log_size = math.cos(theta) * rho_lo
-        turn = 0.5 * (abs(math.sin(theta)) * fastest + 2.0 * math.pi)
+        turn = half * abs(math.sin(theta)) * fastest + math.pi
         need |= (log_size > math.log(_EPS)) & (turn > _CHUNK_MAX_TURN)
     return k[need].tolist()
 
 
 def _chunk_limits(
-    base: Callable, kernels: list[Callable], half: float, budget: int,
-    scale: float, extra: Iterable[int] = (),
+    base: Callable, kernels: list[Callable], half: float, scale: float,
+    extra: Iterable[int],
 ) -> list[Complex]:
     """Accelerated integral_1^inf psi_cut(r) base(r) kernel(r) dr for each
     kernel, chunk by chunk as in Longman (Proc. Cambridge Philos. Soc. 52, 1956).
@@ -338,11 +345,8 @@ def _chunk_limits(
     of expected size scale.  The other chunks are 16-node Gauss-Legendre
     rules, with psi_cut base evaluated a block of chunks at a time and
     shared by every kernel.  Each kernel's chunk sums are accelerated over
-    at most budget chunks.
+    at most _TAIL_CHUNKS chunks.
     """
-
-    def lower(k: np.ndarray) -> np.ndarray:
-        return np.where(k < 2, 1.0 + 0.5 * k, 2.0 + half * (k - 2))
 
     def transition(r: np.ndarray, kind: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         rows = r.reshape(kind.size, -1)
@@ -362,7 +366,7 @@ def _chunk_limits(
 
     panel_chunks = np.array([0, 1, *extra])
     panel = {k: i for i, k in enumerate(panel_chunks.tolist())}
-    starts = np.tile(lower(panel_chunks), len(kernels))
+    starts = np.tile(_chunk_lower(panel_chunks, half), len(kernels))
     widths = np.tile(np.where(panel_chunks < 2, 0.5, half), len(kernels))
     kinds = np.repeat(np.arange(len(kernels)), len(panel))
     head = integrate_panels(
@@ -381,7 +385,7 @@ def _chunk_limits(
         if (t, j) not in sums:
             while len(blocks) <= j:
                 first = 2 + _CHUNK_BLOCK * len(blocks)
-                a = lower(np.arange(first, first + _CHUNK_BLOCK))
+                a = _chunk_lower(np.arange(first, first + _CHUNK_BLOCK), half)
                 r = a[:, np.newaxis] + 0.5 * half * (nodes + 1.0)
                 blocks.append((r, 0.5 * half * weights * cutoff_psi(r) * base(r)))
             r, vals = blocks[j]
@@ -390,8 +394,8 @@ def _chunk_limits(
 
     limits = []
     for t in range(len(kernels)):
-        chunks = (chunk_value(t, k) for k in range(budget))
-        limits.append(accelerated_limit(chunks, max_terms=budget)[0])
+        chunks = (chunk_value(t, k) for k in range(_TAIL_CHUNKS))
+        limits.append(accelerated_limit(chunks, max_terms=_TAIL_CHUNKS)[0])
     return limits
 
 
@@ -435,8 +439,8 @@ def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
     # On the wave chunks E's exponential term turns too fast for fixed
     # nodes: they join the transition chunks' tanh-sinh panels.
     g, scale = _profile(tp, xi_mag), _panel_scale(tp, xi_mag)
-    wave = _wave_chunks(tp, xi_mag)
-    limits = _chunk_limits(g, kernels, 0.5, _TAIL_CHUNKS, scale, wave)
+    wave = _wave_chunks(tp, xi_mag, 0.5)
+    limits = _chunk_limits(g, kernels, 0.5, scale, wave)
     total = CompensatedSum()
     for weight, lim in zip(weights, limits):
         total.add(weight * lim)
@@ -511,7 +515,7 @@ def _qtilde_constants(ell: int, sigma: float) -> tuple:
     return tuple(table[j] for j in range(1, ell + 1))
 
 
-def q_kernel(tp: TransformProblem, ell: int, r: float) -> Complex:
+def q_kernel(tp: TransformProblem, ell: int, r):
     """Contour kernel of the derivative-transfer identity: the contour
     integral of e^{z^(1/alpha)} z^((1-beta)/alpha) times
 
@@ -522,59 +526,30 @@ def q_kernel(tp: TransformProblem, ell: int, r: float) -> Complex:
     inside the integrand, as 1/(z - w) times a polynomial in w/(z - w), so
     each value is one contour integral and the weights w^j scale no
     quadrature error.  Q_ell(r) is r^ell times the ell-th derivative of
-    Q_0 in r."""
-    if ell < 0:
-        raise DomainError("ell >= 0 required")
-    if r < 0.0:
-        raise DomainError("r >= 0 required")
-    p = tp.ml
-    w = cmath.exp(1j * tp.phi) * r ** tp.sigma
-    consts = _qtilde_constants(ell, tp.sigma) if ell else ()
+    Q_0 in r.
 
-    def factor(z: Complex) -> Complex:
-        if not consts:
-            return 1.0 / (z - w)
-        t = w / (z - w)
-        acc = 0.0
-        for c in reversed(consts):
-            acc = (acc + c) * t
-        return acc / (z - w)
+    r is a float or an ndarray; every r shares one node set, and each entry
+    of an array equals, bit for bit, the value at that float alone.
+    DomainError unless ell is an int >= 0 and r (every entry) is finite
+    and >= 0."""
+    if not (isinstance(ell, int) and ell >= 0):
+        raise DomainError(f"int ell >= 0 required, got ell = {ell!r}")
+    u = np.asarray(r, dtype=float)
+    bad = u[~((0.0 <= u) & (u < math.inf))]
+    if bad.size:
+        raise DomainError(f"finite r >= 0 required, got r = {bad[0]}")
+    # The polynomial sum_j C~_{j,ell} t^j in t = w/(z - w), by Horner's rule.
+    coeffs = [*reversed(_qtilde_constants(ell, tp.sigma)), 0.0]
 
-    return _contour_integral(p, tp.phi, r ** tp.sigma, factor).value
+    def factor(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        d = z - w
+        return np.polyval(coeffs, w / d) / d if ell else 1.0 / d
 
-
-class _KernelInterpolant:
-    """Chebyshev fit of a smooth kernel in log u, so the oscillatory
-    quadratures do not re-run contour integrals at every node.  The degree
-    doubles from 32 until the fit is within 1e-9 of the kernel's largest
-    node value halfway between nodes; AccuracyError past degree 512."""
-
-    def __init__(
-        self, func: Callable[[float], Complex], u_lo: float, u_hi: float
-    ) -> None:
-        if not 0.0 < u_lo < u_hi:
-            raise DomainError("need 0 < u_lo < u_hi")
-        lo, hi = math.log(u_lo), math.log(u_hi)
-        degree = 32
-        while True:
-            k = np.arange(degree + 1)
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(math.pi * k / degree)
-            vals = np.array([func(math.exp(ti)) for ti in t])
-            self.fit = np.polynomial.Chebyshev.fit(t, vals, degree, [lo, hi])
-            mid = 0.5 * (t[:-1] + t[1:])[::4]
-            probe = np.array([func(math.exp(ti)) for ti in mid])
-            scale = max(np.max(np.abs(vals)), 1e-300)
-            if np.max(np.abs(probe - self.fit(mid))) <= 1e-9 * scale:
-                return
-            if degree >= 512:
-                raise AccuracyError("kernel interpolation failed to reach tolerance")
-            degree *= 2
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.fit(np.log(u))
-
-
-_IBP_MAX_CHUNKS = 150  # chunk budget of the check's accelerated sums
+    # In the decay sector, which TransformProblem enforces, _contour picks
+    # the same contour for every r.
+    w = cmath.exp(1j * tp.phi) * u.reshape(-1) ** tp.sigma
+    values = _contour_integral(tp.ml, tp.phi, 0.0, factor, (w,))
+    return values.reshape(u.shape) if u.ndim else complex(values[0])
 
 
 def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) -> float:
@@ -588,24 +563,16 @@ def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) ->
         integral e^{ir} r^((n-1)/2 - ell - N + l2) psi^(l2)(r)
         Q_(l3)(r/|xi|) dr.
 
-    Both sides are quadratured independently; the contour kernels are
-    interpolated once on a log axis before the oscillatory sweeps."""
+    Both sides are quadratured independently, with q_kernel evaluated at
+    every quadrature node."""
     _require_xi(xi_mag)
     if N not in (1, 2, 3):
         raise DomainError("N must be 1, 2, or 3")
     if ell not in (0, 1):
         raise DomainError("ell must be 0 or 1")
 
-    # The kernels' domain covers every chunk: the last ends at r_max.
-    r_max = 2.0 + math.pi * (_IBP_MAX_CHUNKS - 2)
-    u_lo, u_hi = 0.5 / xi_mag, 1.05 * r_max / xi_mag
-    tables = [
-        _KernelInterpolant(lambda u, L=ell3: q_kernel(tp, L, u), u_lo, u_hi)
-        for ell3 in range(N + 1)
-    ]
-
     def kernel(power: float, l3: int) -> Callable:
-        return lambda r: r ** power * tables[l3](r / xi_mag)
+        return lambda r: r ** power * q_kernel(tp, l3, r / xi_mag)
 
     # The right side's terms (coefficient, power, l2, l3): those with
     # l2 = 0 run out to infinity, the others live where psi^(l2) does.
@@ -620,12 +587,13 @@ def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) ->
                 (edge if l2 else tail).append(term)
 
     # The left side and the tail terms share one chunked sum over
-    # half-periods pi of their e^{ir} phase.
+    # half-periods pi of their e^{ir} phase; on the wave chunks the
+    # kernels' exponential term turns too fast for fixed nodes.
     kernels = [kernel(base_power, 0)] + [kernel(pw, l3) for _c, pw, _l2, l3 in tail]
-    limits = _chunk_limits(
-        lambda r: np.exp(1j * r), kernels, math.pi, _IBP_MAX_CHUNKS, 1.0
+    lhs, *tail_vals = _chunk_limits(
+        lambda r: np.exp(1j * r), kernels, math.pi, 1.0,
+        _wave_chunks(tp, xi_mag, math.pi),
     )
-    lhs = limits[0]
 
     # psi^(l2) is supported in [1, 2]: one smooth panel per term, all in one
     # batched call.
@@ -643,7 +611,7 @@ def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) ->
         edge_integrand, ones, 2.0 * ones, 1.0, args=(np.arange(len(edge)),)
     )
     rhs = CompensatedSum()
-    for (c, *_rest), val in zip(tail + edge, [*limits[1:], *edge_vals]):
+    for (c, *_rest), val in zip(tail + edge, [*tail_vals, *edge_vals]):
         rhs.add(c * val)
     rhs_val = (1j) ** N * rhs.value
     return abs(lhs - rhs_val) / abs(lhs)

@@ -2,15 +2,16 @@
 
 Everything here is plumbing shared by the higher-level modules: the gamma
 pair (scipy.special.gamma behind pole and range checks), principal-branch
-powers, adaptive quadrature over finite and semi-infinite intervals with
-error estimates, batched tanh-sinh quadrature over many panels of a
-vectorised integrand, compensated summation, and a sequence-acceleration
-engine for slowly convergent oscillatory chunk sums.
+powers, adaptive quadrature on a finite interval with an error estimate
+(the tests' independent reference), Gauss-Legendre rules, batched tanh-sinh
+quadrature over many panels of a vectorised integrand, compensated
+summation, and a sequence-acceleration engine for slowly convergent
+oscillatory chunk sums.
 
-The adaptive engines and the accelerator work to one fixed target,
-absolute 1e-12 or relative 1e-10, and the tanh-sinh panels to a thousandth
-of it, the absolute part scaled by the size the caller expects; none takes
-a tolerance.
+The adaptive engine, the accelerator and the contour sums' rounding guard
+work to one fixed target, absolute 1e-12 or relative 1e-10, and the
+tanh-sinh panels to a thousandth of it, the absolute part scaled by the
+size the caller expects; none takes a tolerance.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ Complex = complex
 
 _EPS = 2.220446049250313e-16
 
-# QUADPACK's subinterval budget per adaptive pass.
-_QUAD_LIMIT = 200
-
-# The one target of the adaptive engines and of accelerated_limit: an
-# error of at most max(_ABS_TOL, _REL_TOL * |value|).
+# The one target of integrate_finite, accelerated_limit and the contour
+# sums: an error of at most max(_ABS_TOL, _REL_TOL * |value|).
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 # The target of integrate_panels, a thousandth of the one above, because
@@ -149,25 +147,33 @@ def principal_pow(z: Complex, w: Complex) -> Complex:
     return _ensure_finite(cmath.exp(w * log_z), "principal_pow")
 
 
-def _complex_quad(
+def integrate_finite(
     f: Callable[[float], Complex],
     a: float,
     b: float,
     points: Sequence[float] | None = None,
 ) -> IntegralResult:
+    """Adaptive quadrature of a complex-valued integrand on [a, b].
+
+    Returns the value together with an error estimate; raises
+    ConvergenceError when QUADPACK flags its result (subdivision budget
+    exhausted, roundoff, extrapolation breakdown) and the error estimate
+    exceeds the tolerance max(_ABS_TOL, _REL_TOL * |result|).
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("integrate_finite requires finite endpoints")
     # quad integrates the real and imaginary parts separately; a value cache
     # avoids recomputing f where the two adaptive passes share nodes.
     cached = lru_cache(maxsize=None)(f)
     kwargs: dict = {
         "epsabs": 0.5 * _ABS_TOL,
         "epsrel": 0.5 * _REL_TOL,
-        "limit": _QUAD_LIMIT,
+        "limit": 200,  # subintervals per adaptive pass
         "full_output": 1,
     }
-    if points is not None:
-        interior = [p for p in points if a < p < b]
-        if interior:
-            kwargs["points"] = interior
+    interior = [p for p in points or () if a < p < b]
+    if interior:
+        kwargs["points"] = interior
     out_re = quad(lambda x: cached(x).real, a, b, **kwargs)
     out_im = quad(lambda x: cached(x).imag, a, b, **kwargs)
     value = complex(out_re[0], out_im[0])
@@ -184,54 +190,6 @@ def _complex_quad(
                 f"tolerance {tol:.3e}"
             )
     return IntegralResult(_ensure_finite(value, "quadrature"), err)
-
-
-def integrate_finite(
-    f: Callable[[float], Complex],
-    a: float,
-    b: float,
-    points: Sequence[float] | None = None,
-) -> IntegralResult:
-    """Adaptive quadrature of a complex-valued integrand on [a, b].
-
-    Returns the value together with an error estimate; raises
-    ConvergenceError when QUADPACK flags its result (subdivision budget
-    exhausted, roundoff, extrapolation breakdown) and the error estimate
-    exceeds the tolerance max(_ABS_TOL, _REL_TOL * |result|).
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integrate_finite requires finite endpoints")
-    return _complex_quad(f, a, b, points=points)
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], Complex],
-    a: float,
-    decay_hint: float,
-) -> IntegralResult:
-    """Adaptive quadrature of f over [a, infinity) for an integrand with
-    exponential envelope ~ exp(-decay_hint * t), decay_hint > 0.
-
-    The interval is truncated where the probed envelope is negligible, and
-    the analytic tail bound joins the error estimate.
-    """
-    if not decay_hint > 0.0:
-        raise DomainError(f"decay_hint must be > 0, got {decay_hint}")
-    c = decay_hint
-    t_cut = a + 55.0 / c
-    tail = abs(f(t_cut)) / c
-    budget = 24
-    while tail > 0.1 * _ABS_TOL and budget > 0:
-        t_cut += 30.0 / c
-        tail = abs(f(t_cut)) / c
-        budget -= 1
-    if tail > 0.1 * _ABS_TOL:
-        raise ConvergenceError(
-            "semi-infinite tail does not fall under the exponential "
-            f"envelope hint (rate {decay_hint})"
-        )
-    res = _complex_quad(f, a, t_cut)
-    return IntegralResult(res.value, res.error + 2.0 * tail)
 
 
 @lru_cache(maxsize=None)

@@ -164,6 +164,25 @@ def test_contour_arc_out_of_double_range_is_accuracy_error():
         ml_eval(p, 9.0)
 
 
+def test_contour_rounding_guard_raises_instead_of_a_value():
+    # The growth-sector arc factor is e^{6^2.5 + 1} = e^89, while |E| is
+    # about e^28: rounding of the arc's terms swamps the value, and the
+    # contour sum says so rather than return a value far off.
+    with pytest.raises((AccuracyError, ConvergenceError)):
+        ml_contour(MLParams(0.4, 0.5), 6.0 * cmath.exp(0.5j))
+
+
+def test_contour_over_node_cap_raises(monkeypatch):
+    # Near the sector boundary the panels the rule asks for run into the
+    # node cap (alpha = 1.99 at arg z = pi needs about 4.9e5); past it the
+    # contour references give up rather than thin their panels.
+    monkeypatch.setattr(mittag_leffler, "_MAX_NODES", 10**5)
+    with pytest.raises(ConvergenceError, match="nodes"):
+        ml_contour(MLParams(1.99, 1.0), -1.0)
+    with pytest.raises(ConvergenceError, match="nodes"):
+        hankel_reciprocal_gamma(MLParams(1.99, 1.0), 0.0)
+
+
 def test_contour_references_take_no_contour():
     assert "ContourSpec" not in mlfourier.__all__
     assert "default_contour" not in mlfourier.__all__
@@ -522,9 +541,11 @@ def test_eval_reaches_no_mpmath_or_quadrature(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("slow branch reached")
 
-    for name in ("_series_mpmath", "ml_on_ray", "integrate_finite",
-                 "integrate_semi_infinite"):
+    for name in ("_series_mpmath", "ml_on_ray"):
         monkeypatch.setattr(mittag_leffler, name, unreachable)
+    # The contour references sum fixed nodes; no QUADPACK engine is left.
+    for name in ("integrate_finite", "integrate_semi_infinite"):
+        assert not hasattr(mittag_leffler, name), name
     for alpha in (0.3, 0.8, 1.3, 1.9):
         phases = _growth_phases(alpha) + _decay_phases(alpha)
         points = [r * cmath.exp(1j * ph) for ph in phases

@@ -41,6 +41,15 @@ from mlfourier.radial_fourier import (
 
 GAUSS_TP = TransformProblem(alpha=1.0, beta=1.0, phi=math.pi, sigma=2.0, n=1)
 BASE_TP = TransformProblem(alpha=0.8, beta=1.0, phi=math.pi, sigma=1.0, n=1)
+# (alpha, beta, phi, sigma, n) off the reference problems: phases other
+# than pi, alpha past 1 and down to 0.3, and n = 4.
+Q_PROBLEMS = [
+    (0.8, 1.0, math.pi, 2.2, 3),
+    (1.2, 0.7, 2.3, 2.0, 4),
+    (0.5, 1.5, 2.0, 2.5, 4),
+    (1.5, 1.0, 0.75 * math.pi + 0.3, 2.2, 3),
+    (0.3, 0.5, 1.806, 2.5, 4),
+]
 
 
 def gauss_closed_form(xi: float) -> float:
@@ -534,17 +543,24 @@ class TestQKernel:
             assert abs(got - want) < 1e-12 * abs(want)
 
     def test_matches_ml_eval_route(self):
-        tp = BASE_TP
-        p = MLParams(tp.alpha, tp.beta)
-        for r in (0.3, 2.0, 7.0):
-            got = q_kernel(tp, 0, r)
-            want = (
-                2j
-                * math.pi
-                * tp.alpha
-                * ml_eval(p, cmath.exp(1j * tp.phi) * r ** tp.sigma)
-            )
-            assert abs(got - want) < 1e-10 * abs(want)
+        # Q_0(u) = 2 pi i alpha E(e^{i phi} u^sigma), by the independent
+        # Laplace-inversion and sector-sum routes of ml_eval.
+        u = np.geomspace(1e-4, 1e6, 60)
+        for problem in Q_PROBLEMS:
+            tp = TransformProblem(*problem)
+            got = q_kernel(tp, 0, u)
+            want = (2j * math.pi * tp.alpha
+                    * ml_eval(tp.ml, cmath.exp(1j * tp.phi) * u ** tp.sigma))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), problem
+
+    @pytest.mark.parametrize("alpha,beta,phi,sigma,n", Q_PROBLEMS)
+    def test_array_equals_floats_bit_for_bit(self, alpha, beta, phi, sigma, n):
+        tp = TransformProblem(alpha, beta, phi, sigma, n)
+        u = np.geomspace(1e-3, 1e4, 12).reshape(3, 4)
+        for ell in range(4):
+            got = q_kernel(tp, ell, u)
+            assert got.shape == u.shape
+            assert got.tolist() == [[q_kernel(tp, ell, float(x)) for x in row] for row in u]
 
     def test_first_order_matches_finite_difference(self):
         tp = BASE_TP
@@ -622,6 +638,16 @@ class TestQKernel:
         with pytest.raises(DomainError):
             q_kernel(BASE_TP, 0, -1.0)
 
+    @pytest.mark.parametrize(
+        "ell,r",
+        [(0, math.nan), (0, math.inf), (1, np.array([1.0, math.nan])),
+         (0, np.array([[2.0], [-1.0]])), (1.0, 1.0), (0.5, 1.0), ("1", 1.0)],
+    )
+    def test_rejects_non_finite_r_and_non_integer_ell(self, ell, r):
+        # A typed domain error (CLI exit 2), not AccuracyError or TypeError.
+        with pytest.raises(DomainError):
+            q_kernel(BASE_TP, ell, r)
+
 
 class TestIbpIdentity:
     @pytest.mark.parametrize("ell,order", [(0, 1), (0, 2), (1, 1)])
@@ -644,12 +670,16 @@ class TestIbpIdentity:
         assert ibp_identity_check(tp, xi, 0, min_ibp_order(n)) < 1e-5
 
     @pytest.mark.parametrize(
-        "alpha,beta,phi,sigma,n", [(0.5, 1.5, 2.0, 2.5, 4), (0.8, 1.0, -2.0, 1.5, 2)]
+        "alpha,beta,phi,sigma,n",
+        [(0.5, 1.5, 2.0, 2.5, 4), (0.8, 1.0, -2.0, 1.5, 2),
+         (1.2, 0.7, 2.3, 2.0, 4), (1.5, 1.0, 0.75 * math.pi + 0.3, 2.2, 3)],
     )
     def test_identity_off_the_negative_axis(self, alpha, beta, phi, sigma, n):
-        # Phases other than pi, and n = 4 past the reference problems.
+        # Phases other than pi, and n = 4 past the reference problems.  On
+        # the last two the kernels' exponential term turns fast on the
+        # chunks of width pi; those chunks are tanh-sinh panels.
         tp = TransformProblem(alpha, beta, phi, sigma, n)
-        assert ibp_identity_check(tp, 0.3, 0, min_ibp_order(n)) < 1e-5
+        assert ibp_identity_check(tp, 0.3, 0, min_ibp_order(n)) < 1e-9
 
     def test_module_reaches_no_quadpack(self):
         # The check sums on compute_N's chunk routine, not per-chunk QUADPACK.

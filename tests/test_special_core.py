@@ -15,7 +15,6 @@ from mlfourier.special_core import (
     complex_gamma,
     integrate_finite,
     integrate_panels,
-    integrate_semi_infinite,
     principal_pow,
     reciprocal_gamma,
 )
@@ -124,20 +123,6 @@ def test_integrate_finite_raises_when_quadpack_flags_roundoff():
 def test_integrate_finite_raises_when_subdivisions_run_out():
     with pytest.raises(ConvergenceError, match="subdivisions"):
         integrate_finite(lambda t: 1.0 / t if t > 0.0 else 0.0, 0.0, 1.0)
-
-
-def test_integrate_semi_infinite_exponential():
-    res = integrate_semi_infinite(lambda t: cmath.exp(-(2 - 1j) * t), 1.0, 2.0)
-    want = cmath.exp(-(2 - 1j)) / (2 - 1j)
-    assert abs(res.value - want) <= 1e-11
-    assert res.error < 1e-8
-
-
-def test_integrate_semi_infinite_bad_hint():
-    # Only exponential envelopes (hint > 0) are supported.
-    for hint in (-2.0, -0.5, 0.0):
-        with pytest.raises(DomainError):
-            integrate_semi_infinite(lambda t: 0.0, 0.0, hint)
 
 
 def test_compensated_sum_exact_cancellation():
