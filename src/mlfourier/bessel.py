@@ -1,8 +1,9 @@
 """Bessel J evaluators and the extended large-argument expansion.
 
 Real orders are evaluated with scipy.special.jv; complex orders, which jv
-does not accept, with the ascending series summed in mpmath at a working
-precision it raises until rounding is below 1e-17 of the value.
+does not accept, with the ascending series summed in mpmath by the
+library's one self-verifying precision ladder (special_core._mp_series),
+until rounding is below 1e-17 of the value.
 
 The expansion writes J_lambda(r) = sum_{l=0}^{M} sum_{+-} c_l^{+-}(lambda)
 r^{-(l+1/2)} e^{+-ir} + L_lambda(r; M) with |L| = O(r^{-M-3/2}).  The
@@ -26,6 +27,7 @@ factorial terminates and the expansion is exact from some M on.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +38,7 @@ from scipy.special import jv
 
 from .errors import AccuracyError, DomainError, FitError, DegenerateFitError
 from .special_core import (
+    _mp_series,
     Complex,
     complex_gamma,
     principal_pow,
@@ -77,32 +80,20 @@ def _require_series_domain(lam: Complex) -> None:
 
 
 def _series_mpmath(lam: Complex, r: float, dps: int) -> Complex:
-    # Self-verifying precision: after summing, the residual floor of the
-    # working precision (10^(3-dps) * sum of |term|) must sit below 1e-17
-    # of the result, else the run is repeated with more digits.  The
-    # alternating terms peak near e^r/sqrt(2 pi r) against |J| ~
-    # sqrt(2/(pi r)), and near a zero of J the cancellation is deeper.
-    for _attempt in range(8):
-        with mp.workdps(dps):
-            half = mp.mpf(r) / 2
-            lam_mp = mp.mpc(lam) if lam.imag else mp.mpf(lam.real)
-            acc = mp.mpc(0)
-            majorant = mp.mpf(0)
-            term = mp.power(half, lam_mp) * mp.rgamma(lam_mp + 1)
-            m = 0
-            while abs(term) >= mp.mpf(1e-30) * abs(acc):
-                acc += term
-                majorant += abs(term)
-                term *= -(half * half) / ((m + 1) * (lam_mp + m + 1))
-                m += 1
-            floor = mp.mpf(10) ** (3 - dps) * majorant
-            if floor <= mp.mpf(1e-17) * abs(acc):
-                return complex(acc)
-            needed = int(mp.log10(majorant / abs(acc))) + 24
-        dps = min(max(needed, 2 * dps), 1200)
-    raise AccuracyError(
-        "series cancellation exceeds the supported precision range"
-    )
+    """The ascending series at r, summed by special_core._mp_series from
+    dps digits up to a rounding below 1e-17 of the value.  The alternating
+    terms peak near e^r/sqrt(2 pi r) against |J| ~ sqrt(2/(pi r)), and
+    near a zero of J the cancellation is deeper."""
+
+    def terms():
+        half = mp.mpf(r) / 2
+        lam_mp = mp.mpc(lam) if lam.imag else mp.mpf(lam.real)
+        term = mp.power(half, lam_mp) * mp.rgamma(lam_mp + 1)
+        for m in itertools.count():
+            yield term
+            term *= -(half * half) / ((m + 1) * (lam_mp + m + 1))
+
+    return _mp_series(terms, dps, 1e-17)
 
 
 def bessel_j_series(lam, r: float) -> Complex:

@@ -15,9 +15,10 @@ symlinks are followed and the file's mode is kept.  The write is neither
 atomic nor fsynced.  An --out that cannot be opened or written
 exits 2 with "error: cannot write --out <path>: <reason>".
 
-Exit codes: 0 success, 2 validation failure (a non-finite --z or
---xi-max among them) or unwritable --out, 3 convergence/accuracy failure,
-4 law or fit mismatch.
+Exit codes: 0 success, else the exit_code of the library error raised
+(mlfourier.errors): 2 validation failure (a non-finite --z or --xi-max
+among them) or unwritable --out, 3 convergence/accuracy failure, 4 law or
+fit mismatch, an ibp-check above its threshold included.
 """
 
 from __future__ import annotations
@@ -34,24 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    ConvergenceError,
-    DegenerateFitError,
-    DomainError,
-    FitError,
-    LawMismatchError,
-    MLFourierError,
-)
+from .errors import DomainError, LawMismatchError, MLFourierError
 from .mittag_leffler import MLParams, ml_eval
 from .bessel import bessel_j_reference, jbar
 from .radial_fourier import TransformProblem, ibp_identity_check, ml_transform
 from .asymptotics import lp_region, verify_large_xi, verify_small_xi
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_CONVERGENCE = 3
-EXIT_MISMATCH = 4
 
 # est_error of eval-ml and transform is max(EST_ERROR_ABS, EST_ERROR_REL
 # |value|), times 2 pi/xi^n for transform: fixed figures, not an estimate
@@ -337,7 +327,7 @@ def _cmd_ibp_check(args: argparse.Namespace) -> int:
             _timestamp_line(args),
         ),
     )
-    return EXIT_OK if worst <= args.threshold else EXIT_MISMATCH
+    return EXIT_OK if worst <= args.threshold else LawMismatchError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +448,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ConvergenceError, AccuracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (LawMismatchError, FitError, DegenerateFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except MLFourierError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

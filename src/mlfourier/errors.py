@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: validation failures (DomainError and
-its subclass PoleError) -> 2, numerical failures (ConvergenceError,
-AccuracyError) -> 3, law and fit mismatches (LawMismatchError, FitError,
-DegenerateFitError) -> 4.
+Each class carries the exit code the CLI returns for it, and subclasses
+inherit it: validation failures (DomainError and its subclass PoleError)
+-> 2, law and fit mismatches (LawMismatchError, FitError,
+DegenerateFitError) -> 4, every other library error (ConvergenceError,
+AccuracyError) -> 3.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ from __future__ import annotations
 class MLFourierError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+
 
 class DomainError(MLFourierError):
     """An argument lies outside the operation's validity region."""
+
+    exit_code = 2
 
 
 class PoleError(DomainError):
@@ -32,6 +37,8 @@ class AccuracyError(MLFourierError):
 class FitError(MLFourierError):
     """A least-squares fit is ill-posed or drowned in rounding noise."""
 
+    exit_code = 4
+
 
 class DegenerateFitError(FitError):
     """Too few points, or values unusable for a log-log fit."""
@@ -39,3 +46,5 @@ class DegenerateFitError(FitError):
 
 class LawMismatchError(MLFourierError):
     """A fitted asymptotic law deviates from the expected one."""
+
+    exit_code = 4

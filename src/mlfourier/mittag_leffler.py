@@ -6,15 +6,15 @@ identities.
 
 `ml_eval` is the evaluator, in both sectors, with one accuracy target: the
 double Taylor series where its cancellation guard accepts (|z| <=
-SERIES_RADIUS), the sector sum where its error estimate is at most 1e-15
-relative (decay sector, |z| >= SECTOR_SUM_RADIUS),
-and Laplace inversion everywhere else.  An array of z is evaluated entry by
-entry by that same rule, so each entry's value is the scalar one.  The
-sector sum is the one evaluator of the large-argument expansion: the
-optimally truncated algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus
-E's exponentially small saddle terms.  The mpmath series (ml_series) and
-the ray/arc contour (ml_contour, ml_on_ray) are independent references;
-ml_eval reaches neither.
+SERIES_RADIUS), past that the sector sum wherever, in the decay sector,
+its own error estimate is at most 1e-15 relative, and Laplace inversion
+everywhere else.  An array of z is evaluated entry by entry by that same
+rule, so each entry's value is the scalar one.  The sector sum is the one
+evaluator of the large-argument expansion: the optimally truncated
+algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus E's exponentially
+small saddle terms.  The mpmath series (ml_series) and the ray/arc contour
+(ml_contour, ml_on_ray) are independent references; ml_eval reaches
+neither.
 
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
@@ -39,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import mpmath as mp
 import numpy as np
@@ -49,17 +49,17 @@ from .special_core import (
     _ABS_TOL,
     _EPS,
     _REL_TOL,
+    _mp_series,
     Complex,
-    CompensatedSum,
+    fsum_complex,
     gauss_legendre_rule,
     reciprocal_gamma,
 )
 
-# |z| below which the Taylor series is the evaluator of choice, and above
-# which the truncated sector sum alone is accurate enough to skip Laplace
-# inversion.  Configuration, not contract: the overlap windows are tested.
+# |z| up to which ml_eval tries the double Taylor series: it bounds the
+# cost of the Taylor loop, whose cancellation guard is known only after
+# the sum.  Past it, the sector sum's own estimate decides.
 SERIES_RADIUS = 5.0
-SECTOR_SUM_RADIUS = 40.0
 
 
 @dataclass(frozen=True)
@@ -192,48 +192,29 @@ _SERIES_TOL = 1e-14
 
 
 def _series_mpmath(p: MLParams, z: Complex, dps: int) -> Complex:
-    # Self-verifying precision: after summing, the residual floor of the
-    # working precision (10^(3-dps) * sum of |term|) must sit below
-    # _SERIES_TOL of the result, else the run is repeated with more
-    # digits.  ml_series starts at 26 digits, too few wherever the terms
-    # cancel deeply; the first pass then measures by how much.
-    for _attempt in range(8):
-        with mp.workdps(dps):
-            zz = mp.mpc(z)
-            # The gamma argument must be formed in working precision:
-            # rounding alpha*k to a double costs O(1) absolute error at the
-            # series peak.
-            alpha = mp.mpf(p.alpha)
-            beta = mp.mpf(p.beta)
-            acc = mp.mpc(0)
-            majorant = mp.mpf(0)
-            power = mp.mpc(1)
-            quiet = 0
-            for k in range(0, 100000):
-                term = power * mp.rgamma(alpha * k + beta)
-                acc += term
-                majorant += abs(term)
-                power *= zz
-                if abs(term) < _SERIES_TOL * abs(acc):
-                    quiet += 1
-                    if quiet >= 3:
-                        break
-                else:
-                    quiet = 0
-            floor = mp.mpf(10) ** (3 - dps) * majorant
-            if floor <= _SERIES_TOL * abs(acc):
-                return complex(acc)
-            needed = int(mp.log10(majorant / abs(acc))) + 26
-        dps = min(max(needed, 2 * dps), 1200)
-    raise AccuracyError(
-        "series cancellation exceeds the supported precision range"
-    )
+    """The Taylor series at z, summed by special_core._mp_series from dps
+    digits up to a rounding below _SERIES_TOL of the value."""
+
+    def terms():
+        zz = mp.mpc(z)
+        # The gamma argument must be formed in working precision: rounding
+        # alpha*k to a double costs O(1) absolute error at the series peak.
+        alpha = mp.mpf(p.alpha)
+        beta = mp.mpf(p.beta)
+        power = mp.mpc(1)
+        for k in range(0, 100000):
+            yield power * mp.rgamma(alpha * k + beta)
+            power *= zz
+
+    return _mp_series(terms, dps, _SERIES_TOL)
 
 
 def ml_series(p: MLParams, z: Complex) -> Complex:
     """Taylor series sum_{k>=0} z^k / Gamma(alpha k + beta), summed in
-    mpmath (_series_mpmath) at a working precision it raises until
-    rounding is below 1e-14 of the value.
+    mpmath (_series_mpmath) from 26 digits up, at a working precision it
+    raises until rounding is below 1e-14 of the value; 26 digits are too
+    few wherever the terms cancel deeply, and the first pass then measures
+    by how much.
 
     Truncates when the term magnitude stays below 1e-14 |partial sum| for 3
     consecutive terms.  Accuracy domain |z| <= 10; DomainError for a
@@ -267,15 +248,17 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """
     # Log-form terms: exp(k log z - lgamma(alpha k + beta)) sidesteps the
     # double-range overflow of z**k that a running product hits near k=300.
+    # The running sum serves only the stop test; the value is fsum_complex.
     lnz = cmath.log(z)
-    acc = CompensatedSum()
+    terms = []
+    s = 0.0 + 0.0j
     majorant = 0.0
     quiet = 0
     for k in range(0, 4000):
         term = cmath.exp(k * lnz - math.lgamma(p.alpha * k + p.beta))
-        acc.add(term)
+        terms.append(term)
+        s += term
         majorant += abs(term)
-        s = acc.value
         if abs(term) < _SERIES_TOL * max(abs(s), 1e-300):
             quiet += 1
             if quiet >= 3:
@@ -284,7 +267,8 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
             quiet = 0
     else:
         raise ConvergenceError("ml_series did not converge within 4000 terms")
-    return acc.value, majorant / max(abs(acc.value), 1e-300)
+    value = fsum_complex(terms)
+    return value, majorant / max(abs(value), 1e-300)
 
 
 def ml_contour(p: MLParams, z: Complex) -> Complex:
@@ -329,10 +313,21 @@ def hankel_reciprocal_gamma(p: MLParams, shift: float) -> Complex:
     return value / (2j * math.pi * p.alpha)
 
 
+def _wave_branches(alpha: float, phi: float) -> Iterator[tuple[float, float]]:
+    """(angle, weight) of each branch angle phi + 2 pi m, m in {-1, 0, 1},
+    with |phi + 2 pi m| <= pi alpha: weight 1/2 within 1e-9 of that edge,
+    else 1.  The one rule for which exponential terms E carries."""
+    for m in (-1, 0, 1):
+        ang = phi + 2.0 * math.pi * m
+        gap = math.pi * alpha - abs(ang)
+        if gap >= -1e-9:
+            yield ang, 0.5 if gap <= 1e-9 else 1.0
+
+
 def _exponential_waves(p: MLParams, z: Complex) -> Complex:
     """Saddle contributions (1/alpha) z_m^((1-beta)/alpha) exp(z_m^(1/alpha))
-    summed over the branches z_m = |z| e^{i(arg z + 2 pi m)} with
-    |arg z + 2 pi m| <= pi*alpha.
+    summed over the branches z_m = |z| e^{i(arg z + 2 pi m)} that
+    _wave_branches gives.
 
     In the decay sector these are exponentially small but not negligible
     near the sector boundary or for alpha > 1 at moderate |z|; for alpha > 1
@@ -342,16 +337,10 @@ def _exponential_waves(p: MLParams, z: Complex) -> Complex:
     right.
     """
     r = abs(z)
-    phi = cmath.phase(z)
     r_root = r ** (1.0 / p.alpha)
     r_pow = r ** ((1.0 - p.beta) / p.alpha)
     total = 0.0 + 0.0j
-    for m in (-1, 0, 1):
-        ang = phi + 2.0 * math.pi * m
-        gap = math.pi * p.alpha - abs(ang)
-        if gap < -1e-9:
-            continue
-        weight = 0.5 if gap <= 1e-9 else 1.0
+    for ang, weight in _wave_branches(p.alpha, cmath.phase(z)):
         root = r_root * cmath.exp(1j * ang / p.alpha)
         if root.real > 700.0:
             raise AccuracyError("exponential wave term overflows")
@@ -388,9 +377,11 @@ def _sector_coefficients(a: float, b: float) -> tuple[Complex | None, ...]:
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """Optimally truncated sector sum plus the exponentially small wave
     terms, with a first-omitted-term error estimate.  Terms on a gamma
-    pole are skipped (see _sector_coefficients).
+    pole are skipped (see _sector_coefficients).  The running sum serves
+    only the stop test; the value is fsum_complex of the terms.
     """
-    acc = CompensatedSum()
+    terms = []
+    s = 0.0 + 0.0j
     winv = 1.0 / z
     wpow = 1.0 + 0.0j
     prev = math.inf
@@ -404,19 +395,20 @@ def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
         if mag_term > prev:
             omitted = mag_term
             break
-        acc.add(-wpow * rg)
+        terms.append(-wpow * rg)
+        s += terms[-1]
         majorant += mag_term
         prev = mag_term
         omitted = mag_term
-        if mag_term < 1e-18 * max(abs(acc.value), 1e-300):
+        if mag_term < 1e-18 * max(abs(s), 1e-300):
             break
     if majorant == 0.0 and math.isinf(omitted):
         # Every algebraic term sat on a gamma pole (alpha = 1 with integer
         # beta): the series is exactly zero and the waves are the value.
         omitted = 0.0
     wave = _exponential_waves(p, z)
-    acc.add(wave)
-    return acc.value, omitted + _EPS * (majorant + abs(wave))
+    terms.append(wave)
+    return fsum_complex(terms), omitted + _EPS * (majorant + abs(wave))
 
 
 # Laplace inversion: fixed target and node cap (the target is never
@@ -612,10 +604,10 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
     - z = 0: 1/Gamma(beta).
     - |z| <= SERIES_RADIUS: the double Taylor series, where its
       cancellation guard accepts.
-    - |z| >= SECTOR_SUM_RADIUS in the decay sector |arg z| > pi alpha/2:
-      the truncated sector sum with its exponentially small wave terms,
-      where its error estimate (first omitted term plus rounding) is at
-      most 1e-15 |value|, a bound relative to E.
+    - |z| > SERIES_RADIUS in the decay sector |arg z| > pi alpha/2: the
+      truncated sector sum with its exponentially small wave terms, where
+      its error estimate (first omitted term plus rounding) is at most
+      1e-15 |value|, a bound relative to E.
     - Everywhere else: Laplace inversion on Garrappa's optimal parabola
       (2015) with a node cap, to a fixed 1e-15 absolute on its integrand's
       scale (not relative to |E|).  A point that has no parabola within the
@@ -624,8 +616,8 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
     Accuracy: ~5e-14 relative against independent values wherever |E| is
     algebraic in 1/|z|, whichever route serves the point.  Only E_{1,1} =
     exp, whose algebraic part vanishes, sinks below Laplace inversion's
-    absolute floor (~1e-17) in the decay sector; past SECTOR_SUM_RADIUS
-    the sector sum returns it as its wave term, to rounding.
+    absolute floor (~1e-17) in the decay sector; past SERIES_RADIUS the
+    sector sum returns it as its wave term, to rounding.
 
     E is real on the real axis, and a real z gets an exactly real value.
     An ndarray z gives an ndarray of its shape holding, entry by entry, the
@@ -656,7 +648,7 @@ def _ml_rule(p: MLParams, z: Complex) -> Complex:
             ratio = math.inf
         if _series_accepts(ratio):
             return value
-    elif absz >= SECTOR_SUM_RADIUS and abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
+    elif abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
         value, err = _sector_sum_adaptive(p, z)
         if err <= 1e-15 * abs(value):
             return value

@@ -56,14 +56,15 @@ from .errors import DomainError
 from .special_core import (
     _EPS,
     Complex,
-    CompensatedSum,
     accelerated_limit,
+    fsum_complex,
     gauss_legendre_rule,
     integrate_panels,
 )
 from .mittag_leffler import (
     MLParams,
     _contour_integral,
+    _wave_branches,
     ml_eval,
 )
 from .mellin import mellin_transform
@@ -302,13 +303,12 @@ def _wave_chunks(tp: TransformProblem, xi_mag: float, half: float) -> list[int]:
     """Tail chunks k >= 2 of _chunk_limits' layout on which E's exponential
     term is above rounding and turns faster than _CHUNK_MAX_TURN allows.
 
-    A branch angle theta = phi + 2 pi m with |theta| <= pi alpha (as in
-    mittag_leffler._exponential_waves) contributes exp(rho e^{i theta/alpha})
-    with rho = (r/|xi|)^(sigma/alpha).  Its size is exp(rho cos(theta/alpha)),
-    largest at the chunk's left end, and its phase turns (sigma/alpha) rho
-    |sin(theta/alpha)|/r radians per unit r, fastest at one of the ends,
-    on top of the pi that the caller's e^{+-i r pi/half} phase turns on a
-    chunk.  Near the sector boundary cos(theta/alpha) is close to 0 and
+    Each branch angle theta = phi + 2 pi m of mittag_leffler._wave_branches
+    contributes exp(rho e^{i theta/alpha}) with rho = (r/|xi|)^(sigma/alpha).
+    Its size is exp(rho cos(theta/alpha)), largest at the chunk's left end,
+    and its phase turns (sigma/alpha) rho |sin(theta/alpha)|/r radians per
+    unit r, fastest at one of the ends, on top of the pi that the caller's
+    e^{+-i r pi/half} phase turns on a chunk.  Near the sector boundary cos(theta/alpha) is close to 0 and
     that term can turn 120 radians per unit r at r = 2.
     """
     power = tp.sigma / tp.alpha
@@ -319,10 +319,7 @@ def _wave_chunks(tp: TransformProblem, xi_mag: float, half: float) -> list[int]:
     rho_hi = (hi / xi_mag) ** power
     fastest = power * np.maximum(rho_lo / lo, rho_hi / hi)
     need = np.zeros(k.shape, bool)
-    for m in (-1, 0, 1):
-        ang = tp.phi + 2.0 * math.pi * m
-        if abs(ang) > math.pi * tp.alpha + 1e-9:
-            continue
+    for ang, _weight in _wave_branches(tp.alpha, tp.phi):
         theta = ang / tp.alpha
         log_size = math.cos(theta) * rho_lo
         turn = half * abs(math.sin(theta)) * fastest + math.pi
@@ -441,10 +438,7 @@ def compute_N(tp: TransformProblem, xi_mag: float) -> Complex:
     g, scale = _profile(tp, xi_mag), _panel_scale(tp, xi_mag)
     wave = _wave_chunks(tp, xi_mag, 0.5)
     limits = _chunk_limits(g, kernels, 0.5, scale, wave)
-    total = CompensatedSum()
-    for weight, lim in zip(weights, limits):
-        total.add(weight * lim)
-    return total.value
+    return fsum_complex(w * lim for w, lim in zip(weights, limits))
 
 
 def min_ibp_order(n: int) -> int:
@@ -610,8 +604,8 @@ def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) ->
     edge_vals = integrate_panels(
         edge_integrand, ones, 2.0 * ones, 1.0, args=(np.arange(len(edge)),)
     )
-    rhs = CompensatedSum()
-    for (c, *_rest), val in zip(tail + edge, [*tail_vals, *edge_vals]):
-        rhs.add(c * val)
-    rhs_val = (1j) ** N * rhs.value
+    rhs = fsum_complex(
+        c * val for (c, *_rest), val in zip(tail + edge, [*tail_vals, *edge_vals])
+    )
+    rhs_val = (1j) ** N * rhs
     return abs(lhs - rhs_val) / abs(lhs)

@@ -4,9 +4,10 @@ Everything here is plumbing shared by the higher-level modules: the gamma
 pair (scipy.special.gamma behind pole and range checks), principal-branch
 powers, adaptive quadrature on a finite interval with an error estimate
 (the tests' independent reference), Gauss-Legendre rules, batched tanh-sinh
-quadrature over many panels of a vectorised integrand, compensated
-summation, and a sequence-acceleration engine for slowly convergent
-oscillatory chunk sums.
+quadrature over many panels of a vectorised integrand, exactly rounded
+complex sums (math.fsum on each part), the self-verifying precision
+ladder of the mpmath series references, and a sequence-acceleration
+engine for slowly convergent oscillatory chunk sums.
 
 The adaptive engine, the accelerator and the contour sums' rounding guard
 work to one fixed target, absolute 1e-12 or relative 1e-10, and the
@@ -21,6 +22,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad, tanhsinh
 from scipy.special import gamma
@@ -57,35 +59,49 @@ class IntegralResult(NamedTuple):
     error: float
 
 
-class CompensatedSum:
-    """Neumaier-compensated accumulator for complex terms."""
+def fsum_complex(terms: Iterable[Complex]) -> Complex:
+    """Sum of complex terms, math.fsum (Shewchuk, Discrete Comput. Geom.
+    18, 1997) of the real parts and of the imaginary parts: each part is
+    the exactly rounded sum of its terms."""
+    terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
-    __slots__ = ("_sr", "_si", "_cr", "_ci")
 
-    def __init__(self) -> None:
-        self._sr = 0.0
-        self._si = 0.0
-        self._cr = 0.0
-        self._ci = 0.0
+def _mp_series(
+    terms: Callable[[], Iterable[mp.mpc]], dps: int, target: float
+) -> Complex:
+    """Sum of the mpmath series that terms() yields, at a working precision
+    raised until rounding is below target of the value.
 
-    def add(self, term: Complex) -> None:
-        tr, ti = term.real, term.imag
-        t = self._sr + tr
-        if abs(self._sr) >= abs(tr):
-            self._cr += (self._sr - t) + tr
-        else:
-            self._cr += (tr - t) + self._sr
-        self._sr = t
-        t = self._si + ti
-        if abs(self._si) >= abs(ti):
-            self._ci += (self._si - t) + ti
-        else:
-            self._ci += (ti - t) + self._si
-        self._si = t
-
-    @property
-    def value(self) -> Complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
+    Each pass sums at dps digits until 3 consecutive terms fall below
+    target |sum|, then accepts when the residual floor of that precision,
+    10^(3-dps) times the sum of |term|, is at most target |sum|.  Otherwise
+    the terms cancelled too deeply: the pass measures by how much, and the
+    next one runs at max(log10(sum of |term| / |sum|) + 26, 2 dps) digits,
+    at most 1200.  AccuracyError after 8 passes.
+    """
+    for _attempt in range(8):
+        with mp.workdps(dps):
+            acc = mp.mpc(0)
+            majorant = mp.mpf(0)
+            quiet = 0
+            for term in terms():
+                acc += term
+                majorant += abs(term)
+                if abs(term) < target * abs(acc):
+                    quiet += 1
+                    if quiet >= 3:
+                        break
+                else:
+                    quiet = 0
+            floor = mp.mpf(10) ** (3 - dps) * majorant
+            if floor <= target * abs(acc):
+                return complex(acc)
+            needed = int(mp.log10(majorant / abs(acc))) + 26
+        dps = min(max(needed, 2 * dps), 1200)
+    raise AccuracyError(
+        "series cancellation exceeds the supported precision range"
+    )
 
 
 def _ensure_finite(value: Complex, what: str) -> Complex:
@@ -261,15 +277,17 @@ def accelerated_limit(
     # columns[d] is the partial-sum sequence after d Aitken passes.  Each
     # new partial sum extends every column by one entry, built from the
     # last three of the column before: O(_AITKEN_ORDER) work per term.
+    # The partial sums feed only the Aitken table, whose target is far
+    # above their rounding: a plain running sum.
     columns: list[list[Complex]] = [[]]
-    acc = CompensatedSum()
+    partial = 0.0 + 0.0j
     estimates: list[Complex] = []
     quiet = 0
     n_used = 0
     for term in terms:
         n_used += 1
-        acc.add(term)
-        columns[0].append(acc.value)
+        partial += term
+        columns[0].append(partial)
         for d in range(1, _AITKEN_ORDER + 1):
             prev = columns[d - 1]
             if len(prev) < 3:

@@ -15,7 +15,16 @@ from pathlib import Path
 import pytest
 
 from mlfourier import cli
-from mlfourier.errors import AccuracyError, ConvergenceError, FitError, PoleError
+from mlfourier.errors import (
+    AccuracyError,
+    ConvergenceError,
+    DegenerateFitError,
+    DomainError,
+    FitError,
+    LawMismatchError,
+    MLFourierError,
+    PoleError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -585,10 +594,14 @@ class TestExitCodeMapping:
     @pytest.mark.parametrize(
         "error,code",
         [
+            (MLFourierError, 3),
             (ConvergenceError, 3),
             (AccuracyError, 3),
+            (DomainError, 2),
             (PoleError, 2),
             (FitError, 4),
+            (DegenerateFitError, 4),
+            (LawMismatchError, 4),
         ],
         ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
     )

@@ -321,12 +321,17 @@ def test_eval_sector_sum_handover():
 
 
 def test_eval_exponential_closed_forms():
+    # E_{1,1} = exp has no algebraic part: in the decay sector past the
+    # series radius the sector sum returns it as its wave term, to
+    # rounding, where Laplace inversion's absolute floor (~1e-17) would
+    # cost up to 17% at z = -39.
     p = MLParams(1.0, 1.0)
-    for r in (45.0, 80.0, 300.0):
+    for r in (6.0, 20.0, 39.0, 45.0, 80.0, 300.0):
         got = ml_eval(p, -r)
         assert abs(got - math.exp(-r)) <= 1e-12 * math.exp(-r)
-    z = 50 * cmath.exp(2.2j)
-    assert abs(ml_eval(p, z) - cmath.exp(z)) <= 1e-12 * abs(cmath.exp(z))
+    for r in (6.0, 20.0, 39.0, 50.0):
+        z = r * cmath.exp(2.2j)
+        assert abs(ml_eval(p, z) - cmath.exp(z)) <= 1e-12 * abs(cmath.exp(z))
 
 
 @given(
@@ -507,18 +512,19 @@ def test_eval_array_growth_sector_beyond_series_radius():
 
 @functools.lru_cache(maxsize=None)
 def _sector_reference():
-    """(params, z, mpmath series) in the decay sector past
-    SECTOR_SUM_RADIUS, 0.1 rad off its boundary and on the negative axis,
-    shared by the scalar and array tests.  At alpha = 1.3, beta = 0.8,
-    |z| = 71.8, 0.1 rad off the boundary, the optimally truncated sector
-    sum is off by 3.5e-11: its estimate there is far above 1e-15 |E|."""
+    """(params, z, mpmath series) in the decay sector past SERIES_RADIUS,
+    where ml_eval tries the sector sum first, 0.1 rad off its boundary and
+    on the negative axis, shared by the scalar and array tests.  At
+    alpha = 1.3, beta = 0.8, |z| = 71.8, 0.1 rad off the boundary, the
+    optimally truncated sector sum is off by 3.5e-11: its estimate there
+    is far above 1e-15 |E|."""
     cases = []
     for alpha in (0.8, 1.3, 1.9):
         edge = math.pi * alpha / 2.0
         phases = (edge + 0.1, -(edge + 0.1), math.pi)
         for beta in (0.8, 1.0, 1.7):
             z = np.array([r * cmath.exp(1j * ph) for ph in phases
-                          for r in (41.0, 71.8, 150.0)])
+                          for r in (8.0, 20.0, 41.0, 71.8, 150.0)])
             want = np.array([_mp_series(alpha, beta, v) for v in z])
             cases.append((MLParams(alpha, beta), z, want))
     return cases
