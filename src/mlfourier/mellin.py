@@ -32,15 +32,22 @@ omitted term, rounding, and E's exponential term, which the series lacks)
 is at most 1e-15 of the sum, and the line integral everywhere else.  The
 line is the trapezoid rule with the step set by the distance to the poles
 (Trefethen & Weideman, SIAM Rev. 56 (2014)).  K does not depend on xi,
-only (pi xi)^s does, so a grid of xi shares one evaluation of K per line
-and step (Talman, J. Comput. Phys. 29 (1978)).  Every public function
-takes a float xi or an ndarray of them; each point's value is computed by
-the same arithmetic whatever the other points are.
+only (pi xi)^s does (Talman, J. Comput. Phys. 29 (1978)), and neither do
+the series' 256 coefficients.  Both are kept across calls, per problem:
+the coefficients of the last 64 problems, and the kernels of the lines
+and steps used most recently, up to 2^20 nodes (16 MiB) in all.  Every
+call on the same problem in one process, and every point of a grid that
+takes the same line and step, reuses them; a new process starts with
+none.  Every public function takes a float xi or an ndarray of them; each
+point's value is computed by the same arithmetic whatever the other
+points are, and whatever was computed before.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -165,15 +172,26 @@ def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     return np.where(log_r > 700.0, -math.inf, size)
 
 
-def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """residue_series on a 1-D array, _SERIES_ROWS points at a time."""
+@lru_cache(maxsize=64)
+def _series_coefficients(tp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """k = 1..256, the envelopes' logs, sin(pi k sigma/2) and the signed
+    factors -sin e^{ik phi} of the residue series: nothing here depends on
+    xi."""
     k = np.arange(1.0, _SERIES_TERMS + 1.0)
     log_env, sin = _log_envelopes(tp, k)
+    signed = -sin * _phases(tp, k)
+    for arr in (k, log_env, sin, signed):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return k, log_env, sin, signed
+
+
+def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """residue_series on a 1-D array, _SERIES_ROWS points at a time."""
+    k, log_env, sin, signed = _series_coefficients(tp)
     values = np.zeros(xi.size, complex)
     errs = np.full(xi.size, math.inf)
     if sin[0] == 0.0:
         return values, errs
-    signed = -sin * _phases(tp, k)
     for lo in range(0, xi.size, _SERIES_ROWS):
         x = xi[lo:lo + _SERIES_ROWS]
         rows = np.arange(x.size)
@@ -205,7 +223,8 @@ def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def residue_series(tp, xi):
     """The residue series at |xi| = xi and its relative error estimate: a
     (complex, float) pair for a float xi, a pair of arrays of xi's shape
-    for an ndarray.  Every point shares one set of the 256 coefficients.
+    for an ndarray.  Every point, and every later call on tp, shares one
+    set of the 256 coefficients.
 
     Near k sigma/2 = integer a term is small for its sin(pi k sigma/2)
     factor alone, so truncation follows the envelope |c_k/sin(pi k sigma/2)|
@@ -243,7 +262,32 @@ def _log_integrand(tp, s: np.ndarray) -> np.ndarray:
     )
 
 
+# Kernels by (tp, c, h), least recently used first.  Bounded by their
+# nodes, not their number: one kernel 0.002 rad inside the sector holds
+# 430,306 nodes (6.9 MB).
+_KERNELS: OrderedDict = OrderedDict()
+
+
 def _line_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
+    """_evaluate_kernel(tp, c, h), kept across calls: the kernel array is
+    read-only, and the least recently used kernels are dropped once the
+    nodes of all kept ones would pass 2^20.  A kernel is never larger, so
+    the one just evaluated is always kept."""
+    key = (tp, c, h)
+    if key in _KERNELS:
+        _KERNELS.move_to_end(key)
+        return _KERNELS[key]
+    j0, kernel = _evaluate_kernel(tp, c, h)
+    kernel.flags.writeable = False  # shared by every caller through the cache
+    _KERNELS[key] = j0, kernel
+    total = sum(f.size for _j0, f in _KERNELS.values())
+    while total > _MAX_NODES:
+        _key, (_j0, f) = _KERNELS.popitem(last=False)
+        total -= f.size
+    return j0, kernel
+
+
+def _evaluate_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
     """(j0, K(c + i h j) for j = j0, j0 + 1, ..., m_+), each node evaluated
     once.  At phi = pi, f(-t) = conj f(t) and only t >= 0 is taken, j0 = 0;
     else j0 = -m_-.
@@ -315,7 +359,7 @@ def _phase_sums(kernel: np.ndarray, j0: int, h: float, log_pi_xi: np.ndarray) ->
 
 def _line(tp, xi: np.ndarray) -> np.ndarray:
     """line_integral on a 1-D array: for each line and step, one kernel
-    evaluation shared by the points that take them."""
+    from _line_kernel shared by the points that take them."""
     upper = min(tp.sigma, float(tp.n))
     log_pi_xi = np.log(math.pi * xi)
     values = np.empty(xi.size, complex)
@@ -359,11 +403,13 @@ def line_integral(tp, xi):
     integrand on the strip of half-width d, the distance from c to those
     poles, h <= 2 pi d/(40 + d |log pi xi|), rounded down onto the ladder
     h_base 2^(-k/4), h_base = 2 pi d/40.  K(s) does not depend on xi, so
-    it is evaluated once per line and rung, in one pass over the nodes,
-    and each point adds (pi xi)^c sum_j K_j e^{i t_j log(pi xi)}.  At
+    it is evaluated once per problem, line and rung, in one pass over the
+    nodes, and kept across calls (up to 2^20 nodes over all kernels, the
+    least recently used dropped first); each point adds
+    (pi xi)^c sum_j K_j e^{i t_j log(pi xi)}.  At
     phi = pi the integrand is conjugate-symmetric and the sum runs over
     t >= 0; elsewhere each side of the line has its own length
-    (_line_kernel).  ConvergenceError past 2^20 nodes.  The rung depends
+    (_evaluate_kernel).  ConvergenceError past 2^20 nodes.  The rung depends
     on xi alone and each point's sum is reduced on its own, so a point's
     value is the same, bit for bit, in any array.
     """

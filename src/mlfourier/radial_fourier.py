@@ -458,9 +458,13 @@ def ml_transform(
     trapezoid sum on one line of the Mellin-Barnes integral.  Its accuracy
     target is fixed, like ml_eval's.
 
-    An ndarray xi_mag gives an array of its shape, with one line evaluation
+    An ndarray xi_mag gives an array of its shape, with one line kernel
     shared by the points that take the same line and step; each entry
-    equals, bit for bit, the value at that float alone.  DomainError for
+    equals, bit for bit, the value at that float alone.  The kernels and
+    the series' coefficients depend on tp alone and are kept across calls
+    in the process (kernels up to 2^20 nodes in all, least recently used
+    dropped first), so later calls on tp skip that work; a new process,
+    such as each mlf transform invocation, starts with none.  DomainError for
     xi_mag <= 0 or not finite (for any entry); tp is in the paper's scope
     sigma > (n-1)/2 by construction."""
     if isinstance(xi_mag, np.ndarray):
@@ -558,15 +562,25 @@ def ibp_identity_check(tp: TransformProblem, xi_mag: float, ell: int, N: int) ->
         Q_(l3)(r/|xi|) dr.
 
     Both sides are quadratured independently, with q_kernel evaluated at
-    every quadrature node."""
+    every quadrature node, once per l3 and node set within the call: the
+    left side and the l1 = N tail term share Q_0, and edge terms with the
+    same l3 share their panel's nodes."""
     _require_xi(xi_mag)
     if N not in (1, 2, 3):
         raise DomainError("N must be 1, 2, or 3")
     if ell not in (0, 1):
         raise DomainError("ell must be 0 or 1")
 
+    q_values: dict[tuple, np.ndarray] = {}
+
+    def q(l3: int, r: np.ndarray) -> np.ndarray:
+        key = (l3, r.shape, r.tobytes())
+        if key not in q_values:
+            q_values[key] = q_kernel(tp, l3, r / xi_mag)
+        return q_values[key]
+
     def kernel(power: float, l3: int) -> Callable:
-        return lambda r: r ** power * q_kernel(tp, l3, r / xi_mag)
+        return lambda r: r ** power * q(l3, r)
 
     # The right side's terms (coefficient, power, l2, l3): those with
     # l2 = 0 run out to infinity, the others live where psi^(l2) does.

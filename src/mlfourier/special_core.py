@@ -210,8 +210,11 @@ def integrate_finite(
 
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], cached per order."""
-    return np.polynomial.legendre.leggauss(order)
+    """Nodes and weights on [-1, 1], cached per order and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    for arr in (nodes, weights):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return nodes, weights
 
 
 def integrate_panels(

@@ -338,7 +338,9 @@ def test_residue_coefficient_closed_form():
 
 
 def _recorded_nodes(monkeypatch):
-    """Every s given to mellin._log_integrand from here on."""
+    """Every s given to mellin._log_integrand from here on, with no line
+    kernel kept from earlier calls."""
+    mellin._KERNELS.clear()
     given_nodes = []
     evaluate = mellin._log_integrand
 
@@ -381,6 +383,78 @@ def test_line_sides_have_their_own_length(monkeypatch):
     slow, fast = -t.min(), t.max()
     assert 40.0 * fast < slow
     assert fast >= 41.5 * sigma / (math.pi - 0.5 * math.pi * alpha - (tp.phi - math.pi))
+
+
+def _cold_caches():
+    mellin._KERNELS.clear()
+    mellin._series_coefficients.cache_clear()
+
+
+# phi = pi takes the half line; phi = -2.5 and 2.5 take two-sided lines with
+# the same lines and steps, so a kernel kept under the wrong problem shows.
+CACHED_PROBLEMS = (
+    TransformProblem(0.8, 1.0, math.pi, 2.2, 3),
+    TransformProblem(1.3, 0.7, -2.5, 1.7, 2),
+    TransformProblem(1.3, 0.7, 2.5, 1.7, 2),
+)
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_kept_kernels_and_coefficients_give_the_cold_values(float_first):
+    # Each call's value with every cache cleared first, against the same
+    # calls made in a row, twice, so that all but the first find what the
+    # earlier ones kept: the float point is one of the array's points.
+    xs = np.geomspace(1e-4, 1e2, 13)
+    calls = []
+    for tp in CACHED_PROBLEMS:
+        kinds = [lambda tp=tp: ml_transform(tp, float(xs[4])), lambda tp=tp: ml_transform(tp, xs)]
+        calls += kinds if float_first else kinds[::-1]
+    cold = []
+    for call in calls:
+        _cold_caches()
+        cold.append(np.asarray(call()).tobytes())
+    _cold_caches()
+    warm = [np.asarray(call()).tobytes() for call in calls + calls]
+    assert warm == cold + cold
+
+
+def test_kept_arrays_are_read_only():
+    tp = CACHED_PROBLEMS[1]
+    ml_transform(tp, np.geomspace(1e-4, 1e2, 13))
+    assert mellin._KERNELS
+    for _j0, kernel in mellin._KERNELS.values():
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
+    for arr in mellin._series_coefficients(tp):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_kept_kernels_stay_within_the_node_cap(monkeypatch):
+    # 0.002 rad inside the sector one kernel holds 430,306 nodes; the grid's
+    # three kernels hold 1.3 million in all.
+    _cold_caches()
+    evaluated = {}
+    evaluate = mellin._evaluate_kernel
+
+    def recorder(tp, c, h):
+        j0, kernel = evaluate(tp, c, h)
+        evaluated[tp, c, h] = kernel.size
+        return j0, kernel
+
+    monkeypatch.setattr(mellin, "_evaluate_kernel", recorder)
+    tp = TransformProblem(1.3, 1.0, 0.5 * math.pi * 1.3 + 0.002, 1.5, 2)
+    ml_transform(tp, np.geomspace(1e-12, 1e2, 25))
+    for n, sigma in REFERENCE_PROBLEMS:
+        ml_transform(TransformProblem(0.8, 1.0, math.pi, sigma, n), np.geomspace(1e-4, 1e3, 25))
+    assert sum(evaluated.values()) > 2**20
+    assert sum(kernel.size for _j0, kernel in mellin._KERNELS.values()) <= 2**20
+    # The least recently used went first; the reference problems' kernels,
+    # asked for last, are all kept.
+    keys = list(evaluated)
+    assert keys[0] not in mellin._KERNELS
+    reference = [key for key in keys if key[0].alpha == 0.8]
+    assert reference == list(mellin._KERNELS)[-len(reference):]
 
 
 class TestArrays:

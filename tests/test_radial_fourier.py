@@ -681,6 +681,21 @@ class TestIbpIdentity:
         tp = TransformProblem(alpha, beta, phi, sigma, n)
         assert ibp_identity_check(tp, 0.3, 0, min_ibp_order(n)) < 1e-9
 
+    def test_each_kernel_is_evaluated_once_per_node_set(self, monkeypatch):
+        # At n = 2, ell = 0 the left side's Q_0 and the l1 = N tail term's
+        # Q_0 meet on the same nodes, as do edge terms with the same l3.
+        calls = []
+        evaluate = radial_fourier.q_kernel
+
+        def recorder(tp, ell, r):
+            calls.append((ell, r.shape, r.tobytes()))
+            return evaluate(tp, ell, r)
+
+        monkeypatch.setattr(radial_fourier, "q_kernel", recorder)
+        tp = TransformProblem(0.8, 1.0, -2.0, 1.5, 2)
+        assert ibp_identity_check(tp, 0.3, 0, 2) < 1e-9
+        assert calls and len(set(calls)) == len(calls)
+
     def test_module_reaches_no_quadpack(self):
         # The check sums on compute_N's chunk routine, not per-chunk QUADPACK.
         for name in ("integrate_finite", "integrate_semi_infinite"):

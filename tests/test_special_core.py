@@ -13,6 +13,7 @@ from mlfourier.special_core import (
     accelerated_limit,
     complex_gamma,
     fsum_complex,
+    gauss_legendre_rule,
     integrate_finite,
     integrate_panels,
     principal_pow,
@@ -128,6 +129,17 @@ def test_integrate_finite_raises_when_subdivisions_run_out():
 def test_fsum_complex_exact_cancellation():
     assert fsum_complex([1e16, 1.0, -1e16]) == 1.0
     assert fsum_complex([1e16j, 1.0j, -1e16j]) == 1.0j
+
+
+def test_gauss_legendre_rule_is_read_only():
+    # Every quadrature shares the cached arrays: one write would corrupt
+    # every later call.
+    nodes, weights = gauss_legendre_rule(16)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+    assert abs(weights.sum() - 2.0) < 1e-14
 
 
 def test_integrate_panels_complex_values():
