@@ -29,13 +29,19 @@ for sigma >= alpha.
 
 mellin_transform takes the series where its error estimate (the first
 omitted term, rounding, and E's exponential term, which the series lacks)
-is at most 1e-15 of the sum, and the line integral everywhere else.  The
-line is the trapezoid rule with the step set by the distance to the poles
-(Trefethen & Weideman, SIAM Rev. 56 (2014)).  K does not depend on xi,
-only (pi xi)^s does (Talman, J. Comput. Phys. 29 (1978)), and neither do
-the series' 256 coefficients.  Both are kept across calls, per problem:
-the coefficients of the last 64 problems, and the kernels of the lines
-and steps used most recently, up to 2^20 nodes (16 MiB) in all.  Every
+is at most 1e-15 of the sum, and the line integral everywhere else.  At
+small xi, where u = -sigma log(pi xi) passes a bound u_1 set by the
+coefficients, the series' first envelope is its smallest, so it sums no
+term and is not computed there.  The line is the trapezoid rule with the
+step set by the distance to the poles (Trefethen & Weideman, SIAM Rev. 56
+(2014)); its nodes are equispaced, so each point's phase sum splits into
+32 baby steps and one giant step per 32 nodes, 32 + nodes/32 exponentials
+instead of one per node (Paterson & Stockmeyer, SIAM J. Comput. 2
+(1973)).  K does not depend on xi, only (pi xi)^s does (Talman,
+J. Comput. Phys. 29 (1978)), and neither do the series' 256 coefficients
+and u_1.  The kernels and the coefficients are kept across calls, per
+problem: the coefficients of the last 64 problems, and the kernels of the
+lines and steps used most recently, up to 2^20 nodes (16 MiB) in all.  Every
 call on the same problem in one process, and every point of a grid that
 takes the same line and step, reuses them; a new process starts with
 none.  Every public function takes a float xi or an ndarray of them; each
@@ -79,6 +85,8 @@ _SERIES_ROWS = 128
 # the points in row blocks of at most _BLOCK products.
 _CHUNK = 2**14
 _BLOCK = 2**16
+# Nodes per row of a chunk in _phase_sums' baby-step/giant-step split.
+_BABY = 32
 
 
 def _flat(xi) -> np.ndarray:
@@ -173,32 +181,44 @@ def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _series_coefficients(tp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """k = 1..256, the envelopes' logs, sin(pi k sigma/2) and the signed
-    factors -sin e^{ik phi} of the residue series: nothing here depends on
-    xi."""
+def _series_coefficients(tp) -> tuple[np.ndarray, ...]:
+    """k = 1..256, the envelopes' logs, sin(pi k sigma/2), the signed
+    factors -sin e^{ik phi} of the residue series, and [u_1]: nothing here
+    depends on xi.
+
+    With A_k = log_env[k] - log_env[0] and u = -sigma log(pi xi), the k-th
+    envelope relative to the first is exp(A_k + u (k - 1)).  For u > u_1 =
+    max_{k>=2} (-A_k/(k - 1)) + 1 every one of them exceeds e, so the
+    smallest envelope is the first and the series sums no term; the e-fold
+    margin is far above the exponent's rounding.
+    """
     k = np.arange(1.0, _SERIES_TERMS + 1.0)
     log_env, sin = _log_envelopes(tp, k)
     signed = -sin * _phases(tp, k)
-    for arr in (k, log_env, sin, signed):
+    u_1 = np.array([np.max((log_env[0] - log_env[1:]) / (k[1:] - 1.0)) + 1.0])
+    for arr in (k, log_env, sin, signed, u_1):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return k, log_env, sin, signed
+    return k, log_env, sin, signed, u_1
 
 
 def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """residue_series on a 1-D array, _SERIES_ROWS points at a time."""
-    k, log_env, sin, signed = _series_coefficients(tp)
+    """residue_series on a 1-D array, _SERIES_ROWS points at a time; points
+    past u_1 (_series_coefficients) sum no term and are not computed."""
+    k, log_env, sin, signed, u_1 = _series_coefficients(tp)
     values = np.zeros(xi.size, complex)
     errs = np.full(xi.size, math.inf)
     if sin[0] == 0.0:
         return values, errs
-    for lo in range(0, xi.size, _SERIES_ROWS):
-        x = xi[lo:lo + _SERIES_ROWS]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_xs = -tp.sigma * np.log(math.pi * xi)
+    live = np.flatnonzero(~(log_xs > u_1[0]))
+    for lo in range(0, live.size, _SERIES_ROWS):
+        at = live[lo:lo + _SERIES_ROWS]
+        x, log_x = xi[at], log_xs[at]
         rows = np.arange(x.size)
         # Envelopes relative to the k = 1 one, which carries the scale
         # through exact powers: the large logs of small (pi xi)^(-k sigma)
         # only enter terms that they make small.
-        log_x = -tp.sigma * np.log(math.pi * x)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             envelope = np.exp(log_env - log_env[0] + np.multiply.outer(log_x, k - 1.0))
             stop = np.argmin(envelope, axis=1)
@@ -215,8 +235,8 @@ def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             wave = _log_wave_size(tp, x) - np.log(np.abs(value))
             err += _WAVE_MARGIN * np.exp(np.minimum(wave, 0.0))
         summed = (total != 0.0) & np.isfinite(np.abs(total))
-        values[lo:lo + x.size] = np.where(summed, value, 0.0)
-        errs[lo:lo + x.size] = np.where(summed, err, math.inf)
+        values[at] = np.where(summed, value, 0.0)
+        errs[at] = np.where(summed, err, math.inf)
     return values, errs
 
 
@@ -234,7 +254,10 @@ def residue_series(tp, xi):
     the magnitudes summed, both relative to |sum|, plus ten times the
     relative size of E's exponential term (_log_wave_size), which no term
     of the series carries.  It is inf where the sum is 0, as for
-    even-integer sigma, where every term vanishes.
+    even-integer sigma, where every term vanishes, and for xi so small
+    that -sigma log(pi xi) passes u_1 (_series_coefficients): there every
+    envelope is more than e times the first, so no term is summed, and
+    none is computed.
     """
     values, errs = _series(tp, _flat(xi))
     return _like(xi, values), _like(xi, errs)
@@ -343,17 +366,30 @@ def _evaluate_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
 
 
 def _phase_sums(kernel: np.ndarray, j0: int, h: float, log_pi_xi: np.ndarray) -> np.ndarray:
-    """sum_i kernel[i] e^{i h (j0 + i) L} for each L in log_pi_xi.  The
-    node chunks and the order of every addition are fixed by the kernel
-    alone, so each row's sum is the same in any batch."""
+    """sum_i kernel[i] e^{i h (j0 + i) L} for each L in log_pi_xi.
+
+    The nodes are equispaced, so within a chunk, padded with zeros to rows
+    of _BABY, e^{i h (j0 + lo + _BABY b + m) L} = e^{i h (j0 + lo + _BABY b) L}
+    e^{i h m L}: each row of the kernel is summed against the _BABY baby
+    steps, and those sums against the giant steps, _BABY + nodes/_BABY
+    exponentials per point instead of one per node (Paterson & Stockmeyer,
+    SIAM J. Comput. 2 (1973)).  Every sum runs along a contiguous last
+    axis, not through a matrix product, whose order of additions depends
+    on the batch, and the chunks and blocks are fixed by the kernel alone,
+    so each point's sum is the same in any batch."""
     out = np.zeros(log_pi_xi.size, complex)
+    baby = np.exp(1j * (log_pi_xi[:, None] * (h * np.arange(_BABY))))
     for lo in range(0, kernel.size, _CHUNK):
         part = kernel[lo:lo + _CHUNK]
-        t = h * (j0 + lo + np.arange(part.size))
-        rows = max(1, _BLOCK // part.size)
+        f = np.zeros(-(-part.size // _BABY) * _BABY, complex)
+        f[:part.size] = part
+        f = f.reshape(-1, _BABY)
+        giant_t = h * (j0 + lo + _BABY * np.arange(f.shape[0]))
+        rows = max(1, _BLOCK // f.size)
         for r in range(0, log_pi_xi.size, rows):
-            L = log_pi_xi[r:r + rows, None]
-            out[r:r + rows] += (part * np.exp(1j * (L * t))).sum(axis=1)
+            inner = (f * baby[r:r + rows, None, :]).sum(axis=2)
+            giant = np.exp(1j * (log_pi_xi[r:r + rows, None] * giant_t))
+            out[r:r + rows] += (inner * giant).sum(axis=1)
     return out
 
 
@@ -406,7 +442,9 @@ def line_integral(tp, xi):
     it is evaluated once per problem, line and rung, in one pass over the
     nodes, and kept across calls (up to 2^20 nodes over all kernels, the
     least recently used dropped first); each point adds
-    (pi xi)^c sum_j K_j e^{i t_j log(pi xi)}.  At
+    (pi xi)^c sum_j K_j e^{i t_j log(pi xi)}, whose phases the equispaced
+    nodes split into 32 baby steps and one giant step per 32 nodes
+    (_phase_sums), so a point costs 32 + nodes/32 exponentials.  At
     phi = pi the integrand is conjugate-symmetric and the sum runs over
     t >= 0; elsewhere each side of the line has its own length
     (_evaluate_kernel).  ConvergenceError past 2^20 nodes.  The rung depends

@@ -457,6 +457,107 @@ def test_kept_kernels_stay_within_the_node_cap(monkeypatch):
     assert reference == list(mellin._KERNELS)[-len(reference):]
 
 
+def _direct_phase_sums(kernel, j0, h, log_pi_xi):
+    """sum_j kernel[j] e^{i h (j0 + j) L} with one exponential per node and
+    point, in the route's chunks and row blocks."""
+    out = np.zeros(log_pi_xi.size, complex)
+    for lo in range(0, kernel.size, 2**14):
+        part = kernel[lo:lo + 2**14]
+        t = h * (j0 + lo + np.arange(part.size))
+        rows = max(1, 2**16 // part.size)
+        for r in range(0, log_pi_xi.size, rows):
+            L = log_pi_xi[r:r + rows, None]
+            out[r:r + rows] += (part * np.exp(1j * (L * t))).sum(axis=1)
+    return out
+
+
+def _summed_kernels(monkeypatch, tp):
+    """(kernel, j0, h) of every phase sum the lines of tp take, for the
+    left line (xi = 1) and the right one (xi = 1e-2)."""
+    mellin._KERNELS.clear()
+    summed = {}
+    phase_sums = mellin._phase_sums
+
+    def recorder(kernel, j0, h, log_pi_xi):
+        summed[kernel.size, j0, h] = kernel
+        return phase_sums(kernel, j0, h, log_pi_xi)
+
+    monkeypatch.setattr(mellin, "_phase_sums", recorder)
+    line_integral(tp, np.array([1e-2, 1.0]))
+    monkeypatch.setattr(mellin, "_phase_sums", phase_sums)
+    return [(kernel, j0, h) for (_size, j0, h), kernel in summed.items()]
+
+
+@pytest.mark.parametrize(
+    "problem,sizes",
+    [
+        ((0.8, 1.0, math.pi, 0.7, 1), (345, 434)),
+        ((0.8, 1.0, math.pi, 1.5, 2), (370, 434)),
+        ((0.8, 1.0, math.pi, 2.2, 3), (397, 437)),
+        # Two-sided lines, j0 < 0.
+        ((1.3, 0.7, -2.5, 1.7, 2), (1934, 2369)),
+        # 0.02 rad inside the sector: three node chunks.
+        ((1.3, 1.0, 0.5 * math.pi * 1.3 + 0.02, 1.5, 2), (35377, 42539)),
+    ],
+)
+@pytest.mark.parametrize("points", [1, 10, 300])
+def test_split_phase_sums_match_one_exponential_per_node(monkeypatch, problem, sizes, points):
+    # The baby-step/giant-step sum against the direct one: each phase
+    # h j L is rounded once either way, so the two differ by a few eps of
+    # sum_j |K_j| (1 + |L t_j|).  None of the lengths is a multiple of 32.
+    kernels = _summed_kernels(monkeypatch, TransformProblem(*problem))
+    assert sorted(kernel.size for kernel, _j0, _h in kernels) == list(sizes)
+    L = np.log(math.pi * np.geomspace(1e-6, 1e2, points))
+    for kernel, j0, h in kernels:
+        assert (j0 < 0) == (problem[2] != math.pi)
+        got = mellin._phase_sums(kernel, j0, h, L)
+        want = _direct_phase_sums(kernel, j0, h, L)
+        t = h * (j0 + np.arange(kernel.size))
+        bound = 4.0 * np.finfo(float).eps * (
+            np.abs(kernel).sum() + np.abs(L) * (np.abs(kernel) * np.abs(t)).sum()
+        )
+        assert np.all(np.abs(got - want) <= bound)
+
+
+SKIP_PROBLEMS = (
+    TransformProblem(0.8, 1.0, math.pi, 0.7, 1),
+    TransformProblem(0.8, 1.0, math.pi, 1.5, 2),
+    TransformProblem(0.8, 1.0, math.pi, 2.2, 3),
+    TransformProblem(1.3, 0.7, 2.5, 1.7, 2),
+    TransformProblem(1.3, 0.7, -2.5, 1.7, 2),
+    TransformProblem(1.9, 1.0, 0.5 * math.pi * 1.9 + 0.02, 2.2, 3),
+    TransformProblem(0.8, 0.8, math.pi, 1.2, 3),
+    # Even-integer sigma: every term vanishes.
+    TransformProblem(1.0, 1.0, math.pi, 2.0, 2),
+)
+
+
+@pytest.mark.parametrize("tp", SKIP_PROBLEMS)
+def test_points_past_u_1_are_skipped_exactly(monkeypatch, tp):
+    # Past u_1 the series sums no term; computing those points anyway must
+    # give the same values, estimates and routes, bit for bit.
+    xs = np.geomspace(1e-6, 1e2, 200)
+    value, err = residue_series(tp, xs)
+    transform = mellin_transform(tp, xs)
+    if tp.sigma != 2.0:
+        u_1 = mellin._series_coefficients(tp)[-1][0]
+        assert np.any(-tp.sigma * np.log(math.pi * xs) > u_1)
+    kept = mellin._series_coefficients
+    monkeypatch.setattr(
+        mellin, "_series_coefficients", lambda tp: (*kept(tp)[:-1], np.array([math.inf]))
+    )
+    full_value, full_err = residue_series(tp, xs)
+    assert value.tobytes() == full_value.tobytes()
+    assert err.tobytes() == full_err.tobytes()
+    assert transform.tobytes() == mellin_transform(tp, xs).tobytes()
+
+
+@pytest.mark.parametrize("xi", [0.0, math.nan, math.inf])
+def test_series_outside_the_open_half_line_sums_nothing(xi):
+    for tp in SKIP_PROBLEMS:
+        assert residue_series(tp, xi) == (0.0, math.inf)
+
+
 class TestArrays:
     TP = TransformProblem(0.8, 1.0, math.pi, 1.5, 2)
 
