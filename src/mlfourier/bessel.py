@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 from scipy.special import jv
 
@@ -84,6 +83,7 @@ def _series_mpmath(lam: Complex, r: float, dps: int) -> Complex:
     dps digits up to a rounding below 1e-17 of the value.  The alternating
     terms peak near e^r/sqrt(2 pi r) against |J| ~ sqrt(2/(pi r)), and
     near a zero of J the cancellation is deeper."""
+    import mpmath as mp
 
     def terms():
         half = mp.mpf(r) / 2

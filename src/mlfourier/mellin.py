@@ -275,13 +275,18 @@ def _log_integrand(tp, s: np.ndarray) -> np.ndarray:
         + 1j * sg * math.pi * (q - 0.5)
         - np.log1p(-np.exp(2j * sg * math.pi * q))
     )
+    # At a pole of Gamma(s/2), s/2 = 0, -1, ..., K is 0 but loggamma is
+    # nan: there the term is +inf.  The left line's centre node s = -sigma/2
+    # is one for sigma in 4Z.
+    half = 0.5 * s
+    at_pole = (half.imag == 0.0) & (half.real <= 0.0) & (half.real == np.floor(half.real))
     return (
         -math.log(tp.sigma)
         - 1j * theta * q
         + log_reflection
         - loggamma(tp.beta - tp.alpha * q)
         + loggamma(0.5 * (tp.n - s))
-        - loggamma(0.5 * s)
+        - np.where(at_pole, math.inf, loggamma(half))
     )
 
 

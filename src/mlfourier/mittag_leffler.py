@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-import mpmath as mp
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
@@ -194,6 +193,7 @@ _SERIES_TOL = 1e-14
 def _series_mpmath(p: MLParams, z: Complex, dps: int) -> Complex:
     """The Taylor series at z, summed by special_core._mp_series from dps
     digits up to a rounding below _SERIES_TOL of the value."""
+    import mpmath as mp
 
     def terms():
         zz = mp.mpc(z)

@@ -52,7 +52,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.special import jv
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .special_core import (
     _EPS,
     Complex,
@@ -465,15 +465,21 @@ def ml_transform(
     in the process (kernels up to 2^20 nodes in all, least recently used
     dropped first), so later calls on tp skip that work; a new process,
     such as each mlf transform invocation, starts with none.  DomainError for
-    xi_mag <= 0 or not finite (for any entry); tp is in the paper's scope
-    sigma > (n-1)/2 by construction."""
+    xi_mag <= 0 or not finite (for any entry), AccuracyError where a value
+    is not finite, as ml_eval; tp is in the paper's scope sigma > (n-1)/2
+    by construction."""
     if isinstance(xi_mag, np.ndarray):
         bad = xi_mag[~((0.0 < xi_mag) & (xi_mag < math.inf))]
         if bad.size:
             _require_xi(float(bad[0]))
     else:
         _require_xi(xi_mag)
-    return mellin_transform(tp, xi_mag)
+    value = mellin_transform(tp, xi_mag)
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        at = float(np.extract(~finite, xi_mag)[0])
+        raise AccuracyError(f"F is not finite at xi = {at!r} for {tp}")
+    return value
 
 
 def split_transform(tp: TransformProblem, xi_mag: float) -> Complex:

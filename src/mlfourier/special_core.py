@@ -13,6 +13,11 @@ The adaptive engine, the accelerator and the contour sums' rounding guard
 work to one fixed target, absolute 1e-12 or relative 1e-10, and the
 tanh-sinh panels to a thousandth of it, the absolute part scaled by the
 size the caller expects; none takes a tolerance.
+
+Only the references reach scipy.integrate and mpmath, so neither is
+imported with the package: QUADPACK (quad, through which integrate_finite
+calls it) and tanhsinh (integrate_panels) load on their first call, and
+mpmath on the first series the precision ladder sums.
 """
 
 from __future__ import annotations
@@ -22,9 +27,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import mpmath as mp
 import numpy as np
-from scipy.integrate import quad, tanhsinh
 from scipy.special import gamma
 
 from .errors import AccuracyError, ConvergenceError, DomainError, PoleError
@@ -80,6 +83,8 @@ def _mp_series(
     next one runs at max(log10(sum of |term| / |sum|) + 26, 2 dps) digits,
     at most 1200.  AccuracyError after 8 passes.
     """
+    import mpmath as mp
+
     for _attempt in range(8):
         with mp.workdps(dps):
             acc = mp.mpc(0)
@@ -163,6 +168,14 @@ def principal_pow(z: Complex, w: Complex) -> Complex:
     return _ensure_finite(cmath.exp(w * log_z), "principal_pow")
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: only the
+    references integrate by QUADPACK."""
+    from scipy.integrate import quad as quadpack
+
+    return quadpack(*args, **kwargs)
+
+
 def integrate_finite(
     f: Callable[[float], Complex],
     a: float,
@@ -235,6 +248,8 @@ def integrate_panels(
     integrals, or _PANEL_REL_TOL times its own value; ConvergenceError when
     a panel misses that within tanhsinh's level budget, as for QUADPACK.
     """
+    from scipy.integrate import tanhsinh
+
     res = tanhsinh(
         lambda x, *rest: f(x.real, *rest),
         a,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mlfourier import cli
+from mlfourier import cli, radial_fourier
 from mlfourier.errors import (
     AccuracyError,
     ConvergenceError,
@@ -222,6 +222,27 @@ class TestTransform:
         _, out, _ = run_cli(capsys, *self.GAUSS)
         _, rows = csv_rows(out)
         assert rows[0]["est_error"] > 0
+
+    def test_sigma_in_4z_prints_finite_rows(self, capsys):
+        # sigma = 4 puts the left line's centre node on a pole of Gamma(s/2),
+        # where the two larger points printed nan rows with exit 0.
+        code, out, _ = run_cli(
+            capsys,
+            "transform", "--alpha", "0.8", "--sigma", "4", "--dim", "3",
+            "--xi-min", "0.1", "--xi-max", "1", "--xi-points", "3", "--no-timestamp",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == 3
+        assert all(math.isfinite(row[k]) for row in rows for k in ("re", "im", "abs"))
+
+    def test_non_finite_value_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            radial_fourier, "mellin_transform", lambda tp, xi: xi * complex(math.nan, 0.0)
+        )
+        code, out, err = run_cli(capsys, "transform", "--xi-points", "3", "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "not finite" in err
 
     @pytest.mark.parametrize("n,sigma", [(1, "0.7"), (2, "1.5"), (3, "2.2")])
     def test_grid_rows_match_one_point_runs(self, capsys, n, sigma):

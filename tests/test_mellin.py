@@ -199,6 +199,21 @@ def test_reference_problems_against_mpmath(n, sigma):
         assert rel_err(ml_transform(tp, xi), want) <= 1e-12, xi
 
 
+@pytest.mark.parametrize("sigma", [4.0, 8.0])
+def test_left_line_centre_on_a_gamma_pole(sigma):
+    # For 2 pi xi >= 1 the line sits at c = -sigma/2; for sigma in 4Z its
+    # centre node is a pole of Gamma(s/2), where K is 0, not nan.
+    tp = TransformProblem(0.8, 1.0, math.pi, sigma, 3)
+    grid = np.geomspace(1e-2, 1e2, 25)
+    values = ml_transform(tp, grid)
+    assert np.all(np.isfinite(values))
+    if sigma == 4.0:
+        for xi, value in zip(grid, values):
+            if abs(value) >= 1e-8:
+                want = _mp_line(0.8, 1.0, math.pi, sigma, 3, float(xi))
+                assert rel_err(value, want) <= 1e-12, xi
+
+
 @settings(
     max_examples=50,
     derandomize=True,
