@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError, LawMismatchError
-from .special_core import Complex, gauss_legendre_rule
+from .special_core import Complex, gauss_legendre_rule, line_fit
 from .mellin import residue_coefficient
 from .radial_fourier import TransformProblem, ml_transform
 
@@ -83,33 +83,40 @@ class AsymptoticReport:
 
 
 def _check_geometric(xs: np.ndarray) -> None:
-    if len(xs) < 6:
-        raise DegenerateFitError("need >= 6 grid points")
-    if np.any(xs <= 0.0) or np.any(np.diff(xs) <= 0.0):
+    if (xs <= 0.0).any() or (xs[1:] <= xs[:-1]).any():
         raise DegenerateFitError("grid must be positive and increasing")
     ratios = xs[1:] / xs[:-1]
     if ratios.max() > 1.02 * ratios.min():
         raise DegenerateFitError("grid must be geometric (constant ratio)")
 
 
-def fit_exponent(samples: Sequence[tuple[float, Complex]]) -> ExponentFit:
-    """Fit log|value| = slope * log(xi) + intercept on a geometric grid."""
-    if len(samples) < 6:
+def _fit(xs: np.ndarray, values: np.ndarray, mags: np.ndarray) -> ExponentFit:
+    """fit_exponent on arrays: the grid, the values and their magnitudes."""
+    if xs.size < 6:
         raise DegenerateFitError("exponent fit requires >= 6 samples")
-    xs = np.array([s[0] for s in samples], dtype=float)
-    vals = np.array([abs(complex(s[1])) for s in samples], dtype=float)
     _check_geometric(xs)
-    if np.any(vals <= 0.0):
+    if (mags <= 0.0).any():
         raise DegenerateFitError("all sample magnitudes must be positive")
-    lx, ly = np.log(xs), np.log(vals)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+    lx, ly = np.log(xs), np.log(mags)
+    slope, intercept = line_fit(lx, ly)
+    residual = math.sqrt(((ly - (slope * lx + intercept)) ** 2).sum() / ly.size)
     return ExponentFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         residual=residual,
-        grid=tuple((float(x), complex(v)) for x, v in samples),
+        grid=tuple(zip(xs.tolist(), values.tolist())),
     )
+
+
+def fit_exponent(samples: Sequence[tuple[float, Complex]]) -> ExponentFit:
+    """Fit log|value| = slope * log(xi) + intercept on a geometric grid, by
+    the closed-form least-squares line of special_core.line_fit.
+    DegenerateFitError for fewer than 6 samples, a grid that is not
+    positive, increasing and geometric, a zero value, or any xi or value
+    that is not finite."""
+    xs = np.array([s[0] for s in samples], dtype=float)
+    values = np.array([complex(s[1]) for s in samples])
+    return _fit(xs, values, np.abs(values))
 
 
 def small_xi_law(tp: TransformProblem) -> str:
@@ -134,13 +141,6 @@ def _default_large_grid() -> np.ndarray:
     return np.geomspace(10.0, 1e4, 10)
 
 
-def _transform_samples(
-    tp: TransformProblem, grid: Sequence[float]
-) -> list[tuple[float, Complex]]:
-    xs = np.asarray(grid, dtype=float)
-    return list(zip(xs.tolist(), ml_transform(tp, xs).tolist()))
-
-
 def _relative_rms(actual: np.ndarray, predicted: np.ndarray) -> float:
     return float(np.sqrt(np.mean(((actual - predicted) / actual) ** 2)))
 
@@ -155,16 +155,16 @@ def _log_model_stats(
     two are comparable for model selection.
     """
     lx = np.log(xs)
-    b, a = np.polyfit(lx, mags, 1)
+    b, a = line_fit(lx, mags)
     pred_log = a + b * lx
     res_log = _relative_rms(mags, pred_log)
     ss_res = float(np.sum((mags - pred_log) ** 2))
     ss_tot = float(np.sum((mags - np.mean(mags)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    c, logc = np.polyfit(lx, np.log(mags), 1)
+    c, logc = line_fit(lx, np.log(mags))
     pred_pow = np.exp(logc + c * lx)
     res_pow = _relative_rms(mags, pred_pow)
-    return float(b), res_log, r2, res_pow
+    return b, res_log, r2, res_pow
 
 
 def verify_small_xi(
@@ -181,9 +181,9 @@ def verify_small_xi(
     """
     law = small_xi_law(tp)
     xs = np.array(grid if grid is not None else _default_small_grid(), float)
-    samples = _transform_samples(tp, xs)
-    mags = np.array([abs(v) for _, v in samples])
-    fit = fit_exponent(samples)
+    values = ml_transform(tp, xs)
+    mags = np.abs(values)
+    fit = _fit(xs, values, mags)
     notes: list[str] = []
     # Stabilization is judged on the third of the grid nearest the limit
     # (the smallest |xi| values).
@@ -271,15 +271,16 @@ def verify_large_xi(
     DomainError is raised."""
     expected, constant = large_xi_law(tp)
     xs = np.array(grid if grid is not None else _default_large_grid(), float)
-    samples = _transform_samples(tp, xs)
-    fit = fit_exponent(samples)
+    values = ml_transform(tp, xs)
+    mags = np.abs(values)
+    fit = _fit(xs, values, mags)
     if abs(fit.slope - expected) > SLOPE_TOL:
         raise LawMismatchError(
             f"large-xi slope {fit.slope:.4f} deviates from -(n + sigma) = "
             f"{expected:.4f} beyond {SLOPE_TOL}"
         )
     c_abs = abs(constant)
-    scaled = abs(samples[-1][1]) * xs[-1] ** -expected
+    scaled = mags[-1] * xs[-1] ** -expected
     rel = abs(scaled - c_abs) / c_abs
     return AsymptoticReport(
         small_xi_law=None,

@@ -40,6 +40,7 @@ from .special_core import (
     _mp_series,
     Complex,
     complex_gamma,
+    line_fit,
     principal_pow,
     reciprocal_gamma,
 )
@@ -308,12 +309,10 @@ def remainder_decay_certificate(lam, M: int, r_grid) -> DecayCertificate:
             "remainder is at the double-precision noise floor; "
             "shrink the upper end of r_grid"
         )
-    xs = np.log(np.asarray(grid))
-    ys = np.log(np.asarray(env))
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = line_fit(np.log(np.asarray(grid)), np.log(np.asarray(env)))
     return DecayCertificate(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         exact=False,
         n_points=len(grid),
     )

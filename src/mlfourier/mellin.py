@@ -38,15 +38,22 @@ step set by the distance to the poles (Trefethen & Weideman, SIAM Rev. 56
 32 baby steps and one giant step per 32 nodes, 32 + nodes/32 exponentials
 instead of one per node (Paterson & Stockmeyer, SIAM J. Comput. 2
 (1973)).  K does not depend on xi, only (pi xi)^s does (Talman,
-J. Comput. Phys. 29 (1978)), and neither do the series' 256 coefficients
-and u_1.  The kernels and the coefficients are kept across calls, per
-problem: the coefficients of the last 64 problems, and the kernels of the
-lines and steps used most recently, up to 2^20 nodes (16 MiB) in all.  Every
-call on the same problem in one process, and every point of a grid that
-takes the same line and step, reuses them; a new process starts with
-none.  Every public function takes a float xi or an ndarray of them; each
-point's value is computed by the same arithmetic whatever the other
-points are, and whatever was computed before.
+J. Comput. Phys. 29 (1978)), and neither does anything else but the
+exponentials and the sums.  So each problem has one plan, built on its
+first call and kept for the last 64 problems: the series' 256
+coefficients as the envelopes relative to the first, k - 1, the signed
+factors, and the scale exp(log_env[0]) pi^(-n/2); u_1; whether E's
+exponential term enters the series' estimate at all; and, for each of
+the two lines, c, d, h_base and the step ladder.  The kernels of the lines
+and steps used most recently are kept too, up to 2^20 stored nodes
+(16 MiB) in all, each in the form the phase sums read: padded to rows of
+32 per chunk, with its giant steps, and at phi = pi with the half line's
+f_0 split off.  A call then computes only the exponentials and sums that
+depend on xi.  Every call on the same problem in one process, and every
+point of a grid that takes the same line and step, reuses them; a new
+process starts with none.  Every public function takes a float xi or an
+ndarray of them; each point's value is computed by the same arithmetic
+whatever the other points are, and whatever was computed before.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import loggamma
@@ -89,12 +97,8 @@ _BLOCK = 2**16
 _BABY = 32
 
 
-def _flat(xi) -> np.ndarray:
-    return np.asarray(xi, dtype=float).reshape(-1)
-
-
 def _like(xi, values: np.ndarray):
-    """values, one per entry of _flat(xi), in xi's form: an array of its
+    """values, one per entry of xi, in xi's form: an array of its
     shape for an ndarray xi, else a Python scalar."""
     return values.reshape(xi.shape) if isinstance(xi, np.ndarray) else values[0].item()
 
@@ -148,6 +152,18 @@ def residue_coefficient(tp, k: int) -> complex:
     )
 
 
+def _wave(tp) -> tuple[float, float] | None:
+    """(p, gamma) of E's exponential term on the profile (_log_wave_size),
+    None where the problem has none: |phi| >= pi alpha, or a saddle off the
+    principal sheet."""
+    p = tp.sigma / tp.alpha
+    delta = abs(tp.phi) / tp.alpha - 0.5 * math.pi
+    gamma = delta / (p - 1.0) if p > 1.0 else math.inf
+    if delta >= 0.5 * math.pi or gamma >= math.pi:
+        return None
+    return p, gamma
+
+
 def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     """log of the size of the transform of E's exponential term, which the
     residue series does not contain, at each xi; -inf where there is none.
@@ -162,11 +178,10 @@ def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     is the saddle-point value with the Bessel kernel's large-argument
     amplitude; for gamma >= pi the saddle is off the principal sheet.
     """
-    p = tp.sigma / tp.alpha
-    delta = abs(tp.phi) / tp.alpha - 0.5 * math.pi
-    gamma = delta / (p - 1.0) if p > 1.0 else math.inf
-    if delta >= 0.5 * math.pi or gamma >= math.pi:
+    wave = _wave(tp)
+    if wave is None:
         return np.full(xi.shape, -math.inf)
+    p, gamma = wave
     log_r = np.log(2.0 * math.pi * xi / p) / (p - 1.0)
     r = np.exp(np.minimum(log_r, 700.0))
     size = (
@@ -180,11 +195,55 @@ def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     return np.where(log_r > 700.0, -math.inf, size)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every caller through a cache
+
+
+class _Line(NamedTuple):
+    """One line Re s = c of the Mellin-Barnes integral: d, the distance
+    from c to the nearest pole, h_base = 2 pi d/40 and the step ladder
+    h_base 2^(-k/4), k = 0, 1, ..."""
+
+    c: float
+    d: float
+    h_base: float
+    ladder: np.ndarray
+
+
+# |log(pi xi)| < 746 wherever pi xi is positive and finite: each ladder
+# reaches the rung of the smallest and the largest such xi.
+_MAX_LOG_PI_XI = 746.0
+
+
+def _line_plan(c: float, d: float) -> _Line:
+    h_base = 2.0 * math.pi * d / _STEP_EFOLDS
+    rungs = math.ceil(_RUNGS * math.log2(1.0 + d * _MAX_LOG_PI_XI / _STEP_EFOLDS)) + 3
+    ladder = np.array([h_base * 2.0 ** (-k / _RUNGS) for k in range(rungs)])
+    _read_only(ladder)
+    return _Line(c, d, h_base, ladder)
+
+
+class _Plan(NamedTuple):
+    """What mellin_transform computes of a problem that does not depend on
+    xi (_series_coefficients)."""
+
+    k_less_1: np.ndarray  # k - 1 for k = 1..256
+    rel_env: np.ndarray  # log_env[k] - log_env[0] of the residue envelopes
+    signed: np.ndarray  # the terms' signed factors -sin(pi k sigma/2) e^{ik phi}
+    scale: float  # exp(log_env[0])
+    pi_n: float  # pi^(-n/2)
+    u_1: float
+    vanishes: bool  # sin(pi sigma/2) = 0: every term is 0
+    has_wave: bool  # whether E's exponential term enters the estimate
+    left: _Line  # c = -sigma/2, for 2 pi xi >= 1
+    right: _Line  # c = 0.6 min(sigma, n), below
+
+
 @lru_cache(maxsize=64)
-def _series_coefficients(tp) -> tuple[np.ndarray, ...]:
-    """k = 1..256, the envelopes' logs, sin(pi k sigma/2), the signed
-    factors -sin e^{ik phi} of the residue series, and [u_1]: nothing here
-    depends on xi.
+def _series_coefficients(tp) -> _Plan:
+    """The problem's plan: the residue series' 256 coefficients, u_1, and
+    the lines' c, d and step ladders; nothing here depends on xi.
 
     With A_k = log_env[k] - log_env[0] and u = -sigma log(pi xi), the k-th
     envelope relative to the first is exp(A_k + u (k - 1)).  For u > u_1 =
@@ -194,24 +253,44 @@ def _series_coefficients(tp) -> tuple[np.ndarray, ...]:
     """
     k = np.arange(1.0, _SERIES_TERMS + 1.0)
     log_env, sin = _log_envelopes(tp, k)
+    k_less_1 = k - 1.0
+    rel_env = log_env - log_env[0]
     signed = -sin * _phases(tp, k)
-    u_1 = np.array([np.max((log_env[0] - log_env[1:]) / (k[1:] - 1.0)) + 1.0])
-    for arr in (k, log_env, sin, signed, u_1):
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return k, log_env, sin, signed, u_1
+    _read_only(k_less_1, rel_env, signed)
+    upper = min(tp.sigma, float(tp.n))
+    c_left, c_right = -0.5 * tp.sigma, 0.6 * upper
+    return _Plan(
+        k_less_1=k_less_1,
+        rel_env=rel_env,
+        signed=signed,
+        scale=math.exp(log_env[0]),
+        pi_n=math.pi ** (-0.5 * tp.n),
+        u_1=float(np.max((log_env[0] - log_env[1:]) / (k[1:] - 1.0)) + 1.0),
+        vanishes=bool(sin[0] == 0.0),
+        has_wave=_wave(tp) is not None,
+        left=_line_plan(c_left, min(c_left + tp.sigma, upper - c_left)),
+        right=_line_plan(c_right, min(c_right + tp.sigma, upper - c_right)),
+    )
 
 
-def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _points(xi) -> tuple[np.ndarray, np.ndarray]:
+    """xi as a 1-D float array, and log(pi xi), which the series and the
+    line share."""
+    x = np.asarray(xi, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x, np.log(math.pi * x)
+
+
+def _series(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """residue_series on a 1-D array, _SERIES_ROWS points at a time; points
     past u_1 (_series_coefficients) sum no term and are not computed."""
-    k, log_env, sin, signed, u_1 = _series_coefficients(tp)
+    plan = _series_coefficients(tp)
     values = np.zeros(xi.size, complex)
     errs = np.full(xi.size, math.inf)
-    if sin[0] == 0.0:
+    if plan.vanishes:
         return values, errs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_xs = -tp.sigma * np.log(math.pi * xi)
-    live = np.flatnonzero(~(log_xs > u_1[0]))
+    log_xs = -tp.sigma * log_pi_xi
+    live = np.flatnonzero(~(log_xs > plan.u_1))
     for lo in range(0, live.size, _SERIES_ROWS):
         at = live[lo:lo + _SERIES_ROWS]
         x, log_x = xi[at], log_xs[at]
@@ -220,20 +299,17 @@ def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # through exact powers: the large logs of small (pi xi)^(-k sigma)
         # only enter terms that they make small.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            envelope = np.exp(log_env - log_env[0] + np.multiply.outer(log_x, k - 1.0))
+            envelope = np.exp(plan.rel_env + np.multiply.outer(log_x, plan.k_less_1))
             stop = np.argmin(envelope, axis=1)
-            terms = np.where(k - 1.0 < stop[:, None], signed * envelope, 0.0)
+            terms = np.where(plan.k_less_1 < stop[:, None], plan.signed * envelope, 0.0)
             total = terms.sum(axis=1)
-            value = (
-                math.exp(log_env[0])
-                * (math.pi * x) ** -tp.sigma
-                * math.pi ** (-0.5 * tp.n)
-                * x ** -tp.n
-                * total
-            )
+            value = plan.scale * (math.pi * x) ** -tp.sigma * plan.pi_n * x ** -tp.n * total
             err = (envelope[rows, stop] + _EPS * np.abs(terms).sum(axis=1)) / np.abs(total)
-            wave = _log_wave_size(tp, x) - np.log(np.abs(value))
-            err += _WAVE_MARGIN * np.exp(np.minimum(wave, 0.0))
+            if plan.has_wave:
+                wave = _log_wave_size(tp, x) - np.log(np.abs(value))
+                err += _WAVE_MARGIN * np.exp(np.minimum(wave, 0.0))
+            else:  # the wave term would add 10 e^(-inf - log|value|): nan at 0 or nan
+                err[~(np.abs(value) > 0.0)] = math.nan
         summed = (total != 0.0) & np.isfinite(np.abs(total))
         values[at] = np.where(summed, value, 0.0)
         errs[at] = np.where(summed, err, math.inf)
@@ -243,8 +319,9 @@ def _series(tp, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def residue_series(tp, xi):
     """The residue series at |xi| = xi and its relative error estimate: a
     (complex, float) pair for a float xi, a pair of arrays of xi's shape
-    for an ndarray.  Every point, and every later call on tp, shares one
-    set of the 256 coefficients.
+    for an ndarray.  Every point, and every later call on tp, shares the
+    problem's plan (_series_coefficients): the 256 coefficients, u_1 and
+    whether E's exponential term enters the estimate.
 
     Near k sigma/2 = integer a term is small for its sin(pi k sigma/2)
     factor alone, so truncation follows the envelope |c_k/sin(pi k sigma/2)|
@@ -259,7 +336,7 @@ def residue_series(tp, xi):
     envelope is more than e times the first, so no term is summed, and
     none is computed.
     """
-    values, errs = _series(tp, _flat(xi))
+    values, errs = _series(tp, *_points(xi))
     return _like(xi, values), _like(xi, errs)
 
 
@@ -290,29 +367,68 @@ def _log_integrand(tp, s: np.ndarray) -> np.ndarray:
     )
 
 
+class _Kernel(NamedTuple):
+    """A line kernel in the form _phase_sums reads.  The nodes summed,
+    K(c + i h j) for j = j0, j0 + 1, ..., are cut into chunks of _CHUNK
+    and each chunk is padded with zeros to rows of _BABY; a chunk's giant
+    steps are t = h (j0 + lo + _BABY b), one per row b, and the baby steps
+    h m, m < _BABY, are shared.  At phi = pi the line is the half line,
+    h (f_0 + 2 Re sum_{j >= 1} K_j e^{i h j L}): f_0 = K(c) is split off
+    and j0 = 1; on a two-sided line f_0 is None and j0 = -m_-."""
+
+    h: float
+    j0: int
+    f_0: float | None
+    baby_steps: np.ndarray
+    chunks: tuple  # (rows, giant_steps) per chunk
+    nodes: int  # nodes summed, padding not counted
+    size: int  # nodes stored, padding included: what the cache's cap counts
+
+
+def _stored_kernel(h: float, j0: int, kernel: np.ndarray) -> _Kernel:
+    """The _Kernel of _evaluate_kernel's (j0, kernel) on the step h."""
+    f_0 = None
+    if j0 == 0:
+        f_0, kernel, j0 = float(kernel[0].real), kernel[1:], 1
+    chunks = []
+    for lo in range(0, kernel.size, _CHUNK):
+        part = kernel[lo:lo + _CHUNK]
+        rows = np.zeros(-(-part.size // _BABY) * _BABY, complex)
+        rows[:part.size] = part
+        rows = rows.reshape(-1, _BABY)
+        giant_steps = h * (j0 + lo + _BABY * np.arange(rows.shape[0]))
+        _read_only(rows, giant_steps)
+        chunks.append((rows, giant_steps))
+    baby_steps = h * np.arange(_BABY)
+    _read_only(baby_steps)
+    size = sum(rows.size for rows, _giant in chunks)
+    return _Kernel(h, j0, f_0, baby_steps, tuple(chunks), kernel.size, size)
+
+
 # Kernels by (tp, c, h), least recently used first.  Bounded by their
 # nodes, not their number: one kernel 0.002 rad inside the sector holds
 # 430,306 nodes (6.9 MB).
 _KERNELS: OrderedDict = OrderedDict()
 
 
-def _line_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
-    """_evaluate_kernel(tp, c, h), kept across calls: the kernel array is
-    read-only, and the least recently used kernels are dropped once the
-    nodes of all kept ones would pass 2^20.  A kernel is never larger, so
-    the one just evaluated is always kept."""
+def _line_kernel(tp, c: float, h: float) -> _Kernel:
+    """_evaluate_kernel(tp, c, h) in the stored form, kept across calls:
+    its arrays are read-only, and the least recently used kernels are
+    dropped once the stored nodes of all kept ones would pass 2^20.  No
+    kernel evaluates more than 2^20 nodes, and chunks hold multiples of 32,
+    so padding never takes one past the cap: the one just stored is always
+    kept."""
     key = (tp, c, h)
     if key in _KERNELS:
         _KERNELS.move_to_end(key)
         return _KERNELS[key]
-    j0, kernel = _evaluate_kernel(tp, c, h)
-    kernel.flags.writeable = False  # shared by every caller through the cache
-    _KERNELS[key] = j0, kernel
-    total = sum(f.size for _j0, f in _KERNELS.values())
+    kernel = _stored_kernel(h, *_evaluate_kernel(tp, c, h))
+    _KERNELS[key] = kernel
+    total = sum(kept.size for kept in _KERNELS.values())
     while total > _MAX_NODES:
-        _key, (_j0, f) = _KERNELS.popitem(last=False)
-        total -= f.size
-    return j0, kernel
+        _key, dropped = _KERNELS.popitem(last=False)
+        total -= dropped.size
+    return kernel
 
 
 def _evaluate_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
@@ -370,63 +486,57 @@ def _evaluate_kernel(tp, c: float, h: float) -> tuple[int, np.ndarray]:
     return -length[-1], np.concatenate([left, centre, *blocks[1]])
 
 
-def _phase_sums(kernel: np.ndarray, j0: int, h: float, log_pi_xi: np.ndarray) -> np.ndarray:
-    """sum_i kernel[i] e^{i h (j0 + i) L} for each L in log_pi_xi.
+def _phase_sums(kernel: _Kernel, log_pi_xi: np.ndarray) -> np.ndarray:
+    """sum_j K_j e^{i h j L} over the nodes the stored kernel sums, for
+    each L in log_pi_xi.
 
-    The nodes are equispaced, so within a chunk, padded with zeros to rows
-    of _BABY, e^{i h (j0 + lo + _BABY b + m) L} = e^{i h (j0 + lo + _BABY b) L}
-    e^{i h m L}: each row of the kernel is summed against the _BABY baby
-    steps, and those sums against the giant steps, _BABY + nodes/_BABY
-    exponentials per point instead of one per node (Paterson & Stockmeyer,
-    SIAM J. Comput. 2 (1973)).  Every sum runs along a contiguous last
-    axis, not through a matrix product, whose order of additions depends
-    on the batch, and the chunks and blocks are fixed by the kernel alone,
-    so each point's sum is the same in any batch."""
+    The nodes are equispaced, so within a row of a chunk
+    e^{i (t_b + h m) L} = e^{i t_b L} e^{i h m L}: each row is summed
+    against the _BABY baby steps, and those sums against the giant steps,
+    _BABY + nodes/_BABY exponentials per point instead of one per node
+    (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973)); the padding adds
+    zeros.  Every sum runs along a contiguous last axis, not through a
+    matrix product, whose order of additions depends on the batch, and the
+    chunks and blocks are fixed by the kernel alone, so each point's sum is
+    the same in any batch."""
     out = np.zeros(log_pi_xi.size, complex)
-    baby = np.exp(1j * (log_pi_xi[:, None] * (h * np.arange(_BABY))))
-    for lo in range(0, kernel.size, _CHUNK):
-        part = kernel[lo:lo + _CHUNK]
-        f = np.zeros(-(-part.size // _BABY) * _BABY, complex)
-        f[:part.size] = part
-        f = f.reshape(-1, _BABY)
-        giant_t = h * (j0 + lo + _BABY * np.arange(f.shape[0]))
-        rows = max(1, _BLOCK // f.size)
-        for r in range(0, log_pi_xi.size, rows):
-            inner = (f * baby[r:r + rows, None, :]).sum(axis=2)
-            giant = np.exp(1j * (log_pi_xi[r:r + rows, None] * giant_t))
-            out[r:r + rows] += (inner * giant).sum(axis=1)
+    baby = np.exp(1j * (log_pi_xi[:, None] * kernel.baby_steps))
+    for rows, giant_steps in kernel.chunks:
+        block = max(1, _BLOCK // rows.size)
+        for r in range(0, log_pi_xi.size, block):
+            inner = (rows * baby[r:r + block, None, :]).sum(axis=2)
+            giant = np.exp(1j * (log_pi_xi[r:r + block, None] * giant_steps))
+            out[r:r + block] += (inner * giant).sum(axis=1)
     return out
 
 
-def _line(tp, xi: np.ndarray) -> np.ndarray:
+def _line(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> np.ndarray:
     """line_integral on a 1-D array: for each line and step, one kernel
     from _line_kernel shared by the points that take them."""
-    upper = min(tp.sigma, float(tp.n))
-    log_pi_xi = np.log(math.pi * xi)
+    plan = _series_coefficients(tp)
     values = np.empty(xi.size, complex)
     left = 2.0 * math.pi * xi >= 1.0
-    for c, on_line in ((-0.5 * tp.sigma, left), (0.6 * upper, ~left)):
+    for line, on_line in ((plan.left, left), (plan.right, ~left)):
         if not on_line.any():
             continue
-        d = min(c + tp.sigma, upper - c)
         L = log_pi_xi[on_line]
-        h_base = 2.0 * math.pi * d / _STEP_EFOLDS
-        rule = 2.0 * math.pi * d / (_STEP_EFOLDS + d * np.abs(L))
-        rung = np.ceil(_RUNGS * np.log2(h_base / rule)).astype(int)
-        ladder = np.array([h_base * 2.0 ** (-k / _RUNGS) for k in range(rung.max() + 2)])
-        rung += ladder[rung] > rule
+        rule = 2.0 * math.pi * line.d / (_STEP_EFOLDS + line.d * np.abs(L))
+        rung = np.ceil(_RUNGS * np.log2(line.h_base / rule)).astype(int)
+        rung += line.ladder[rung] > rule
+        if (rung == rung[0]).all():
+            groups = [(rung[0], slice(None))]
+        else:
+            groups = [(k, rung == k) for k in np.unique(rung)]
         sums = np.empty(L.size, complex)
-        for k in np.unique(rung):
-            h = float(ladder[k])
-            at = rung == k
-            j0, kernel = _line_kernel(tp, c, h)
-            if j0 == 0:  # the half line: h (f_0 + 2 Re sum_{t > 0} f)
-                tail = _phase_sums(kernel[1:], 1, h, L[at])
-                sums[at] = h * (kernel[0].real + 2.0 * tail.real)
-            else:
-                sums[at] = h * _phase_sums(kernel, j0, h, L[at])
+        for k, at in groups:
+            kernel = _line_kernel(tp, line.c, float(line.ladder[k]))
+            tail, h = _phase_sums(kernel, L[at]), kernel.h
+            if kernel.f_0 is None:
+                sums[at] = h * tail
+            else:  # the half line: h (f_0 + 2 Re sum_{j >= 1})
+                sums[at] = h * (kernel.f_0 + 2.0 * tail.real)
         values[on_line] = (
-            sums * np.exp(c * L) * xi[on_line] ** -tp.n * (math.pi ** (-0.5 * tp.n) / (2.0 * math.pi))
+            sums * np.exp(line.c * L) * xi[on_line] ** -tp.n * (plan.pi_n / (2.0 * math.pi))
         )
     return values
 
@@ -443,20 +553,22 @@ def line_integral(tp, xi):
     s = min(sigma, n).  The step keeps exp(-2 pi d/h) below 1e-17 of the
     integrand on the strip of half-width d, the distance from c to those
     poles, h <= 2 pi d/(40 + d |log pi xi|), rounded down onto the ladder
-    h_base 2^(-k/4), h_base = 2 pi d/40.  K(s) does not depend on xi, so
+    h_base 2^(-k/4), h_base = 2 pi d/40; c, d and the ladder are in the
+    problem's plan (_series_coefficients).  K(s) does not depend on xi, so
     it is evaluated once per problem, line and rung, in one pass over the
-    nodes, and kept across calls (up to 2^20 nodes over all kernels, the
-    least recently used dropped first); each point adds
-    (pi xi)^c sum_j K_j e^{i t_j log(pi xi)}, whose phases the equispaced
-    nodes split into 32 baby steps and one giant step per 32 nodes
-    (_phase_sums), so a point costs 32 + nodes/32 exponentials.  At
-    phi = pi the integrand is conjugate-symmetric and the sum runs over
-    t >= 0; elsewhere each side of the line has its own length
-    (_evaluate_kernel).  ConvergenceError past 2^20 nodes.  The rung depends
-    on xi alone and each point's sum is reduced on its own, so a point's
-    value is the same, bit for bit, in any array.
+    nodes, and kept across calls in the form the phase sums read (_Kernel;
+    up to 2^20 stored nodes over all kernels, the least recently used
+    dropped first); each point adds (pi xi)^c sum_j K_j e^{i t_j log(pi xi)},
+    whose phases the equispaced nodes split into 32 baby steps and one
+    giant step per 32 nodes (_phase_sums), so a point costs
+    32 + nodes/32 exponentials.  At phi = pi the integrand is
+    conjugate-symmetric and the sum runs over t >= 0; elsewhere each side
+    of the line has its own length (_evaluate_kernel).  ConvergenceError
+    past 2^20 nodes.  The rung depends on xi alone and each point's sum is
+    reduced on its own, so a point's value is the same, bit for bit, in any
+    array.
     """
-    return _like(xi, _line(tp, _flat(xi)))
+    return _like(xi, _line(tp, *_points(xi)))
 
 
 def mellin_transform(tp, xi):
@@ -464,9 +576,9 @@ def mellin_transform(tp, xi):
     estimate is at most 1e-15 relative, else the line integral.  A float xi
     gives a complex, an ndarray an array of its shape; each point's value
     is the same, bit for bit, whatever the other points of the array."""
-    x = _flat(xi)
-    values, errs = _series(tp, x)
+    x, log_pi_xi = _points(xi)
+    values, errs = _series(tp, x, log_pi_xi)
     on_line = ~(errs <= _TARGET)
     if on_line.any():
-        values[on_line] = _line(tp, x[on_line])
+        values[on_line] = _line(tp, x[on_line], log_pi_xi[on_line])
     return _like(xi, values)

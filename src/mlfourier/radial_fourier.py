@@ -469,14 +469,14 @@ def ml_transform(
     is not finite, as ml_eval; tp is in the paper's scope sigma > (n-1)/2
     by construction."""
     if isinstance(xi_mag, np.ndarray):
-        bad = xi_mag[~((0.0 < xi_mag) & (xi_mag < math.inf))]
-        if bad.size:
-            _require_xi(float(bad[0]))
+        # min and max are nan where an entry is: one pass each.
+        if xi_mag.size and not (xi_mag.min() > 0.0 and xi_mag.max() < math.inf):
+            _require_xi(float(xi_mag[~((0.0 < xi_mag) & (xi_mag < math.inf))][0]))
     else:
         _require_xi(xi_mag)
     value = mellin_transform(tp, xi_mag)
     finite = np.isfinite(value)
-    if not np.all(finite):
+    if not finite.all():
         at = float(np.extract(~finite, xi_mag)[0])
         raise AccuracyError(f"F is not finite at xi = {at!r} for {tp}")
     return value

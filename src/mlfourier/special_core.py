@@ -5,7 +5,8 @@ pair (scipy.special.gamma behind pole and range checks), principal-branch
 powers, adaptive quadrature on a finite interval with an error estimate
 (the tests' independent reference), Gauss-Legendre rules, batched tanh-sinh
 quadrature over many panels of a vectorised integrand, exactly rounded
-complex sums (math.fsum on each part), the self-verifying precision
+complex sums (math.fsum on each part), the one least-squares line of the
+fits, the self-verifying precision
 ladder of the mpmath series references, and a sequence-acceleration
 engine for slowly convergent oscillatory chunk sums.
 
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import gamma
 
-from .errors import AccuracyError, ConvergenceError, DomainError, PoleError
+from .errors import AccuracyError, ConvergenceError, DegenerateFitError, DomainError, PoleError
 
 # The library works in IEEE doubles; Python's built-in complex carries the
 # re/im pair everywhere.
@@ -228,6 +229,27 @@ def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in (nodes, weights):
         arr.flags.writeable = False  # shared by every caller through the cache
     return nodes, weights
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line y = slope x + intercept
+    through the points (x, y), in closed form about the means:
+    slope = sum (x - mean x)(y - mean y) / sum (x - mean x)^2.  Centring
+    keeps the sums free of the cancellation the normal equations in x and
+    x^2 suffer.  DegenerateFitError unless every x and y is finite and the
+    x are not all equal."""
+    x_mean = x.sum() / x.size
+    y_mean = y.sum() / y.size
+    dx = x - x_mean
+    sxx = (dx * dx).sum()
+    # An x that is not finite makes every dx, so sxx, nan or infinite, and
+    # a y that is not finite makes y_mean so.
+    if not (0.0 < sxx < math.inf and math.isfinite(y_mean)):
+        raise DegenerateFitError(
+            "a least-squares line needs finite samples and two distinct x"
+        )
+    slope = float((dx * (y - y_mean)).sum() / sxx)
+    return slope, float(y_mean - slope * x_mean)
 
 
 def integrate_panels(

@@ -30,6 +30,7 @@ from mlfourier.errors import (
     LawMismatchError,
 )
 from mlfourier.radial_fourier import TransformProblem, ml_transform
+from mlfourier.special_core import line_fit
 
 POWER_TP = TransformProblem(0.8, 1.0, math.pi, 0.7, 1)
 LOG_TP = TransformProblem(0.8, 1.0, math.pi, 1.0, 1)
@@ -75,6 +76,42 @@ class TestFitExponent:
         samples[3] = (samples[3][0], 0.0)
         with pytest.raises(DegenerateFitError):
             fit_exponent(samples)
+
+    @pytest.mark.parametrize(
+        "xi,value",
+        [(math.nan, 1.0), (math.inf, 1.0), (None, math.nan), (None, math.inf),
+         (None, complex(1.0, math.nan)), (None, complex(math.inf, 1.0))],
+    )
+    def test_non_finite_samples(self, capfd, xi, value):
+        # A sample xi or value that is not finite is refused, not fitted to
+        # a nan slope, and no LAPACK message reaches stderr.
+        samples = [(x, x) for x in GRID8]
+        samples[3] = (samples[3][0] if xi is None else xi, value)
+        with pytest.raises(DegenerateFitError):
+            fit_exponent(samples)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            GRID8 ** -2.0,  # power
+            np.full(GRID8.size, 3.0),  # constant
+            1j * GRID8 ** -1.0,  # complex values
+            GRID8 ** 0.5 * (1 + 0.01 * np.sin(np.log(GRID8))),  # noisy
+        ],
+    )
+    def test_line_matches_polyfit(self, values):
+        # The closed-form line against numpy's least-squares polynomial,
+        # directly and inside fit_exponent.
+        lx, ly = np.log(GRID8), np.log(np.abs(values))
+        want = np.polyfit(lx, ly, 1)
+        fit = fit_exponent(list(zip(GRID8, values)))
+        for got in (line_fit(lx, ly), (fit.slope, fit.intercept)):
+            assert np.all(np.abs(np.array(got) - want) <= 1e-12)
+
+    def test_line_needs_two_distinct_x(self):
+        with pytest.raises(DegenerateFitError):
+            line_fit(np.ones(8), np.arange(8.0))
 
 
 class TestSmallXiLaw:

@@ -308,7 +308,7 @@ def test_series_taken_only_where_its_estimate_meets_the_target(monkeypatch):
     want = line_integral(tp, xs)
     series = mellin._series
     monkeypatch.setattr(
-        mellin, "_series", lambda tp, x: (series(tp, x)[0], np.full(x.size, math.nan))
+        mellin, "_series", lambda tp, x, L: (series(tp, x, L)[0], np.full(x.size, math.nan))
     )
     assert np.array_equal(ml_transform(tp, xs), want)
     assert ml_transform(tp, 0.5) == want[1]
@@ -437,10 +437,14 @@ def test_kept_arrays_are_read_only():
     tp = CACHED_PROBLEMS[1]
     ml_transform(tp, np.geomspace(1e-4, 1e2, 13))
     assert mellin._KERNELS
-    for _j0, kernel in mellin._KERNELS.values():
-        with pytest.raises(ValueError):
-            kernel[0] = 0.0
-    for arr in mellin._series_coefficients(tp):
+    for kernel in mellin._KERNELS.values():
+        for arr in (kernel.baby_steps, *(arr for chunk in kernel.chunks for arr in chunk)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    plan = mellin._series_coefficients(tp)
+    arrays = [f for f in (*plan, plan.left.ladder, plan.right.ladder) if isinstance(f, np.ndarray)]
+    assert len(arrays) == 5
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -463,7 +467,12 @@ def test_kept_kernels_stay_within_the_node_cap(monkeypatch):
     for n, sigma in REFERENCE_PROBLEMS:
         ml_transform(TransformProblem(0.8, 1.0, math.pi, sigma, n), np.geomspace(1e-4, 1e3, 25))
     assert sum(evaluated.values()) > 2**20
-    assert sum(kernel.size for _j0, kernel in mellin._KERNELS.values()) <= 2**20
+    # The cap counts the stored nodes, padding included.
+    assert sum(kernel.size for kernel in mellin._KERNELS.values()) <= 2**20
+    # Every node evaluated is stored, the half line's f_0 split off.
+    for key, kernel in mellin._KERNELS.items():
+        assert kernel.nodes + (kernel.f_0 is not None) == evaluated[key]
+        assert kernel.size == -(-kernel.nodes // 32) * 32
     # The least recently used went first; the reference problems' kernels,
     # asked for last, are all kept.
     keys = list(evaluated)
@@ -486,21 +495,49 @@ def _direct_phase_sums(kernel, j0, h, log_pi_xi):
     return out
 
 
+def _summed_nodes(kernel):
+    """The nodes a stored kernel sums, without padding, after checking that
+    only the last row is padded, with zeros, and that the giant steps are
+    h (j0 + first node of the row)."""
+    rows = [chunk for chunk, _giant in kernel.chunks]
+    assert all(chunk.shape == (2**14 // 32, 32) for chunk in rows[:-1])
+    flat = np.concatenate([chunk.ravel() for chunk in rows])
+    assert 0 <= flat.size - kernel.nodes < 32
+    assert np.all(flat[kernel.nodes:] == 0.0)
+    giant = np.concatenate([giant for _chunk, giant in kernel.chunks])
+    assert np.array_equal(giant, kernel.h * (kernel.j0 + 32 * np.arange(giant.size)))
+    return flat[:kernel.nodes]
+
+
 def _summed_kernels(monkeypatch, tp):
-    """(kernel, j0, h) of every phase sum the lines of tp take, for the
+    """Every stored kernel whose phase sums the lines of tp take, for the
     left line (xi = 1) and the right one (xi = 1e-2)."""
     mellin._KERNELS.clear()
     summed = {}
     phase_sums = mellin._phase_sums
 
-    def recorder(kernel, j0, h, log_pi_xi):
-        summed[kernel.size, j0, h] = kernel
-        return phase_sums(kernel, j0, h, log_pi_xi)
+    def recorder(kernel, log_pi_xi):
+        summed[kernel.nodes, kernel.j0, kernel.h] = kernel
+        return phase_sums(kernel, log_pi_xi)
 
     monkeypatch.setattr(mellin, "_phase_sums", recorder)
     line_integral(tp, np.array([1e-2, 1.0]))
     monkeypatch.setattr(mellin, "_phase_sums", phase_sums)
-    return [(kernel, j0, h) for (_size, j0, h), kernel in summed.items()]
+    return list(summed.values())
+
+
+def _check_phase_sums(kernel, L):
+    # The baby-step/giant-step sum against the direct one: each phase
+    # h j L is rounded once either way, so the two differ by a few eps of
+    # sum_j |K_j| (1 + |L t_j|).
+    nodes = _summed_nodes(kernel)
+    got = mellin._phase_sums(kernel, L)
+    want = _direct_phase_sums(nodes, kernel.j0, kernel.h, L)
+    t = kernel.h * (kernel.j0 + np.arange(nodes.size))
+    bound = 4.0 * np.finfo(float).eps * (
+        np.abs(nodes).sum() + np.abs(L) * (np.abs(nodes) * np.abs(t)).sum()
+    )
+    assert np.all(np.abs(got - want) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -517,21 +554,35 @@ def _summed_kernels(monkeypatch, tp):
 )
 @pytest.mark.parametrize("points", [1, 10, 300])
 def test_split_phase_sums_match_one_exponential_per_node(monkeypatch, problem, sizes, points):
-    # The baby-step/giant-step sum against the direct one: each phase
-    # h j L is rounded once either way, so the two differ by a few eps of
-    # sum_j |K_j| (1 + |L t_j|).  None of the lengths is a multiple of 32.
+    # None of the lengths is a multiple of 32.  At phi = pi the half line's
+    # f_0 is split off and the sum starts at j0 = 1.
     kernels = _summed_kernels(monkeypatch, TransformProblem(*problem))
-    assert sorted(kernel.size for kernel, _j0, _h in kernels) == list(sizes)
+    assert sorted(kernel.nodes for kernel in kernels) == list(sizes)
     L = np.log(math.pi * np.geomspace(1e-6, 1e2, points))
-    for kernel, j0, h in kernels:
-        assert (j0 < 0) == (problem[2] != math.pi)
-        got = mellin._phase_sums(kernel, j0, h, L)
-        want = _direct_phase_sums(kernel, j0, h, L)
-        t = h * (j0 + np.arange(kernel.size))
-        bound = 4.0 * np.finfo(float).eps * (
-            np.abs(kernel).sum() + np.abs(L) * (np.abs(kernel) * np.abs(t)).sum()
-        )
-        assert np.all(np.abs(got - want) <= bound)
+    for kernel in kernels:
+        assert (kernel.j0 < 0) == (problem[2] != math.pi)
+        assert (kernel.f_0 is None) == (problem[2] != math.pi)
+        _check_phase_sums(kernel, L)
+
+
+@pytest.mark.parametrize("nodes", [1, 33, 2**14 + 1, 2**14 + 31])
+@pytest.mark.parametrize("j0", [0, -7])
+def test_padding_never_enters_a_sum(nodes, j0):
+    # Stored kernels padded with 31 zeros down to 1, in one chunk and in
+    # two, for a half line (j0 = 0: f_0 split off) and a two-sided one: the
+    # stored sums match the direct sums over the nodes alone.
+    rng = np.random.default_rng(nodes)
+    size = nodes + (j0 == 0)
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    kernel = mellin._stored_kernel(0.05, j0, values)
+    assert kernel.nodes == nodes and kernel.size == -(-nodes // 32) * 32 > nodes
+    if j0 == 0:
+        assert kernel.j0 == 1 and kernel.f_0 == values[0].real
+        assert np.array_equal(_summed_nodes(kernel), values[1:])
+    else:
+        assert kernel.j0 == j0 and kernel.f_0 is None
+        assert np.array_equal(_summed_nodes(kernel), values)
+    _check_phase_sums(kernel, np.log(math.pi * np.geomspace(1e-6, 1e2, 7)))
 
 
 SKIP_PROBLEMS = (
@@ -555,11 +606,11 @@ def test_points_past_u_1_are_skipped_exactly(monkeypatch, tp):
     value, err = residue_series(tp, xs)
     transform = mellin_transform(tp, xs)
     if tp.sigma != 2.0:
-        u_1 = mellin._series_coefficients(tp)[-1][0]
+        u_1 = mellin._series_coefficients(tp).u_1
         assert np.any(-tp.sigma * np.log(math.pi * xs) > u_1)
     kept = mellin._series_coefficients
     monkeypatch.setattr(
-        mellin, "_series_coefficients", lambda tp: (*kept(tp)[:-1], np.array([math.inf]))
+        mellin, "_series_coefficients", lambda tp: kept(tp)._replace(u_1=math.inf)
     )
     full_value, full_err = residue_series(tp, xs)
     assert value.tobytes() == full_value.tobytes()
