@@ -515,7 +515,7 @@ def _line(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> np.ndarray:
     from _line_kernel shared by the points that take them."""
     plan = _series_coefficients(tp)
     values = np.empty(xi.size, complex)
-    left = 2.0 * math.pi * xi >= 1.0
+    left = math.pi * xi >= 0.5
     for line, on_line in ((plan.left, left), (plan.right, ~left)):
         if not on_line.any():
             continue

@@ -55,9 +55,8 @@ from .special_core import (
     reciprocal_gamma,
 )
 
-# |z| up to which ml_eval tries the double Taylor series: it bounds the
-# cost of the Taylor loop, whose cancellation guard is known only after
-# the sum.  Past it, the sector sum's own estimate decides.
+# |z| up to which ml_eval tries the double Taylor series.  Past it, the
+# sector sum's own estimate decides.
 SERIES_RADIUS = 5.0
 
 
@@ -239,27 +238,52 @@ def _series_accepts(ratio: float) -> bool:
     return _EPS * ratio <= 0.1 * _SERIES_TOL
 
 
+# Twice the largest cancellation ratio _series_accepts passes: a partial
+# sum whose final ratio is bounded above this is abandoned.
+_SERIES_ABANDON = 2.0 * 0.1 * _SERIES_TOL / _EPS
+
+
 def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """Double-precision Taylor sum at z != 0 and its cancellation ratio
-    (sum of term magnitudes over |sum|).
+    (sum of term magnitudes over |sum|), or (nan, inf) once the sum is
+    bound to be rejected.
 
     Rounding of the large intermediate terms caps the achievable relative
-    accuracy at ~eps * ratio.
+    accuracy at ~eps * ratio.  The term sizes m_k = |z|^k/Gamma(alpha k +
+    beta) are log-concave in k (lgamma is convex), so once m_k < m_{k-1}
+    every later ratio is at most q = m_k/m_{k-1} and the unsummed tail at
+    most B = m_k q/(1 - q).  The final ratio is then at least (M + B)/(|s|
+    + B), M the majorant and s the sum so far; once that exceeds twice the
+    ratio _series_accepts passes, the sum stops.  Only a partial ratio
+    M/|s| above that bound pays for the test.
     """
     # Log-form terms: exp(k log z - lgamma(alpha k + beta)) sidesteps the
     # double-range overflow of z**k that a running product hits near k=300.
-    # The running sum serves only the stop test; the value is fsum_complex.
+    # The running sum serves only the stop tests; the value is fsum_complex.
+    # Every name the loop reads is local: this loop is most of ml_eval's
+    # Taylor route.
     lnz = cmath.log(z)
+    alpha, beta, exp, lgamma = p.alpha, p.beta, cmath.exp, math.lgamma
+    abandon, tol = _SERIES_ABANDON, _SERIES_TOL
     terms = []
+    append = terms.append
     s = 0.0 + 0.0j
     majorant = 0.0
+    prev = math.inf
     quiet = 0
     for k in range(0, 4000):
-        term = cmath.exp(k * lnz - math.lgamma(p.alpha * k + p.beta))
-        terms.append(term)
+        term = exp(k * lnz - lgamma(alpha * k + beta))
+        append(term)
         s += term
-        majorant += abs(term)
-        if abs(term) < _SERIES_TOL * max(abs(s), 1e-300):
+        size, total = abs(term), abs(s)
+        majorant += size
+        if majorant > abandon * total and size < prev:
+            q = size / prev
+            tail = size * q / (1.0 - q)
+            if majorant + tail > abandon * (total + tail):
+                return complex(math.nan, math.nan), math.inf
+        prev = size
+        if size < tol * max(total, 1e-300):
             quiet += 1
             if quiet >= 3:
                 break
@@ -603,7 +627,9 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
 
     - z = 0: 1/Gamma(beta).
     - |z| <= SERIES_RADIUS: the double Taylor series, where its
-      cancellation guard accepts.
+      cancellation guard accepts.  A sum stops as soon as a bound on its
+      unsummed tail shows the guard must reject it (_series_double), so a
+      point that goes on to Laplace inversion pays little for the try.
     - |z| > SERIES_RADIUS in the decay sector |arg z| > pi alpha/2: the
       truncated sector sum with its exponentially small wave terms, where
       its error estimate (first omitted term plus rounding) is at most

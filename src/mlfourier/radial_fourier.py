@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -217,9 +218,14 @@ def _panel_scale(tp: TransformProblem, xi_mag: float) -> float:
     return min(1.0, xi_mag) ** min(tp.sigma, tp.n)
 
 
-def _require_xi(xi_mag: float) -> None:
-    if not 0.0 < xi_mag < math.inf:
-        raise DomainError(f"finite xi_mag > 0 required, got {xi_mag}")
+def _require_xi(xi_mag: float, top: float = sys.float_info.max) -> None:
+    if not 0.0 < xi_mag <= top:
+        raise DomainError(f"finite xi_mag in (0, {top:.4g}] required, got {xi_mag}")
+
+
+# Largest xi_mag whose pi xi_mag, the Mellin-Barnes route's log argument,
+# is a finite double.
+XI_MAX = sys.float_info.max / math.pi
 
 
 _TAIL_CHUNKS = 400  # chunk budget of the tail's and the check's accelerated sums
@@ -465,15 +471,16 @@ def ml_transform(
     in the process (kernels up to 2^20 nodes in all, least recently used
     dropped first), so later calls on tp skip that work; a new process,
     such as each mlf transform invocation, starts with none.  DomainError for
-    xi_mag <= 0 or not finite (for any entry), AccuracyError where a value
+    xi_mag outside (0, XI_MAX], nan included, for any entry; past XI_MAX =
+    5.72e307, pi xi_mag leaves double range.  AccuracyError where a value
     is not finite, as ml_eval; tp is in the paper's scope sigma > (n-1)/2
     by construction."""
     if isinstance(xi_mag, np.ndarray):
         # min and max are nan where an entry is: one pass each.
-        if xi_mag.size and not (xi_mag.min() > 0.0 and xi_mag.max() < math.inf):
-            _require_xi(float(xi_mag[~((0.0 < xi_mag) & (xi_mag < math.inf))][0]))
+        if xi_mag.size and not (xi_mag.min() > 0.0 and xi_mag.max() <= XI_MAX):
+            _require_xi(float(xi_mag[~((0.0 < xi_mag) & (xi_mag <= XI_MAX))][0]), XI_MAX)
     else:
-        _require_xi(xi_mag)
+        _require_xi(xi_mag, XI_MAX)
     value = mellin_transform(tp, xi_mag)
     finite = np.isfinite(value)
     if not finite.all():

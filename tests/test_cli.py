@@ -206,6 +206,14 @@ class TestTransform:
         assert code == 2
         assert err.startswith("error:") and "finite" in err
 
+    def test_xi_past_double_range_of_pi_xi_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "transform", "--xi-min", "1e308", "--xi-max", "1.7e308",
+            "--xi-points", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "5.722e+307" in err
+
     def test_infinite_beta_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "transform", "--beta", "inf", "--xi-points", "2")
         assert (code, out) == (2, "")

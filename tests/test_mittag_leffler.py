@@ -30,7 +30,7 @@ from mlfourier.mittag_leffler import (
     _ml_laplace,
     _sector_sum_adaptive,
 )
-from mlfourier.special_core import complex_gamma
+from mlfourier.special_core import complex_gamma, fsum_complex
 
 # Frozen 22-digit references (defining series, 60-digit arithmetic).
 E_04_05_AT_M4 = 0.03700828824226254018893 + 0.0j
@@ -460,6 +460,63 @@ def test_laplace_matches_series_and_contour(alpha, beta):
             want = ml_on_ray(p, phase, r)
             got = _ml_laplace(p, r * cmath.exp(1j * phase))
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _full_taylor_sum(p, z):
+    """_series_double summed to the end: every term up to three quiet ones,
+    then the fsum value and the cancellation ratio."""
+    lnz = cmath.log(z)
+    terms, s, majorant, quiet = [], 0j, 0.0, 0
+    for k in range(4000):
+        term = cmath.exp(k * lnz - math.lgamma(p.alpha * k + p.beta))
+        terms.append(term)
+        s += term
+        majorant += abs(term)
+        if abs(term) < mittag_leffler._SERIES_TOL * max(abs(s), 1e-300):
+            quiet += 1
+            if quiet >= 3:
+                break
+        else:
+            quiet = 0
+    value = fsum_complex(terms)
+    return value, majorant / max(abs(value), 1e-300)
+
+
+@functools.lru_cache(maxsize=1)
+def _taylor_scan():
+    """(p, z, early, full) at 4,000 seeded points: alpha 0.3-1.9, beta
+    0.5-2.5, |z| 0.01-5 log-uniform, arg z uniform over both sectors or,
+    at 40% of the points, pi."""
+    rng = np.random.default_rng(2015)
+    out = []
+    for _ in range(4000):
+        p = MLParams(rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5))
+        phase = math.pi if rng.random() < 0.4 else rng.uniform(-math.pi, math.pi)
+        z = 10.0 ** rng.uniform(-2.0, math.log10(5.0)) * cmath.exp(1j * phase)
+        out.append((p, z, mittag_leffler._series_double(p, z), _full_taylor_sum(p, z)))
+    return out
+
+
+def test_early_stop_keeps_every_route_and_accepted_value():
+    accepted = 0
+    for p, z, (value, ratio), (full_value, full_ratio) in _taylor_scan():
+        accepts = mittag_leffler._series_accepts(ratio)
+        assert accepts == mittag_leffler._series_accepts(full_ratio), (p, z)
+        if accepts:
+            accepted += 1
+            assert (value, ratio) == (full_value, full_ratio), (p, z)
+    assert 1000 < accepted < 3900
+
+
+def test_abandoned_sums_would_have_been_rejected():
+    abandoned = [
+        (p, z, full_ratio)
+        for p, z, (value, ratio), (_, full_ratio) in _taylor_scan()
+        if ratio == math.inf
+    ]
+    assert len(abandoned) > 100
+    for p, z, full_ratio in abandoned:
+        assert not mittag_leffler._series_accepts(full_ratio), (p, z, full_ratio)
 
 
 def test_eval_decay_sector_never_escalates_to_mpmath(monkeypatch):

@@ -8,6 +8,8 @@ cross-checks between independent evaluation routes.
 
 import cmath
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mlfourier.special_core import (
     integrate_finite,
 )
 from mlfourier.radial_fourier import (
+    XI_MAX,
     TransformProblem,
     compute_M,
     compute_N,
@@ -509,6 +512,20 @@ class TestMlTransform:
             ml_transform(BASE_TP, xi)
         with pytest.raises(DomainError, match="finite"):
             ml_transform(BASE_TP, np.array([1.0, xi]))
+
+    def test_xi_limit_is_where_pi_xi_leaves_double_range(self):
+        assert math.isfinite(math.pi * XI_MAX)
+        assert math.pi * math.nextafter(XI_MAX, math.inf) == math.inf
+        for tp in (BASE_TP, TransformProblem(0.8, 1.0, math.pi, 2.2, 3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert ml_transform(tp, XI_MAX) == 0.0
+                assert np.all(ml_transform(tp, np.array([1e300, XI_MAX])) == 0.0)
+            for xi in (math.nextafter(XI_MAX, math.inf), 1.7e308, sys.float_info.max):
+                with pytest.raises(DomainError, match="5.722e"):
+                    ml_transform(tp, xi)
+                with pytest.raises(DomainError, match="5.722e"):
+                    ml_transform(tp, np.array([1.0, xi]))
 
     @pytest.mark.parametrize(
         "alpha,beta,phi,sigma,n,h",
