@@ -584,6 +584,50 @@ def _laplace_route(
         steps += 1
 
 
+# Laplace steps lie on the ladder 2^(-k/4); the z-free node factors of up
+# to this many (alpha, b, k, N) keys are kept.  N <= ceil(2^(1/4) 500) =
+# 595 per side, so a key holds at most 1,191 nodes x 3 complex arrays
+# (57 KB) and the cache at most 7.3 MB.
+_LAPLACE_KEPT = 128
+
+
+def _laplace_step(h: float, n: int) -> tuple[int, float, int]:
+    """(k, h_k, N_k): h rounded down onto the ladder h_k = 2^(-k/4),
+    k = ceil(-4 log2 h), and N_k = ceil(h N/h_k) nodes a side, so that
+    h_k <= h and h_k N_k >= h N (neither error of the trapezoid sum
+    grows)."""
+    k = math.ceil(-4.0 * math.log2(h))
+    if 2.0 ** (-k / 4.0) > h:  # log2 rounded across an integer
+        k += 1
+    h_k = 2.0 ** (-k / 4.0)
+    n_k = math.ceil(h * n / h_k)
+    if h_k * n_k < h * n:
+        n_k += 1
+    return k, h_k, n_k
+
+
+@lru_cache(maxsize=_LAPLACE_KEPT)
+def _laplace_nodes(
+    a: float, b: float, k: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The z-free factors (T, W, P) at the nodes u_j = 2^(-k/4) j,
+    |j| <= n, of the parabola s = mu T: T = (1 + iu)^2,
+    W = (1 + iu)^(2(a-b)) 2(i - u) and P = (1 + iu)^(2a), all from one
+    complex log.  log s = log mu + 2 log(1 + iu) on the principal branch,
+    since arg (1 + iu)^2 = 2 atan u lies in (-pi, pi).  Read-only."""
+    u = 2.0 ** (-k / 4.0) * np.arange(-n, n + 1)
+    one_iu = 1.0 + 1j * u
+    log_one_iu = np.log(one_iu)
+    factors = (
+        one_iu * one_iu,
+        np.exp(2.0 * (a - b) * log_one_iu) * (2.0 * (1j - u)),
+        np.exp(2.0 * a * log_one_iu),
+    )
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 def _ml_laplace(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z), z != 0, by inverting its Laplace transform
     s^(alpha-beta)/(s^alpha - z) with the trapezoid rule on the optimal
@@ -591,22 +635,27 @@ def _ml_laplace(p: MLParams, z: Complex) -> Complex:
     contours after Weideman & Trefethen, Math. Comp. 76 (2007)).
 
     The poles s* right of the parabola enter through their residues
-    (1/alpha) s*^(1-beta) e^{s*}.  The parabola is chosen for the fewest
-    nodes at absolute accuracy about 1e-15 relative to the integrand scale
-    (see _laplace_route for beta > alpha + 1).  ConvergenceError when no
-    parabola meets that within _LAPLACE_MAX_NODES, AccuracyError when E
-    leaves double range.
+    (1/alpha) s*^(1-beta) e^{s*}.  The parabola (mu, h, N) is chosen for
+    the fewest nodes at absolute accuracy about 1e-15 relative to the
+    integrand scale (see _laplace_route for beta > alpha + 1), with
+    Garrappa's N capped at _LAPLACE_MAX_NODES.  The step h is then rounded
+    down onto the ladder 2^(-k/4) with at least as long a node range
+    (_laplace_step), and the nodes' z-free factors are kept per
+    (alpha, b, k, N_k) for the last _LAPLACE_KEPT keys (_laplace_nodes),
+    so that a call takes one complex exponential per node.  The kept
+    factors are a pure function of their key: a cold and a warm cache give
+    the same bits.  ConvergenceError when no parabola meets the target
+    within the cap, AccuracyError when E leaves double range.
     """
     steps, mu, h, n, poles = _laplace_route(p, z)
     a = p.alpha
     b = p.beta - steps * a
-    # (2 pi i)^{-1} e^s s^(a-b)/(s^a - z) ds over the 2N+1 nodes.
-    u = h * np.arange(-n, n + 1)
-    s = mu * (1.0 + 1j * u) ** 2
-    ds = 2.0 * mu * (1j - u)
-    log_s = np.log(s)
-    f = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * ds
-    value = complex(h * f.sum() / (2j * math.pi))
+    k, h_k, n_k = _laplace_step(h, n)
+    t, w, pa = _laplace_nodes(a, b, k, n_k)
+    # (2 pi i)^{-1} e^s s^(a-b)/(s^a - z) ds over the 2N_k+1 nodes, with
+    # s = mu T, s^(a-b) ds = mu^(a-b+1) W du and s^a = mu^a P.
+    f = np.exp(mu * t) * w / (mu**a * pa - z)
+    value = complex(h_k * mu ** (a - b + 1.0) * f.sum() / (2j * math.pi))
     try:
         for s_star in poles:
             value += s_star ** (1.0 - b) * cmath.exp(s_star) / a

@@ -54,11 +54,11 @@ class TestEvalMl:
         header, rows = csv_rows(out)
         assert header == ["xi", "re", "im", "abs", "est_error"]
         assert len(rows) == 1
-        assert abs(rows[0]["re"] - math.exp(-1)) < 1e-9
+        assert abs(rows[0]["re"] - math.exp(-1)) < 1e-15 * math.exp(-1)
         assert abs(rows[0]["im"]) < 1e-12
         # README's line, est_error = 1e-10 |E| included
         assert out.splitlines()[1] == (
-            "1.0,0.3678794411714418,0.0,0.3678794411714418,3.678794411714418e-11"
+            "1.0,0.3678794411714422,0.0,0.3678794411714422,3.6787944117144225e-11"
         )
 
     def test_value_at_origin(self, capsys):

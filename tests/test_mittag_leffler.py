@@ -30,7 +30,7 @@ from mlfourier.mittag_leffler import (
     _ml_laplace,
     _sector_sum_adaptive,
 )
-from mlfourier.special_core import complex_gamma, fsum_complex
+from mlfourier.special_core import complex_gamma, fsum_complex, reciprocal_gamma
 
 # Frozen 22-digit references (defining series, 60-digit arithmetic).
 E_04_05_AT_M4 = 0.03700828824226254018893 + 0.0j
@@ -460,6 +460,126 @@ def test_laplace_matches_series_and_contour(alpha, beta):
             want = ml_on_ray(p, phase, r)
             got = _ml_laplace(p, r * cmath.exp(1j * phase))
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _parent_laplace(p, z, h, n):
+    """The direct 2N+1-node sum that _ml_laplace replaced, at step h with n
+    nodes a side on _laplace_route's parabola: (value, scale), scale being
+    the size of everything summed (nodes, residues, recurrence terms), on
+    which rounding acts.  OverflowError where a residue leaves range."""
+    steps, mu, _, _, poles = mittag_leffler._laplace_route(p, z)
+    a = p.alpha
+    b = p.beta - steps * a
+    u = h * np.arange(-n, n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    ds = 2.0 * mu * (1j - u)
+    log_s = np.log(s)
+    f = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * ds
+    value = complex(h * f.sum() / (2j * math.pi))
+    scale = h * float(np.abs(f).sum()) / (2.0 * math.pi)
+    for s_star in poles:
+        residue = s_star ** (1.0 - b) * cmath.exp(s_star) / a
+        value += residue
+        scale += abs(residue)
+    for _ in range(steps):
+        value = (value - reciprocal_gamma(b)) / z
+        scale = (scale + abs(reciprocal_gamma(b))) / abs(z)
+        b += a
+    return value, scale
+
+
+@functools.lru_cache(maxsize=1)
+def _laplace_scan():
+    """(p, z, route, ladder step, _ml_laplace value) at the seeded points
+    that have a parabola: alpha 0.3-1.9, beta 0.5-2.5, |z| 0.1-300
+    log-uniform, arg z uniform over both sectors or, at a quarter of the
+    points, the negative real axis.  The value is None where a residue
+    leaves double range."""
+    rng = np.random.default_rng(2007)
+    out = []
+    for _ in range(3000):
+        p = MLParams(rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5))
+        r = 10.0 ** rng.uniform(-1.0, math.log10(300.0))
+        if rng.random() < 0.25:
+            z = complex(-r, 0.0)
+        else:
+            z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        try:
+            route = mittag_leffler._laplace_route(p, z)
+        except ConvergenceError:
+            continue
+        try:
+            value = _ml_laplace(p, z)
+        except AccuracyError:
+            value = None
+        out.append((p, z, route, mittag_leffler._laplace_step(*route[2:4]), value))
+    return out
+
+
+def test_laplace_scan_reaches_recurrence_and_poles():
+    routes = [route for _, _, route, _, _ in _laplace_scan()]
+    assert len(routes) > 2800
+    assert sum(steps > 0 for steps, *_ in routes) >= 10
+    assert sum(len(poles) > 0 for *_, poles in routes) > 1000
+
+
+def test_laplace_matches_parent_sum_on_the_ladder():
+    # The kept z-free factors change only the rounding: on the same nodes
+    # the parent's sum agrees to 1e-14 of what is summed.
+    for p, z, _, (_, h_k, n_k), value in _laplace_scan():
+        try:
+            want, scale = _parent_laplace(p, z, h_k, n_k)
+        except OverflowError:
+            assert value is None, (p, z)
+            continue
+        assert abs(value - want) <= 1e-14 * scale, (p, z)
+
+
+def test_laplace_ladder_moves_parent_values_little():
+    # On its own (coarser) step the parent's sum is up to ~5e-13 off at
+    # strong origins (alpha near 0.3-0.5, beta near 2.3): Garrappa's h is
+    # too coarse there, and the ladder's smaller step is the closer one.
+    for p, z, (_, _, h, n, _), _, value in _laplace_scan():
+        if value is None:
+            continue
+        want, scale = _parent_laplace(p, z, h, n)
+        assert abs(value - want) <= 1e-12 * scale, (p, z)
+
+
+def test_laplace_step_on_the_ladder():
+    cap = math.ceil(2.0 ** 0.25 * mittag_leffler._LAPLACE_MAX_NODES)
+    for _, _, (_, _, h, n, _), (k, h_k, n_k), _ in _laplace_scan():
+        assert h_k == 2.0 ** (-k / 4.0)
+        assert h * 2.0 ** -0.25 < h_k <= h
+        assert h_k * n_k >= h * n
+        assert n_k <= min(math.ceil(2.0 ** 0.25 * n), cap)
+
+
+def test_laplace_values_do_not_depend_on_the_kept_factors():
+    nodes = mittag_leffler._laplace_nodes
+    points = [(p, z) for p, z, _, _, value in _laplace_scan()[:300] if value is not None]
+
+    def values():
+        return [ml_eval(p, z) for p, z in points]
+
+    nodes.cache_clear()
+    cold = values()
+    assert values() == cold  # warm
+    for k in range(nodes.cache_info().maxsize + 10):
+        nodes(0.5, 1.0, 20 + k, 4)
+    assert nodes.cache_info().currsize == nodes.cache_info().maxsize
+    assert values() == cold  # after eviction
+    for factor in nodes(0.5, 1.0, 20, 4):
+        assert not factor.flags.writeable
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.4, 2.3), (0.8, 1.0), (1.3, 0.8), (1.7, 1.5)])
+def test_laplace_array_matches_scalar_on_the_scan(alpha, beta):
+    p = MLParams(alpha, beta)
+    z = np.array([z for _, z, _, _, _ in _laplace_scan()[:300]])
+    z = z[np.abs(z) ** (1.0 / alpha) < 600.0]  # E stays in double range
+    want = np.array([ml_eval(p, complex(v)) for v in z])
+    assert np.all(ml_eval(p, z) == want)
 
 
 def _full_taylor_sum(p, z):
