@@ -37,7 +37,8 @@ step set by the distance to the poles (Trefethen & Weideman, SIAM Rev. 56
 (2014)); its nodes are equispaced, so each point's phase sum splits into
 32 baby steps and one giant step per 32 nodes, 32 + nodes/32 exponentials
 instead of one per node (Paterson & Stockmeyer, SIAM J. Comput. 2
-(1973)).  K does not depend on xi, only (pi xi)^s does (Talman,
+(1973)), and its 32-term row sums are one BLAS matrix-vector product per
+point.  K does not depend on xi, only (pi xi)^s does (Talman,
 J. Comput. Phys. 29 (1978)), and neither does anything else but the
 exponentials and the sums.  So each problem has one plan, built on its
 first call and kept for the last 64 problems: the series' 256
@@ -89,8 +90,8 @@ _MAX_NODES = 2**20
 
 # Points per block of the residue series' (points x terms) arrays.
 _SERIES_ROWS = 128
-# The line's (points x nodes) sums take the nodes in chunks of _CHUNK and
-# the points in row blocks of at most _BLOCK products.
+# The line's phase sums take the nodes in chunks of _CHUNK, and the points
+# in blocks whose (points x rows) arrays hold at most _BLOCK entries.
 _CHUNK = 2**14
 _BLOCK = 2**16
 # Nodes per row of a chunk in _phase_sums' baby-step/giant-step split.
@@ -237,7 +238,21 @@ class _Plan(NamedTuple):
     vanishes: bool  # sin(pi sigma/2) = 0: every term is 0
     has_wave: bool  # whether E's exponential term enters the estimate
     left: _Line  # c = -sigma/2, for 2 pi xi >= 1
-    right: _Line  # c = 0.6 min(sigma, n), below
+    right: _Line  # c = 0.6 s_1 (_right_pole), below
+
+
+def _right_pole(tp) -> float:
+    """s_1, the nearest pole of K right of s = 0 with a residue: s = m sigma
+    for the first m with beta - alpha m not in {0, -1, -2, ...} (elsewhere
+    the zero of 1/Gamma(beta - alpha s/sigma) cancels the pole of
+    1/sin(pi s/sigma)), or s = n, whichever is smaller.  No m past
+    ceil(n/sigma) comes before s = n, and at alpha = 1 with integer beta no
+    m sigma has a residue at all."""
+    for m in range(1, math.ceil(tp.n / tp.sigma) + 1):
+        b = tp.beta - tp.alpha * m
+        if b > 0.0 or b != math.floor(b):
+            return min(m * tp.sigma, float(tp.n))
+    return float(tp.n)
 
 
 @lru_cache(maxsize=64)
@@ -257,7 +272,7 @@ def _series_coefficients(tp) -> _Plan:
     rel_env = log_env - log_env[0]
     signed = -sin * _phases(tp, k)
     _read_only(k_less_1, rel_env, signed)
-    upper = min(tp.sigma, float(tp.n))
+    upper = _right_pole(tp)
     c_left, c_right = -0.5 * tp.sigma, 0.6 * upper
     return _Plan(
         k_less_1=k_less_1,
@@ -281,19 +296,24 @@ def _points(xi) -> tuple[np.ndarray, np.ndarray]:
         return x, np.log(math.pi * x)
 
 
+def _summable(tp, plan: _Plan, log_pi_xi: np.ndarray) -> np.ndarray:
+    """Indices of the points where the residue series can sum a term: none
+    where every term vanishes, else those not past u_1."""
+    if plan.vanishes:
+        return np.empty(0, int)
+    return np.flatnonzero(~(-tp.sigma * log_pi_xi > plan.u_1))
+
+
 def _series(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """residue_series on a 1-D array, _SERIES_ROWS points at a time; points
     past u_1 (_series_coefficients) sum no term and are not computed."""
     plan = _series_coefficients(tp)
     values = np.zeros(xi.size, complex)
     errs = np.full(xi.size, math.inf)
-    if plan.vanishes:
-        return values, errs
-    log_xs = -tp.sigma * log_pi_xi
-    live = np.flatnonzero(~(log_xs > plan.u_1))
+    live = _summable(tp, plan, log_pi_xi)
     for lo in range(0, live.size, _SERIES_ROWS):
         at = live[lo:lo + _SERIES_ROWS]
-        x, log_x = xi[at], log_xs[at]
+        x, log_x = xi[at], -tp.sigma * log_pi_xi[at]
         rows = np.arange(x.size)
         # Envelopes relative to the k = 1 one, which carries the scale
         # through exact powers: the large logs of small (pi xi)^(-k sigma)
@@ -495,50 +515,59 @@ def _phase_sums(kernel: _Kernel, log_pi_xi: np.ndarray) -> np.ndarray:
     against the _BABY baby steps, and those sums against the giant steps,
     _BABY + nodes/_BABY exponentials per point instead of one per node
     (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973)); the padding adds
-    zeros.  Every sum runs along a contiguous last axis, not through a
-    matrix product, whose order of additions depends on the batch, and the
-    chunks and blocks are fixed by the kernel alone, so each point's sum is
-    the same in any batch."""
+    zeros.  The row sums are a stacked matmul, (1 x _BABY) baby steps
+    times the chunk's (_BABY x rows) transpose for each point: one BLAS
+    matrix-vector product per point, whose order of additions depends on
+    the chunk alone.  One matrix-matrix product over all the points would
+    be faster still, but its blocking, and so each point's bits, follow
+    the number of points.  The giant-step sums run along a contiguous last
+    axis, and the chunks are fixed by the kernel alone, so each point's
+    sum is the same in any batch."""
     out = np.zeros(log_pi_xi.size, complex)
     baby = np.exp(1j * (log_pi_xi[:, None] * kernel.baby_steps))
     for rows, giant_steps in kernel.chunks:
-        block = max(1, _BLOCK // rows.size)
+        block = max(1, _BLOCK // rows.shape[0])
         for r in range(0, log_pi_xi.size, block):
-            inner = (rows * baby[r:r + block, None, :]).sum(axis=2)
+            inner = np.matmul(baby[r:r + block, None, :], rows.T)[:, 0, :]
             giant = np.exp(1j * (log_pi_xi[r:r + block, None] * giant_steps))
             out[r:r + block] += (inner * giant).sum(axis=1)
     return out
 
 
 def _line(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> np.ndarray:
-    """line_integral on a 1-D array: for each line and step, one kernel
-    from _line_kernel shared by the points that take them."""
+    """line_integral on a 1-D array: each point on its line (_line_sums);
+    when every point takes the same line, on the arrays as given."""
     plan = _series_coefficients(tp)
     values = np.empty(xi.size, complex)
     left = math.pi * xi >= 0.5
     for line, on_line in ((plan.left, left), (plan.right, ~left)):
         if not on_line.any():
             continue
-        L = log_pi_xi[on_line]
-        rule = 2.0 * math.pi * line.d / (_STEP_EFOLDS + line.d * np.abs(L))
-        rung = np.ceil(_RUNGS * np.log2(line.h_base / rule)).astype(int)
-        rung += line.ladder[rung] > rule
-        if (rung == rung[0]).all():
-            groups = [(rung[0], slice(None))]
-        else:
-            groups = [(k, rung == k) for k in np.unique(rung)]
-        sums = np.empty(L.size, complex)
-        for k, at in groups:
-            kernel = _line_kernel(tp, line.c, float(line.ladder[k]))
-            tail, h = _phase_sums(kernel, L[at]), kernel.h
-            if kernel.f_0 is None:
-                sums[at] = h * tail
-            else:  # the half line: h (f_0 + 2 Re sum_{j >= 1})
-                sums[at] = h * (kernel.f_0 + 2.0 * tail.real)
-        values[on_line] = (
-            sums * np.exp(line.c * L) * xi[on_line] ** -tp.n * (plan.pi_n / (2.0 * math.pi))
-        )
+        if on_line.all():
+            return _line_sums(tp, plan, line, xi, log_pi_xi)
+        values[on_line] = _line_sums(tp, plan, line, xi[on_line], log_pi_xi[on_line])
     return values
+
+
+def _line_sums(tp, plan: _Plan, line: _Line, xi: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The trapezoid sums on one line at xi, L = log(pi xi): for each step,
+    one kernel from _line_kernel shared by the points that take it."""
+    rule = 2.0 * math.pi * line.d / (_STEP_EFOLDS + line.d * np.abs(L))
+    rung = np.ceil(_RUNGS * np.log2(line.h_base / rule)).astype(int)
+    rung += line.ladder[rung] > rule
+    if (rung == rung[0]).all():
+        groups = [(rung[0], slice(None))]
+    else:
+        groups = [(k, rung == k) for k in np.unique(rung)]
+    sums = np.empty(L.size, complex)
+    for k, at in groups:
+        kernel = _line_kernel(tp, line.c, float(line.ladder[k]))
+        tail, h = _phase_sums(kernel, L[at]), kernel.h
+        if kernel.f_0 is None:
+            sums[at] = h * tail
+        else:  # the half line: h (f_0 + 2 Re sum_{j >= 1})
+            sums[at] = h * (kernel.f_0 + 2.0 * tail.real)
+    return sums * np.exp(line.c * L) * xi ** -tp.n * (plan.pi_n / (2.0 * math.pi))
 
 
 def line_integral(tp, xi):
@@ -546,11 +575,13 @@ def line_integral(tp, xi):
     for a float xi, an array of xi's shape for an ndarray.
 
     The integrand exceeds the result by about (pi xi)^(c + sigma) at large
-    xi and (pi xi)^(c - sigma) at small xi, so the line sits left at large
-    xi and right at small xi: c = -sigma/2 for 2 pi xi >= 1 and
-    c = 0.6 min(sigma, n) below.  s = 0 is not a pole, since 1/Gamma(s/2)
-    vanishes there; the poles nearest the strip are s = -sigma and
-    s = min(sigma, n).  The step keeps exp(-2 pi d/h) below 1e-17 of the
+    xi and (pi xi)^(c - s_1) at small xi, where s_1 is the nearest pole
+    right of s = 0 with a residue (_right_pole): min(sigma, n) unless
+    1/Gamma(beta - alpha) = 0 cancels the pole at s = sigma.  So the line
+    sits left at large xi and right at small xi: c = -sigma/2 for
+    2 pi xi >= 1 and c = 0.6 s_1 below.  s = 0 is not a pole, since
+    1/Gamma(s/2) vanishes there; the poles nearest the strip are s = -sigma
+    and s = s_1.  The step keeps exp(-2 pi d/h) below 1e-17 of the
     integrand on the strip of half-width d, the distance from c to those
     poles, h <= 2 pi d/(40 + d |log pi xi|), rounded down onto the ladder
     h_base 2^(-k/4), h_base = 2 pi d/40; c, d and the ladder are in the
@@ -561,12 +592,14 @@ def line_integral(tp, xi):
     dropped first); each point adds (pi xi)^c sum_j K_j e^{i t_j log(pi xi)},
     whose phases the equispaced nodes split into 32 baby steps and one
     giant step per 32 nodes (_phase_sums), so a point costs
-    32 + nodes/32 exponentials.  At phi = pi the integrand is
+    32 + nodes/32 exponentials, and its 32-term row sums one BLAS
+    matrix-vector product.  At phi = pi the integrand is
     conjugate-symmetric and the sum runs over t >= 0; elsewhere each side
     of the line has its own length (_evaluate_kernel).  ConvergenceError
     past 2^20 nodes.  The rung depends on xi alone and each point's sum is
-    reduced on its own, so a point's value is the same, bit for bit, in any
-    array.
+    reduced on its own, never in a matrix-matrix product with other
+    points, so a point's value is the same, bit for bit, in any array and
+    under any number of BLAS threads.
     """
     return _like(xi, _line(tp, *_points(xi)))
 
@@ -575,8 +608,12 @@ def mellin_transform(tp, xi):
     """The transform at |xi| = xi: the residue series where its error
     estimate is at most 1e-15 relative, else the line integral.  A float xi
     gives a complex, an ndarray an array of its shape; each point's value
-    is the same, bit for bit, whatever the other points of the array."""
+    is the same, bit for bit, whatever the other points of the array.
+    Where the series can sum no term at any point, the whole array goes to
+    the line as given."""
     x, log_pi_xi = _points(xi)
+    if not _summable(tp, _series_coefficients(tp), log_pi_xi).size:
+        return _like(xi, _line(tp, x, log_pi_xi))
     values, errs = _series(tp, x, log_pi_xi)
     on_line = ~(errs <= _TARGET)
     if on_line.any():

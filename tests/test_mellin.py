@@ -10,7 +10,11 @@ lacks E's exponential term, only that mpmath line is the reference.
 """
 
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -28,6 +32,7 @@ from mlfourier.mellin import (
 from mlfourier.radial_fourier import TransformProblem, ml_transform, split_transform
 
 REFERENCE_PROBLEMS = ((1, 0.7), (2, 1.5), (3, 2.2))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _MP = mpmath.MPContext()
 _MP.dps = 40
@@ -178,6 +183,14 @@ class TestClosedForms:
             if want >= 1e-2 * peak:
                 assert rel_err(got, want) <= 1e-13
 
+    @pytest.mark.parametrize("n,xi,bound", [(3, 1e-3, 1e-13), (4, 1e-2, 1e-13), (4, 1e-3, 5e-12)])
+    def test_gaussian_small_xi(self, n, xi, bound):
+        # Every residue at s = m sigma vanishes, so the small-xi line is
+        # sized for the pole at s = n; sized for s = sigma = 2 it was
+        # 1.3e-12, 9.8e-13 and 9.0e-10 off.
+        tp = TransformProblem(1.0, 1.0, math.pi, 2.0, n)
+        assert rel_err(ml_transform(tp, xi), closed_form(n, 2, xi)) <= bound
+
 
 @pytest.mark.parametrize(
     "sigma,n,grid",
@@ -212,6 +225,24 @@ def test_left_line_centre_on_a_gamma_pole(sigma):
             if abs(value) >= 1e-8:
                 want = _mp_line(0.8, 1.0, math.pi, sigma, 3, float(xi))
                 assert rel_err(value, want) <= 1e-12, xi
+
+
+@pytest.mark.parametrize(
+    "problem,s_1,bound",
+    [
+        # beta = alpha: 1/Gamma(beta - alpha) = 0 cancels the pole at
+        # s = sigma, and the nearest right pole is s = 2 sigma.
+        ((0.8, 0.8, math.pi, 1.2, 3), 2.4, 1e-12),
+        # beta - alpha = -1: s = n comes before s = 2 sigma = 3.2.
+        ((1.5, 0.5, math.pi, 1.6, 3), 3.0, 1e-11),
+    ],
+)
+def test_small_xi_line_sized_for_the_nearest_pole_with_a_residue(problem, s_1, bound):
+    # A line sized for the cancelled pole at s = sigma was 2.0e-11 and
+    # 1.7e-9 off at xi = 1e-4.
+    tp = TransformProblem(*problem)
+    assert mellin._series_coefficients(tp).right.c == 0.6 * s_1
+    assert rel_err(ml_transform(tp, 1e-4), _mp_line(*problem, 1e-4)) <= bound
 
 
 @settings(
@@ -585,6 +616,24 @@ def test_padding_never_enters_a_sum(nodes, j0):
     _check_phase_sums(kernel, np.log(math.pi * np.geomspace(1e-6, 1e2, 7)))
 
 
+@pytest.mark.parametrize("nodes", [1, 33, 2**14 + 31])
+@pytest.mark.parametrize("j0", [0, -7])
+def test_each_point_has_its_own_product(nodes, j0):
+    # The row sums are one BLAS matrix-vector product per point, so a
+    # point's sum is the same, byte for byte, in one call of 300 points,
+    # alone, and in batches of 2 and 7.
+    rng = np.random.default_rng(nodes)
+    size = nodes + (j0 == 0)
+    kernel = mellin._stored_kernel(
+        0.05, j0, rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    )
+    L = np.log(math.pi * np.geomspace(1e-6, 1e2, 300))
+    whole = mellin._phase_sums(kernel, L).tobytes()
+    for batch in (1, 2, 7):
+        parts = [mellin._phase_sums(kernel, L[i:i + batch]) for i in range(0, L.size, batch)]
+        assert np.concatenate(parts).tobytes() == whole
+
+
 SKIP_PROBLEMS = (
     TransformProblem(0.8, 1.0, math.pi, 0.7, 1),
     TransformProblem(0.8, 1.0, math.pi, 1.5, 2),
@@ -675,3 +724,43 @@ def test_batch_matches_each_point_bit_for_bit(problem, phi, low, high, points):
     batch = ml_transform(tp, xs)
     for x, value in zip(xs, batch):
         assert value.tobytes() == np.complex128(ml_transform(tp, float(x))).tobytes()
+
+
+def test_batch_matches_each_point_near_the_sector_boundary():
+    # 0.02 rad inside the sector the kernels hold three chunks of nodes.
+    tp = TransformProblem(1.3, 1.0, 0.5 * math.pi * 1.3 + 0.02, 1.5, 2)
+    xs = np.geomspace(1e-6, 1e2, 25)
+    batch = ml_transform(tp, xs)
+    assert any(len(kernel.chunks) == 3 for key, kernel in mellin._KERNELS.items() if key[0] == tp)
+    for x, value in zip(xs, batch):
+        assert value.tobytes() == np.complex128(ml_transform(tp, float(x))).tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem,grid",
+    [
+        ((1.3, 1.0, 2.0620352248333655, 1.5, 2), (1e-2, 1e2, 25)),
+        ((1.9, 1.0, 3.0045, 2.2, 3), (1e-6, 1e2, 40)),
+    ],
+)
+def test_values_do_not_depend_on_the_blas_thread_count(problem, grid):
+    # Near the sector boundary the phase sums' matrix-vector products are
+    # large enough that OpenBLAS may split them across threads.
+    code = (
+        "import sys, numpy as np\n"
+        "from mlfourier.radial_fourier import TransformProblem, ml_transform\n"
+        f"tp = TransformProblem(*{problem!r})\n"
+        f"sys.stdout.write(ml_transform(tp, np.geomspace(*{grid!r})).tobytes().hex())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
