@@ -8,7 +8,9 @@ identities.
 double Taylor series where its cancellation guard accepts (|z| <=
 SERIES_RADIUS), past that the sector sum wherever, in the decay sector,
 its own error estimate is at most 1e-15 relative, and Laplace inversion
-everywhere else.  An array of z is evaluated entry by entry by that same
+everywhere else.  A sum bound to be rejected stops early (Taylor) or is
+not summed (sector), so a point pays for little more than the route it
+returns.  An array of z is evaluated entry by entry by that same
 rule, so each entry's value is the scalar one.  The sector sum is the one
 evaluator of the large-argument expansion: the optimally truncated
 algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus E's exponentially
@@ -39,7 +41,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -238,9 +241,35 @@ def _series_accepts(ratio: float) -> bool:
     return _EPS * ratio <= 0.1 * _SERIES_TOL
 
 
-# Twice the largest cancellation ratio _series_accepts passes: a partial
-# sum whose final ratio is bounded above this is abandoned.
-_SERIES_ABANDON = 2.0 * 0.1 * _SERIES_TOL / _EPS
+# The largest cancellation ratio _series_accepts passes, widened by 1%
+# for the rounding of the running sum: a partial sum whose final ratio is
+# bound to exceed this is abandoned.
+_SERIES_ABANDON = 1.01 * 0.1 * _SERIES_TOL / _EPS
+
+# Most Taylor terms a sum can take (ConvergenceError past it).
+_SERIES_TERMS = 4000
+
+
+@lru_cache(maxsize=64)
+def _taylor_row(a: float, b: float) -> tuple[float, ...]:
+    """lgamma(a k + b) for k = 0, 1, ..., the same expression the Taylor
+    loop would evaluate, up to the terms a sum at |z| <= SERIES_RADIUS
+    reaches: at |z| = SERIES_RADIUS, up to the third term that lies below
+    1e-17 of the largest before it or leaves double range.  A sum that
+    goes further evaluates its own."""
+    log_r = math.log(SERIES_RADIUS)
+    row = []
+    peak = -math.inf
+    past = 0
+    for k in range(_SERIES_TERMS):
+        row.append(math.lgamma(a * k + b))
+        log_size = k * log_r - row[-1]
+        peak = max(peak, log_size)
+        if log_size < peak - 39.2 or log_size > _LOG_DOUBLE_MAX:  # e^-39.2 < 1e-17
+            past += 1
+            if past == 3:
+                break
+    return tuple(row)
 
 
 def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
@@ -252,18 +281,35 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
     accuracy at ~eps * ratio.  The term sizes m_k = |z|^k/Gamma(alpha k +
     beta) are log-concave in k (lgamma is convex), so once m_k < m_{k-1}
     every later ratio is at most q = m_k/m_{k-1} and the unsummed tail at
-    most B = m_k q/(1 - q).  The final ratio is then at least (M + B)/(|s|
-    + B), M the majorant and s the sum so far; once that exceeds twice the
-    ratio _series_accepts passes, the sum stops.  Only a partial ratio
-    M/|s| above that bound pays for the test.
+    most B = m_k q/(1 - q).  The final majorant is at least M, the one so
+    far, and the final |sum| at most |s| + B, s the sum so far; once M
+    exceeds _SERIES_ABANDON (|s| + B), the final ratio is bound to exceed
+    what _series_accepts passes and the sum stops.  Only a partial ratio
+    M/|s| above that bound pays for the test.  The lgamma values come from
+    the kept row of (alpha, beta) (_taylor_row); a sum that runs past it
+    is summed again with the rest evaluated in place.
     """
+    lnz = cmath.log(z)
+    row = _taylor_row(p.alpha, p.beta)
+    summed = _taylor_sum(lnz, row)
+    if summed is None and len(row) < _SERIES_TERMS:
+        alpha, beta = p.alpha, p.beta
+        rest = (math.lgamma(alpha * k + beta) for k in range(len(row), _SERIES_TERMS))
+        summed = _taylor_sum(lnz, chain(row, rest))
+    if summed is None:
+        raise ConvergenceError(f"ml_series did not converge within {_SERIES_TERMS} terms")
+    return summed
+
+
+def _taylor_sum(lnz: Complex, lgammas: Iterable[float]) -> tuple[Complex, float] | None:
+    """_series_double's sum over the terms exp(k log z - lgammas[k]), or
+    None where it does not stop within them."""
     # Log-form terms: exp(k log z - lgamma(alpha k + beta)) sidesteps the
     # double-range overflow of z**k that a running product hits near k=300.
     # The running sum serves only the stop tests; the value is fsum_complex.
-    # Every name the loop reads is local: this loop is most of ml_eval's
-    # Taylor route.
-    lnz = cmath.log(z)
-    alpha, beta, exp, lgamma = p.alpha, p.beta, cmath.exp, math.lgamma
+    # Every name the loop reads is local, and max() is spelled out: this
+    # loop is most of ml_eval's Taylor route.
+    exp = cmath.exp
     abandon, tol = _SERIES_ABANDON, _SERIES_TOL
     terms = []
     append = terms.append
@@ -271,26 +317,25 @@ def _series_double(p: MLParams, z: Complex) -> tuple[Complex, float]:
     majorant = 0.0
     prev = math.inf
     quiet = 0
-    for k in range(0, 4000):
-        term = exp(k * lnz - lgamma(alpha * k + beta))
+    for k, lg in enumerate(lgammas):
+        term = exp(k * lnz - lg)
         append(term)
         s += term
         size, total = abs(term), abs(s)
         majorant += size
         if majorant > abandon * total and size < prev:
             q = size / prev
-            tail = size * q / (1.0 - q)
-            if majorant + tail > abandon * (total + tail):
+            if majorant > abandon * (total + size * q / (1.0 - q)):
                 return complex(math.nan, math.nan), math.inf
         prev = size
-        if size < tol * max(total, 1e-300):
+        if size < tol * (total if total > 1e-300 else 1e-300):
             quiet += 1
             if quiet >= 3:
                 break
         else:
             quiet = 0
     else:
-        raise ConvergenceError("ml_series did not converge within 4000 terms")
+        return None
     value = fsum_complex(terms)
     return value, majorant / max(abs(value), 1e-300)
 
@@ -398,6 +443,86 @@ def _sector_coefficients(a: float, b: float) -> tuple[Complex | None, ...]:
     return tuple(out)
 
 
+# The sector sum is refused where the term it omits exceeds (1e-15 - eps)
+# (M + |wave|), widened by far more than the relative rounding (below
+# 1e-13) that separates the sizes _sector_refused forms from those
+# _sector_sum_adaptive forms.  Past |z| = _SECTOR_REFUSE_MAX it is not
+# refused, so that |z|^-_SECTOR_TERMS stays far inside the normal range.
+_SECTOR_REFUSE = (1e-15 - _EPS) * (1.0 + 1e-10)
+_SECTOR_REFUSE_MAX = 1e4
+
+
+@lru_cache(maxsize=64)
+def _sector_sizes(a: float, b: float) -> tuple[tuple[float | None, ...], float]:
+    """(sizes, radius): |1/Gamma(b - a k)| for the terms of
+    _sector_coefficients (None where it skips one), and a radius from
+    which on _sector_refused cannot refuse.
+
+    With t = log|z| the sizes are g_k e^{-k t}, and size j rises past the
+    one before it where t < rise_j.  The sum stops at j, omitting it, for
+    t in [max_{i<j} rise_i, rise_j), and past every rise it omits its last
+    term.  The omitted term exceeds _SECTOR_REFUSE times the first, which
+    is at most M, only below some t_j; the radius is the largest such
+    bound on a non-empty interval."""
+    sizes = tuple(None if rg is None else abs(rg) for rg in _sector_coefficients(a, b))
+    logs = [(k, math.log(g)) for k, g in enumerate(sizes) if g is not None]
+    if not logs:  # the algebraic sum is exactly zero, and accepted
+        return sizes, 0.0
+    k0, l0 = logs[0]
+    bar = math.log(_SECTOR_REFUSE)
+    reach = best = -math.inf
+    # The last pair is the last term with itself: past every rise the sum
+    # omits it.
+    for (i, li), (j, lj) in zip(logs, logs[1:] + logs[-1:]):
+        rise = (lj - li) / (j - i) if j > i else math.inf
+        top = min(rise, (lj - l0 - bar) / (j - k0) if j > k0 else math.inf)
+        if top > reach:
+            best = max(best, top)
+        reach = max(reach, rise)
+    return sizes, math.exp(min(best, math.log(_SECTOR_REFUSE_MAX)))
+
+
+def _sector_refused(p: MLParams, z: Complex, r: float) -> bool:
+    """Whether _sector_sum_adaptive at z, |z| = r, is bound to miss its
+    1e-15 relative target, from r and the kept sizes (_sector_sizes)
+    alone, before any complex term is formed.
+
+    The sum omits the first size that rises past the one before it, or its
+    last term, unless a term falls below 1e-18 of the sum first.  Within
+    1e-12 of the one before, a size may rise or not after rounding, so the
+    sum may stop there or go on; the test takes the smallest size it could
+    omit, and a majorant M that counts every term it could sum.  Where no
+    summed size is below 1e-17 M and the value, at most M + |wave|, gives
+    an estimate omitted + eps (M + |wave|) above 1e-15 of it, the sum is
+    refused: every refused sum would be rejected.  The wave terms are
+    formed only where the algebraic part alone leaves the refusal open.
+    """
+    sizes, radius = _sector_sizes(p.alpha, p.beta)
+    if r >= radius:
+        return False
+    rinv = 1.0 / r
+    power = 1.0
+    prev = omitted = math.inf
+    majorant = 0.0
+    for g in sizes:
+        power *= rinv
+        if g is None:
+            continue
+        size = power * g
+        if size > prev * (1.0 - 1e-12):  # the sum may stop here
+            omitted = min(omitted, size)
+            if size > prev * (1.0 + 1e-12):  # and does
+                break
+        majorant += size
+        prev = size
+    else:
+        omitted = min(omitted, prev)
+    if not (omitted >= 1e-280 and prev > 1e-17 * majorant
+            and omitted > _SECTOR_REFUSE * majorant):
+        return False
+    return omitted > _SECTOR_REFUSE * (majorant + abs(_exponential_waves(p, z)))
+
+
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """Optimally truncated sector sum plus the exponentially small wave
     terms, with a first-omitted-term error estimate.  Terms on a gamma
@@ -405,6 +530,7 @@ def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     only the stop test; the value is fsum_complex of the terms.
     """
     terms = []
+    append = terms.append
     s = 0.0 + 0.0j
     winv = 1.0 / z
     wpow = 1.0 + 0.0j
@@ -419,12 +545,13 @@ def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
         if mag_term > prev:
             omitted = mag_term
             break
-        terms.append(-wpow * rg)
-        s += terms[-1]
+        term = -wpow * rg
+        append(term)
+        s += term
         majorant += mag_term
-        prev = mag_term
-        omitted = mag_term
-        if mag_term < 1e-18 * max(abs(s), 1e-300):
+        prev = omitted = mag_term
+        total = abs(s)
+        if mag_term < 1e-18 * (total if total > 1e-300 else 1e-300):
             break
     if majorant == 0.0 and math.isinf(omitted):
         # Every algebraic term sat on a gamma pole (alpha = 1 with integer
@@ -682,7 +809,9 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
     - |z| > SERIES_RADIUS in the decay sector |arg z| > pi alpha/2: the
       truncated sector sum with its exponentially small wave terms, where
       its error estimate (first omitted term plus rounding) is at most
-      1e-15 |value|, a bound relative to E.
+      1e-15 |value|, a bound relative to E.  A sum that the sizes of its
+      terms, from |z| alone, show must miss that bound is not summed
+      (_sector_refused); such a point goes straight to Laplace inversion.
     - Everywhere else: Laplace inversion on Garrappa's optimal parabola
       (2015) with a node cap, to a fixed 1e-15 absolute on its integrand's
       scale (not relative to |E|).  A point that has no parabola within the
@@ -723,7 +852,7 @@ def _ml_rule(p: MLParams, z: Complex) -> Complex:
             ratio = math.inf
         if _series_accepts(ratio):
             return value
-    elif abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
+    elif abs(cmath.phase(z)) > math.pi * p.alpha / 2.0 and not _sector_refused(p, z, absz):
         value, err = _sector_sum_adaptive(p, z)
         if err <= 1e-15 * abs(value):
             return value

@@ -66,9 +66,11 @@ class IntegralResult(NamedTuple):
 def fsum_complex(terms: Iterable[Complex]) -> Complex:
     """Sum of complex terms, math.fsum (Shewchuk, Discrete Comput. Geom.
     18, 1997) of the real parts and of the imaginary parts: each part is
-    the exactly rounded sum of its terms."""
-    terms = list(terms)
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    the exactly rounded sum of its terms.  math.fsum is handed lists, which
+    it walks faster than generators."""
+    if not isinstance(terms, list):
+        terms = list(terms)
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def _mp_series(

@@ -639,6 +639,126 @@ def test_abandoned_sums_would_have_been_rejected():
         assert not mittag_leffler._series_accepts(full_ratio), (p, z, full_ratio)
 
 
+def test_abandonment_catches_nearly_every_rejection():
+    # The bound M > 1.01 x 4.5 (|s| + B) is sharp: of the scan's 641
+    # rejected sums (463 under the parent's M + B > 9 (|s| + B)), all but
+    # a handful stop early.
+    rejected = [ratio for _, _, (_, ratio), (_, full_ratio) in _taylor_scan()
+                if not mittag_leffler._series_accepts(full_ratio)]
+    assert len(rejected) == 641
+    assert sum(ratio == math.inf for ratio in rejected) > 600
+
+
+def test_taylor_row_is_the_loop_expression():
+    for alpha, beta in ((0.3, 0.5), (0.8, 1.0), (1.9, 2.5)):
+        row = mittag_leffler._taylor_row(alpha, beta)
+        assert isinstance(row, tuple)
+        assert 3 < len(row) < mittag_leffler._SERIES_TERMS
+        assert row == tuple(math.lgamma(alpha * k + beta) for k in range(len(row)))
+
+
+def test_sums_past_the_kept_row_keep_their_bits(monkeypatch):
+    # A sum longer than its kept row evaluates the rest itself.
+    points = [(p, z) for p, z, _, _ in _taylor_scan()[:300]]
+    want = [mittag_leffler._series_double(p, z) for p, z in points]
+    monkeypatch.setattr(mittag_leffler, "_taylor_row", lambda a, b: (math.lgamma(b),))
+    got = [mittag_leffler._series_double(p, z) for p, z in points]
+    assert repr(got) == repr(want)  # repr: an abandoned sum is (nan, inf)
+
+
+def test_sum_that_does_not_stop_raises(monkeypatch):
+    monkeypatch.setattr(mittag_leffler, "_taylor_row", lambda a, b: (math.lgamma(b),))
+    monkeypatch.setattr(mittag_leffler, "_SERIES_TERMS", 3)
+    with pytest.raises(ConvergenceError, match="within 3 terms"):
+        mittag_leffler._series_double(MLParams(1.3, 1.0), 4.5)
+
+
+@functools.lru_cache(maxsize=1)
+def _sector_scan():
+    """(p, z, refused, rejected) at 20,000 seeded decay-sector points:
+    alpha 0.3-1.9, beta 0.5-2.5, |z| 5-1e3 log-uniform, arg z uniform over
+    the decay sector or, at a quarter of the points, the negative real
+    axis exactly.  refused is _sector_refused's verdict, rejected whether
+    the sum misses the 1e-15 target that _ml_rule sets it."""
+    rng = np.random.default_rng(2002)
+    out = []
+    for _ in range(20000):
+        p = MLParams(rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5))
+        r = 10.0 ** rng.uniform(math.log10(5.0), 3.0)
+        if rng.random() < 0.25:
+            z = complex(-r, 0.0)
+        else:
+            edge = math.pi * p.alpha / 2.0
+            z = r * cmath.exp(1j * rng.choice((-1.0, 1.0)) * rng.uniform(edge, math.pi))
+        value, err = _sector_sum_adaptive(p, z)
+        rejected = not err <= 1e-15 * abs(value)
+        out.append((p, z, mittag_leffler._sector_refused(p, z, abs(z)), rejected))
+    return out
+
+
+def test_sector_refusal_is_conservative():
+    scan = _sector_scan()
+    rejected = sum(rej for *_, rej in scan)
+    refused = sum(ref for _, _, ref, _ in scan)
+    assert rejected > 5000
+    for p, z, ref, rej in scan:
+        assert rej or not ref, (p, z)
+    # What is left is cancellation in the value, which sizes cannot see.
+    assert refused >= 0.99 * rejected
+
+
+def _kept_table_points():
+    """Taylor and decay-sector points, across many (alpha, beta) keys."""
+    return ([(p, z) for p, z, _, _ in _taylor_scan()[:200]]
+            + [(p, z) for p, z, _, _ in _sector_scan()[:200]])
+
+
+def test_values_do_not_depend_on_the_kept_tables():
+    tables = (mittag_leffler._taylor_row, mittag_leffler._sector_sizes)
+    points = _kept_table_points()
+
+    def values():
+        return [ml_eval(p, z) for p, z in points]
+
+    for table in tables:
+        table.cache_clear()
+    cold = values()
+    assert values() == cold  # warm
+    for table in tables:
+        for k in range(table.cache_info().maxsize + 10):
+            table(0.5 + 1e-3 * k, 1.0)
+        assert table.cache_info().currsize == table.cache_info().maxsize
+    assert values() == cold  # after eviction
+    sizes, radius = mittag_leffler._sector_sizes(0.5, 1.0)
+    assert isinstance(sizes, tuple) and isinstance(radius, float)
+
+
+def test_few_sector_sums_are_summed_and_rejected(monkeypatch):
+    # Kernels-style points: alpha 0.5, 0.8, 1.3, beta 1, arg z = pi or
+    # 0.1 rad inside the decay sector, |z| 1e-2-1e3 stratified log-uniform.
+    # Only a sum whose value cancels below M + |wave| still runs.
+    rng = np.random.default_rng(1)
+    summed, wasted = [], []
+    sector_sum = mittag_leffler._sector_sum_adaptive
+
+    def counted(p, z):
+        value, err = sector_sum(p, z)
+        summed.append((p, z))
+        if not err <= 1e-15 * abs(value):
+            wasted.append((p, z))
+        return value, err
+
+    monkeypatch.setattr(mittag_leffler, "_sector_sum_adaptive", counted)
+    for alpha in (0.5, 0.8, 1.3):
+        p = MLParams(alpha, 1.0)
+        for phi in (math.pi, math.pi * alpha / 2.0 + 0.1):
+            for k in range(96):
+                r = 1e-2 * 10.0 ** (5.0 * (k + rng.random()) / 96)
+                ml_eval(p, r * cmath.exp(1j * phi))
+    assert len(summed) > 150
+    assert len(wasted) <= 2, wasted
+
+
 def test_eval_decay_sector_never_escalates_to_mpmath(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("slow branch reached")
