@@ -226,9 +226,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_dict(fit) -> dict | None:
-    if fit is None:
-        return None
+def _fit_dict(fit) -> dict:
     return {
         "slope": fit.slope,
         "intercept": fit.intercept,

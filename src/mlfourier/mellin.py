@@ -167,7 +167,8 @@ def _wave(tp) -> tuple[float, float] | None:
 
 def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     """log of the size of the transform of E's exponential term, which the
-    residue series does not contain, at each xi; -inf where there is none.
+    residue series does not contain, at each xi, for a problem that has
+    one (_wave).
 
     E(z) carries (1/alpha) z^((1-beta)/alpha) e^{z^(1/alpha)} for
     |arg z| < pi alpha.  On the profile that is a wave e^{w r^p}, p =
@@ -179,10 +180,7 @@ def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     is the saddle-point value with the Bessel kernel's large-argument
     amplitude; for gamma >= pi the saddle is off the principal sheet.
     """
-    wave = _wave(tp)
-    if wave is None:
-        return np.full(xi.shape, -math.inf)
-    p, gamma = wave
+    p, gamma = _wave(tp)
     log_r = np.log(2.0 * math.pi * xi / p) / (p - 1.0)
     r = np.exp(np.minimum(log_r, 700.0))
     size = (

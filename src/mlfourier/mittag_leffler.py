@@ -9,14 +9,14 @@ double Taylor series where its cancellation guard accepts (|z| <=
 SERIES_RADIUS), past that the sector sum wherever, in the decay sector,
 its own error estimate is at most 1e-15 relative, and Laplace inversion
 everywhere else.  A sum bound to be rejected stops early (Taylor) or is
-not summed (sector), so a point pays for little more than the route it
-returns.  An array of z is evaluated entry by entry by that same
-rule, so each entry's value is the scalar one.  The sector sum is the one
-evaluator of the large-argument expansion: the optimally truncated
-algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus E's exponentially
-small saddle terms.  The mpmath series (ml_series) and the ray/arc contour
-(ml_contour, ml_on_ray) are independent references; ml_eval reaches
-neither.
+refused before any term is formed (sector), so a point pays for little
+more than the route it returns.  An array of z is evaluated entry by
+entry by that same rule, so each entry's value is the scalar one.  The
+sector sum is the one evaluator of the large-argument expansion: the
+optimally truncated algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus
+E's exponentially small saddle terms.  The mpmath series (ml_series) and
+the ray/arc contour (ml_contour, ml_on_ray) are independent references;
+ml_eval reaches neither.
 
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
@@ -425,38 +425,28 @@ def _exponential_waves(p: MLParams, z: Complex) -> Complex:
 
 _SECTOR_TERMS = 59
 
-
-@lru_cache(maxsize=64)
-def _sector_coefficients(a: float, b: float) -> tuple[Complex | None, ...]:
-    """1/Gamma(b - a k) for k = 1.._SECTOR_TERMS, None for a skipped term:
-    one whose reciprocal gamma lands on a pole zero, exactly or up to the
-    rounding of a*k.  Such terms carry no information about where the
-    series stops being useful; alpha = 1.3, beta = 0.8, k = 6 gives
-    -7.000000000000001, and a term of 1e-21 there would read as
-    convergence."""
-    out = []
-    for k in range(1, _SECTOR_TERMS + 1):
-        arg = b - a * k
-        rg = reciprocal_gamma(arg)
-        pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg)
-        out.append(None if pole else rg)
-    return tuple(out)
-
-
 # The sector sum is refused where the term it omits exceeds (1e-15 - eps)
-# (M + |wave|), widened by far more than the relative rounding (below
-# 1e-13) that separates the sizes _sector_refused forms from those
-# _sector_sum_adaptive forms.  Past |z| = _SECTOR_REFUSE_MAX it is not
-# refused, so that |z|^-_SECTOR_TERMS stays far inside the normal range.
+# (M + |wave|), widened by far more than the rounding (below 1e-13
+# relative) that separates the sizes it reads from the magnitudes of the
+# complex terms.  Past |z| = _SECTOR_REFUSE_MAX it is not refused, so that
+# |z|^-_SECTOR_TERMS stays far inside the normal range.
 _SECTOR_REFUSE = (1e-15 - _EPS) * (1.0 + 1e-10)
 _SECTOR_REFUSE_MAX = 1e4
 
 
 @lru_cache(maxsize=64)
-def _sector_sizes(a: float, b: float) -> tuple[tuple[float | None, ...], float]:
-    """(sizes, radius): |1/Gamma(b - a k)| for the terms of
-    _sector_coefficients (None where it skips one), and a radius from
-    which on _sector_refused cannot refuse.
+def _sector_coefficients(
+    a: float, b: float
+) -> tuple[tuple[tuple[Complex, float] | None, ...], float]:
+    """(coefficients, radius): (1/Gamma(b - a k), its size g_k) for
+    k = 1.._SECTOR_TERMS, None for a skipped term, and the radius from
+    which on the sector sum is never refused.
+
+    A term is skipped where its reciprocal gamma lands on a pole zero,
+    exactly or up to the rounding of a*k.  Such terms carry no information
+    about where the series stops being useful; alpha = 1.3, beta = 0.8,
+    k = 6 gives -7.000000000000001, and a term of 1e-21 there would read as
+    convergence.
 
     With t = log|z| the sizes are g_k e^{-k t}, and size j rises past the
     one before it where t < rise_j.  The sum stops at j, omitting it, for
@@ -464,10 +454,15 @@ def _sector_sizes(a: float, b: float) -> tuple[tuple[float | None, ...], float]:
     term.  The omitted term exceeds _SECTOR_REFUSE times the first, which
     is at most M, only below some t_j; the radius is the largest such
     bound on a non-empty interval."""
-    sizes = tuple(None if rg is None else abs(rg) for rg in _sector_coefficients(a, b))
-    logs = [(k, math.log(g)) for k, g in enumerate(sizes) if g is not None]
+    coefficients = []
+    for k in range(1, _SECTOR_TERMS + 1):
+        arg = b - a * k
+        rg = reciprocal_gamma(arg)
+        pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg)
+        coefficients.append(None if pole else (rg, abs(rg)))
+    logs = [(k, math.log(c[1])) for k, c in enumerate(coefficients) if c is not None]
     if not logs:  # the algebraic sum is exactly zero, and accepted
-        return sizes, 0.0
+        return tuple(coefficients), 0.0
     k0, l0 = logs[0]
     bar = math.log(_SECTOR_REFUSE)
     reach = best = -math.inf
@@ -479,86 +474,78 @@ def _sector_sizes(a: float, b: float) -> tuple[tuple[float | None, ...], float]:
         if top > reach:
             best = max(best, top)
         reach = max(reach, rise)
-    return sizes, math.exp(min(best, math.log(_SECTOR_REFUSE_MAX)))
-
-
-def _sector_refused(p: MLParams, z: Complex, r: float) -> bool:
-    """Whether _sector_sum_adaptive at z, |z| = r, is bound to miss its
-    1e-15 relative target, from r and the kept sizes (_sector_sizes)
-    alone, before any complex term is formed.
-
-    The sum omits the first size that rises past the one before it, or its
-    last term, unless a term falls below 1e-18 of the sum first.  Within
-    1e-12 of the one before, a size may rise or not after rounding, so the
-    sum may stop there or go on; the test takes the smallest size it could
-    omit, and a majorant M that counts every term it could sum.  Where no
-    summed size is below 1e-17 M and the value, at most M + |wave|, gives
-    an estimate omitted + eps (M + |wave|) above 1e-15 of it, the sum is
-    refused: every refused sum would be rejected.  The wave terms are
-    formed only where the algebraic part alone leaves the refusal open.
-    """
-    sizes, radius = _sector_sizes(p.alpha, p.beta)
-    if r >= radius:
-        return False
-    rinv = 1.0 / r
-    power = 1.0
-    prev = omitted = math.inf
-    majorant = 0.0
-    for g in sizes:
-        power *= rinv
-        if g is None:
-            continue
-        size = power * g
-        if size > prev * (1.0 - 1e-12):  # the sum may stop here
-            omitted = min(omitted, size)
-            if size > prev * (1.0 + 1e-12):  # and does
-                break
-        majorant += size
-        prev = size
-    else:
-        omitted = min(omitted, prev)
-    if not (omitted >= 1e-280 and prev > 1e-17 * majorant
-            and omitted > _SECTOR_REFUSE * majorant):
-        return False
-    return omitted > _SECTOR_REFUSE * (majorant + abs(_exponential_waves(p, z)))
+    return tuple(coefficients), math.exp(min(best, math.log(_SECTOR_REFUSE_MAX)))
 
 
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     """Optimally truncated sector sum plus the exponentially small wave
-    terms, with a first-omitted-term error estimate.  Terms on a gamma
-    pole are skipped (see _sector_coefficients).  The running sum serves
-    only the stop test; the value is fsum_complex of the terms.
+    terms, with a first-omitted-term error estimate, or (nan, inf) where
+    the sum is bound to miss its 1e-15 relative target.  Terms on a gamma
+    pole are skipped (see _sector_coefficients).
+
+    The stop tests read the real sizes |z|^-k g_k: the sum omits the
+    first size that rises past the one before it, or its last term, and
+    stops early where a size falls below 1e-18 of the running sum.  Inside
+    the radius of _sector_coefficients the sizes are walked first, before
+    any complex term is formed: where no size taken is below 1e-17 of their
+    sum M (so the early stop cannot fire) and the omitted size exceeds
+    _SECTOR_REFUSE (M + |wave|), the estimate omitted + eps (M + |wave|)
+    exceeds 1e-15 of the value, at most M + |wave|, and the sum is not
+    formed.  The running sum serves only the stop test; the value is
+    fsum_complex of the terms.
     """
+    coefficients, radius = _sector_coefficients(p.alpha, p.beta)
+    wave = _exponential_waves(p, z)
+    r = abs(z)
+    rinv = 1.0 / r
+    if r < radius:
+        power = 1.0
+        prev = math.inf
+        majorant = 0.0
+        for c in coefficients:
+            power *= rinv
+            if c is None:
+                continue
+            size = power * c[1]
+            if size > prev:
+                break
+            majorant += size
+            prev = size
+        else:
+            size = prev
+        if (size >= 1e-280 and prev > 1e-17 * majorant
+                and size > _SECTOR_REFUSE * (majorant + abs(wave))):
+            return complex(math.nan, math.nan), math.inf
     terms = []
     append = terms.append
     s = 0.0 + 0.0j
     winv = 1.0 / z
     wpow = 1.0 + 0.0j
-    prev = math.inf
-    omitted = math.inf
+    power = 1.0
+    prev = omitted = math.inf
     majorant = 0.0
-    for rg in _sector_coefficients(p.alpha, p.beta):
+    for c in coefficients:
         wpow *= winv
-        if rg is None:
+        power *= rinv
+        if c is None:
             continue
-        mag_term = abs(wpow) * abs(rg)
-        if mag_term > prev:
-            omitted = mag_term
+        size = power * c[1]
+        if size > prev:
+            omitted = size
             break
-        term = -wpow * rg
+        term = -wpow * c[0]
         append(term)
         s += term
-        majorant += mag_term
-        prev = omitted = mag_term
+        majorant += size
+        prev = omitted = size
         total = abs(s)
-        if mag_term < 1e-18 * (total if total > 1e-300 else 1e-300):
+        if size < 1e-18 * (total if total > 1e-300 else 1e-300):
             break
     if majorant == 0.0 and math.isinf(omitted):
         # Every algebraic term sat on a gamma pole (alpha = 1 with integer
         # beta): the series is exactly zero and the waves are the value.
         omitted = 0.0
-    wave = _exponential_waves(p, z)
-    terms.append(wave)
+    append(wave)
     return fsum_complex(terms), omitted + _EPS * (majorant + abs(wave))
 
 
@@ -608,32 +595,34 @@ def _parabola_between(
 def _parabola_beyond(phi0: float, p0: float) -> tuple[float, float, int] | None:
     """(mu, h, N) of the cheapest parabola right of every singularity, the
     rightmost having phi value phi0 and strength p0 (Garrappa 2015,
-    Sec. 4.2, at t = 1).  None when rounding leaves no admissible one."""
+    Sec. 4.2, at t = 1).  None when rounding leaves no admissible one.
+
+    Garrappa's vertex, never below 4.45 (its limit as phi_bar falls to 0),
+    lies above _LAPLACE_MU_MAX = 1.50, where it would amplify rounding: the
+    vertex is clamped and the parabola pays in nodes.  Of his placement
+    only the offset q enters, 0 at the origin's strength 0."""
     log_tol = _LAPLACE_LOG_TOL
     sq_star = math.sqrt(phi0)
-    phi_bar = 1.01 * phi0 if phi0 > 0 else 0.01
-    sq_bar = math.sqrt(phi_bar)
-    for _ in range(100):
-        ratio = log_tol / phi_bar
-        n = math.ceil(
-            phi_bar / math.pi * (1.0 - 1.5 * ratio + math.sqrt(1.0 - 2.0 * ratio))
-        )
-        a = math.pi * n / phi_bar
-        sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        if p0 < 1e-14 or 1.0 < ((sq_bar - sq_star) / sq_mu) ** (-p0) < 10.0:
-            break
-        # Move the parabola off the singularity until its error factor
-        # lands in (1, 10), aiming at 5.
-        sq_bar = 5.0 ** (-1.0 / p0) * sq_mu + sq_star
-        phi_bar = sq_bar * sq_bar
-    else:
-        return None
-    mu = sq_mu * sq_mu
-    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
-    if mu <= _LAPLACE_MU_MAX:
-        return mu, h, n
-    # Too large a vertex amplifies rounding: clamp it and pay in nodes.
-    q = 0.0 if p0 < 1e-14 else 5.0 ** (-1.0 / p0) * sq_mu
+    q = 0.0
+    if p0 >= 1e-14:
+        phi_bar = 1.01 * phi0 if phi0 > 0 else 0.01
+        sq_bar = math.sqrt(phi_bar)
+        for _ in range(100):
+            ratio = log_tol / phi_bar
+            n = math.ceil(
+                phi_bar / math.pi * (1.0 - 1.5 * ratio + math.sqrt(1.0 - 2.0 * ratio))
+            )
+            a = math.pi * n / phi_bar
+            sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+            if 1.0 < ((sq_bar - sq_star) / sq_mu) ** (-p0) < 10.0:
+                break
+            # Move the parabola off the singularity until its error factor
+            # lands in (1, 10), aiming at 5.
+            sq_bar = 5.0 ** (-1.0 / p0) * sq_mu + sq_star
+            phi_bar = sq_bar * sq_bar
+        else:
+            return None
+        q = 5.0 ** (-1.0 / p0) * sq_mu
     if (q + sq_star) ** 2 >= _LAPLACE_MU_MAX:
         return None
     log_eps = math.log(_EPS)
@@ -810,8 +799,9 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
       truncated sector sum with its exponentially small wave terms, where
       its error estimate (first omitted term plus rounding) is at most
       1e-15 |value|, a bound relative to E.  A sum that the sizes of its
-      terms, from |z| alone, show must miss that bound is not summed
-      (_sector_refused); such a point goes straight to Laplace inversion.
+      terms, from |z| alone, show must miss that bound returns (nan, inf)
+      before any complex term is formed (_sector_sum_adaptive); such a
+      point goes straight to Laplace inversion.
     - Everywhere else: Laplace inversion on Garrappa's optimal parabola
       (2015) with a node cap, to a fixed 1e-15 absolute on its integrand's
       scale (not relative to |E|).  A point that has no parabola within the
@@ -844,15 +834,14 @@ def _ml_rule(p: MLParams, z: Complex) -> Complex:
     """ml_eval's rule at a complex z."""
     if z == 0:
         return reciprocal_gamma(p.beta)
-    absz = abs(z)
-    if absz <= SERIES_RADIUS:
+    if abs(z) <= SERIES_RADIUS:
         try:
             value, ratio = _series_double(p, z)
         except OverflowError:  # a Taylor term leaves double range
             ratio = math.inf
         if _series_accepts(ratio):
             return value
-    elif abs(cmath.phase(z)) > math.pi * p.alpha / 2.0 and not _sector_refused(p, z, absz):
+    elif abs(cmath.phase(z)) > math.pi * p.alpha / 2.0:
         value, err = _sector_sum_adaptive(p, z)
         if err <= 1e-15 * abs(value):
             return value

@@ -162,6 +162,16 @@ class TestVerifySmallXi:
         with pytest.raises(LawMismatchError):
             verify_small_xi(POWER_TP, grid=np.geomspace(10.0, 1e3, 7))
 
+    def test_log_law_mismatch_raises(self):
+        # past xi = 1 the sigma = n transform decays like a power, which the
+        # log model cannot fit
+        with pytest.raises(LawMismatchError, match="log law rejected"):
+            verify_small_xi(LOG_TP, grid=np.geomspace(10.0, 1e3, 7))
+
+    def test_constant_law_mismatch_raises(self):
+        with pytest.raises(LawMismatchError, match="constant law"):
+            verify_small_xi(CONST_TP, grid=np.geomspace(10.0, 1e3, 7))
+
     def test_out_of_scope(self):
         with pytest.raises(DomainError, match=r"sigma > \(n-1\)/2"):
             verify_small_xi(TransformProblem(0.8, 1.0, math.pi, 0.9, 3))
@@ -186,6 +196,11 @@ class TestVerifyLargeXi:
         rep = verify_large_xi(POWER_TP, grid=np.geomspace(100.0, 1e4, 6))
         assert abs(rep.large_slope_fit.slope + 1.7) < 0.05
         assert not rep.constants_matched
+
+    def test_slope_mismatch_raises(self):
+        # the small-|xi| window follows the |xi|^(sigma - n) law instead
+        with pytest.raises(LawMismatchError, match="large-xi slope"):
+            verify_large_xi(POWER_TP, grid=np.geomspace(1e-4, 1e-2, 7))
 
     def test_even_integer_sigma_has_no_power_law(self):
         # every residue at s = -k sigma vanishes: F decays faster than any

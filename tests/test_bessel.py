@@ -247,6 +247,10 @@ class TestCertificate:
         assert remainder_decay_certificate(2.5, 3, CERT_GRID).exact
         assert not remainder_decay_certificate(2.0, 1, CERT_GRID).exact
 
+    def test_order_below_one_rejected(self):
+        with pytest.raises(DomainError, match="M >= 1"):
+            remainder_decay_certificate(2, 0, CERT_GRID)
+
     def test_single_point_grid_degenerate(self):
         with pytest.raises(FitError):
             remainder_decay_certificate(2, 1, [10.0])

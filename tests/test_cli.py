@@ -343,6 +343,12 @@ class TestVerifyAsymptotics:
             "--xi-min", "0", "--xi-max", "1e-2", "--xi-points", "8",
         )
         assert code == 2
+        code, _, err = run_cli(
+            capsys, *base,
+            "--xi-min", "1e-3", "--xi-max", "1e-2", "--xi-points", "5",
+        )
+        assert code == 2
+        assert "at least 6 grid points" in err
 
 
 class TestLpRegionCommand:

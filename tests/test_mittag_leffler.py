@@ -673,13 +673,43 @@ def test_sum_that_does_not_stop_raises(monkeypatch):
         mittag_leffler._series_double(MLParams(1.3, 1.0), 4.5)
 
 
+def _full_sector_sum(p, z):
+    """The sector sum summed whatever its outcome, with its stop tests on
+    the magnitudes of the complex powers, as ml_eval summed it before
+    doomed sums were refused: the fsum value and the estimate."""
+    terms, s, winv, wpow = [], 0j, 1.0 / z, 1.0 + 0.0j
+    prev = omitted = math.inf
+    majorant = 0.0
+    for k in range(1, mittag_leffler._SECTOR_TERMS + 1):
+        wpow *= winv
+        arg = p.beta - p.alpha * k
+        rg = reciprocal_gamma(arg)
+        if rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg):
+            continue
+        size = abs(wpow) * abs(rg)
+        if size > prev:
+            omitted = size
+            break
+        terms.append(-wpow * rg)
+        s += terms[-1]
+        majorant += size
+        prev = omitted = size
+        if size < 1e-18 * max(abs(s), 1e-300):
+            break
+    if majorant == 0.0 and math.isinf(omitted):
+        omitted = 0.0
+    wave = mittag_leffler._exponential_waves(p, z)
+    terms.append(wave)
+    return fsum_complex(terms), omitted + mittag_leffler._EPS * (majorant + abs(wave))
+
+
 @functools.lru_cache(maxsize=1)
 def _sector_scan():
-    """(p, z, refused, rejected) at 20,000 seeded decay-sector points:
-    alpha 0.3-1.9, beta 0.5-2.5, |z| 5-1e3 log-uniform, arg z uniform over
-    the decay sector or, at a quarter of the points, the negative real
-    axis exactly.  refused is _sector_refused's verdict, rejected whether
-    the sum misses the 1e-15 target that _ml_rule sets it."""
+    """(p, z, summed, full) at 20,000 seeded decay-sector points: alpha
+    0.3-1.9, beta 0.5-2.5, |z| 5-1e3 log-uniform, arg z uniform over the
+    decay sector or, at a quarter of the points, the negative real axis
+    exactly.  summed is _sector_sum_adaptive's return, full
+    _full_sector_sum's."""
     rng = np.random.default_rng(2002)
     out = []
     for _ in range(20000):
@@ -690,19 +720,26 @@ def _sector_scan():
         else:
             edge = math.pi * p.alpha / 2.0
             z = r * cmath.exp(1j * rng.choice((-1.0, 1.0)) * rng.uniform(edge, math.pi))
-        value, err = _sector_sum_adaptive(p, z)
-        rejected = not err <= 1e-15 * abs(value)
-        out.append((p, z, mittag_leffler._sector_refused(p, z, abs(z)), rejected))
+        out.append((p, z, _sector_sum_adaptive(p, z), _full_sector_sum(p, z)))
     return out
 
 
 def test_sector_refusal_is_conservative():
-    scan = _sector_scan()
-    rejected = sum(rej for *_, rej in scan)
-    refused = sum(ref for _, _, ref, _ in scan)
+    # A refused sum, (nan, inf), is one the full sum's estimate rejects
+    # against the 1e-15 target that _ml_rule sets; every other return is
+    # the full sum's value, bit for bit, with its estimate to rounding.
+    rejected = refused = 0
+    for p, z, (value, err), (full_value, full_err) in _sector_scan():
+        rejects = not full_err <= 1e-15 * abs(full_value)
+        rejected += rejects
+        if err == math.inf:
+            refused += 1
+            assert cmath.isnan(value) and rejects, (p, z)
+        else:
+            assert repr(value) == repr(full_value), (p, z)
+            assert abs(err - full_err) <= 1e-14 * full_err, (p, z)
+            assert (not err <= 1e-15 * abs(value)) == rejects, (p, z)
     assert rejected > 5000
-    for p, z, ref, rej in scan:
-        assert rej or not ref, (p, z)
     # What is left is cancellation in the value, which sizes cannot see.
     assert refused >= 0.99 * rejected
 
@@ -714,7 +751,7 @@ def _kept_table_points():
 
 
 def test_values_do_not_depend_on_the_kept_tables():
-    tables = (mittag_leffler._taylor_row, mittag_leffler._sector_sizes)
+    tables = (mittag_leffler._taylor_row, mittag_leffler._sector_coefficients)
     points = _kept_table_points()
 
     def values():
@@ -729,23 +766,25 @@ def test_values_do_not_depend_on_the_kept_tables():
             table(0.5 + 1e-3 * k, 1.0)
         assert table.cache_info().currsize == table.cache_info().maxsize
     assert values() == cold  # after eviction
-    sizes, radius = mittag_leffler._sector_sizes(0.5, 1.0)
-    assert isinstance(sizes, tuple) and isinstance(radius, float)
+    coefficients, radius = mittag_leffler._sector_coefficients(0.5, 1.0)
+    assert isinstance(coefficients, tuple) and isinstance(radius, float)
 
 
 def test_few_sector_sums_are_summed_and_rejected(monkeypatch):
     # Kernels-style points: alpha 0.5, 0.8, 1.3, beta 1, arg z = pi or
     # 0.1 rad inside the decay sector, |z| 1e-2-1e3 stratified log-uniform.
-    # Only a sum whose value cancels below M + |wave| still runs.
+    # A refused sum, (nan, inf), is not summed; only a sum whose value
+    # cancels below M + |wave| still runs and is rejected.
     rng = np.random.default_rng(1)
     summed, wasted = [], []
     sector_sum = mittag_leffler._sector_sum_adaptive
 
     def counted(p, z):
         value, err = sector_sum(p, z)
-        summed.append((p, z))
-        if not err <= 1e-15 * abs(value):
-            wasted.append((p, z))
+        if err < math.inf:
+            summed.append((p, z))
+            if not err <= 1e-15 * abs(value):
+                wasted.append((p, z))
         return value, err
 
     monkeypatch.setattr(mittag_leffler, "_sector_sum_adaptive", counted)
@@ -757,6 +796,43 @@ def test_few_sector_sums_are_summed_and_rejected(monkeypatch):
                 ml_eval(p, r * cmath.exp(1j * phi))
     assert len(summed) > 150
     assert len(wasted) <= 2, wasted
+
+
+def test_parabola_beyond_always_clamps_its_vertex(monkeypatch):
+    # Every parabola right of all singularities has its vertex at the
+    # clamp: Garrappa's own is always larger (next test).
+    beyond = mittag_leffler._parabola_beyond
+    calls, returned = [], []
+
+    def recorded(phi0, p0):
+        out = beyond(phi0, p0)
+        calls.append(p0)
+        if out is not None:
+            returned.append(out)
+        return out
+
+    monkeypatch.setattr(mittag_leffler, "_parabola_beyond", recorded)
+    rng = np.random.default_rng(2015)
+    for _ in range(5000):
+        alpha, beta = rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5)
+        z = 10.0 ** rng.uniform(-2.0, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        mittag_leffler._laplace_parabola(alpha, beta, z)
+    # origins of strength 0 and above, and simple poles
+    assert min(calls) == 0.0 and sum(0.0 < p0 != 1.0 for p0 in calls) > 100
+    assert 1.0 in calls and len(returned) > 2000
+    assert all(mu == mittag_leffler._LAPLACE_MU_MAX for mu, _, _ in returned)
+
+
+def test_garrappa_vertex_lies_above_the_clamp():
+    # Sec. 4.2's vertex for the parabola placed at phi_bar, as
+    # _parabola_beyond computes it: never below 4.45, its limit as phi_bar
+    # falls to 0.
+    phi_bar = np.geomspace(1e-300, 1e4, 200001)
+    ratio = mittag_leffler._LAPLACE_LOG_TOL / phi_bar
+    n = np.ceil(phi_bar / math.pi * (1.0 - 1.5 * ratio + np.sqrt(1.0 - 2.0 * ratio)))
+    a = math.pi * n / phi_bar
+    mu = phi_bar * ((4.0 - a) / (7.0 - np.sqrt(1.0 + 12.0 * a))) ** 2
+    assert mu.min() > 4.45 > mittag_leffler._LAPLACE_MU_MAX
 
 
 def test_eval_decay_sector_never_escalates_to_mpmath(monkeypatch):
