@@ -10,13 +10,17 @@ SERIES_RADIUS), past that the sector sum wherever, in the decay sector,
 its own error estimate is at most 1e-15 relative, and Laplace inversion
 everywhere else.  A sum bound to be rejected stops early (Taylor) or is
 refused before any term is formed (sector), so a point pays for little
-more than the route it returns.  An array of z is evaluated entry by
-entry by that same rule, so each entry's value is the scalar one.  The
-sector sum is the one evaluator of the large-argument expansion: the
-optimally truncated algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus
-E's exponentially small saddle terms.  The mpmath series (ml_series) and
-the ray/arc contour (ml_contour, ml_on_ray) are independent references;
-ml_eval reaches neither.
+more than the route it returns.  Laplace inversion plans its parabola in
+the gaps between the singularities, each left end rounded up and each
+right end down onto the ladder 2^(j/8), and keeps the last 128 plans with
+their node weights, at most 4.9 MB: a call is one division per node and
+one sum.  An array of z is evaluated entry by entry by that same rule, so
+each entry's value is the scalar one.  The sector sum is the one
+evaluator of the large-argument expansion: the optimally truncated
+algebraic sum -sum_k z^-k/Gamma(beta - alpha k) plus E's exponentially
+small saddle terms.  The mpmath series (ml_series) and the ray/arc
+contour (ml_contour, ml_on_ray) are independent references; ml_eval
+reaches neither.
 
 Conventions.  The contour C(eps, omega) consists of the rays
 arg z = +-omega, |z| >= eps and the arc |z| = eps, -omega <= arg z <= omega,
@@ -555,6 +559,11 @@ def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
 _LAPLACE_LOG_TOL = math.log(1e-15)
 _LAPLACE_MAX_NODES = 500
 _LAPLACE_MU_MAX = _LAPLACE_LOG_TOL - math.log(_EPS)
+# Plans key on (alpha, b, gaps): phi values on the ladder 2^(j/_RUNGS)
+# (_laplace_gaps); the last _LAPLACE_KEPT plans and weights are kept.
+_RUNGS = 8
+_LAPLACE_KEPT = 128
+_Gaps = tuple[tuple[float, float], ...]
 
 
 def _parabola_between(
@@ -562,8 +571,9 @@ def _parabola_between(
 ) -> tuple[float, float, int] | None:
     """(mu, h, N) of the cheapest parabola separating singularities with
     phi values phi0 < phi1 (Garrappa 2015, Sec. 4.1, at t = 1); p0 is the
-    strength of the left singularity, the right one is a simple pole.
-    None when rounding leaves no admissible parabola."""
+    strength of the left singularity, the right one is a simple pole.  A
+    phi1 past the reach of a vertex below _LAPLACE_MU_MAX is planned as at
+    that reach.  None when rounding leaves no admissible parabola."""
     log_tol = _LAPLACE_LOG_TOL
     f_max = math.exp(_LAPLACE_MU_MAX)
     sq0 = math.sqrt(phi0)
@@ -580,7 +590,7 @@ def _parabola_between(
         bar0, bar1 = 0.0, 2.0 * sq1 / (2.0 + fq)
     else:
         fp = f_bar ** (-1.0 / p0)
-        w = -phi1 / log_tol
+        w = -sq1 * sq1 / log_tol
         den = 2.0 + w - (1.0 + w) * fp + fq
         bar0 = ((2.0 + w + fq) * sq0 + fp * sq1) / den
         bar1 = (-(1.0 + w) * fq * sq0 + (2.0 + w - (1.0 + w) * fp) * sq1) / den
@@ -632,22 +642,13 @@ def _parabola_beyond(phi0: float, p0: float) -> tuple[float, float, int] | None:
     return _LAPLACE_MU_MAX, w / n, n
 
 
-def _laplace_parabola(
-    a: float, b: float, z: Complex
-) -> tuple[float, float, int, tuple[Complex, ...]] | None:
-    """(mu, h, N, poles) of the cheapest parabola for E_{a,b}(z), z != 0,
-    and the poles right of it; None when none meets the target within
-    _LAPLACE_MAX_NODES.
-
-    The poles s* = |z|^(1/a) e^{i(arg z + 2 pi k)/a} of s^(a-b)/(s^a - z)
-    in the principal sheet and the branch point at the origin (strength
-    2(b - a - 1) when positive) are the singularities; the parabola is
-    chosen among the gaps between them for the fewest nodes.
-    """
+def _laplace_poles(a: float, z: Complex) -> list[tuple[float, Complex]]:
+    """(phi(s*), s*) of the poles s* = |z|^(1/a) e^{i(arg z + 2 pi k)/a} of
+    s^(a-b)/(s^a - z) in the principal sheet, z != 0, by increasing phi.
+    phi(s) = (Re s + |s|)/2 = (Re sqrt(s))^2: s lies left of the parabola
+    with vertex mu exactly when phi(s) < mu."""
     theta = cmath.phase(z)
     root = abs(z) ** (1.0 / a)
-    # phi(s) = (Re s + |s|)/2 = (Re sqrt(s))^2: s lies left of the parabola
-    # with vertex mu exactly when phi(s) < mu.
     poles = []
     for k in range(math.ceil(-a / 2 - theta / (2 * math.pi)),
                    math.floor(a / 2 - theta / (2 * math.pi)) + 1):
@@ -655,42 +656,74 @@ def _laplace_parabola(
         phi = root * math.cos(ang / 2.0) ** 2
         if phi > 1e-15:
             poles.append((phi, root * cmath.exp(1j * ang)))
-    poles.sort(key=lambda q: q[0])
-    phis = [0.0] + [q[0] for q in poles] + [math.inf]
+    return sorted(poles, key=lambda q: q[0])
+
+
+def _on_ladder(phi: float, up: bool) -> float:
+    """phi > 0 rounded up or down onto the ladder 2^(j/_RUNGS)."""
+    step = 1 if up else -1
+    j = (math.ceil if up else math.floor)(_RUNGS * math.log2(phi))
+    while step * (2.0 ** (j / _RUNGS) - phi) < 0.0:  # log2 rounded across a rung
+        j += step
+    return 2.0 ** (j / _RUNGS)
+
+
+def _laplace_gaps(phis: list[float]) -> _Gaps:
+    """The gaps (lo, hi) between the origin (phi 0), the poles' increasing
+    phi values and infinity, planned inside the true ones: lo rounded up
+    and hi down onto the ladder (_on_ladder), the origin and infinity kept.
+    A gap that the rounding would close keeps its exact ends.  The gaps
+    stop before the first with lo >= _LAPLACE_MU_MAX, where no parabola
+    has its vertex."""
+    gaps = []
+    for lo, hi in zip([0.0] + phis, phis + [math.inf]):
+        lo_r = _on_ladder(lo, True) if lo > 0.0 else lo
+        hi_r = _on_ladder(hi, False) if hi < math.inf else hi
+        gap = (lo_r, hi_r) if lo_r < hi_r else (lo, hi)
+        if gap[0] >= _LAPLACE_MU_MAX:
+            break
+        gaps.append(gap)
+    return tuple(gaps)
+
+
+@lru_cache(maxsize=_LAPLACE_KEPT)
+def _laplace_parabola(a: float, b: float, gaps: _Gaps) -> tuple[int, float, float, int] | None:
+    """(j, mu, h, N) of the cheapest parabola for E_{a,b} in one of the
+    gaps of _laplace_gaps, the j-th, whatever its N; None when rounding
+    leaves none.  The origin (gap 0's left end) has strength 2(b - a - 1)
+    when positive; every pole is simple."""
     best = None
-    for j in range(len(poles) + 1):
-        if not (phis[j] < _LAPLACE_MU_MAX and phis[j] < phis[j + 1]):
+    for j, (lo, hi) in enumerate(gaps):
+        if not (lo < _LAPLACE_MU_MAX and lo < hi):
             continue
         strength = max(0.0, 2.0 * (b - a - 1.0)) if j == 0 else 1.0
-        if j < len(poles):
-            cand = _parabola_between(phis[j], phis[j + 1], strength)
+        if hi < math.inf:
+            cand = _parabola_between(lo, hi, strength)
         else:
-            cand = _parabola_beyond(phis[j], strength)
-        if cand is not None and (best is None or cand[2] < best[1][2]):
-            best = (j, cand)
-    if best is None or best[1][2] > _LAPLACE_MAX_NODES:
-        return None
-    j, (mu, h, n) = best
-    return mu, h, n, tuple(q[1] for q in poles[j:])
+            cand = _parabola_beyond(lo, strength)
+        if cand is not None and (best is None or cand[2] < best[3]):
+            best = (j,) + cand
+    return best
 
 
-def _laplace_route(
-    p: MLParams, z: Complex
-) -> tuple[int, float, float, int, tuple[Complex, ...]]:
-    """(m, mu, h, N, poles): the parabola of E_{a, b - m a}(z) for the
-    smallest m >= 0 that has one.
+def _laplace_route(p: MLParams, z: Complex) -> tuple[int, float, _Gaps, tuple[Complex, ...]]:
+    """(m, b, gaps, poles): the plan key (alpha, b = beta - m alpha, gaps)
+    of E_{a,b}(z) for the smallest m >= 0 whose parabola has at most
+    _LAPLACE_MAX_NODES nodes a side, and the poles right of that parabola.
 
     Each step of E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z lowers the
     strength 2(b - a - 1) of the origin singularity by 2a, so a strong
     origin (beta > alpha + 1), which can leave no admissible parabola,
     moves to a weaker one.  ConvergenceError when no step helps.
     """
+    poles = _laplace_poles(p.alpha, z)
+    gaps = _laplace_gaps([q[0] for q in poles])
     b = p.beta
     steps = 0
     while True:
-        plan = _laplace_parabola(p.alpha, b, z)
-        if plan is not None:
-            return (steps,) + plan
+        plan = _laplace_parabola(p.alpha, b, gaps)
+        if plan is not None and plan[3] <= _LAPLACE_MAX_NODES:
+            return steps, b, gaps, tuple(q[1] for q in poles[plan[0]:])
         if b <= p.alpha + 1.0:
             raise ConvergenceError(
                 f"no parabola meets the 1e-15 target for E_{{{p.alpha},"
@@ -698,13 +731,6 @@ def _laplace_route(
             )
         b -= p.alpha
         steps += 1
-
-
-# Laplace steps lie on the ladder 2^(-k/4); the z-free node factors of up
-# to this many (alpha, b, k, N) keys are kept.  N <= ceil(2^(1/4) 500) =
-# 595 per side, so a key holds at most 1,191 nodes x 3 complex arrays
-# (57 KB) and the cache at most 7.3 MB.
-_LAPLACE_KEPT = 128
 
 
 def _laplace_step(h: float, n: int) -> tuple[int, float, int]:
@@ -723,25 +749,22 @@ def _laplace_step(h: float, n: int) -> tuple[int, float, int]:
 
 
 @lru_cache(maxsize=_LAPLACE_KEPT)
-def _laplace_nodes(
-    a: float, b: float, k: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The z-free factors (T, W, P) at the nodes u_j = 2^(-k/4) j,
-    |j| <= n, of the parabola s = mu T: T = (1 + iu)^2,
-    W = (1 + iu)^(2(a-b)) 2(i - u) and P = (1 + iu)^(2a), all from one
-    complex log.  log s = log mu + 2 log(1 + iu) on the principal branch,
-    since arg (1 + iu)^2 = 2 atan u lies in (-pi, pi).  Read-only."""
-    u = 2.0 ** (-k / 4.0) * np.arange(-n, n + 1)
+def _laplace_weights(a: float, b: float, gaps: _Gaps) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights (c, d) on the parabola s = mu T, T = (1 + iu)^2,
+    of _laplace_parabola's plan, at its ladder nodes u_j = h_k j, |j| <=
+    N_k (_laplace_step): c = h_k mu^(a-b+1) e^{mu T} W/(2 pi i), W =
+    (1 + iu)^(2(a-b)) 2(i - u), and d = mu^a P, P = (1 + iu)^(2a), from one
+    complex log (principal: arg T = 2 atan u lies in (-pi, pi))."""
+    _, mu, h, n = _laplace_parabola(a, b, gaps)
+    _, h_k, n_k = _laplace_step(h, n)
+    u = h_k * np.arange(-n_k, n_k + 1)
     one_iu = 1.0 + 1j * u
     log_one_iu = np.log(one_iu)
-    factors = (
-        one_iu * one_iu,
-        np.exp(2.0 * (a - b) * log_one_iu) * (2.0 * (1j - u)),
-        np.exp(2.0 * a * log_one_iu),
-    )
-    for f in factors:
-        f.flags.writeable = False
-    return factors
+    scale = h_k * mu ** (a - b + 1.0) / (2j * math.pi)
+    c = np.exp(mu * one_iu * one_iu + 2.0 * (a - b) * log_one_iu) * (2.0 * (1j - u)) * scale
+    d = mu**a * np.exp(2.0 * a * log_one_iu)
+    c.flags.writeable = d.flags.writeable = False
+    return c, d
 
 
 def _ml_laplace(p: MLParams, z: Complex) -> Complex:
@@ -754,24 +777,24 @@ def _ml_laplace(p: MLParams, z: Complex) -> Complex:
     (1/alpha) s*^(1-beta) e^{s*}.  The parabola (mu, h, N) is chosen for
     the fewest nodes at absolute accuracy about 1e-15 relative to the
     integrand scale (see _laplace_route for beta > alpha + 1), with
-    Garrappa's N capped at _LAPLACE_MAX_NODES.  The step h is then rounded
-    down onto the ladder 2^(-k/4) with at least as long a node range
-    (_laplace_step), and the nodes' z-free factors are kept per
-    (alpha, b, k, N_k) for the last _LAPLACE_KEPT keys (_laplace_nodes),
-    so that a call takes one complex exponential per node.  The kept
-    factors are a pure function of their key: a cold and a warm cache give
-    the same bits.  ConvergenceError when no parabola meets the target
-    within the cap, AccuracyError when E leaves double range.
+    Garrappa's N capped at _LAPLACE_MAX_NODES, in the gaps between the
+    singularities' phi values with each left end rounded up and each right
+    end down onto the ladder 2^(j/_RUNGS) (_laplace_gaps): the planned gap
+    lies inside the true one, so Garrappa's error bound holds for the true
+    singularities, and nearby points share a plan.  Its step is rounded
+    down onto the ladder 2^(-k/4) (_laplace_step).  The plan and its
+    weights c, d are kept for the last _LAPLACE_KEPT (alpha, b, gaps) keys;
+    N_k <= ceil(2^(1/4) 500) = 595, so a key holds at most 1,191 nodes x 2
+    complex arrays (38 KB), 4.9 MB in all.  A call is the sum of
+    c/(d - z), one division per node.  The kept tables are pure functions
+    of their keys: a cold and a warm cache give the same bits.
+    ConvergenceError when no parabola meets the target within the cap,
+    AccuracyError when E leaves double range.
     """
-    steps, mu, h, n, poles = _laplace_route(p, z)
+    steps, b, gaps, poles = _laplace_route(p, z)
     a = p.alpha
-    b = p.beta - steps * a
-    k, h_k, n_k = _laplace_step(h, n)
-    t, w, pa = _laplace_nodes(a, b, k, n_k)
-    # (2 pi i)^{-1} e^s s^(a-b)/(s^a - z) ds over the 2N_k+1 nodes, with
-    # s = mu T, s^(a-b) ds = mu^(a-b+1) W du and s^a = mu^a P.
-    f = np.exp(mu * t) * w / (mu**a * pa - z)
-    value = complex(h_k * mu ** (a - b + 1.0) * f.sum() / (2j * math.pi))
+    c, d = _laplace_weights(a, b, gaps)
+    value = complex((c / (d - z)).sum())
     try:
         for s_star in poles:
             value += s_star ** (1.0 - b) * cmath.exp(s_star) / a
@@ -804,8 +827,10 @@ def ml_eval(p: MLParams, z: Complex | np.ndarray) -> Complex | np.ndarray:
       point goes straight to Laplace inversion.
     - Everywhere else: Laplace inversion on Garrappa's optimal parabola
       (2015) with a node cap, to a fixed 1e-15 absolute on its integrand's
-      scale (not relative to |E|).  A point that has no parabola within the
-      cap raises ConvergenceError; a value outside double range, AccuracyError.
+      scale (not relative to |E|), planned in the singularities' gaps
+      rounded inward onto 2^(j/8); the last 128 plans are kept with their
+      weights, at most 4.9 MB.  No parabola within the cap raises
+      ConvergenceError; a value outside double range, AccuracyError.
 
     Accuracy: ~5e-14 relative against independent values wherever |E| is
     algebraic in 1/|z|, whichever route serves the point.  Only E_{1,1} =

@@ -58,7 +58,7 @@ class TestEvalMl:
         assert abs(rows[0]["im"]) < 1e-12
         # README's line, est_error = 1e-10 |E| included
         assert out.splitlines()[1] == (
-            "1.0,0.3678794411714422,0.0,0.3678794411714422,3.6787944117144225e-11"
+            "1.0,0.36787944117144233,0.0,0.36787944117144233,3.678794411714424e-11"
         )
 
     def test_value_at_origin(self, capsys):

@@ -9,6 +9,7 @@ import cmath
 import functools
 import inspect
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -462,12 +463,30 @@ def test_laplace_matches_series_and_contour(alpha, beta):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _parent_laplace(p, z, h, n):
+def _route(p, z):
+    """(steps, mu, h, N, poles) of the parabola _ml_laplace sums on, with
+    Garrappa's own step h and N, before the step ladder."""
+    steps, b, gaps, poles = mittag_leffler._laplace_route(p, z)
+    _, mu, h, n = mittag_leffler._laplace_parabola(p.alpha, b, gaps)
+    return steps, mu, h, n, poles
+
+
+def _exact_gaps(phis):
+    return tuple(zip([0.0] + phis, phis + [math.inf]))
+
+
+def _exact_route(p, z):
+    """_route on the parabola planned from the exact phi values."""
+    with mock.patch.object(mittag_leffler, "_laplace_gaps", _exact_gaps):
+        return _route(p, z)
+
+
+def _parent_laplace(p, z, route, h, n):
     """The direct 2N+1-node sum that _ml_laplace replaced, at step h with n
-    nodes a side on _laplace_route's parabola: (value, scale), scale being
+    nodes a side on the parabola of `route`: (value, scale), scale being
     the size of everything summed (nodes, residues, recurrence terms), on
     which rounding acts.  OverflowError where a residue leaves range."""
-    steps, mu, _, _, poles = mittag_leffler._laplace_route(p, z)
+    steps, mu, _, _, poles = route
     a = p.alpha
     b = p.beta - steps * a
     u = h * np.arange(-n, n + 1)
@@ -489,12 +508,11 @@ def _parent_laplace(p, z, h, n):
 
 
 @functools.lru_cache(maxsize=1)
-def _laplace_scan():
-    """(p, z, route, ladder step, _ml_laplace value) at the seeded points
-    that have a parabola: alpha 0.3-1.9, beta 0.5-2.5, |z| 0.1-300
-    log-uniform, arg z uniform over both sectors or, at a quarter of the
-    points, the negative real axis.  The value is None where a residue
-    leaves double range."""
+def _laplace_points():
+    """(p, z, exact route) at 3,000 seeded points: alpha 0.3-1.9, beta
+    0.5-2.5, |z| 0.1-300 log-uniform, arg z uniform over both sectors or,
+    at a quarter of the points, the negative real axis.  The exact route
+    is None where the exact phi values leave no parabola."""
     rng = np.random.default_rng(2007)
     out = []
     for _ in range(3000):
@@ -505,7 +523,21 @@ def _laplace_scan():
         else:
             z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         try:
-            route = mittag_leffler._laplace_route(p, z)
+            out.append((p, z, _exact_route(p, z)))
+        except ConvergenceError:
+            out.append((p, z, None))
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _laplace_scan():
+    """(p, z, route, ladder step, _ml_laplace value) at the points of
+    _laplace_points that have a parabola.  The value is None where a
+    residue leaves double range."""
+    out = []
+    for p, z, _ in _laplace_points():
+        try:
+            route = _route(p, z)
         except ConvergenceError:
             continue
         try:
@@ -523,12 +555,106 @@ def test_laplace_scan_reaches_recurrence_and_poles():
     assert sum(len(poles) > 0 for *_, poles in routes) > 1000
 
 
+def test_on_ladder_brackets_values_next_to_its_rungs():
+    # log2 can round across a rung; the rounding must still go the right way.
+    for j in range(-200, 80):
+        rung = 2.0 ** (j / 8.0)
+        for x in (math.nextafter(rung, 0.0), rung, math.nextafter(rung, math.inf)):
+            up, down = mittag_leffler._on_ladder(x, True), mittag_leffler._on_ladder(x, False)
+            assert down <= x <= up and up <= down * 2.0 ** 0.125 * (1.0 + 1e-15), x
+
+
+def test_laplace_gaps_lie_inside_the_true_ones():
+    # A planned gap lies inside its true one, each finite nonzero end on
+    # the ladder 2^(j/8), or is the true one where rounding would close it;
+    # the gaps stop only before one whose left end, rounded up, leaves no
+    # admissible vertex.
+    def on_ladder(x):
+        return x in (0.0, math.inf) or x == 2.0 ** (round(8.0 * math.log2(x)) / 8.0)
+
+    closed = 0
+    for p, z, _ in _laplace_points():
+        phis = [phi for phi, _ in mittag_leffler._laplace_poles(p.alpha, z)]
+        true, planned = _exact_gaps(phis), mittag_leffler._laplace_gaps(phis)
+        for (lo, hi), (p_lo, p_hi) in zip(true, planned):
+            if (p_lo, p_hi) != (lo, hi):
+                assert lo <= p_lo < p_hi <= hi and on_ladder(p_lo) and on_ladder(p_hi), (p, z)
+            elif lo < hi and not (on_ladder(lo) and on_ladder(hi)):
+                closed += 1
+        cut = true[len(planned):]
+        assert all(lo * 2.0 ** 0.125 >= mittag_leffler._LAPLACE_MU_MAX for lo, _ in cut)
+    assert closed > 0
+
+
+def test_laplace_rounded_plans_lose_no_parabola():
+    # Each gap is planned inside the true one, and one that rounding would
+    # close keeps its exact ends: every point with a parabola keeps one,
+    # at about as many nodes.
+    points = _laplace_points()
+    assert all(exact is not None for _, _, exact in points)
+    assert len(_laplace_scan()) == len(points)
+    exact_n = [mittag_leffler._laplace_step(*exact[2:4])[2] for _, _, exact in points]
+    rounded_n = [n_k for _, _, _, (_, _, n_k), _ in _laplace_scan()]
+    assert sum(rounded_n) <= 1.05 * sum(exact_n)
+
+
+def test_laplace_rounded_plans_move_values_little():
+    # Against the parent's sum on the parabola planned from the exact phi
+    # values, with Garrappa's own step: rounding the gaps moves no value by
+    # more than 1e-12 of what is summed.
+    for (p, z, exact), (_, _, _, _, value) in zip(_laplace_points(), _laplace_scan()):
+        if value is None:
+            continue
+        want, scale = _parent_laplace(p, z, exact, *exact[2:4])
+        assert abs(value - want) <= 1e-12 * scale, (p, z)
+
+
+def test_laplace_plans_on_a_ray_are_few():
+    # One ray of the transform's profile: 1,000 points share few plans.
+    z = np.geomspace(5.0, 500.0, 1000) * cmath.exp(0.9j * math.pi)
+    for alpha, most in ((0.8, 1), (1.3, 70)):
+        p = MLParams(alpha, 1.0)
+        keys = {mittag_leffler._laplace_route(p, complex(v))[1:3] for v in z}
+        assert len(keys) <= most, (alpha, len(keys))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5])
+def test_laplace_strong_origins_match_series(alpha):
+    # beta 2.1-2.5 gives the origin singularity strength 2(beta - alpha - 1)
+    # of 1.2 to 2.4.  The reference series needs ~|z|^(1/alpha) terms at
+    # as many digits: these radii keep it near a second a point.
+    radii = {0.3: (2.0, 3.5), 0.4: (4.0, 6.0), 0.5: (6.0, 10.0)}[alpha]
+    for beta in (2.1, 2.5):
+        p = MLParams(alpha, beta)
+        for phase in (math.pi * alpha / 2.0 + 0.05, math.pi):
+            for r in radii:
+                z = r * cmath.exp(1j * phase)
+                want = ml_series(p, z)
+                assert abs(_ml_laplace(p, z) - want) <= 1e-14 * abs(want), (beta, phase, r)
+
+
+def test_laplace_strong_origins_match_contour_far_out():
+    # Between a strong origin and a pole past the vertex clamp the planned
+    # gap ends at the clamp.  A placement that weighs the pole's own phi
+    # takes too coarse a step: 4 of these points are then 1.7e-13 to
+    # 4.1e-13 off.
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        alpha, beta = rng.uniform(0.3, 0.5), rng.uniform(2.1, 2.5)
+        r = 10.0 ** rng.uniform(1.0, math.log10(150.0))
+        phase = rng.uniform(math.pi * alpha / 2.0 + 0.1, math.pi) * rng.choice([-1, 1])
+        p = MLParams(alpha, beta)
+        want = ml_on_ray(p, phase, r)
+        got = _ml_laplace(p, r * cmath.exp(1j * phase))
+        assert abs(got - want) <= 3e-14 * abs(want), (alpha, beta, r, phase)
+
+
 def test_laplace_matches_parent_sum_on_the_ladder():
-    # The kept z-free factors change only the rounding: on the same nodes
-    # the parent's sum agrees to 1e-14 of what is summed.
-    for p, z, _, (_, h_k, n_k), value in _laplace_scan():
+    # The kept weights change only the rounding: on the same nodes the
+    # parent's sum agrees to 1e-14 of what is summed.
+    for p, z, route, (_, h_k, n_k), value in _laplace_scan():
         try:
-            want, scale = _parent_laplace(p, z, h_k, n_k)
+            want, scale = _parent_laplace(p, z, route, h_k, n_k)
         except OverflowError:
             assert value is None, (p, z)
             continue
@@ -539,10 +665,10 @@ def test_laplace_ladder_moves_parent_values_little():
     # On its own (coarser) step the parent's sum is up to ~5e-13 off at
     # strong origins (alpha near 0.3-0.5, beta near 2.3): Garrappa's h is
     # too coarse there, and the ladder's smaller step is the closer one.
-    for p, z, (_, _, h, n, _), _, value in _laplace_scan():
+    for p, z, route, _, value in _laplace_scan():
         if value is None:
             continue
-        want, scale = _parent_laplace(p, z, h, n)
+        want, scale = _parent_laplace(p, z, route, *route[2:4])
         assert abs(value - want) <= 1e-12 * scale, (p, z)
 
 
@@ -556,21 +682,23 @@ def test_laplace_step_on_the_ladder():
 
 
 def test_laplace_values_do_not_depend_on_the_kept_factors():
-    nodes = mittag_leffler._laplace_nodes
+    tables = (mittag_leffler._laplace_parabola, mittag_leffler._laplace_weights)
     points = [(p, z) for p, z, _, _, value in _laplace_scan()[:300] if value is not None]
 
     def values():
         return [ml_eval(p, z) for p, z in points]
 
-    nodes.cache_clear()
+    for table in tables:
+        table.cache_clear()
     cold = values()
     assert values() == cold  # warm
-    for k in range(nodes.cache_info().maxsize + 10):
-        nodes(0.5, 1.0, 20 + k, 4)
-    assert nodes.cache_info().currsize == nodes.cache_info().maxsize
+    for table in tables:
+        for k in range(table.cache_info().maxsize + 10):
+            table(0.5, 1.0 + 1e-3 * k, ((0.0, math.inf),))
+        assert table.cache_info().currsize == table.cache_info().maxsize
     assert values() == cold  # after eviction
-    for factor in nodes(0.5, 1.0, 20, 4):
-        assert not factor.flags.writeable
+    for weights in mittag_leffler._laplace_weights(0.5, 1.0, ((0.0, math.inf),)):
+        assert not weights.flags.writeable
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.4, 2.3), (0.8, 1.0), (1.3, 0.8), (1.7, 1.5)])
@@ -812,11 +940,13 @@ def test_parabola_beyond_always_clamps_its_vertex(monkeypatch):
         return out
 
     monkeypatch.setattr(mittag_leffler, "_parabola_beyond", recorded)
+    mittag_leffler._laplace_parabola.cache_clear()  # kept plans call no planner
     rng = np.random.default_rng(2015)
     for _ in range(5000):
         alpha, beta = rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5)
         z = 10.0 ** rng.uniform(-2.0, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        mittag_leffler._laplace_parabola(alpha, beta, z)
+        phis = [phi for phi, _ in mittag_leffler._laplace_poles(alpha, z)]
+        mittag_leffler._laplace_parabola(alpha, beta, mittag_leffler._laplace_gaps(phis))
     # origins of strength 0 and above, and simple poles
     assert min(calls) == 0.0 and sum(0.0 < p0 != 1.0 for p0 in calls) > 100
     assert 1.0 in calls and len(returned) > 2000
