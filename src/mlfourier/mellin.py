@@ -31,30 +31,23 @@ mellin_transform takes the series where its error estimate (the first
 omitted term, rounding, and E's exponential term, which the series lacks)
 is at most 1e-15 of the sum, and the line integral everywhere else.  At
 small xi, where u = -sigma log(pi xi) passes a bound u_1 set by the
-coefficients, the series' first envelope is its smallest, so it sums no
-term and is not computed there.  The line is the trapezoid rule with the
-step set by the distance to the poles (Trefethen & Weideman, SIAM Rev. 56
-(2014)); its nodes are equispaced, so each point's phase sum splits into
-32 baby steps and one giant step per 32 nodes, 32 + nodes/32 exponentials
-instead of one per node (Paterson & Stockmeyer, SIAM J. Comput. 2
-(1973)), and its 32-term row sums are one BLAS matrix-vector product per
-point.  K does not depend on xi, only (pi xi)^s does (Talman,
-J. Comput. Phys. 29 (1978)), and neither does anything else but the
-exponentials and the sums.  So each problem has one plan, built on its
-first call and kept for the last 64 problems: the series' 256
-coefficients as the envelopes relative to the first, k - 1, the signed
-factors, and the scale exp(log_env[0]) pi^(-n/2); u_1; whether E's
-exponential term enters the series' estimate at all; and, for each of
-the two lines, c, d, h_base and the step ladder.  The kernels of the lines
-and steps used most recently are kept too, up to 2^20 stored nodes
-(16 MiB) in all, each in the form the phase sums read: padded to rows of
-32 per chunk, with its giant steps, and at phi = pi with the half line's
-f_0 split off.  A call then computes only the exponentials and sums that
-depend on xi.  Every call on the same problem in one process, and every
-point of a grid that takes the same line and step, reuses them; a new
-process starts with none.  Every public function takes a float xi or an
-ndarray of them; each point's value is computed by the same arithmetic
-whatever the other points are, and whatever was computed before.
+coefficients, the series sums no term and is not computed.  The line is
+the trapezoid rule with the step set by the distance to the poles
+(Trefethen & Weideman, SIAM Rev. 56 (2014)), rounded onto a ladder; its
+equispaced nodes split each point's phase sum into baby and giant steps
+(Paterson & Stockmeyer, SIAM J. Comput. 2 (1973)).  K does not depend on
+xi, only (pi xi)^s does (Talman, J. Comput. Phys. 29 (1978)).  So each
+problem has one plan, built on its first call and kept for the last 64
+problems: the series' coefficients and u_1, whether E's exponential term
+enters the series' estimate, and each line's c, d, step ladder and the
+bounds on |log pi xi| of its rungs; and the kernels of the lines and steps
+used most recently are kept, up to 2^20 stored nodes (16 MiB) in all, in
+the form the phase sums read.  A call reads its route, series or line,
+which line and which rung, from its extremes of log(pi xi), and computes
+only the exponentials and sums that depend on xi; a new process starts
+with no plan.  Every public function takes a float xi or an ndarray of
+them; each point's value is computed by the same arithmetic whatever the
+other points are, and whatever was computed before.
 """
 
 from __future__ import annotations
@@ -201,26 +194,32 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 class _Line(NamedTuple):
     """One line Re s = c of the Mellin-Barnes integral: d, the distance
-    from c to the nearest pole, h_base = 2 pi d/40 and the step ladder
-    h_base 2^(-k/4), k = 0, 1, ..."""
+    from c to the nearest pole, the step ladder and each rung's bound."""
 
     c: float
     d: float
-    h_base: float
     ladder: np.ndarray
-
-
-# |log(pi xi)| < 746 wherever pi xi is positive and finite: each ladder
-# reaches the rung of the smallest and the largest such xi.
-_MAX_LOG_PI_XI = 746.0
+    bounds: np.ndarray
 
 
 def _line_plan(c: float, d: float) -> _Line:
+    """The ladder h_base 2^(-k/4), h_base = 2 pi d/40, and its bounds B_k:
+    the step rule ladder[k] <= 2 pi d/(40 + d a) is a <= 40 (2^(k/4) - 1)/d,
+    and B_k is the largest float a where the rule as rounded admits rung k,
+    set bit by bit from the top of its bit pattern, which orders the floats
+    from 0 to inf as their values."""
     h_base = 2.0 * math.pi * d / _STEP_EFOLDS
-    rungs = math.ceil(_RUNGS * math.log2(1.0 + d * _MAX_LOG_PI_XI / _STEP_EFOLDS)) + 3
+    # |log(pi xi)| < 746 wherever pi xi is positive and finite.
+    rungs = math.ceil(_RUNGS * math.log2(1.0 + d * 746.0 / _STEP_EFOLDS)) + 3
     ladder = np.array([h_base * 2.0 ** (-k / _RUNGS) for k in range(rungs)])
-    _read_only(ladder)
-    return _Line(c, d, h_base, ladder)
+    bits = np.zeros(rungs, np.int64)
+    for bit in 1 << np.arange(62, -1, -1, dtype=np.int64):
+        trial = bits | bit
+        admits = ladder <= 2.0 * math.pi * d / (_STEP_EFOLDS + d * trial.view(float))
+        bits = np.where(admits, trial, bits)
+    bounds = bits.view(float)
+    _read_only(ladder, bounds)
+    return _Line(c, d, ladder, bounds)
 
 
 class _Plan(NamedTuple):
@@ -233,7 +232,6 @@ class _Plan(NamedTuple):
     scale: float  # exp(log_env[0])
     pi_n: float  # pi^(-n/2)
     u_1: float
-    vanishes: bool  # sin(pi sigma/2) = 0: every term is 0
     has_wave: bool  # whether E's exponential term enters the estimate
     left: _Line  # c = -sigma/2, for 2 pi xi >= 1
     right: _Line  # c = 0.6 s_1 (_right_pole), below
@@ -262,7 +260,8 @@ def _series_coefficients(tp) -> _Plan:
     envelope relative to the first is exp(A_k + u (k - 1)).  For u > u_1 =
     max_{k>=2} (-A_k/(k - 1)) + 1 every one of them exceeds e, so the
     smallest envelope is the first and the series sums no term; the e-fold
-    margin is far above the exponent's rounding.
+    margin is far above the exponent's rounding.  Where sin(pi sigma/2) = 0
+    every term is 0, and u_1 = -inf.
     """
     k = np.arange(1.0, _SERIES_TERMS + 1.0)
     log_env, sin = _log_envelopes(tp, k)
@@ -278,8 +277,7 @@ def _series_coefficients(tp) -> _Plan:
         signed=signed,
         scale=math.exp(log_env[0]),
         pi_n=math.pi ** (-0.5 * tp.n),
-        u_1=float(np.max((log_env[0] - log_env[1:]) / (k[1:] - 1.0)) + 1.0),
-        vanishes=bool(sin[0] == 0.0),
+        u_1=-math.inf if sin[0] == 0.0 else float(np.max(-rel_env[1:] / k_less_1[1:]) + 1.0),
         has_wave=_wave(tp) is not None,
         left=_line_plan(c_left, min(c_left + tp.sigma, upper - c_left)),
         right=_line_plan(c_right, min(c_right + tp.sigma, upper - c_right)),
@@ -294,21 +292,13 @@ def _points(xi) -> tuple[np.ndarray, np.ndarray]:
         return x, np.log(math.pi * x)
 
 
-def _summable(tp, plan: _Plan, log_pi_xi: np.ndarray) -> np.ndarray:
-    """Indices of the points where the residue series can sum a term: none
-    where every term vanishes, else those not past u_1."""
-    if plan.vanishes:
-        return np.empty(0, int)
-    return np.flatnonzero(~(-tp.sigma * log_pi_xi > plan.u_1))
-
-
 def _series(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """residue_series on a 1-D array, _SERIES_ROWS points at a time; points
     past u_1 (_series_coefficients) sum no term and are not computed."""
     plan = _series_coefficients(tp)
     values = np.zeros(xi.size, complex)
     errs = np.full(xi.size, math.inf)
-    live = _summable(tp, plan, log_pi_xi)
+    live = np.flatnonzero(~(-tp.sigma * log_pi_xi > plan.u_1))
     for lo in range(0, live.size, _SERIES_ROWS):
         at = live[lo:lo + _SERIES_ROWS]
         x, log_x = xi[at], -tp.sigma * log_pi_xi[at]
@@ -532,40 +522,43 @@ def _phase_sums(kernel: _Kernel, log_pi_xi: np.ndarray) -> np.ndarray:
     return out
 
 
+# log(pi xi) is within 1e-12 of its true value: past these edges every
+# point is on one side of pi xi = 0.5.
+_LEFT_EDGE, _RIGHT_EDGE = math.log(0.5) + 1e-12, math.log(0.5) - 1e-12
+
+
 def _line(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> np.ndarray:
-    """line_integral on a 1-D array: each point on its line (_line_sums);
-    when every point takes the same line, on the arrays as given."""
+    """line_integral on a 1-D array, routed from the extremes of log(pi
+    xi): where they lie on one side of pi xi = 0.5 and the extremes of
+    |log pi xi| on one rung of that line, so do all the points, and the
+    whole array is summed as given on that kernel.  Only other arrays are
+    split point by point, each point's rung read off its line's bounds.
+    An empty array, its extremes inf and -inf, is split into no points."""
     plan = _series_coefficients(tp)
+    lo, hi = log_pi_xi.min(initial=math.inf), log_pi_xi.max(initial=-math.inf)
+    if lo > _LEFT_EDGE or hi < _RIGHT_EDGE:
+        line = plan.left if lo > _LEFT_EDGE else plan.right
+        k, top = line.bounds.searchsorted((max(lo, -hi, 0.0), max(-lo, hi)))
+        if k == top:
+            return _line_sums(tp, plan, line, k, xi, log_pi_xi)
     values = np.empty(xi.size, complex)
     left = math.pi * xi >= 0.5
     for line, on_line in ((plan.left, left), (plan.right, ~left)):
-        if not on_line.any():
-            continue
-        if on_line.all():
-            return _line_sums(tp, plan, line, xi, log_pi_xi)
-        values[on_line] = _line_sums(tp, plan, line, xi[on_line], log_pi_xi[on_line])
+        rung = line.bounds.searchsorted(np.abs(log_pi_xi))
+        for k in np.unique(rung[on_line]):
+            at = on_line & (rung == k)
+            values[at] = _line_sums(tp, plan, line, k, xi[at], log_pi_xi[at])
     return values
 
 
-def _line_sums(tp, plan: _Plan, line: _Line, xi: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """The trapezoid sums on one line at xi, L = log(pi xi): for each step,
-    one kernel from _line_kernel shared by the points that take it."""
-    rule = 2.0 * math.pi * line.d / (_STEP_EFOLDS + line.d * np.abs(L))
-    rung = np.ceil(_RUNGS * np.log2(line.h_base / rule)).astype(int)
-    rung += line.ladder[rung] > rule
-    if (rung == rung[0]).all():
-        groups = [(rung[0], slice(None))]
-    else:
-        groups = [(k, rung == k) for k in np.unique(rung)]
-    sums = np.empty(L.size, complex)
-    for k, at in groups:
-        kernel = _line_kernel(tp, line.c, float(line.ladder[k]))
-        tail, h = _phase_sums(kernel, L[at]), kernel.h
-        if kernel.f_0 is None:
-            sums[at] = h * tail
-        else:  # the half line: h (f_0 + 2 Re sum_{j >= 1})
-            sums[at] = h * (kernel.f_0 + 2.0 * tail.real)
-    return sums * np.exp(line.c * L) * xi ** -tp.n * (plan.pi_n / (2.0 * math.pi))
+def _line_sums(tp, plan: _Plan, line: _Line, k: int, xi: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The trapezoid sums at xi, L = log(pi xi), on one kernel of the line
+    (_line_kernel): that of rung k."""
+    kernel = _line_kernel(tp, line.c, float(line.ladder[k]))
+    tail = _phase_sums(kernel, L)
+    if kernel.f_0 is not None:  # the half line: f_0 + 2 Re sum_{j >= 1}
+        tail = (kernel.f_0 + 2.0 * tail.real).astype(complex)
+    return kernel.h * tail * np.exp(line.c * L) * xi ** -tp.n * (plan.pi_n / (2.0 * math.pi))
 
 
 def line_integral(tp, xi):
@@ -582,8 +575,12 @@ def line_integral(tp, xi):
     and s = s_1.  The step keeps exp(-2 pi d/h) below 1e-17 of the
     integrand on the strip of half-width d, the distance from c to those
     poles, h <= 2 pi d/(40 + d |log pi xi|), rounded down onto the ladder
-    h_base 2^(-k/4), h_base = 2 pi d/40; c, d and the ladder are in the
-    problem's plan (_series_coefficients).  K(s) does not depend on xi, so
+    h_base 2^(-k/4), h_base = 2 pi d/40: a point's rung is the first k with
+    |log pi xi| <= B_k, B_k = 40 (2^(k/4) - 1)/d as the rule rounds it, and
+    c, d, the ladder and the bounds are in the problem's plan
+    (_series_coefficients).  A call reads its route from the extremes of
+    log(pi xi): an array whose extremes share a line and a rung is summed
+    on that kernel as given (_line).  K(s) does not depend on xi, so
     it is evaluated once per problem, line and rung, in one pass over the
     nodes, and kept across calls in the form the phase sums read (_Kernel;
     up to 2^20 stored nodes over all kernels, the least recently used
@@ -610,7 +607,8 @@ def mellin_transform(tp, xi):
     Where the series can sum no term at any point, the whole array goes to
     the line as given."""
     x, log_pi_xi = _points(xi)
-    if not _summable(tp, _series_coefficients(tp), log_pi_xi).size:
+    plan = _series_coefficients(tp)
+    if -tp.sigma * log_pi_xi.max(initial=-math.inf) > plan.u_1:
         return _like(xi, _line(tp, x, log_pi_xi))
     values, errs = _series(tp, x, log_pi_xi)
     on_line = ~(errs <= _TARGET)

@@ -407,19 +407,23 @@ def _exponential_waves(p: MLParams, z: Complex) -> Complex:
     the conjugate branch m = -sign(arg z) enters alongside m = 0.  A branch
     angle exactly on |angle| = pi*alpha takes weight 1/2, which is what
     makes alpha = 1 (where the two boundary branches coincide) come out
-    right.
+    right.  Powers of |z| are formed only for a branch that enters.  In the
+    decay sector, where the sector sum runs, every branch has
+    cos(angle/alpha) < 0: one whose |z|^(1/alpha) overflows adds e^-inf = 0.
     """
     r = abs(z)
-    r_root = r ** (1.0 / p.alpha)
-    r_pow = r ** ((1.0 - p.beta) / p.alpha)
     total = 0.0 + 0.0j
     for ang, weight in _wave_branches(p.alpha, cmath.phase(z)):
+        try:
+            r_root = r ** (1.0 / p.alpha)
+        except OverflowError:
+            continue
         root = r_root * cmath.exp(1j * ang / p.alpha)
         if root.real > 700.0:
             raise AccuracyError("exponential wave term overflows")
         total += (
             weight
-            * r_pow
+            * r ** ((1.0 - p.beta) / p.alpha)
             * cmath.exp(1j * ang * (1.0 - p.beta) / p.alpha)
             * cmath.exp(root)
             / p.alpha
@@ -447,10 +451,12 @@ def _sector_coefficients(
     which on the sector sum is never refused.
 
     A term is skipped where its reciprocal gamma lands on a pole zero,
-    exactly or up to the rounding of a*k.  Such terms carry no information
+    exactly or up to the rounding of a*k, measured against max(1, |b - a k|)
+    so that the pole at 0 is caught too.  Such terms carry no information
     about where the series stops being useful; alpha = 1.3, beta = 0.8,
     k = 6 gives -7.000000000000001, and a term of 1e-21 there would read as
-    convergence.
+    convergence, as would alpha = 0.4, beta = 2.4, k = 6, which gives
+    -4.4e-16.
 
     With t = log|z| the sizes are g_k e^{-k t}, and size j rises past the
     one before it where t < rise_j.  The sum stops at j, omitting it, for
@@ -462,7 +468,7 @@ def _sector_coefficients(
     for k in range(1, _SECTOR_TERMS + 1):
         arg = b - a * k
         rg = reciprocal_gamma(arg)
-        pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg)
+        pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * max(1.0, -arg))
         coefficients.append(None if pole else (rg, abs(rg)))
     logs = [(k, math.log(c[1])) for k, c in enumerate(coefficients) if c is not None]
     if not logs:  # the algebraic sum is exactly zero, and accepted
@@ -648,7 +654,10 @@ def _laplace_poles(a: float, z: Complex) -> list[tuple[float, Complex]]:
     phi(s) = (Re s + |s|)/2 = (Re sqrt(s))^2: s lies left of the parabola
     with vertex mu exactly when phi(s) < mu."""
     theta = cmath.phase(z)
-    root = abs(z) ** (1.0 / a)
+    try:
+        root = abs(z) ** (1.0 / a)
+    except OverflowError:
+        raise AccuracyError(f"|z|^(1/alpha) leaves double range at z = {z}, alpha = {a}") from None
     poles = []
     for k in range(math.ceil(-a / 2 - theta / (2 * math.pi)),
                    math.floor(a / 2 - theta / (2 * math.pi)) + 1):

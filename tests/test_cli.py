@@ -77,6 +77,25 @@ class TestEvalMl:
         assert code == 3
         assert "double range" in err
 
+    def test_root_past_double_range_exits_3(self, capsys):
+        # |z|^(1/alpha) = 1e666: Laplace inversion's poles leave double
+        # range, and E_{0.3,1}(1e200) ~ e^(1e666) with them.
+        code, out, err = run_cli(capsys, "eval-ml", "--alpha", "0.3", "--z", "1e200")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "double range" in err
+
+    @pytest.mark.parametrize("z", ["-1e200", "8.25e199+5.65e199i"])
+    def test_decay_sector_past_double_range_of_the_root(self, capsys, z):
+        # |z|^(1/alpha) = 1e666 in the decay sector of alpha = 0.3: no
+        # exponential term enters at arg z = pi, and at arg z = 0.6 the one
+        # that does is e^(-inf) = 0, so E = -1/(z Gamma(1 - alpha)) to
+        # rounding.
+        code, out, _ = run_cli(capsys, "eval-ml", "--alpha", "0.3", f"--z={z}", "--no-timestamp")
+        assert code == 0
+        _, rows = csv_rows(out)
+        want = -1.0 / (complex(z.replace("i", "j")) * math.gamma(0.7))
+        assert abs(complex(rows[0]["re"], rows[0]["im"]) - want) <= 1e-15 * abs(want)
+
     def test_repeatable_z(self, capsys):
         code, out, _ = run_cli(
             capsys,

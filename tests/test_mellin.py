@@ -19,7 +19,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from mlfourier import mellin
 from mlfourier.errors import ConvergenceError, DomainError
@@ -473,11 +473,56 @@ def test_kept_arrays_are_read_only():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
     plan = mellin._series_coefficients(tp)
-    arrays = [f for f in (*plan, plan.left.ladder, plan.right.ladder) if isinstance(f, np.ndarray)]
-    assert len(arrays) == 5
+    lines = (plan.left.ladder, plan.left.bounds, plan.right.ladder, plan.right.bounds)
+    arrays = [f for f in (*plan, *lines) if isinstance(f, np.ndarray)]
+    assert len(arrays) == 7
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n,sigma", REFERENCE_PROBLEMS)
+def test_rungs_read_off_the_bounds_follow_the_step_rule(monkeypatch, n, sigma):
+    # A point's rung is the smallest k with ladder[k] <= 2 pi d/(40 + d
+    # |log pi xi|), the rule as rounded: at 0, at each bound and 1 ulp
+    # either side, and at seeded points up to 746, on both lines, whether
+    # the point is summed alone or in an array of many rungs.
+    tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
+    plan = mellin._series_coefficients(tp)
+    steps = {}
+    # A one-node kernel whose f_0 is the line's c: phase_sums records the
+    # line and the step each point was summed on.
+    monkeypatch.setattr(
+        mellin, "_line_kernel", lambda tp, c, h: mellin._stored_kernel(h, 0, np.array([c + 0j]))
+    )
+
+    def phase_sums(kernel, L):
+        steps.update(dict.fromkeys(L.tolist(), (kernel.f_0, kernel.h)))
+        return np.zeros(L.size, complex)
+
+    monkeypatch.setattr(mellin, "_phase_sums", phase_sums)
+    rng = np.random.default_rng(34)
+    for line, xi in ((plan.left, 1.0), (plan.right, 0.01)):
+        b = line.bounds
+        a = np.concatenate([
+            [0.0], b, np.nextafter(b, 0.0), np.nextafter(b, math.inf),
+            rng.uniform(0.0, 746.0, 300),
+        ])
+        a = a[a <= 746.0]
+        # The left line takes pi xi >= 0.5, log(0.5) = -0.693, the right
+        # line the rest.
+        L = np.concatenate([a, -a[a < 0.69]]) if line is plan.left else -a[a > 0.7]
+        rule = 2.0 * math.pi * line.d / (mellin._STEP_EFOLDS + line.d * np.abs(L))
+        admitted = line.ladder[None, :] <= rule[:, None]
+        assert admitted[:, -1].all()
+        want = [(line.c, h) for h in line.ladder[np.argmax(admitted, axis=1)]]
+        steps.clear()
+        mellin._line(tp, np.full(L.size, xi), L)
+        assert [steps[v] for v in L.tolist()] == want
+        for v, route in zip(L.tolist(), want):
+            steps.clear()
+            mellin._line(tp, np.array([xi]), np.array([v]))
+            assert steps == {v: route}
 
 
 def test_kept_kernels_stay_within_the_node_cap(monkeypatch):
@@ -682,6 +727,9 @@ class TestArrays:
         assert values.shape == (3, 4) and values.dtype == complex
         assert isinstance(ml_transform(self.TP, 0.5), complex)
         assert ml_transform(self.TP, np.array([])).shape == (0,)
+        for transform in (mellin_transform, line_integral):
+            empty = transform(self.TP, np.empty((0, 3)))
+            assert empty.shape == (0, 3) and empty.dtype == complex
         value, err = residue_series(self.TP, xs)
         assert value.shape == err.shape == (3, 4)
 
@@ -705,22 +753,40 @@ class TestArrays:
         assert ml_transform(self.TP, xs).tobytes() == ml_transform(self.TP, xs).tobytes()
 
 
+def _geomspace(low, high, points):
+    return np.geomspace(10.0 ** low, 10.0 ** high, points)
+
+
+# Grids whose extreme points take one rung of the ladder though not all
+# their points do: log(pi xi) straddles 0, where |log pi xi| is smallest
+# between the extremes (pi xi = 1 is on rung 0 of the left line, its ends
+# on rung 1); and pi xi straddles 0.5, so that the extremes are on rung 1
+# of different lines.
+ONE_RUNG_EXTREMES = (
+    np.array([math.exp(-0.5), 0.9, 1.0, 1.2, math.exp(0.5)]) / math.pi,
+    np.array([math.exp(-3.0), 0.3, 0.5, 0.6, math.exp(-0.3)]) / math.pi,
+)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     problem=st.sampled_from(REFERENCE_PROBLEMS),
     phi=st.sampled_from([math.pi, 0.5 * math.pi * 0.8 + 0.3, -2.0]),
-    low=st.floats(-8.0, -1.0),
-    high=st.floats(0.0, 1.5),
-    points=st.integers(2, 9),
+    xs=st.builds(_geomspace, st.floats(-8.0, -1.0), st.floats(0.0, 1.5), st.integers(2, 9)),
 )
-def test_batch_matches_each_point_bit_for_bit(problem, phi, low, high, points):
+@example(problem=(1, 0.7), phi=math.pi, xs=ONE_RUNG_EXTREMES[0])
+@example(problem=(2, 1.5), phi=-2.0, xs=ONE_RUNG_EXTREMES[0])
+@example(problem=(3, 2.2), phi=math.pi, xs=ONE_RUNG_EXTREMES[0])
+@example(problem=(1, 0.7), phi=math.pi, xs=ONE_RUNG_EXTREMES[1])
+@example(problem=(2, 1.5), phi=-2.0, xs=ONE_RUNG_EXTREMES[1])
+@example(problem=(3, 2.2), phi=math.pi, xs=ONE_RUNG_EXTREMES[1])
+def test_batch_matches_each_point_bit_for_bit(problem, phi, xs):
     # The grids straddle 2 pi xi = 1, where the line moves, reach the
     # series/line switch of each reference problem, and span several rungs
     # of the step ladder below xi = 1e-4; a point's value must not depend
     # on the other points of its grid.
     n, sigma = problem
     tp = TransformProblem(0.8, 1.0, phi, sigma, n)
-    xs = np.geomspace(10.0 ** low, 10.0 ** high, points)
     batch = ml_transform(tp, xs)
     for x, value in zip(xs, batch):
         assert value.tobytes() == np.complex128(ml_transform(tp, float(x))).tobytes()

@@ -301,6 +301,16 @@ def test_sector_asymptotic_approximates_eval():
     assert err <= 1e-15 * abs(value)
 
 
+@pytest.mark.parametrize("z", [30 * cmath.exp(2j), -60.0 + 0j, 100 * cmath.exp(1.5j)])
+def test_sector_sum_skips_the_gamma_pole_at_zero(z):
+    # beta - 6 alpha rounds to -4.4e-16 at (0.4, 2.4): 1/Gamma there is a
+    # pole zero of rounding size, which must not read as convergence.
+    p = MLParams(0.4, 2.4)
+    assert mittag_leffler._sector_coefficients(0.4, 2.4)[0][5] is None
+    want = _ml_laplace(p, z)
+    assert abs(ml_eval(p, z) - want) <= 1e-13 * abs(want)
+
+
 def test_eval_dispatch_continuity():
     # Values straddling the series/contour handover agree with the series.
     for alpha, beta in ((0.6, 1.0), (1.4, 0.7)):
