@@ -27,23 +27,33 @@ the transform of E's Taylor series term by term (s = 0 contributes nothing,
 1/Gamma(0) = 0).  The series converges for sigma < alpha and is asymptotic
 for sigma >= alpha.
 
-mellin_transform takes the series where its error estimate (the first
-omitted term, rounding, and E's exponential term, which the series lacks)
-is at most 1e-15 of the sum, and the line integral everywhere else.  At
-small xi, where u = -sigma log(pi xi) passes a bound u_1 set by the
-coefficients, the series sums no term and is not computed.  The line is
+Closing it to the right picks up the poles s = m sigma and s = n + 2j,
+double where the two meet (Paris & Kaminski, *Asymptotics and
+Mellin-Barnes Integrals*, CUP 2001; Braaksma, Compositio Math. 15
+(1964)): a series in (pi xi)^s, with log(pi xi) terms at the double
+poles, that converges for sigma > alpha and is asymptotic otherwise.
+
+mellin_transform takes the left series where its error estimate (the
+first omitted term, rounding, and E's exponential term, which the series
+lacks) is at most 1e-15 of the sum.  At small xi, where u = -sigma log(pi
+xi) passes a bound u_1 set by the coefficients, that series sums no term
+and is not computed.  Of the other points, those with pi xi < 0.5 take the
+right series where its own estimate is at most 1e-15 (_right_series), and
+past an edge of log(pi xi) set by its coefficients it is refused before
+any term is formed; the line integral takes the rest.  The line is
 the trapezoid rule with the step set by the distance to the poles
 (Trefethen & Weideman, SIAM Rev. 56 (2014)), rounded onto a ladder; its
 equispaced nodes split each point's phase sum into baby and giant steps
 (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973)).  K does not depend on
 xi, only (pi xi)^s does (Talman, J. Comput. Phys. 29 (1978)).  So each
 problem has one plan, built on its first call and kept for the last 64
-problems: the series' coefficients and u_1, whether E's exponential term
-enters the series' estimate, and each line's c, d, step ladder and the
-bounds on |log pi xi| of its rungs; and the kernels of the lines and steps
+problems: the left series' coefficients and u_1, whether E's exponential
+term enters its estimate, the right series' poles, coefficients and edge,
+and each line's c, d, step ladder and the bounds on |log pi xi| of its
+rungs; and the kernels of the lines and steps
 used most recently are kept, up to 2^20 stored nodes (16 MiB) in all, in
-the form the phase sums read.  A call reads its route, series or line,
-which line and which rung, from its extremes of log(pi xi), and computes
+the form the phase sums read.  A call reads its route, which series or
+line and which rung, from its extremes of log(pi xi), and computes
 only the exponentials and sums that depend on xi; a new process starts
 with no plan.  Every public function takes a float xi or an ndarray of
 them; each point's value is computed by the same arithmetic whatever the
@@ -53,14 +63,15 @@ other points are, and whatever was computed before.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import gamma, loggamma, psi, rgamma
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .special_core import _EPS
 
 _TARGET = 1e-15  # the series' relative error estimate must meet this
@@ -83,6 +94,11 @@ _MAX_NODES = 2**20
 
 # Points per block of the residue series' (points x terms) arrays.
 _SERIES_ROWS = 128
+# The right residue series runs over the poles s <= min(sigma, n) + 64.
+_RIGHT_SPAN = 64.0
+# The right series' rounding estimate per unit of the magnitudes summed:
+# eps for the sum, and eps for the coefficients' own rounding.
+_ROUNDING = 2.0 * _EPS
 # The line's phase sums take the nodes in chunks of _CHUNK, and the points
 # in blocks whose (points x rows) arrays hold at most _BLOCK entries.
 _CHUNK = 2**14
@@ -222,6 +238,20 @@ def _line_plan(c: float, d: float) -> _Line:
     return _Line(c, d, ladder, bounds)
 
 
+class _Residues(NamedTuple):
+    """The right residue series of a problem (_right_residues): its terms
+    are (coef_k + log_coef_k L) e^{ds_k L}, L = log(pi xi), times
+    (pi xi)^power."""
+
+    ds: np.ndarray  # s_k - s_0 over the poles s_k in ascending order
+    coef: np.ndarray  # -pi^(n/2) C_k: real at phi = pi, else complex
+    log_coef: np.ndarray | None  # -pi^(n/2) D_k, None where no pole is double
+    size: np.ndarray  # a majorant of |coef_k| and |log_coef_k|, smooth in k
+    before: np.ndarray  # before[k, i] where i < k: the columns a stop at k sums
+    power: float  # s_0 - n
+    edge: float  # the series is refused for log(pi xi) > edge
+
+
 class _Plan(NamedTuple):
     """What mellin_transform computes of a problem that does not depend on
     xi (_series_coefficients)."""
@@ -235,6 +265,7 @@ class _Plan(NamedTuple):
     has_wave: bool  # whether E's exponential term enters the estimate
     left: _Line  # c = -sigma/2, for 2 pi xi >= 1
     right: _Line  # c = 0.6 s_1 (_right_pole), below
+    residues: _Residues  # the right residue series, for pi xi < 0.5
 
 
 def _right_pole(tp) -> float:
@@ -281,15 +312,241 @@ def _series_coefficients(tp) -> _Plan:
         has_wave=_wave(tp) is not None,
         left=_line_plan(c_left, min(c_left + tp.sigma, upper - c_left)),
         right=_line_plan(c_right, min(c_right + tp.sigma, upper - c_right)),
+        residues=_right_residues(tp),
     )
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and a b = p + e exactly (Dekker's split)."""
+    p = a * b
+    t = 134217729.0 * a
+    a_hi = t - (t - a)
+    t = 134217729.0 * b
+    b_hi = t - (t - b)
+    return p, ((a_hi * b_hi - p) + a_hi * (b - b_hi) + (a - a_hi) * b_hi) + (a - a_hi) * (b - b_hi)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _rgamma_at(x: np.ndarray, x_lo) -> tuple[np.ndarray, np.ndarray]:
+    """1/Gamma(x + x_lo) to first order in the small x_lo, and a majorant M
+    of its size, smooth in x: M = 1/Gamma(x) for x > 0, and below, by
+    1/Gamma(x) = sin(pi x) Gamma(1 - x)/pi, M = Gamma(1 - x)/pi, so the
+    value is formed from sin(pi x), exactly 0 at the zeros, and never next
+    to a pole of Gamma."""
+    positive = x > 0.0
+    xp, xn = np.where(positive, x, 1.0), np.where(positive, 0.0, x)
+    up = rgamma(xp) * (1.0 - psi(xp) * x_lo)
+    m = gamma(1.0 - xn) / math.pi
+    down = m * (_sinpi(xn) + x_lo * (math.pi * np.cos(math.pi * xn) - _sinpi(xn) * psi(1.0 - xn)))
+    return np.where(positive, up, down), np.where(positive, rgamma(xp), m)
+
+
+def _right_residues(tp) -> _Residues:
+    """The residue series closed to the right, F(xi) = -pi^(-n/2) xi^-n
+    sum Res K(s) (pi xi)^s over the poles s_k right of the line, that is
+    -pi^(n/2) (pi xi)^(-n) sum_k (C_k + D_k log pi xi) (pi xi)^(s_k)
+    (Paris & Kaminski, *Asymptotics and Mellin-Barnes Integrals*, CUP
+    2001; Braaksma, Compositio Math. 15 (1964)).  With q = s/sigma and
+    theta = phi -+ pi:
+
+    - s = m sigma, a pole of pi/sin(pi q) unless 1/Gamma(beta - alpha m)
+      = 0: C = e^{-im phi} Gamma((n - m sigma)/2) / (Gamma(beta - alpha m)
+      Gamma(m sigma/2));
+    - s = n + 2j, a pole of Gamma((n - s)/2): C = -2 (-1)^j/j! sigma^-1
+      e^{-i theta q} G(q)/Gamma(n/2 + j), G(q) = pi/(sin(pi q)
+      Gamma(beta - alpha q)), and at an integer q where 1/Gamma(beta -
+      alpha q) = 0 its limit -alpha Gamma(1 - beta + alpha q) cos pi(beta -
+      alpha q)/cos(pi q);
+    - s = m sigma = n + 2j with 1/Gamma(beta - alpha m) != 0, a double
+      pole: with A(s) = sigma^-1 e^{-i theta q}/(Gamma(beta - alpha q)
+      Gamma(s/2)), a_1 = sigma (-1)^m, a_2 = -2 (-1)^j/j! and b_2 =
+      (-1)^j psi(j + 1)/j!, D = a_1 a_2 A(s) and C = A(s) [a_1 a_2
+      (-i theta/sigma + (alpha/sigma) psi(beta - alpha m) - psi(s/2)/2)
+      + a_1 b_2].  1/Gamma and its derivative are taken through the
+      reflection formula (_rgamma_at).
+
+    m sigma and n + 2j coincide where m sigma == n + 2j in floating point
+    or q rounds to an integer, as _right_pole decides a vanishing 1/Gamma;
+    poles that only nearly coincide are kept apart, and their large
+    opposite terms fail the estimate.  Elsewhere the arguments q, beta -
+    alpha q, (n - m sigma)/2, ... are carried with their rounding errors
+    (_two_prod, _two_sum) and each factor is corrected to first order, so
+    that a coefficient is accurate to a few ulps even next to a zero of a
+    sine.  The poles run from the first with a residue, s_0, to
+    min(sigma, n) + 64, at most 256 of them and up to the first whose
+    coefficient leaves double range: for pi xi < 0.5, (pi xi)^64 < 1e-19.
+    Beside each coefficient the plan keeps a majorant of its size, smooth
+    where a 1/Gamma factor may vanish, so that a small factor never stops
+    the sum early, and s_k - s_0 to within one rounding of the true poles.
+    """
+    # A coefficient past double range is cut off below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha, beta, sigma, n, phi = tp.alpha, tp.beta, tp.sigma, tp.n, tp.phi
+        theta = phi - math.pi if phi > 0.0 else phi + math.pi
+        top = min(sigma, n) + _RIGHT_SPAN
+        # s = n + 2j, simple unless an m sigma meets it.
+        j = np.arange(0.0, math.floor(0.5 * (top - n)) + 1.0)
+        s_j = n + 2.0 * j
+        q = s_j / sigma
+        p, e = _two_prod(q, sigma)
+        q_lo = ((s_j - p) - e) / sigma
+        m_j = np.round(q)
+        meets = (m_j >= 1.0) & ((m_j * sigma == s_j) | (q == m_j))
+        p, e = _two_prod(alpha, q)
+        x, e2 = _two_sum(beta, -p)
+        rg, size = _rgamma_at(x, e2 - e - alpha * q_lo)
+        sin_q = _sinpi(q) + math.pi * q_lo * np.cos(math.pi * q)
+        p, e = _two_prod(theta, q)
+        phase = np.exp(-1j * p) * (1.0 - 1j * (e + theta * q_lo))
+        common = 2.0 / sigma / (gamma(j + 1.0) * gamma(0.5 * n + j))
+        coef_j = -((-1.0) ** j) * common * phase * (math.pi * rg / sin_q)
+        size_j = common * math.pi * size / np.abs(sin_q)
+        log_coef_j = np.zeros(j.size, complex)
+        logs_j = np.zeros(j.size)
+        for i in np.flatnonzero(meets):
+            m, x = m_j[i], beta - alpha * m_j[i]
+            ph = (-1.0) ** (m + j[i]) * np.exp(-1j * theta * m)
+            if x <= 0.0 and x == math.floor(x):  # G's finite limit
+                coef_j[i] = common[i] * ph * (-1.0) ** x * alpha * gamma(1.0 - x)
+                size_j[i] = abs(coef_j[i])
+                continue
+            # The double pole: D = -2 P and C = P [2 i theta/sigma + psi(s/2) +
+            # psi(j + 1)] - (2 alpha/sigma) P psi(x), P = (-1)^(m + j)
+            # e^{-i theta m}/(j! Gamma(s/2) Gamma(x)), with P psi(x) = -(j!
+            # Gamma(s/2))^-1 (-1)^(m + j) e^{-i theta m} d/dx 1/Gamma(x).
+            (rg,), _ = _rgamma_at(np.array([x]), 0.0)
+            (d_rg,), _ = _rgamma_at(np.array([x]), 1.0)  # first order: rg + d/dx
+            d_rg -= rg
+            scale = ph / (gamma(j[i] + 1.0) * gamma(0.5 * s_j[i]))
+            psi_s, psi_j = psi(0.5 * s_j[i]), psi(j[i] + 1.0)
+            w_c = rg * (2j * theta / sigma + psi_s + psi_j) + 2.0 * alpha / sigma * d_rg
+            coef_j[i] = scale * w_c
+            log_coef_j[i] = -2.0 * scale * rg
+            size_j[i] = max(abs(coef_j[i]), abs(log_coef_j[i]))
+            logs_j[i] = 1.0
+        # s = m sigma, but for those an s = n + 2j took.
+        m = np.arange(1.0, math.floor(top / sigma) + 1.0)
+        m = m[~np.isin(m, m_j[meets])]
+        s_m, s_m_lo = _two_prod(m, sigma)
+        y, e = _two_sum(float(n), -s_m)
+        y, y_lo = 0.5 * y, 0.5 * (e - s_m_lo)
+        p, e = _two_prod(alpha, m)
+        x, e2 = _two_sum(beta, -p)
+        rg, size = _rgamma_at(x, e2 - e)
+        above = y > 0.0
+        yp, yn = np.where(above, y, 1.0), np.where(above, 0.0, y)
+        sin_y = _sinpi(yn) + math.pi * y_lo * np.cos(math.pi * yn)
+        gamma_y = np.where(
+            above, gamma(yp) * (1.0 + psi(yp) * y_lo),
+            math.pi / (sin_y * gamma(1.0 - yn) * (1.0 - psi(1.0 - yn) * y_lo)),
+        )
+        half = gamma(0.5 * s_m) * (1.0 + psi(0.5 * s_m) * 0.5 * s_m_lo)
+        if phi == math.pi:
+            ph = (-1.0) ** m
+        else:
+            p, e = _two_prod(m, phi)
+            ph = np.exp(-1j * p) * (1.0 - 1j * e)
+        coef_m = ph * gamma_y * rg / half
+        size_m = np.abs(gamma_y) * size / half
+    # Sorted from the first pole with a residue, which sets the scale, to
+    # the first coefficient outside double range.
+    s_hi = np.concatenate([s_j, s_m])
+    s_lo = np.concatenate([np.zeros(j.size), s_m_lo])
+    order = np.argsort(s_hi, kind="stable")
+    coef = np.concatenate([coef_j, coef_m])[order]
+    log_coef = np.concatenate([log_coef_j, np.zeros(m.size)])[order]
+    size = np.concatenate([size_j, size_m])[order]
+    first = int(np.argmax((coef != 0.0) | (log_coef != 0.0)))
+    bad = ~(np.isfinite(coef) & np.isfinite(size) & (size > 0.0))
+    last = first + int(np.argmax(bad[first:])) if bad[first:].any() else order.size
+    cut = slice(first, min(last, first + _SERIES_TERMS))
+    order, coef, log_coef, size = order[cut], coef[cut], log_coef[cut], size[cut]
+    logs = np.concatenate([logs_j, np.zeros(m.size)])[order]
+    s_hi, s_lo = s_hi[order], s_lo[order]
+    d, e = _two_sum(s_hi, -s_hi[0])
+    ds = d + (e + (s_lo - s_lo[0]))
+    power, e = _two_sum(s_hi[0], -float(n))
+    # The scale -pi^(n/2) goes into the coefficients and their sizes.
+    pi_half_n = math.pi ** (0.5 * n)
+    coef, log_coef, size = -pi_half_n * coef, -pi_half_n * log_coef, pi_half_n * size
+    if phi == math.pi:  # every coefficient is real, up to the phases' rounding
+        coef, log_coef = coef.real.copy(), log_coef.real.copy()
+    # For sigma <= alpha the series is only asymptotic.  Where E also has an
+    # exponential term on the profile (alpha > 1, or |phi| < pi alpha), the
+    # transform of that term lies beyond all orders of the series and its
+    # smallest term does not size it: at (1.2, 2.24, -2.07, 0.574, 1),
+    # xi = 2.7e-4, the sum was 1.4e-12 off with an estimate of 4.9e-16.
+    # There the series is never taken.
+    taken = sigma > alpha or (alpha <= 1.0 and abs(phi) >= math.pi * alpha)
+    has_log = bool(logs.any())
+    before = np.arange(ds.size) < np.arange(ds.size)[:, None]
+    _read_only(ds, coef, log_coef, size, before)
+    return _Residues(
+        ds=ds,
+        coef=coef,
+        log_coef=log_coef if has_log else None,
+        size=size,
+        before=before,
+        power=power + (e + s_lo[0]),
+        edge=_right_edge(ds, np.log(size), logs) if taken else -math.inf,
+    )
+
+
+def _right_edge(ds: np.ndarray, rel_env: np.ndarray, logs: np.ndarray) -> float:
+    """The least L = log(pi xi) in [-746, log 0.5] past which the right
+    series' envelopes alone show that it must miss 1e-15, the mirror image
+    of u_1, within 1e-9; log(0.5) - 1e-12 where no L is, and -inf where
+    every L is.
+
+    With env_k(L) = e_k (1 + [k double] |L|) e^{s_k L}, a sum stopped at k
+    has |sum| <= sum_{j<k} env_j, so an estimate of at least
+    r_k(L) = e_k e^{s_k L}/sum_{j<k} env_j(L).  For L < 0 every r_k grows
+    with L, and so does their least value: where it passes 1e-15, with a
+    margin for rounding, it does at every larger L, and the series is
+    refused there before any term is formed."""
+    target = math.log(_TARGET * (1.0 + 1e-6))
+
+    def refused(L: float) -> bool:
+        below = np.logaddexp.accumulate(rel_env + np.log1p(-L * logs) + ds * L)
+        return bool(np.min(rel_env[1:] + ds[1:] * L - below[:-1], initial=math.inf) > target)
+
+    lo, hi = -746.0, _RIGHT_EDGE
+    if not refused(hi):
+        return hi
+    if refused(lo):
+        return -math.inf
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    return hi
+
+
+# Largest xi whose pi xi, the log argument, is a finite double.
+XI_MAX = sys.float_info.max / math.pi
+
+
+def _require_xi(xi, top: float = sys.float_info.max) -> np.ndarray:
+    """xi, a float or an array, as a 1-D float array; DomainError unless
+    every entry is in (0, top], nan included."""
+    x = np.asarray(xi, dtype=float).reshape(-1)
+    # min and max are nan where an entry is: one pass each.
+    if x.size and not (x.min() > 0.0 and x.max() <= top):
+        bad = x[~((0.0 < x) & (x <= top))][0]
+        raise DomainError(f"finite xi_mag in (0, {top:.4g}] required, got {bad}")
+    return x
 
 
 def _points(xi) -> tuple[np.ndarray, np.ndarray]:
     """xi as a 1-D float array, and log(pi xi), which the series and the
-    line share."""
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return x, np.log(math.pi * x)
+    line share; DomainError unless every xi is in (0, XI_MAX]."""
+    x = _require_xi(xi, XI_MAX)
+    return x, np.log(math.pi * x)
 
 
 def _series(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +581,48 @@ def _series(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> tuple[np.ndarray, np.n
     return values, errs
 
 
+def _right_series(
+    res: _Residues, xi: np.ndarray, log_pi_xi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The right residue series of the plan's res (_right_residues) and its
+    relative error estimate on a 1-D array, _SERIES_ROWS points at a time.
+
+    Each point sums the terms up to, not including, its smallest envelope,
+    size_k (pi xi)^(s_k - s_0), among the plan's columns, a fixed set, so
+    its bits do not depend on the batch.  For sigma > alpha the series
+    converges; for sigma <= alpha it is only asymptotic, this cut at its
+    smallest term is the best it gives, and the plan's edge refuses it
+    wherever E has an exponential term (_right_residues).  The estimate is that
+    envelope, which bounds the first omitted term (a double pole's up to
+    its factor 1 + |log pi xi|), plus eps times the magnitudes summed, plus
+    as much again for the coefficients' own rounding, all relative to
+    |sum|.  It is inf or nan where the sum is 0 or not finite."""
+    parts = [
+        _right_block(res, xi[lo:lo + _SERIES_ROWS], log_pi_xi[lo:lo + _SERIES_ROWS])
+        for lo in range(0, max(xi.size, 1), _SERIES_ROWS)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([v for v, _e in parts]), np.concatenate([e for _v, e in parts])
+
+
+def _right_block(res: _Residues, x: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_right_series on at most _SERIES_ROWS points."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        power = np.exp(L[:, None] * res.ds)
+        envelope = power * res.size
+        if res.log_coef is None:
+            terms = power * res.coef
+        else:
+            terms = (L[:, None] * res.log_coef + res.coef) * power
+        terms *= res.before[envelope.argmin(axis=1)]
+        total = terms.sum(axis=1)
+        err = (envelope.min(axis=1) + _ROUNDING * np.abs(terms).sum(axis=1)) / np.abs(total)
+        # Complex even at phi = pi, where the coefficients are real: the
+        # positive power first keeps the imaginary part +0.
+        return np.multiply((math.pi * x) ** res.power, total, dtype=complex), err
+
+
 def residue_series(tp, xi):
     """The residue series at |xi| = xi and its relative error estimate: a
     (complex, float) pair for a float xi, a pair of arrays of xi's shape
@@ -342,7 +641,7 @@ def residue_series(tp, xi):
     even-integer sigma, where every term vanishes, and for xi so small
     that -sigma log(pi xi) passes u_1 (_series_coefficients): there every
     envelope is more than e times the first, so no term is summed, and
-    none is computed.
+    none is computed.  DomainError unless every xi is in (0, XI_MAX].
     """
     values, errs = _series(tp, *_points(xi))
     return _like(xi, values), _like(xi, errs)
@@ -594,24 +893,58 @@ def line_integral(tp, xi):
     past 2^20 nodes.  The rung depends on xi alone and each point's sum is
     reduced on its own, never in a matrix-matrix product with other
     points, so a point's value is the same, bit for bit, in any array and
-    under any number of BLAS threads.
+    under any number of BLAS threads.  On the small-xi line the terms
+    exceed F by about (pi xi)^(-0.4 s_1), and so does its rounding:
+    mellin_transform takes the right residue series there wherever its
+    estimate allows.  DomainError unless every xi is in (0, XI_MAX].
     """
     return _like(xi, _line(tp, *_points(xi)))
 
 
 def mellin_transform(tp, xi):
-    """The transform at |xi| = xi: the residue series where its error
-    estimate is at most 1e-15 relative, else the line integral.  A float xi
-    gives a complex, an ndarray an array of its shape; each point's value
-    is the same, bit for bit, whatever the other points of the array.
-    Where the series can sum no term at any point, the whole array goes to
-    the line as given."""
+    """The transform at |xi| = xi: the left residue series where its error
+    estimate is at most 1e-15 relative; else, for pi xi < 0.5, the right
+    residue series where its own estimate is (_right_series); else the
+    line integral.  A float xi gives a complex, an ndarray an array of its
+    shape; each point's value is the same, bit for bit, whatever the other
+    points of the array.  Where the left series can sum no term at any
+    point, it is not computed, and where every point is on the right
+    series' side of its edge, the whole array is summed on it as given.
+    DomainError unless every xi is in (0, XI_MAX], past which pi xi leaves
+    double range."""
     x, log_pi_xi = _points(xi)
     plan = _series_coefficients(tp)
-    if -tp.sigma * log_pi_xi.max(initial=-math.inf) > plan.u_1:
-        return _like(xi, _line(tp, x, log_pi_xi))
+    hi = log_pi_xi.max(initial=-math.inf)
+    if -tp.sigma * hi > plan.u_1:
+        return _like(xi, _off_the_left_series(tp, plan, x, log_pi_xi, hi))
     values, errs = _series(tp, x, log_pi_xi)
     on_line = ~(errs <= _TARGET)
     if on_line.any():
-        values[on_line] = _line(tp, x[on_line], log_pi_xi[on_line])
+        L = log_pi_xi[on_line]
+        values[on_line] = _off_the_left_series(tp, plan, x[on_line], L, L.max())
     return _like(xi, values)
+
+
+def _off_the_left_series(
+    tp, plan: _Plan, xi: np.ndarray, log_pi_xi: np.ndarray, hi: float
+) -> np.ndarray:
+    """The points the left series does not take, hi the largest log(pi
+    xi): the right series where log(pi xi) is at most its edge
+    (_right_edge, never past log 0.5 - 1e-12) and its estimate at most
+    1e-15, the line elsewhere."""
+    res = plan.residues
+    if hi <= res.edge:
+        values, errs = _right_series(res, xi, log_pi_xi)
+        if errs.max(initial=0.0) <= _TARGET:  # nan where an estimate is
+            return values
+    else:
+        values, errs = np.empty(xi.size, complex), np.full(xi.size, math.inf)
+        near = log_pi_xi <= res.edge
+        if near.any():
+            values[near], errs[near] = _right_series(res, xi[near], log_pi_xi[near])
+    on_line = ~(errs <= _TARGET)
+    if on_line.all():
+        return _line(tp, xi, log_pi_xi)
+    if on_line.any():
+        values[on_line] = _line(tp, xi[on_line], log_pi_xi[on_line])
+    return values

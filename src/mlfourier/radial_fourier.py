@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -68,7 +67,8 @@ from .mittag_leffler import (
     _wave_branches,
     ml_eval,
 )
-from .mellin import mellin_transform
+from . import mellin
+from .mellin import _require_xi, mellin_transform
 from .bessel import (
     _asymptotic_eval,
     _expansion_coeffs,
@@ -218,14 +218,11 @@ def _panel_scale(tp: TransformProblem, xi_mag: float) -> float:
     return min(1.0, xi_mag) ** min(tp.sigma, tp.n)
 
 
-def _require_xi(xi_mag: float, top: float = sys.float_info.max) -> None:
-    if not 0.0 < xi_mag <= top:
-        raise DomainError(f"finite xi_mag in (0, {top:.4g}] required, got {xi_mag}")
-
-
 # Largest xi_mag whose pi xi_mag, the Mellin-Barnes route's log argument,
-# is a finite double.
-XI_MAX = sys.float_info.max / math.pi
+# is a finite double: ml_transform's domain ends there.
+XI_MAX = mellin.XI_MAX
+
+
 
 
 _TAIL_CHUNKS = 400  # chunk budget of the tail's and the check's accelerated sums
@@ -460,14 +457,15 @@ def ml_transform(
 ) -> Complex | np.ndarray:
     """The n-dimensional radial Fourier transform F at |xi| = xi_mag, by the
     Mellin-Barnes route of mlfourier.mellin: the residue series at
-    s = -k sigma where its error estimate is at most 1e-15 relative, else a
-    trapezoid sum on one line of the Mellin-Barnes integral.  Its accuracy
-    target is fixed, like ml_eval's.
+    s = -k sigma where its error estimate is at most 1e-15 relative; for
+    pi xi_mag < 0.5, the residue series at s = m sigma and n + 2j where its
+    own estimate is; else a trapezoid sum on one line of the Mellin-Barnes
+    integral.  Its accuracy target is fixed, like ml_eval's.
 
     An ndarray xi_mag gives an array of its shape, with one line kernel
     shared by the points that take the same line and step; each entry
     equals, bit for bit, the value at that float alone.  The kernels and
-    the series' coefficients depend on tp alone and are kept across calls
+    both series' coefficients depend on tp alone and are kept across calls
     in the process (kernels up to 2^20 nodes in all, least recently used
     dropped first), so later calls on tp skip that work; a new process,
     such as each mlf transform invocation, starts with none.  DomainError for
@@ -475,13 +473,7 @@ def ml_transform(
     5.72e307, pi xi_mag leaves double range.  AccuracyError where a value
     is not finite, as ml_eval; tp is in the paper's scope sigma > (n-1)/2
     by construction."""
-    if isinstance(xi_mag, np.ndarray):
-        # min and max are nan where an entry is: one pass each.
-        if xi_mag.size and not (xi_mag.min() > 0.0 and xi_mag.max() <= XI_MAX):
-            _require_xi(float(xi_mag[~((0.0 < xi_mag) & (xi_mag <= XI_MAX))][0]), XI_MAX)
-    else:
-        _require_xi(xi_mag, XI_MAX)
-    value = mellin_transform(tp, xi_mag)
+    value = mellin_transform(tp, xi_mag)  # checks xi_mag: mellin._require_xi
     finite = np.isfinite(value)
     if not finite.all():
         at = float(np.extract(~finite, xi_mag)[0])

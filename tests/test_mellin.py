@@ -88,26 +88,35 @@ def _mp_line(alpha, beta, phi, sigma, n, xi):
 
     The step is set for about 1e-20 of the result.  On the strip the
     integrand exceeds its value on the line by up to e^(d |log(pi xi)|),
-    and on the line it exceeds the result, which the nearest pole sets, by
-    (pi xi)^(c - min(sigma, n)) at small xi and (pi xi)^(c + sigma) at
-    large xi.  The length is set for about 1e-20 of the integrand's peak.
-    The integrand decays like exp(-(pi - pi alpha/2 - theta) t/sigma) for
-    t > 0 and exp(-(pi - pi alpha/2 + theta)|t|/sigma) for t < 0, so near
-    the sector boundary one side decays slowly and the other fast.  At
-    phi = pi it is real-symmetric, f(-t) = conj f(t), and half the nodes
-    suffice."""
+    and on the line it exceeds the result, which the nearest pole with a
+    residue sets, by e^excess: (pi xi)^(c - s_1) at small xi and
+    (pi xi)^(c + sigma) at large xi.  s_1 is s = m sigma for the first m
+    with beta - alpha m not in {0, -1, -2, ...}, where 1/Gamma(beta -
+    alpha m) leaves the pole of 1/sin(pi s/sigma) standing, or s = n,
+    whichever is smaller.  The length is set for about 1e-20 of the
+    result, e^(52 + excess) below the integrand's peak.  The integrand
+    decays like exp(-(pi - pi alpha/2 - theta) t/sigma) for t > 0 and
+    exp(-(pi - pi alpha/2 + theta)|t|/sigma) for t < 0, so near the sector
+    boundary one side decays slowly and the other fast.  At phi = pi it is
+    real-symmetric, f(-t) = conj f(t), and half the nodes suffice."""
     ctx = _MP
     a, b, sg = ctx.mpf(alpha), ctx.mpf(beta), ctx.mpf(sigma)
     theta = phi - math.pi if phi > 0 else phi + math.pi
     upper = min(sigma, n)
     c = 0.5 * (upper - sigma)
     d = 0.5 * (upper + sigma)
+    s_1 = next(
+        (m * sigma for m in range(1, math.ceil(n / sigma) + 1)
+         if not (beta - alpha * m <= 0 and beta - alpha * m == math.floor(beta - alpha * m))),
+        math.inf,
+    )
+    s_1 = min(s_1, n)
     log_pi_xi = math.log(math.pi * xi)
-    excess = (c + sigma if log_pi_xi > 0.0 else c - upper) * log_pi_xi
+    excess = (c + sigma if log_pi_xi > 0.0 else c - s_1) * log_pi_xi
     h = 2.0 * math.pi * d / (46.0 + d * abs(log_pi_xi) + excess)
     base = math.pi - 0.5 * math.pi * alpha
-    m_pos = math.ceil(52.0 * sigma / (base - theta) / h)
-    m_neg = math.ceil(52.0 * sigma / (base + theta) / h)
+    m_pos = math.ceil((52.0 + excess) * sigma / (base - theta) / h)
+    m_neg = math.ceil((52.0 + excess) * sigma / (base + theta) / h)
     pxi = ctx.pi * ctx.mpf(xi)
 
     def f(t):
@@ -206,10 +215,13 @@ def test_residue_series_matches_line(sigma, n, grid):
 
 @pytest.mark.parametrize("n,sigma", REFERENCE_PROBLEMS)
 def test_reference_problems_against_mpmath(n, sigma):
+    # At xi <= 1e-2 the right residue series takes (1, 0.7) and the line
+    # takes nothing; the line's rounding floor reached 1.9e-13 there.
     tp = TransformProblem(0.8, 1.0, math.pi, sigma, n)
     for xi in np.geomspace(1e-4, 1e3, 25):
         want = mp_reference(0.8, 1.0, math.pi, sigma, n, float(xi))
-        assert rel_err(ml_transform(tp, xi), want) <= 1e-12, xi
+        bound = 1e-14 if xi <= 1e-2 else 1e-12
+        assert rel_err(ml_transform(tp, xi), want) <= bound, xi
 
 
 @pytest.mark.parametrize("sigma", [4.0, 8.0])
@@ -239,10 +251,109 @@ def test_left_line_centre_on_a_gamma_pole(sigma):
 )
 def test_small_xi_line_sized_for_the_nearest_pole_with_a_residue(problem, s_1, bound):
     # A line sized for the cancelled pole at s = sigma was 2.0e-11 and
-    # 1.7e-9 off at xi = 1e-4.
+    # 1.7e-9 off at xi = 1e-4; sized for s_1 it is 4.1e-13 and 2.0e-12
+    # off, its rounding floor.  The route takes the right residue series
+    # there, 2.8e-16 and 1.1e-15 off.
     tp = TransformProblem(*problem)
     assert mellin._series_coefficients(tp).right.c == 0.6 * s_1
-    assert rel_err(ml_transform(tp, 1e-4), _mp_line(*problem, 1e-4)) <= bound
+    want = _mp_line(*problem, 1e-4)
+    assert rel_err(line_integral(tp, 1e-4), want) <= bound
+    assert rel_err(ml_transform(tp, 1e-4), want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gaussian_small_xi_from_the_right_series(n):
+    # Every residue at s = m sigma vanishes or meets an s = n + 2j, and the
+    # right residue series is the Gaussian's Taylor series; the line it
+    # replaces was up to 2.1e-11 off here.
+    tp = TransformProblem(1.0, 1.0, math.pi, 2.0, n)
+    for xi in np.geomspace(1e-4, 0.1, 13):
+        assert rel_err(ml_transform(tp, xi), closed_form(n, 2, xi)) <= 2e-15, xi
+
+
+def _right(tp, xs):
+    """The right residue series of tp and its estimate at the array xs."""
+    xs = np.asarray(xs, dtype=float)
+    return mellin._right_series(mellin._series_coefficients(tp).residues, xs, np.log(math.pi * xs))
+
+
+def test_double_pole_carries_its_log_term():
+    # (2, 1.5): 4 sigma = n + 4 = 6 is a double pole, whose residue is
+    # (C + D log pi xi) (pi xi)^6.  Without D the sum is 1e-7 off.
+    tp = TransformProblem(0.8, 1.0, math.pi, 1.5, 2)
+    assert mellin._series_coefficients(tp).residues.log_coef is not None
+    value, err = _right(tp, [1e-2])
+    assert err[0] <= 1e-15
+    want = _mp_line(0.8, 1.0, math.pi, 1.5, 2, 1e-2)
+    assert rel_err(value[0], want) <= 1e-14
+    assert rel_err(ml_transform(tp, 1e-2), want) <= 1e-14
+
+
+@pytest.mark.parametrize("xi,taken", [(1e-3, True), (1e-2, False), (0.05, False)])
+def test_nearly_coincident_poles_are_served_within_their_estimate(xi, taken):
+    # At sigma = 1.5 + 1e-9, 4 sigma and n + 4 are 4e-9 apart: two simple
+    # poles whose residues, near 1e9 times the others, cancel.  At small xi
+    # their terms are too small to matter; from xi = 1e-2 the cancellation
+    # shows in the estimate, which sends the point to the line.  Either
+    # way the sum is within 10 times its estimate.
+    sigma = 1.5 + 1e-9
+    tp = TransformProblem(0.8, 1.0, math.pi, sigma, 2)
+    want = _mp_line(0.8, 1.0, math.pi, sigma, 2, xi)
+    value, err = _right(tp, [xi])
+    assert (err[0] <= 1e-15) == taken
+    assert rel_err(value[0], want) <= 10.0 * err[0]
+    assert rel_err(ml_transform(tp, xi), want) <= 1e-13
+
+
+def test_right_series_within_its_estimate_on_a_seeded_sample():
+    # Problems 0.05 to 1 of the sector's room inside it, phi = pi for a
+    # third of them, xi in [1e-4, 0.15]: every point the right series takes
+    # is within 10 times its estimate, and within 1e-14, of the mpmath line.
+    rng = np.random.default_rng(35)
+    taken = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        alpha, beta = rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5)
+        sigma = 0.5 * (n - 1) + rng.uniform(0.1, 2.5)
+        room = rng.uniform(0.05, 1.0)
+        phi = min(0.5 * math.pi * alpha + room * math.pi * (1.0 - 0.5 * alpha), math.pi)
+        phi = math.pi if rng.random() < 0.3 else float(rng.choice([1.0, -1.0])) * phi
+        xi = 10.0 ** rng.uniform(-4.0, math.log10(0.15))
+        tp = TransformProblem(alpha, beta, phi, sigma, n)
+        if math.log(math.pi * xi) > mellin._series_coefficients(tp).residues.edge:
+            continue
+        value, err = _right(tp, [xi])
+        if not err[0] <= 1e-15:
+            continue
+        taken += 1
+        true = rel_err(value[0], _mp_line(alpha, beta, phi, sigma, n, xi))
+        assert true <= min(10.0 * err[0], 1e-14), (alpha, beta, phi, sigma, n, xi)
+    assert taken >= 20
+
+
+@pytest.mark.parametrize("tp", [
+    TransformProblem(0.8, 1.0, math.pi, 0.7, 1),
+    TransformProblem(1.3, 0.7, -2.5, 1.5, 2),
+    TransformProblem(1.5, 0.5, math.pi, 1.6, 3),
+])
+def test_points_past_the_right_edge_are_refused_exactly(monkeypatch, tp):
+    # Past its edge the right series' envelopes alone refuse it: summed
+    # anyway, every such point misses the target, and the route's values
+    # are the same, bit for bit.
+    res = mellin._series_coefficients(tp).residues
+    assert res.edge < mellin._RIGHT_EDGE
+    xs = np.geomspace(1e-6, 0.159, 300)
+    L = np.log(math.pi * xs)
+    past = (L > res.edge) & (L <= mellin._RIGHT_EDGE)
+    assert past.any()
+    _value, err = mellin._right_series(res, xs[past], L[past])
+    assert not np.any(err <= 1e-15)
+    transform = mellin_transform(tp, xs)
+    kept = mellin._series_coefficients
+    monkeypatch.setattr(mellin, "_series_coefficients", lambda tp: kept(tp)._replace(
+        residues=kept(tp).residues._replace(edge=mellin._RIGHT_EDGE)
+    ))
+    assert transform.tobytes() == mellin_transform(tp, xs).tobytes()
 
 
 @settings(
@@ -332,14 +443,17 @@ def test_series_rejected_where_it_misses_the_exponential_term():
 
 
 def test_series_taken_only_where_its_estimate_meets_the_target(monkeypatch):
-    # A NaN estimate is not known to meet the target: the point goes to the
-    # line, in an array as alone.
+    # A NaN estimate, of either series, is not known to meet the target:
+    # the point goes to the line, in an array as alone.
     tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
     xs = np.array([0.05, 0.5, 5.0])
     want = line_integral(tp, xs)
-    series = mellin._series
+    series, right = mellin._series, mellin._right_series
     monkeypatch.setattr(
         mellin, "_series", lambda tp, x, L: (series(tp, x, L)[0], np.full(x.size, math.nan))
+    )
+    monkeypatch.setattr(
+        mellin, "_right_series", lambda res, x, L: (right(res, x, L)[0], np.full(x.size, math.nan))
     )
     assert np.array_equal(ml_transform(tp, xs), want)
     assert ml_transform(tp, 0.5) == want[1]
@@ -404,8 +518,7 @@ def test_line_evaluates_each_node_once(monkeypatch):
     # and the last one has passed the 1e-18 tail check.
     tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
     given_nodes = _recorded_nodes(monkeypatch)
-    assert residue_series(tp, 1e-2)[1] > 1e-15  # a line point
-    ml_transform(tp, 1e-2)
+    line_integral(tp, 1e-2)
     s = np.concatenate(given_nodes)
     assert np.all(s.real == 0.6 * 2.2)
     t = np.sort(s.imag)
@@ -474,8 +587,9 @@ def test_kept_arrays_are_read_only():
                 arr[0] = 0.0
     plan = mellin._series_coefficients(tp)
     lines = (plan.left.ladder, plan.left.bounds, plan.right.ladder, plan.right.bounds)
-    arrays = [f for f in (*plan, *lines) if isinstance(f, np.ndarray)]
-    assert len(arrays) == 7
+    arrays = [f for f in (*plan, *lines, *plan.residues) if isinstance(f, np.ndarray)]
+    assert plan.residues.log_coef is not None  # 20 sigma = n + 32, a double pole
+    assert len(arrays) == 12
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -527,7 +641,8 @@ def test_rungs_read_off_the_bounds_follow_the_step_rule(monkeypatch, n, sigma):
 
 def test_kept_kernels_stay_within_the_node_cap(monkeypatch):
     # 0.002 rad inside the sector one kernel holds 430,306 nodes; the grid's
-    # three kernels hold 1.3 million in all.
+    # three kernels hold 1.3 million in all.  The line is called directly:
+    # the transform takes the right residue series at the grid's small xi.
     _cold_caches()
     evaluated = {}
     evaluate = mellin._evaluate_kernel
@@ -539,7 +654,7 @@ def test_kept_kernels_stay_within_the_node_cap(monkeypatch):
 
     monkeypatch.setattr(mellin, "_evaluate_kernel", recorder)
     tp = TransformProblem(1.3, 1.0, 0.5 * math.pi * 1.3 + 0.002, 1.5, 2)
-    ml_transform(tp, np.geomspace(1e-12, 1e2, 25))
+    line_integral(tp, np.geomspace(1e-12, 1e2, 25))
     for n, sigma in REFERENCE_PROBLEMS:
         ml_transform(TransformProblem(0.8, 1.0, math.pi, sigma, n), np.geomspace(1e-4, 1e3, 25))
     assert sum(evaluated.values()) > 2**20
@@ -712,10 +827,20 @@ def test_points_past_u_1_are_skipped_exactly(monkeypatch, tp):
     assert transform.tobytes() == mellin_transform(tp, xs).tobytes()
 
 
-@pytest.mark.parametrize("xi", [0.0, math.nan, math.inf])
-def test_series_outside_the_open_half_line_sums_nothing(xi):
+@pytest.mark.parametrize(
+    "entry", [residue_series, line_integral, mellin_transform, ml_transform],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "xi", [math.nan, 0.0, -1.0, math.inf, np.array([0.1, math.nan])],
+    ids=["nan", "0.0", "-1.0", "inf", "array-nan"],
+)
+def test_xi_outside_the_open_half_line_raises(entry, xi):
+    # One check, shared by every entry point: log(pi xi) is nan or +-inf
+    # there, and no rung of the ladder covers it.
     for tp in SKIP_PROBLEMS:
-        assert residue_series(tp, xi) == (0.0, math.inf)
+        with pytest.raises(DomainError, match="finite xi"):
+            entry(tp, xi)
 
 
 class TestArrays:
@@ -768,6 +893,11 @@ ONE_RUNG_EXTREMES = (
 )
 
 
+# Both sides of pi xi = 0.5, with points the right residue series takes,
+# points past its edge for (1, 0.7) and points its estimate refuses.
+RIGHT_SERIES_SIDES = np.array([1e-4, 1e-2, 0.04, 0.06, 0.1, 0.15, 0.159, 0.16, 0.3, 2.0])
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     problem=st.sampled_from(REFERENCE_PROBLEMS),
@@ -780,6 +910,9 @@ ONE_RUNG_EXTREMES = (
 @example(problem=(1, 0.7), phi=math.pi, xs=ONE_RUNG_EXTREMES[1])
 @example(problem=(2, 1.5), phi=-2.0, xs=ONE_RUNG_EXTREMES[1])
 @example(problem=(3, 2.2), phi=math.pi, xs=ONE_RUNG_EXTREMES[1])
+@example(problem=(1, 0.7), phi=math.pi, xs=RIGHT_SERIES_SIDES)
+@example(problem=(2, 1.5), phi=-2.0, xs=RIGHT_SERIES_SIDES)
+@example(problem=(3, 2.2), phi=math.pi, xs=RIGHT_SERIES_SIDES)
 def test_batch_matches_each_point_bit_for_bit(problem, phi, xs):
     # The grids straddle 2 pi xi = 1, where the line moves, reach the
     # series/line switch of each reference problem, and span several rungs
