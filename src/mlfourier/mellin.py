@@ -498,23 +498,23 @@ def _right_residues(tp) -> _Residues:
     )
 
 
-def _right_edge(ds: np.ndarray, rel_env: np.ndarray, logs: np.ndarray) -> float:
+def _right_edge(ds: np.ndarray, log_size: np.ndarray, logs: np.ndarray) -> float:
     """The least L = log(pi xi) in [-746, log 0.5] past which the right
     series' envelopes alone show that it must miss 1e-15, the mirror image
     of u_1, within 1e-9; log(0.5) - 1e-12 where no L is, and -inf where
     every L is.
 
-    With env_k(L) = e_k (1 + [k double] |L|) e^{s_k L}, a sum stopped at k
-    has |sum| <= sum_{j<k} env_j, so an estimate of at least
-    r_k(L) = e_k e^{s_k L}/sum_{j<k} env_j(L).  For L < 0 every r_k grows
+    With e_k = size_k and env_k(L) = e_k (1 + [k double] |L|) e^{s_k L},
+    a sum stopped at k has |sum| <= sum_{j<k} env_j, so an estimate of at
+    least r_k(L) = e_k e^{s_k L}/sum_{j<k} env_j(L).  For L < 0 every r_k grows
     with L, and so does their least value: where it passes 1e-15, with a
     margin for rounding, it does at every larger L, and the series is
     refused there before any term is formed."""
     target = math.log(_TARGET * (1.0 + 1e-6))
 
     def refused(L: float) -> bool:
-        below = np.logaddexp.accumulate(rel_env + np.log1p(-L * logs) + ds * L)
-        return bool(np.min(rel_env[1:] + ds[1:] * L - below[:-1], initial=math.inf) > target)
+        below = np.logaddexp.accumulate(log_size + np.log1p(-L * logs) + ds * L)
+        return bool(np.min(log_size[1:] + ds[1:] * L - below[:-1], initial=math.inf) > target)
 
     lo, hi = -746.0, _RIGHT_EDGE
     if not refused(hi):
