@@ -33,24 +33,22 @@ Mellin-Barnes Integrals*, CUP 2001; Braaksma, Compositio Math. 15
 (1964)): a series in (pi xi)^s, with log(pi xi) terms at the double
 poles, that converges for sigma > alpha and is asymptotic otherwise.
 
-mellin_transform takes the left series where its error estimate (the
-first omitted term, rounding, and E's exponential term, which the series
-lacks) is at most 1e-15 of the sum.  At small xi, where u = -sigma log(pi
-xi) passes a bound u_1 set by the coefficients, that series sums no term
-and is not computed.  Of the other points, those with pi xi < 0.5 take the
-right series where its own estimate is at most 1e-15 (_right_series), and
-past an edge of log(pi xi) set by its coefficients it is refused before
-any term is formed; the line integral takes the rest.  The line is
+Both closures are one residue form (_Residues): terms (C_k + D_k log pi
+xi) (pi xi)^(s_k - n) over poles in the order summed, cut at the smallest
+envelope, with an error estimate (the first omitted term, rounding, and
+on the left E's exponential term, which the series lacks) and a span of
+log(pi xi) outside which the envelopes alone refuse the series (_edge).
+mellin_transform offers each point to the left series, then to the right
+one, within their spans, and a series takes the point where its estimate
+is at most 1e-15 of the sum; the line integral takes the rest.  The line is
 the trapezoid rule with the step set by the distance to the poles
 (Trefethen & Weideman, SIAM Rev. 56 (2014)), rounded onto a ladder; its
 equispaced nodes split each point's phase sum into baby and giant steps
 (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973)).  K does not depend on
 xi, only (pi xi)^s does (Talman, J. Comput. Phys. 29 (1978)).  So each
 problem has one plan, built on its first call and kept for the last 64
-problems: the left series' coefficients and u_1, whether E's exponential
-term enters its estimate, the right series' poles, coefficients and edge,
-and each line's c, d, step ladder and the bounds on |log pi xi| of its
-rungs; and the kernels of the lines and steps
+problems: both series, and each line's c, d, step ladder and the bounds on
+|log pi xi| of its rungs; and the kernels of the lines and steps
 used most recently are kept, up to 2^20 stored nodes (16 MiB) in all, in
 the form the phase sums read.  A call reads its route, which series or
 line and which rung, from its extremes of log(pi xi), and computes
@@ -96,9 +94,6 @@ _MAX_NODES = 2**20
 _SERIES_ROWS = 128
 # The right residue series runs over the poles s <= min(sigma, n) + 64.
 _RIGHT_SPAN = 64.0
-# The right series' rounding estimate per unit of the magnitudes summed:
-# eps for the sum, and eps for the coefficients' own rounding.
-_ROUNDING = 2.0 * _EPS
 # The line's phase sums take the nodes in chunks of _CHUNK, and the points
 # in blocks whose (points x rows) arrays hold at most _BLOCK entries.
 _CHUNK = 2**14
@@ -162,22 +157,29 @@ def residue_coefficient(tp, k: int) -> complex:
     )
 
 
-def _wave(tp) -> tuple[float, float] | None:
-    """(p, gamma) of E's exponential term on the profile (_log_wave_size),
-    None where the problem has none: |phi| >= pi alpha, or a saddle off the
-    principal sheet."""
-    p = tp.sigma / tp.alpha
-    delta = abs(tp.phi) / tp.alpha - 0.5 * math.pi
-    gamma = delta / (p - 1.0) if p > 1.0 else math.inf
-    if delta >= 0.5 * math.pi or gamma >= math.pi:
-        return None
-    return p, gamma
+class _Wave(NamedTuple):
+    """E's exponential term on the profile, where the problem has one
+    (_wave)."""
+
+    p: float
+    log_scale: float
+    xi_power: float
+    r_power: float
+    decay: float
+
+    def log_size(self, xi: np.ndarray) -> np.ndarray:
+        """log of the size of the term's transform, which the residue series
+        does not contain, at each xi: log_scale + xi_power log xi + r_power
+        log r - decay xi r, r = (2 pi xi/p)^(1/(p-1))."""
+        log_r = np.log(2.0 * math.pi * xi / self.p) / (self.p - 1.0)
+        r = np.exp(np.minimum(log_r, 700.0))
+        size = self.log_scale + self.xi_power * np.log(xi) + self.r_power * log_r - self.decay * xi * r
+        return np.where(log_r > 700.0, -math.inf, size)
 
 
-def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
-    """log of the size of the transform of E's exponential term, which the
-    residue series does not contain, at each xi, for a problem that has
-    one (_wave).
+def _wave(tp) -> _Wave | None:
+    """E's exponential term on the profile, None where the problem has
+    none: |phi| >= pi alpha, or a saddle off the principal sheet.
 
     E(z) carries (1/alpha) z^((1-beta)/alpha) e^{z^(1/alpha)} for
     |arg z| < pi alpha.  On the profile that is a wave e^{w r^p}, p =
@@ -185,22 +187,22 @@ def _log_wave_size(tp, xi: np.ndarray) -> np.ndarray:
     saddle at |r_s| = (2 pi xi/p)^(1/(p-1)), arg r_s = -gamma, gamma =
     (|phi|/alpha - pi/2)/(p-1), where the exponent has real part
     -2 pi xi (1 - 1/p) |r_s| sin(gamma).  Near the sector boundary gamma is
-    small and this term outgrows the series' smallest term.  The estimate
-    is the saddle-point value with the Bessel kernel's large-argument
+    small and this term outgrows the series' smallest term.  Its size is
+    the saddle-point value with the Bessel kernel's large-argument
     amplitude; for gamma >= pi the saddle is off the principal sheet.
     """
-    p, gamma = _wave(tp)
-    log_r = np.log(2.0 * math.pi * xi / p) / (p - 1.0)
-    r = np.exp(np.minimum(log_r, 700.0))
-    size = (
-        math.log(2.0 * math.pi / tp.alpha)
-        + (1.0 - 0.5 * tp.n) * np.log(xi)
-        - 2.0 * math.pi * xi * (1.0 - 1.0 / p) * r * math.sin(gamma)
-        - 0.5 * np.log(2.0 * math.pi ** 2 * xi)
-        + 0.5 * math.log(2.0 * math.pi / (p * (p - 1.0)))
-        + (tp.sigma * (1.0 - tp.beta) / tp.alpha + 0.5 * tp.n - 0.5 * p + 0.5) * log_r
+    p = tp.sigma / tp.alpha
+    delta = abs(tp.phi) / tp.alpha - 0.5 * math.pi
+    gamma = delta / (p - 1.0) if p > 1.0 else math.inf
+    if delta >= 0.5 * math.pi or gamma >= math.pi:
+        return None
+    return _Wave(
+        p=p,
+        log_scale=math.log(2.0 * math.pi / tp.alpha) - 0.5 * math.log(math.pi * p * (p - 1.0)),
+        xi_power=0.5 - 0.5 * tp.n,
+        r_power=tp.sigma * (1.0 - tp.beta) / tp.alpha + 0.5 * tp.n - 0.5 * p + 0.5,
+        decay=2.0 * math.pi * (1.0 - 1.0 / p) * math.sin(gamma),
     )
-    return np.where(log_r > 700.0, -math.inf, size)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -239,33 +241,29 @@ def _line_plan(c: float, d: float) -> _Line:
 
 
 class _Residues(NamedTuple):
-    """The right residue series of a problem (_right_residues): its terms
-    are (coef_k + log_coef_k L) e^{ds_k L}, L = log(pi xi), times
-    (pi xi)^power."""
+    """A residue series of the problem, closed to the left (_left_residues)
+    or to the right (_right_residues): F = (pi xi)^power sum_k (coef_k +
+    log_coef_k L) e^{ds_k L}, L = log(pi xi), summed by _residue_sum."""
 
-    ds: np.ndarray  # s_k - s_0 over the poles s_k in ascending order
-    coef: np.ndarray  # -pi^(n/2) C_k: real at phi = pi, else complex
-    log_coef: np.ndarray | None  # -pi^(n/2) D_k, None where no pole is double
+    ds: np.ndarray  # s_k - s_0 over the poles s_k in the order summed
+    coef: np.ndarray  # real at phi = pi, else complex
+    log_coef: np.ndarray | None  # None where no pole is double
     size: np.ndarray  # a majorant of |coef_k| and |log_coef_k|, smooth in k
     before: np.ndarray  # before[k, i] where i < k: the columns a stop at k sums
-    power: float  # s_0 - n
-    edge: float  # the series is refused for log(pi xi) > edge
+    power: tuple[float, float]  # s_0 - n as a hi/lo pair
+    rounding: float  # the estimate's rounding per unit of the magnitudes summed
+    span: tuple[float, float]  # the series is refused for L outside [lo, hi]
+    wave: _Wave | None  # E's exponential term, where it enters the estimate
 
 
 class _Plan(NamedTuple):
     """What mellin_transform computes of a problem that does not depend on
     xi (_series_coefficients)."""
 
-    k_less_1: np.ndarray  # k - 1 for k = 1..256
-    rel_env: np.ndarray  # log_env[k] - log_env[0] of the residue envelopes
-    signed: np.ndarray  # the terms' signed factors -sin(pi k sigma/2) e^{ik phi}
-    scale: float  # exp(log_env[0])
     pi_n: float  # pi^(-n/2)
-    u_1: float
-    has_wave: bool  # whether E's exponential term enters the estimate
     left: _Line  # c = -sigma/2, for 2 pi xi >= 1
     right: _Line  # c = 0.6 s_1 (_right_pole), below
-    residues: _Residues  # the right residue series, for pi xi < 0.5
+    series: tuple[_Residues, _Residues]  # closed to the left, to the right
 
 
 def _right_pole(tp) -> float:
@@ -284,35 +282,15 @@ def _right_pole(tp) -> float:
 
 @lru_cache(maxsize=64)
 def _series_coefficients(tp) -> _Plan:
-    """The problem's plan: the residue series' 256 coefficients, u_1, and
-    the lines' c, d and step ladders; nothing here depends on xi.
-
-    With A_k = log_env[k] - log_env[0] and u = -sigma log(pi xi), the k-th
-    envelope relative to the first is exp(A_k + u (k - 1)).  For u > u_1 =
-    max_{k>=2} (-A_k/(k - 1)) + 1 every one of them exceeds e, so the
-    smallest envelope is the first and the series sums no term; the e-fold
-    margin is far above the exponent's rounding.  Where sin(pi sigma/2) = 0
-    every term is 0, and u_1 = -inf.
-    """
-    k = np.arange(1.0, _SERIES_TERMS + 1.0)
-    log_env, sin = _log_envelopes(tp, k)
-    k_less_1 = k - 1.0
-    rel_env = log_env - log_env[0]
-    signed = -sin * _phases(tp, k)
-    _read_only(k_less_1, rel_env, signed)
+    """The problem's plan: both residue series and the lines' c, d and
+    step ladders; nothing here depends on xi."""
     upper = _right_pole(tp)
     c_left, c_right = -0.5 * tp.sigma, 0.6 * upper
     return _Plan(
-        k_less_1=k_less_1,
-        rel_env=rel_env,
-        signed=signed,
-        scale=math.exp(log_env[0]),
         pi_n=math.pi ** (-0.5 * tp.n),
-        u_1=-math.inf if sin[0] == 0.0 else float(np.max(-rel_env[1:] / k_less_1[1:]) + 1.0),
-        has_wave=_wave(tp) is not None,
         left=_line_plan(c_left, min(c_left + tp.sigma, upper - c_left)),
         right=_line_plan(c_right, min(c_right + tp.sigma, upper - c_right)),
-        residues=_right_residues(tp),
+        series=(_left_residues(tp), _right_residues(tp)),
     )
 
 
@@ -347,6 +325,25 @@ def _rgamma_at(x: np.ndarray, x_lo) -> tuple[np.ndarray, np.ndarray]:
     return np.where(positive, up, down), np.where(positive, rgamma(xp), m)
 
 
+def _left_residues(tp) -> _Residues:
+    """The residue series closed to the left, over s_k = -k sigma for k =
+    1..256: the coefficient of (pi xi)^(s_k - n) is pi^(n/2) c_k e^{ik
+    phi}, and its size pi^(n/2) |c_k / sin(pi k sigma/2)| (_log_envelopes).
+    Near k sigma/2 = integer a term is small for its sine factor alone, so
+    truncation follows that size instead.  At even-integer sigma every
+    coefficient is 0.  The estimate adds E's exponential term where the
+    problem has one (_wave)."""
+    k = np.arange(1.0, _SERIES_TERMS + 1.0)
+    log_env, sin = _log_envelopes(tp, k)
+    s, s_lo = _two_prod(-k, tp.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.exp(log_env + 0.5 * tp.n * math.log(math.pi))
+        coef = -sin * _phases(tp, k) * size
+    zeros = np.zeros(k.size)
+    # Every envelope ratio grows as L falls: the edge is searched from above.
+    return _residues(tp, s, s_lo, coef, zeros, size, zeros, _EPS, (746.0, -746.0), _wave(tp))
+
+
 def _right_residues(tp) -> _Residues:
     """The residue series closed to the right, F(xi) = -pi^(-n/2) xi^-n
     sum Res K(s) (pi xi)^s over the poles s_k right of the line, that is
@@ -378,12 +375,12 @@ def _right_residues(tp) -> _Residues:
     alpha q, (n - m sigma)/2, ... are carried with their rounding errors
     (_two_prod, _two_sum) and each factor is corrected to first order, so
     that a coefficient is accurate to a few ulps even next to a zero of a
-    sine.  The poles run from the first with a residue, s_0, to
-    min(sigma, n) + 64, at most 256 of them and up to the first whose
-    coefficient leaves double range: for pi xi < 0.5, (pi xi)^64 < 1e-19.
-    Beside each coefficient the plan keeps a majorant of its size, smooth
-    where a 1/Gamma factor may vanish, so that a small factor never stops
-    the sum early, and s_k - s_0 to within one rounding of the true poles.
+    sine.  The poles run to min(sigma, n) + 64 (_residues cuts them
+    further): for pi xi < 0.5, (pi xi)^64 < 1e-19.  Beside each
+    coefficient the plan keeps a majorant of its size, smooth where a
+    1/Gamma factor may vanish, so that a small factor never stops the sum
+    early.  Rounding enters the estimate twice: eps for the sum, and eps
+    for the coefficients' own rounding.
     """
     # A coefficient past double range is cut off below, not warned about.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -454,29 +451,15 @@ def _right_residues(tp) -> _Residues:
             ph = np.exp(-1j * p) * (1.0 - 1j * e)
         coef_m = ph * gamma_y * rg / half
         size_m = np.abs(gamma_y) * size / half
-    # Sorted from the first pole with a residue, which sets the scale, to
-    # the first coefficient outside double range.
-    s_hi = np.concatenate([s_j, s_m])
-    s_lo = np.concatenate([np.zeros(j.size), s_m_lo])
-    order = np.argsort(s_hi, kind="stable")
-    coef = np.concatenate([coef_j, coef_m])[order]
-    log_coef = np.concatenate([log_coef_j, np.zeros(m.size)])[order]
-    size = np.concatenate([size_j, size_m])[order]
-    first = int(np.argmax((coef != 0.0) | (log_coef != 0.0)))
-    bad = ~(np.isfinite(coef) & np.isfinite(size) & (size > 0.0))
-    last = first + int(np.argmax(bad[first:])) if bad[first:].any() else order.size
-    cut = slice(first, min(last, first + _SERIES_TERMS))
-    order, coef, log_coef, size = order[cut], coef[cut], log_coef[cut], size[cut]
+        # The scale -pi^(n/2) goes into the coefficients and their sizes.
+        pi_half_n = math.pi ** (0.5 * n)
+        s_hi = np.concatenate([s_j, s_m])
+        s_lo = np.concatenate([np.zeros(j.size), s_m_lo])
+        order = np.argsort(s_hi, kind="stable")
+        coef = -pi_half_n * np.concatenate([coef_j, coef_m])[order]
+        log_coef = -pi_half_n * np.concatenate([log_coef_j, np.zeros(m.size)])[order]
+        size = pi_half_n * np.concatenate([size_j, size_m])[order]
     logs = np.concatenate([logs_j, np.zeros(m.size)])[order]
-    s_hi, s_lo = s_hi[order], s_lo[order]
-    d, e = _two_sum(s_hi, -s_hi[0])
-    ds = d + (e + (s_lo - s_lo[0]))
-    power, e = _two_sum(s_hi[0], -float(n))
-    # The scale -pi^(n/2) goes into the coefficients and their sizes.
-    pi_half_n = math.pi ** (0.5 * n)
-    coef, log_coef, size = -pi_half_n * coef, -pi_half_n * log_coef, pi_half_n * size
-    if phi == math.pi:  # every coefficient is real, up to the phases' rounding
-        coef, log_coef = coef.real.copy(), log_coef.real.copy()
     # For sigma <= alpha the series is only asymptotic.  Where E also has an
     # exponential term on the profile (alpha > 1, or |phi| < pi alpha), the
     # transform of that term lies beyond all orders of the series and its
@@ -484,47 +467,100 @@ def _right_residues(tp) -> _Residues:
     # xi = 2.7e-4, the sum was 1.4e-12 off with an estimate of 4.9e-16.
     # There the series is never taken.
     taken = sigma > alpha or (alpha <= 1.0 and abs(phi) >= math.pi * alpha)
-    has_log = bool(logs.any())
-    before = np.arange(ds.size) < np.arange(ds.size)[:, None]
-    _read_only(ds, coef, log_coef, size, before)
-    return _Residues(
-        ds=ds,
-        coef=coef,
-        log_coef=log_coef if has_log else None,
-        size=size,
-        before=before,
-        power=power + (e + s_lo[0]),
-        edge=_right_edge(ds, np.log(size), logs) if taken else -math.inf,
+    return _residues(
+        tp, s_hi[order], s_lo[order], coef, log_coef, size, logs, 2.0 * _EPS,
+        (-746.0, _RIGHT_EDGE) if taken else None, None,
     )
 
 
-def _right_edge(ds: np.ndarray, log_size: np.ndarray, logs: np.ndarray) -> float:
-    """The least L = log(pi xi) in [-746, log 0.5] past which the right
-    series' envelopes alone show that it must miss 1e-15, the mirror image
-    of u_1, within 1e-9; log(0.5) - 1e-12 where no L is, and -inf where
-    every L is.
+def _residues(tp, s_hi, s_lo, coef, log_coef, size, logs, rounding, search, wave) -> _Residues:
+    """The series over the poles s_hi + s_lo in the order summed, whose
+    scaled coefficients, log coefficients and sizes are given, logs marking
+    the double poles: from the first pole with a residue, which sets the
+    scale, to the first coefficient or size outside double range, at most
+    256 of them, with s_k - s_0 to within one rounding of the true poles.
+    Its span runs from the edge (_edge) that search, (near, far), finds to
+    infinity beyond near; it is empty where search is None or every
+    coefficient is 0."""
+    bad = ~(np.isfinite(coef) & np.isfinite(size) & (size > 0.0))
+    first = int(np.argmax(((coef != 0.0) | (log_coef != 0.0)) & ~bad))
+    last = first + int(np.argmax(bad[first:])) if bad[first:].any() else size.size
+    cut = slice(first, min(last, first + _SERIES_TERMS))
+    s_hi, s_lo, coef, log_coef, size, logs = (
+        a[cut] for a in (s_hi, s_lo, coef, log_coef, size, logs)
+    )
+    d, e = _two_sum(s_hi, -s_hi[0])
+    ds = d + (e + (s_lo - s_lo[0]))
+    p, e = _two_sum(s_hi[0], -float(tp.n))
+    if tp.phi == math.pi:  # every coefficient is real, up to the phases' rounding
+        coef, log_coef = coef.real.copy(), log_coef.real.copy()
+    before = np.arange(ds.size) < np.arange(ds.size)[:, None]
+    _read_only(ds, coef, log_coef, size, before)
+    span = (math.inf, -math.inf)
+    if search is not None and (coef[0] != 0.0 or log_coef[0] != 0.0):
+        near, far = search
+        edge = _edge(ds, np.log(size), logs, near, far)
+        span = (edge, math.inf) if near > far else (-math.inf, edge)
+    return _Residues(
+        ds=ds,
+        coef=coef,
+        log_coef=log_coef if logs.any() else None,
+        size=size,
+        before=before,
+        power=_two_sum(p, e + s_lo[0]),
+        rounding=rounding,
+        span=span,
+        wave=wave,
+    )
 
-    With e_k = size_k and env_k(L) = e_k (1 + [k double] |L|) e^{s_k L},
+
+def _edge(ds: np.ndarray, log_size: np.ndarray, logs: np.ndarray, near: float, far: float) -> float:
+    """An L = log(pi xi) between near and far from which on toward far a
+    series' envelopes alone show that it must miss 1e-15, within 2^-10 of
+    the first such L from near: far where no L there does, and an infinity
+    beyond near where every L does.
+
+    With e_k = size_k and env_k(L) = e_k (1 + [k double] |L|) e^{ds_k L},
     a sum stopped at k has |sum| <= sum_{j<k} env_j, so an estimate of at
-    least r_k(L) = e_k e^{s_k L}/sum_{j<k} env_j(L).  For L < 0 every r_k grows
-    with L, and so does their least value: where it passes 1e-15, with a
-    margin for rounding, it does at every larger L, and the series is
-    refused there before any term is formed."""
+    least r_k(L) = e_k e^{ds_k L}/sum_{j<k} env_j(L).  On the right (ds_k
+    ascending, L < 0) every r_k grows with L, on the left (ds_k descending)
+    as L falls, and so does their least value: where it passes 1e-15, with
+    a margin for rounding, it does at every L further on, and the series
+    is refused there before any term is formed.  The L returned is always
+    such a point, so how closely it is found moves no route, only how many
+    points are summed and refused.
+
+    Two closed forms bracket the search.  The sum below k holds the first
+    term, so r_k <= (e_k/e_0) e^{ds_k L}, and where that is e^-1 below
+    1e-15 for some k the series is not refused.  Without double poles,
+    where every env_k >= env_{k-1} the first envelope is the smallest, the
+    sum is empty and every r_k >= 1/k: the series is refused."""
     target = math.log(_TARGET * (1.0 + 1e-6))
+    double = logs.any()
 
     def refused(L: float) -> bool:
-        below = np.logaddexp.accumulate(log_size + np.log1p(-L * logs) + ds * L)
-        return bool(np.min(log_size[1:] + ds[1:] * L - below[:-1], initial=math.inf) > target)
+        terms = log_size + ds * L
+        below = np.logaddexp.accumulate(terms + np.log1p(abs(L) * logs) if double else terms)
+        return bool(np.min(terms[1:] - below[:-1], initial=math.inf) > target)
 
-    lo, hi = -746.0, _RIGHT_EDGE
-    if not refused(hi):
-        return hi
-    if refused(lo):
-        return -math.inf
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
-    return hi
+    taken = (target - 1.0 - log_size[1:] + log_size[0]) / ds[1:]
+    rising = (log_size[:-1] - log_size[1:]) / np.diff(ds)
+    if near > far:
+        near = min(near, max(far, float(np.min(taken, initial=math.inf))))
+        inner = max(far, min(near, float(np.min(rising, initial=math.inf))))
+    else:
+        near = max(near, min(far, float(np.max(taken, initial=-math.inf))))
+        inner = min(far, max(near, float(np.max(rising, initial=-math.inf))))
+    if not double:
+        far = inner  # refused, unless it is far itself
+    if not refused(far):
+        return far
+    if refused(near):
+        return math.copysign(math.inf, near)
+    while abs(far - near) > 2.0**-10:
+        mid = 0.5 * (near + far)
+        near, far = (near, mid) if refused(mid) else (mid, far)
+    return far
 
 
 # Largest xi whose pi xi, the log argument, is a finite double.
@@ -549,102 +585,70 @@ def _points(xi) -> tuple[np.ndarray, np.ndarray]:
     return x, np.log(math.pi * x)
 
 
-def _series(tp, xi: np.ndarray, log_pi_xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """residue_series on a 1-D array, _SERIES_ROWS points at a time; points
-    past u_1 (_series_coefficients) sum no term and are not computed."""
-    plan = _series_coefficients(tp)
-    values = np.zeros(xi.size, complex)
-    errs = np.full(xi.size, math.inf)
-    live = np.flatnonzero(~(-tp.sigma * log_pi_xi > plan.u_1))
-    for lo in range(0, live.size, _SERIES_ROWS):
-        at = live[lo:lo + _SERIES_ROWS]
-        x, log_x = xi[at], -tp.sigma * log_pi_xi[at]
-        rows = np.arange(x.size)
-        # Envelopes relative to the k = 1 one, which carries the scale
-        # through exact powers: the large logs of small (pi xi)^(-k sigma)
-        # only enter terms that they make small.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            envelope = np.exp(plan.rel_env + np.multiply.outer(log_x, plan.k_less_1))
-            stop = np.argmin(envelope, axis=1)
-            terms = np.where(plan.k_less_1 < stop[:, None], plan.signed * envelope, 0.0)
-            total = terms.sum(axis=1)
-            value = plan.scale * (math.pi * x) ** -tp.sigma * plan.pi_n * x ** -tp.n * total
-            err = (envelope[rows, stop] + _EPS * np.abs(terms).sum(axis=1)) / np.abs(total)
-            if plan.has_wave:
-                wave = _log_wave_size(tp, x) - np.log(np.abs(value))
-                err += _WAVE_MARGIN * np.exp(np.minimum(wave, 0.0))
-            else:  # the wave term would add 10 e^(-inf - log|value|): nan at 0 or nan
-                err[~(np.abs(value) > 0.0)] = math.nan
-        summed = (total != 0.0) & np.isfinite(np.abs(total))
-        values[at] = np.where(summed, value, 0.0)
-        errs[at] = np.where(summed, err, math.inf)
-    return values, errs
-
-
-def _right_series(
-    res: _Residues, xi: np.ndarray, log_pi_xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The right residue series of the plan's res (_right_residues) and its
-    relative error estimate on a 1-D array, _SERIES_ROWS points at a time.
+def _residue_sum(res: _Residues, xi: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The series res at a 1-D array xi, L = log(pi xi), and its relative
+    error estimate, _SERIES_ROWS points at a time.
 
     Each point sums the terms up to, not including, its smallest envelope,
     size_k (pi xi)^(s_k - s_0), among the plan's columns, a fixed set, so
-    its bits do not depend on the batch.  For sigma > alpha the series
-    converges; for sigma <= alpha it is only asymptotic, this cut at its
-    smallest term is the best it gives, and the plan's edge refuses it
-    wherever E has an exponential term (_right_residues).  The estimate is that
-    envelope, which bounds the first omitted term (a double pole's up to
-    its factor 1 + |log pi xi|), plus eps times the magnitudes summed, plus
-    as much again for the coefficients' own rounding, all relative to
-    |sum|.  It is inf or nan where the sum is 0 or not finite."""
-    parts = [
-        _right_block(res, xi[lo:lo + _SERIES_ROWS], log_pi_xi[lo:lo + _SERIES_ROWS])
-        for lo in range(0, max(xi.size, 1), _SERIES_ROWS)
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate([v for v, _e in parts]), np.concatenate([e for _v, e in parts])
-
-
-def _right_block(res: _Residues, x: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_right_series on at most _SERIES_ROWS points."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        power = np.exp(L[:, None] * res.ds)
-        envelope = power * res.size
-        if res.log_coef is None:
-            terms = power * res.coef
-        else:
-            terms = (L[:, None] * res.log_coef + res.coef) * power
-        terms *= res.before[envelope.argmin(axis=1)]
-        total = terms.sum(axis=1)
-        err = (envelope.min(axis=1) + _ROUNDING * np.abs(terms).sum(axis=1)) / np.abs(total)
-        # Complex even at phi = pi, where the coefficients are real: the
-        # positive power first keeps the imaginary part +0.
-        return np.multiply((math.pi * x) ** res.power, total, dtype=complex), err
+    its bits do not depend on the batch.  Where the series is only
+    asymptotic, this cut at its smallest term is the best it gives.  The
+    estimate is that envelope, which bounds the first omitted term (a
+    double pole's up to its factor 1 + |L|), plus res.rounding times the
+    magnitudes summed, both relative to |sum|, plus, where res.wave is set,
+    ten times the relative size of E's exponential term (_Wave.log_size),
+    which no term of the series carries.  The value is (pi xi)^p_hi (1 +
+    p_lo L) times the sum, p_hi + p_lo = s_0 - n.  A sum that is 0 or not
+    finite makes the estimate inf or nan."""
+    p_hi, p_lo = res.power
+    values, errs = [], []
+    for lo in range(0, max(xi.size, 1), _SERIES_ROWS):
+        x, log_x = xi[lo:lo + _SERIES_ROWS], L[lo:lo + _SERIES_ROWS, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            power = np.exp(log_x * res.ds)
+            envelope = power * res.size
+            if res.log_coef is None:
+                terms = power * res.coef
+            else:
+                terms = (log_x * res.log_coef + res.coef) * power
+            # Masked, not multiplied: a column past the stop may be inf.
+            terms = np.where(res.before[envelope.argmin(axis=1)], terms, 0.0)
+            total = terms.sum(axis=1)
+            err = (envelope.min(axis=1) + res.rounding * np.abs(terms).sum(axis=1)) / np.abs(total)
+            scale = (math.pi * x) ** p_hi
+            if p_lo:
+                scale *= 1.0 + p_lo * log_x[:, 0]
+            # Complex even at phi = pi, where the coefficients are real: the
+            # positive power first keeps the imaginary part +0.
+            value = np.multiply(scale, total, dtype=complex)
+            if res.wave is not None:
+                wave = res.wave.log_size(x) - np.log(np.abs(value))
+                err += _WAVE_MARGIN * np.exp(np.minimum(wave, 0.0))
+        values.append(value)
+        errs.append(err)
+    if len(values) == 1:
+        return values[0], errs[0]
+    return np.concatenate(values), np.concatenate(errs)
 
 
 def residue_series(tp, xi):
-    """The residue series at |xi| = xi and its relative error estimate: a
-    (complex, float) pair for a float xi, a pair of arrays of xi's shape
-    for an ndarray.  Every point, and every later call on tp, shares the
-    problem's plan (_series_coefficients): the 256 coefficients, u_1 and
-    whether E's exponential term enters the estimate.
-
-    Near k sigma/2 = integer a term is small for its sin(pi k sigma/2)
-    factor alone, so truncation follows the envelope |c_k/sin(pi k sigma/2)|
-    (pi xi)^(-k sigma) instead: the terms are summed up to, not including,
-    the smallest envelope among the first 256.  The estimate is that
-    envelope, which bounds the first omitted term, plus eps times the sum of
-    the magnitudes summed, both relative to |sum|, plus ten times the
-    relative size of E's exponential term (_log_wave_size), which no term
-    of the series carries.  It is inf where the sum is 0, as for
-    even-integer sigma, where every term vanishes, and for xi so small
-    that -sigma log(pi xi) passes u_1 (_series_coefficients): there every
-    envelope is more than e times the first, so no term is summed, and
-    none is computed.  DomainError unless every xi is in (0, XI_MAX].
+    """The residue series closed to the left, at |xi| = xi, and its
+    relative error estimate: a (complex, float) pair for a float xi, a pair
+    of arrays of xi's shape for an ndarray.  Every point, and every later
+    call on tp, shares the problem's plan (_series_coefficients): the
+    coefficients of the poles s = -k sigma, k = 1..256, up to the first
+    outside double range (_left_residues).  The terms are summed up to, not
+    including, the smallest envelope |c_k/sin(pi k sigma/2)| (pi
+    xi)^(-k sigma) (_residue_sum); the estimate is that envelope plus eps
+    times the magnitudes summed, relative to |sum|, plus ten times the
+    relative size of E's exponential term (_Wave.log_size).  It is inf, and
+    the value 0, where the sum is 0 or not finite: for even-integer sigma,
+    where every term vanishes, and for xi so small that the first envelope
+    is the smallest.  DomainError unless every xi is in (0, XI_MAX].
     """
-    values, errs = _series(tp, *_points(xi))
-    return _like(xi, values), _like(xi, errs)
+    values, errs = _residue_sum(_series_coefficients(tp).series[0], *_points(xi))
+    summed = errs < math.inf
+    return _like(xi, np.where(summed, values, 0.0)), _like(xi, np.where(summed, errs, math.inf))
 
 
 def _log_integrand(tp, s: np.ndarray) -> np.ndarray:
@@ -902,49 +906,40 @@ def line_integral(tp, xi):
 
 
 def mellin_transform(tp, xi):
-    """The transform at |xi| = xi: the left residue series where its error
-    estimate is at most 1e-15 relative; else, for pi xi < 0.5, the right
-    residue series where its own estimate is (_right_series); else the
-    line integral.  A float xi gives a complex, an ndarray an array of its
-    shape; each point's value is the same, bit for bit, whatever the other
-    points of the array.  Where the left series can sum no term at any
-    point, it is not computed, and where every point is on the right
-    series' side of its edge, the whole array is summed on it as given.
+    """The transform at |xi| = xi: each point is offered to the residue
+    series closed to the left, then to the one closed to the right, where
+    its log(pi xi) lies in the series' span, and a series takes it where
+    its estimate is at most 1e-15 relative (_residue_sum); the line
+    integral takes the rest.  A float xi gives a complex, an ndarray an
+    array of its shape; each point's value is the same, bit for bit,
+    whatever the other points of the array.  A series whose span misses the
+    array's extremes of log(pi xi) is not computed, and an array within
+    one span whose every point that series takes is summed on it as given.
     DomainError unless every xi is in (0, XI_MAX], past which pi xi leaves
     double range."""
-    x, log_pi_xi = _points(xi)
-    plan = _series_coefficients(tp)
-    hi = log_pi_xi.max(initial=-math.inf)
-    if -tp.sigma * hi > plan.u_1:
-        return _like(xi, _off_the_left_series(tp, plan, x, log_pi_xi, hi))
-    values, errs = _series(tp, x, log_pi_xi)
-    on_line = ~(errs <= _TARGET)
-    if on_line.any():
-        L = log_pi_xi[on_line]
-        values[on_line] = _off_the_left_series(tp, plan, x[on_line], L, L.max())
+    x, L = _points(xi)
+    lo, hi = L.min(initial=math.inf), L.max(initial=-math.inf)
+    values = line = None  # line: the points no series has taken
+    for res in _series_coefficients(tp).series:
+        start, end = res.span
+        if hi < start or lo > end:
+            continue
+        if line is None and start <= lo and hi <= end:
+            value, err = _residue_sum(res, x, L)
+            if err.max(initial=0.0) <= _TARGET:  # nan where an estimate is
+                return _like(xi, value)
+            at = np.arange(x.size)
+        else:
+            within = (start <= L) & (L <= end)
+            at = np.flatnonzero(within if line is None else within & line)
+            value, err = _residue_sum(res, x[at], L[at])
+        if line is None:
+            values, line = np.empty(x.size, complex), np.ones(x.size, bool)
+        taken = err <= _TARGET
+        values[at[taken]] = value[taken]
+        line[at[taken]] = False
+    if line is None or line.all():
+        return _like(xi, _line(tp, x, L))
+    at = np.flatnonzero(line)
+    values[at] = _line(tp, x[at], L[at])
     return _like(xi, values)
-
-
-def _off_the_left_series(
-    tp, plan: _Plan, xi: np.ndarray, log_pi_xi: np.ndarray, hi: float
-) -> np.ndarray:
-    """The points the left series does not take, hi the largest log(pi
-    xi): the right series where log(pi xi) is at most its edge
-    (_right_edge, never past log 0.5 - 1e-12) and its estimate at most
-    1e-15, the line elsewhere."""
-    res = plan.residues
-    if hi <= res.edge:
-        values, errs = _right_series(res, xi, log_pi_xi)
-        if errs.max(initial=0.0) <= _TARGET:  # nan where an estimate is
-            return values
-    else:
-        values, errs = np.empty(xi.size, complex), np.full(xi.size, math.inf)
-        near = log_pi_xi <= res.edge
-        if near.any():
-            values[near], errs[near] = _right_series(res, xi[near], log_pi_xi[near])
-    on_line = ~(errs <= _TARGET)
-    if on_line.all():
-        return _line(tp, xi, log_pi_xi)
-    if on_line.any():
-        values[on_line] = _line(tp, xi[on_line], log_pi_xi[on_line])
-    return values

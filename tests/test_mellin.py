@@ -271,18 +271,20 @@ def test_gaussian_small_xi_from_the_right_series(n):
         assert rel_err(ml_transform(tp, xi), closed_form(n, 2, xi)) <= 2e-15, xi
 
 
-def _right(tp, xs):
-    """The right residue series of tp and its estimate at the array xs."""
+def _summed(tp, xs, side=1):
+    """The residue series of tp closed to the left (side 0) or to the
+    right (side 1), and its estimate, at the array xs."""
     xs = np.asarray(xs, dtype=float)
-    return mellin._right_series(mellin._series_coefficients(tp).residues, xs, np.log(math.pi * xs))
+    res = mellin._series_coefficients(tp).series[side]
+    return mellin._residue_sum(res, xs, np.log(math.pi * xs))
 
 
 def test_double_pole_carries_its_log_term():
     # (2, 1.5): 4 sigma = n + 4 = 6 is a double pole, whose residue is
     # (C + D log pi xi) (pi xi)^6.  Without D the sum is 1e-7 off.
     tp = TransformProblem(0.8, 1.0, math.pi, 1.5, 2)
-    assert mellin._series_coefficients(tp).residues.log_coef is not None
-    value, err = _right(tp, [1e-2])
+    assert mellin._series_coefficients(tp).series[1].log_coef is not None
+    value, err = _summed(tp, [1e-2])
     assert err[0] <= 1e-15
     want = _mp_line(0.8, 1.0, math.pi, 1.5, 2, 1e-2)
     assert rel_err(value[0], want) <= 1e-14
@@ -299,16 +301,19 @@ def test_nearly_coincident_poles_are_served_within_their_estimate(xi, taken):
     sigma = 1.5 + 1e-9
     tp = TransformProblem(0.8, 1.0, math.pi, sigma, 2)
     want = _mp_line(0.8, 1.0, math.pi, sigma, 2, xi)
-    value, err = _right(tp, [xi])
+    value, err = _summed(tp, [xi])
     assert (err[0] <= 1e-15) == taken
     assert rel_err(value[0], want) <= 10.0 * err[0]
     assert rel_err(ml_transform(tp, xi), want) <= 1e-13
 
 
-def test_right_series_within_its_estimate_on_a_seeded_sample():
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_series_within_its_estimate_on_a_seeded_sample(side):
     # Problems 0.05 to 1 of the sector's room inside it, phi = pi for a
-    # third of them, xi in [1e-4, 0.15]: every point the right series takes
-    # is within 10 times its estimate, and within 1e-14, of the mpmath line.
+    # third of them, xi in [1e-4, 0.15] on the right and [0.15, 100] on the
+    # left: every point a series takes within its span is within 10 times
+    # its estimate, and within 1e-14, of the mpmath line on the right and
+    # of the 40-digit left series on the left.
     rng = np.random.default_rng(35)
     taken = 0
     for _ in range(40):
@@ -318,42 +323,21 @@ def test_right_series_within_its_estimate_on_a_seeded_sample():
         room = rng.uniform(0.05, 1.0)
         phi = min(0.5 * math.pi * alpha + room * math.pi * (1.0 - 0.5 * alpha), math.pi)
         phi = math.pi if rng.random() < 0.3 else float(rng.choice([1.0, -1.0])) * phi
-        xi = 10.0 ** rng.uniform(-4.0, math.log10(0.15))
+        xi = 10.0 ** rng.uniform(*((math.log10(0.15), 2.0), (-4.0, math.log10(0.15)))[side])
         tp = TransformProblem(alpha, beta, phi, sigma, n)
-        if math.log(math.pi * xi) > mellin._series_coefficients(tp).residues.edge:
+        start, end = mellin._series_coefficients(tp).series[side].span
+        if not start <= math.log(math.pi * xi) <= end:
             continue
-        value, err = _right(tp, [xi])
+        value, err = _summed(tp, [xi], side)
         if not err[0] <= 1e-15:
             continue
+        reference = (_mp_series, _mp_line)[side](alpha, beta, phi, sigma, n, xi)
+        if reference is None:  # the 40-digit series does not converge to 1e-20
+            continue
         taken += 1
-        true = rel_err(value[0], _mp_line(alpha, beta, phi, sigma, n, xi))
+        true = rel_err(value[0], reference)
         assert true <= min(10.0 * err[0], 1e-14), (alpha, beta, phi, sigma, n, xi)
     assert taken >= 20
-
-
-@pytest.mark.parametrize("tp", [
-    TransformProblem(0.8, 1.0, math.pi, 0.7, 1),
-    TransformProblem(1.3, 0.7, -2.5, 1.5, 2),
-    TransformProblem(1.5, 0.5, math.pi, 1.6, 3),
-])
-def test_points_past_the_right_edge_are_refused_exactly(monkeypatch, tp):
-    # Past its edge the right series' envelopes alone refuse it: summed
-    # anyway, every such point misses the target, and the route's values
-    # are the same, bit for bit.
-    res = mellin._series_coefficients(tp).residues
-    assert res.edge < mellin._RIGHT_EDGE
-    xs = np.geomspace(1e-6, 0.159, 300)
-    L = np.log(math.pi * xs)
-    past = (L > res.edge) & (L <= mellin._RIGHT_EDGE)
-    assert past.any()
-    _value, err = mellin._right_series(res, xs[past], L[past])
-    assert not np.any(err <= 1e-15)
-    transform = mellin_transform(tp, xs)
-    kept = mellin._series_coefficients
-    monkeypatch.setattr(mellin, "_series_coefficients", lambda tp: kept(tp)._replace(
-        residues=kept(tp).residues._replace(edge=mellin._RIGHT_EDGE)
-    ))
-    assert transform.tobytes() == mellin_transform(tp, xs).tobytes()
 
 
 @settings(
@@ -448,12 +432,9 @@ def test_series_taken_only_where_its_estimate_meets_the_target(monkeypatch):
     tp = TransformProblem(0.8, 1.0, math.pi, 2.2, 3)
     xs = np.array([0.05, 0.5, 5.0])
     want = line_integral(tp, xs)
-    series, right = mellin._series, mellin._right_series
+    summed = mellin._residue_sum
     monkeypatch.setattr(
-        mellin, "_series", lambda tp, x, L: (series(tp, x, L)[0], np.full(x.size, math.nan))
-    )
-    monkeypatch.setattr(
-        mellin, "_right_series", lambda res, x, L: (right(res, x, L)[0], np.full(x.size, math.nan))
+        mellin, "_residue_sum", lambda res, x, L: (summed(res, x, L)[0], np.full(x.size, math.nan))
     )
     assert np.array_equal(ml_transform(tp, xs), want)
     assert ml_transform(tp, 0.5) == want[1]
@@ -586,10 +567,12 @@ def test_kept_arrays_are_read_only():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
     plan = mellin._series_coefficients(tp)
+    left, right = plan.series
     lines = (plan.left.ladder, plan.left.bounds, plan.right.ladder, plan.right.bounds)
-    arrays = [f for f in (*plan, *lines, *plan.residues) if isinstance(f, np.ndarray)]
-    assert plan.residues.log_coef is not None  # 20 sigma = n + 32, a double pole
-    assert len(arrays) == 12
+    arrays = [f for f in (*lines, *left, *right) if isinstance(f, np.ndarray)]
+    assert left.log_coef is None
+    assert right.log_coef is not None  # 20 sigma = n + 32, a double pole
+    assert len(arrays) == 13
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -802,29 +785,79 @@ SKIP_PROBLEMS = (
     TransformProblem(1.3, 0.7, -2.5, 1.7, 2),
     TransformProblem(1.9, 1.0, 0.5 * math.pi * 1.9 + 0.02, 2.2, 3),
     TransformProblem(0.8, 0.8, math.pi, 1.2, 3),
-    # Even-integer sigma: every term vanishes.
+    # Even-integer sigma: every left term vanishes.
     TransformProblem(1.0, 1.0, math.pi, 2.0, 2),
 )
 
 
-@pytest.mark.parametrize("tp", SKIP_PROBLEMS)
-def test_points_past_u_1_are_skipped_exactly(monkeypatch, tp):
-    # Past u_1 the series sums no term; computing those points anyway must
-    # give the same values, estimates and routes, bit for bit.
-    xs = np.geomspace(1e-6, 1e2, 200)
-    value, err = residue_series(tp, xs)
+# Problems whose right series is refused before the line switch at pi xi =
+# 0.5.
+RIGHT_EDGED = (
+    TransformProblem(0.8, 1.0, math.pi, 0.7, 1),
+    TransformProblem(1.3, 0.7, -2.5, 1.5, 2),
+    TransformProblem(1.5, 0.5, math.pi, 1.6, 3),
+)
+
+
+@pytest.mark.parametrize("tp", SKIP_PROBLEMS + RIGHT_EDGED[1:])
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_points_past_a_span_are_refused_exactly(monkeypatch, side, tp):
+    # Past its span a series' envelopes alone refuse it: summed anyway,
+    # every such point misses the target, and with the span widened to
+    # every point the series may serve (all of them on the left, pi xi <
+    # 0.5 on the right) the route's values are the same, bit for bit.
+    xs = np.concatenate([np.geomspace(1e-6, 0.159, 300), np.geomspace(0.16, 1e2, 100)])
+    L = np.log(math.pi * xs)
+    res = mellin._series_coefficients(tp).series[side]
+    start, end = res.span
+    wide = (-math.inf, (math.inf, mellin._RIGHT_EDGE)[side])
+    past = ~((start <= L) & (L <= end)) & (L <= wide[1])
+    # Every left series refuses some of these points (at even-integer
+    # sigma its span is empty), and so does the right series of each
+    # problem of RIGHT_EDGED; for the others the right edge may be the
+    # line switch itself.
+    if side == 0 or tp in RIGHT_EDGED:
+        assert past.any()
+        assert (side == 0 and start > -math.inf) or end < mellin._RIGHT_EDGE
+    else:
+        assert past.any() or end == mellin._RIGHT_EDGE
+    assert (start > end) == (side == 0 and tp.sigma == 2.0)
+    _value, err = mellin._residue_sum(res, xs[past], L[past])
+    assert not np.any(err <= 1e-15)
     transform = mellin_transform(tp, xs)
-    if tp.sigma != 2.0:
-        u_1 = mellin._series_coefficients(tp).u_1
-        assert np.any(-tp.sigma * np.log(math.pi * xs) > u_1)
     kept = mellin._series_coefficients
-    monkeypatch.setattr(
-        mellin, "_series_coefficients", lambda tp: kept(tp)._replace(u_1=math.inf)
-    )
-    full_value, full_err = residue_series(tp, xs)
-    assert value.tobytes() == full_value.tobytes()
-    assert err.tobytes() == full_err.tobytes()
+
+    def widened(tp):
+        series = list(kept(tp).series)
+        series[side] = series[side]._replace(span=wide)
+        return kept(tp)._replace(series=tuple(series))
+
+    monkeypatch.setattr(mellin, "_series_coefficients", widened)
     assert transform.tobytes() == mellin_transform(tp, xs).tobytes()
+
+
+def test_right_series_exponent_carries_its_rounding():
+    # s_0 - n = 1.7 - 4 is not a double: rounded, it put the value
+    # ulp(s_0 - n) |log pi xi| off, 2.8e-15 and 2.2e-15 here, with an
+    # estimate of at most 1e-15.
+    tp = TransformProblem(0.8, 1.0, math.pi, 1.7, 4)
+    assert mellin._series_coefficients(tp).series[1].power[1] != 0.0
+    for xi in (1e-5, 1e-4):
+        want = _mp_line(0.8, 1.0, math.pi, 1.7, 4, xi)
+        assert rel_err(ml_transform(tp, xi), want) <= 1e-15, xi
+
+
+@pytest.mark.parametrize("problem,xi", [
+    ((0.8, 1.0, math.pi, 0.7, 1), 1e200),
+    ((0.8, 1.0, math.pi, 1.5, 2), 1e100),
+])
+def test_underflowing_transform_is_zero(problem, xi):
+    # xi^-(n + sigma) is 0 in double: the left series takes the point and
+    # its value underflows to 0, where the line's absolute floor returned
+    # -1.0e-287 and -1.7e-292.
+    tp = TransformProblem(*problem)
+    assert ml_transform(tp, xi) == 0.0
+    assert residue_series(tp, xi)[0] == 0.0
 
 
 @pytest.mark.parametrize(
