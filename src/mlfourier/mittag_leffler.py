@@ -436,19 +436,14 @@ _SECTOR_TERMS = 59
 # The sector sum is refused where the term it omits exceeds (1e-15 - eps)
 # (M + |wave|), widened by far more than the rounding (below 1e-13
 # relative) that separates the sizes it reads from the magnitudes of the
-# complex terms.  Past |z| = _SECTOR_REFUSE_MAX it is not refused, so that
-# |z|^-_SECTOR_TERMS stays far inside the normal range.
+# complex terms.
 _SECTOR_REFUSE = (1e-15 - _EPS) * (1.0 + 1e-10)
-_SECTOR_REFUSE_MAX = 1e4
 
 
 @lru_cache(maxsize=64)
-def _sector_coefficients(
-    a: float, b: float
-) -> tuple[tuple[tuple[Complex, float] | None, ...], float]:
-    """(coefficients, radius): (1/Gamma(b - a k), its size g_k) for
-    k = 1.._SECTOR_TERMS, None for a skipped term, and the radius from
-    which on the sector sum is never refused.
+def _sector_coefficients(a: float, b: float) -> tuple[tuple[Complex, float] | None, ...]:
+    """(1/Gamma(b - a k), its size g_k) for k = 1.._SECTOR_TERMS, None for
+    a skipped term.
 
     A term is skipped where its reciprocal gamma lands on a pole zero,
     exactly or up to the rounding of a*k, measured against max(1, |b - a k|)
@@ -456,35 +451,14 @@ def _sector_coefficients(
     about where the series stops being useful; alpha = 1.3, beta = 0.8,
     k = 6 gives -7.000000000000001, and a term of 1e-21 there would read as
     convergence, as would alpha = 0.4, beta = 2.4, k = 6, which gives
-    -4.4e-16.
-
-    With t = log|z| the sizes are g_k e^{-k t}, and size j rises past the
-    one before it where t < rise_j.  The sum stops at j, omitting it, for
-    t in [max_{i<j} rise_i, rise_j), and past every rise it omits its last
-    term.  The omitted term exceeds _SECTOR_REFUSE times the first, which
-    is at most M, only below some t_j; the radius is the largest such
-    bound on a non-empty interval."""
+    -4.4e-16."""
     coefficients = []
     for k in range(1, _SECTOR_TERMS + 1):
         arg = b - a * k
         rg = reciprocal_gamma(arg)
         pole = rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * max(1.0, -arg))
         coefficients.append(None if pole else (rg, abs(rg)))
-    logs = [(k, math.log(c[1])) for k, c in enumerate(coefficients) if c is not None]
-    if not logs:  # the algebraic sum is exactly zero, and accepted
-        return tuple(coefficients), 0.0
-    k0, l0 = logs[0]
-    bar = math.log(_SECTOR_REFUSE)
-    reach = best = -math.inf
-    # The last pair is the last term with itself: past every rise the sum
-    # omits it.
-    for (i, li), (j, lj) in zip(logs, logs[1:] + logs[-1:]):
-        rise = (lj - li) / (j - i) if j > i else math.inf
-        top = min(rise, (lj - l0 - bar) / (j - k0) if j > k0 else math.inf)
-        if top > reach:
-            best = max(best, top)
-        reach = max(reach, rise)
-    return tuple(coefficients), math.exp(min(best, math.log(_SECTOR_REFUSE_MAX)))
+    return tuple(coefficients)
 
 
 def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
@@ -493,70 +467,51 @@ def _sector_sum_adaptive(p: MLParams, z: Complex) -> tuple[Complex, float]:
     the sum is bound to miss its 1e-15 relative target.  Terms on a gamma
     pole are skipped (see _sector_coefficients).
 
-    The stop tests read the real sizes |z|^-k g_k: the sum omits the
-    first size that rises past the one before it, or its last term, and
-    stops early where a size falls below 1e-18 of the running sum.  Inside
-    the radius of _sector_coefficients the sizes are walked first, before
-    any complex term is formed: where no size taken is below 1e-17 of their
-    sum M (so the early stop cannot fire) and the omitted size exceeds
-    _SECTOR_REFUSE (M + |wave|), the estimate omitted + eps (M + |wave|)
-    exceeds 1e-15 of the value, at most M + |wave|, and the sum is not
-    formed.  The running sum serves only the stop test; the value is
-    fsum_complex of the terms.
+    One walk over the real sizes |z|^-k g_k fixes the stop: the sum takes
+    the sizes up to the first one that rises past the one before it, which
+    it omits, or up to the first one below 1e-18 of M, the sum of the sizes
+    taken, or up to its last term.  The omitted size is the rising one,
+    else the last one taken.  Where it exceeds _SECTOR_REFUSE (M + |wave|),
+    and 1e-280, far from where sizes underflow and lose digits, the estimate omitted + eps (M + |wave|) exceeds 1e-15 of the value, at
+    most M + |wave|, and (nan, inf) is returned before any complex term is
+    formed.  Otherwise the kept terms are formed and summed by
+    fsum_complex.  Where every term sits on a gamma pole (alpha = 1 with
+    integer beta) the series is exactly zero and the waves are the value.
     """
-    coefficients, radius = _sector_coefficients(p.alpha, p.beta)
+    coefficients = _sector_coefficients(p.alpha, p.beta)
     wave = _exponential_waves(p, z)
-    r = abs(z)
-    rinv = 1.0 / r
-    if r < radius:
-        power = 1.0
-        prev = math.inf
-        majorant = 0.0
-        for c in coefficients:
-            power *= rinv
-            if c is None:
-                continue
-            size = power * c[1]
-            if size > prev:
-                break
-            majorant += size
-            prev = size
-        else:
-            size = prev
-        if (size >= 1e-280 and prev > 1e-17 * majorant
-                and size > _SECTOR_REFUSE * (majorant + abs(wave))):
-            return complex(math.nan, math.nan), math.inf
-    terms = []
-    append = terms.append
-    s = 0.0 + 0.0j
-    winv = 1.0 / z
-    wpow = 1.0 + 0.0j
+    rinv = 1.0 / abs(z)
     power = 1.0
-    prev = omitted = math.inf
+    omitted = math.inf
     majorant = 0.0
+    stop = k = 0
     for c in coefficients:
-        wpow *= winv
+        k += 1
         power *= rinv
         if c is None:
             continue
         size = power * c[1]
-        if size > prev:
+        if size > omitted:
             omitted = size
             break
-        term = -wpow * c[0]
-        append(term)
-        s += term
         majorant += size
-        prev = omitted = size
-        total = abs(s)
-        if size < 1e-18 * (total if total > 1e-300 else 1e-300):
+        omitted = size
+        stop = k
+        if size < 1e-18 * (majorant if majorant > 1e-300 else 1e-300):
             break
     if majorant == 0.0 and math.isinf(omitted):
-        # Every algebraic term sat on a gamma pole (alpha = 1 with integer
-        # beta): the series is exactly zero and the waves are the value.
         omitted = 0.0
-    append(wave)
-    return fsum_complex(terms), omitted + _EPS * (majorant + abs(wave))
+    bound = majorant + abs(wave)
+    if omitted >= 1e-280 and omitted > _SECTOR_REFUSE * bound:
+        return complex(math.nan, math.nan), math.inf
+    terms = [wave]
+    winv = 1.0 / z
+    wpow = 1.0 + 0.0j
+    for c in coefficients[:stop]:
+        wpow *= winv
+        if c is not None:
+            terms.append(-wpow * c[0])
+    return fsum_complex(terms), omitted + _EPS * bound
 
 
 # Laplace inversion: fixed target and node cap (the target is never

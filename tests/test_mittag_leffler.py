@@ -306,9 +306,35 @@ def test_sector_sum_skips_the_gamma_pole_at_zero(z):
     # beta - 6 alpha rounds to -4.4e-16 at (0.4, 2.4): 1/Gamma there is a
     # pole zero of rounding size, which must not read as convergence.
     p = MLParams(0.4, 2.4)
-    assert mittag_leffler._sector_coefficients(0.4, 2.4)[0][5] is None
+    assert mittag_leffler._sector_coefficients(0.4, 2.4)[5] is None
     want = _ml_laplace(p, z)
     assert abs(ml_eval(p, z) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+@pytest.mark.parametrize("z", [-1.0001e4 + 0j, -1e6 + 0j, 1e5 * cmath.exp(2.5j)])
+def test_sector_sum_is_refused_at_any_radius(beta, z):
+    # At alpha = 1, beta = 2 or 3 the one algebraic term is 1/z or 1/z^2,
+    # and the term it omits is the wave's size: the sum is refused before
+    # it is summed, however large |z|, and Laplace inversion meets the
+    # closed forms (e^z - 1)/z and (e^z - 1 - z)/z^2.
+    p = MLParams(1.0, beta)
+    value, err = _sector_sum_adaptive(p, z)
+    assert cmath.isnan(value) and err == math.inf
+    want = (cmath.exp(z) - 1.0) / z if beta == 2.0 else (cmath.exp(z) - 1.0 - z) / z ** 2
+    assert abs(ml_eval(p, z) - want) <= 1e-14 * abs(want)
+
+
+def test_sector_sum_is_accepted_where_its_terms_underflow():
+    # At z = -1e300 the second term, 1e-600, is 0 in double: the sum stops
+    # there with nothing omitted, and its one term is the value.
+    p = MLParams(0.8, 1.0)
+    z = -1e300 + 0j
+    value, err = _sector_sum_adaptive(p, z)
+    want = -1.0 / (z.real * math.gamma(0.2))
+    assert err <= 1e-15 * abs(value)
+    assert value.imag == 0.0 and abs(value.real - want) <= 2.0 * math.ulp(want)
+    assert ml_eval(p, z) == value
 
 
 def test_eval_dispatch_continuity():
@@ -811,10 +837,12 @@ def test_sum_that_does_not_stop_raises(monkeypatch):
         mittag_leffler._series_double(MLParams(1.3, 1.0), 4.5)
 
 
-def _full_sector_sum(p, z):
+def _full_sector_sum(p, z, stop_on_sizes=False):
     """The sector sum summed whatever its outcome, with its stop tests on
     the magnitudes of the complex powers, as ml_eval summed it before
-    doomed sums were refused: the fsum value and the estimate."""
+    doomed sums were refused: the fsum value and the estimate.  Its early
+    stop reads |partial sum|, or with stop_on_sizes the sum M of the sizes
+    taken, as _sector_sum_adaptive's does."""
     terms, s, winv, wpow = [], 0j, 1.0 / z, 1.0 + 0.0j
     prev = omitted = math.inf
     majorant = 0.0
@@ -822,7 +850,7 @@ def _full_sector_sum(p, z):
         wpow *= winv
         arg = p.beta - p.alpha * k
         rg = reciprocal_gamma(arg)
-        if rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * -arg):
+        if rg == 0 or (arg < 0 and abs(arg - round(arg)) <= 1e-12 * max(1.0, -arg)):
             continue
         size = abs(wpow) * abs(rg)
         if size > prev:
@@ -832,7 +860,7 @@ def _full_sector_sum(p, z):
         s += terms[-1]
         majorant += size
         prev = omitted = size
-        if size < 1e-18 * max(abs(s), 1e-300):
+        if size < 1e-18 * max(majorant if stop_on_sizes else abs(s), 1e-300):
             break
     if majorant == 0.0 and math.isinf(omitted):
         omitted = 0.0
@@ -847,7 +875,8 @@ def _sector_scan():
     0.3-1.9, beta 0.5-2.5, |z| 5-1e3 log-uniform, arg z uniform over the
     decay sector or, at a quarter of the points, the negative real axis
     exactly.  summed is _sector_sum_adaptive's return, full
-    _full_sector_sum's."""
+    _full_sector_sum's, and sized _full_sector_sum's with its early stop
+    on the sizes."""
     rng = np.random.default_rng(2002)
     out = []
     for _ in range(20000):
@@ -858,16 +887,19 @@ def _sector_scan():
         else:
             edge = math.pi * p.alpha / 2.0
             z = r * cmath.exp(1j * rng.choice((-1.0, 1.0)) * rng.uniform(edge, math.pi))
-        out.append((p, z, _sector_sum_adaptive(p, z), _full_sector_sum(p, z)))
+        out.append((p, z, _sector_sum_adaptive(p, z), _full_sector_sum(p, z),
+                    _full_sector_sum(p, z, stop_on_sizes=True)))
     return out
 
 
 def test_sector_refusal_is_conservative():
     # A refused sum, (nan, inf), is one the full sum's estimate rejects
     # against the 1e-15 target that _ml_rule sets; every other return is
-    # the full sum's value, bit for bit, with its estimate to rounding.
+    # the full sum's value, bit for bit, with the estimate of the full sum
+    # whose early stop reads the sizes, to rounding.  Accept or refuse is
+    # the full sum's at every point.
     rejected = refused = 0
-    for p, z, (value, err), (full_value, full_err) in _sector_scan():
+    for p, z, (value, err), (full_value, full_err), (_, sized_err) in _sector_scan():
         rejects = not full_err <= 1e-15 * abs(full_value)
         rejected += rejects
         if err == math.inf:
@@ -875,8 +907,8 @@ def test_sector_refusal_is_conservative():
             assert cmath.isnan(value) and rejects, (p, z)
         else:
             assert repr(value) == repr(full_value), (p, z)
-            assert abs(err - full_err) <= 1e-14 * full_err, (p, z)
-            assert (not err <= 1e-15 * abs(value)) == rejects, (p, z)
+            assert abs(err - sized_err) <= 1e-14 * sized_err, (p, z)
+        assert (not err <= 1e-15 * abs(value)) == rejects, (p, z)
     assert rejected > 5000
     # What is left is cancellation in the value, which sizes cannot see.
     assert refused >= 0.99 * rejected
@@ -885,7 +917,7 @@ def test_sector_refusal_is_conservative():
 def _kept_table_points():
     """Taylor and decay-sector points, across many (alpha, beta) keys."""
     return ([(p, z) for p, z, _, _ in _taylor_scan()[:200]]
-            + [(p, z) for p, z, _, _ in _sector_scan()[:200]])
+            + [(p, z) for p, z, *_ in _sector_scan()[:200]])
 
 
 def test_values_do_not_depend_on_the_kept_tables():
@@ -904,8 +936,9 @@ def test_values_do_not_depend_on_the_kept_tables():
             table(0.5 + 1e-3 * k, 1.0)
         assert table.cache_info().currsize == table.cache_info().maxsize
     assert values() == cold  # after eviction
-    coefficients, radius = mittag_leffler._sector_coefficients(0.5, 1.0)
-    assert isinstance(coefficients, tuple) and isinstance(radius, float)
+    coefficients = mittag_leffler._sector_coefficients(0.5, 1.0)
+    assert isinstance(coefficients, tuple)
+    assert len(coefficients) == mittag_leffler._SECTOR_TERMS
 
 
 def test_few_sector_sums_are_summed_and_rejected(monkeypatch):
