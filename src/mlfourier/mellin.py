@@ -32,6 +32,10 @@ double where the two meet (Paris & Kaminski, *Asymptotics and
 Mellin-Barnes Integrals*, CUP 2001; Braaksma, Compositio Math. 15
 (1964)): a series in (pi xi)^s, with log(pi xi) terms at the double
 poles, that converges for sigma > alpha and is asymptotic otherwise.
+Every right coefficient comes from one rule: K is the product of four
+factors, and their orders and first two Taylor coefficients at a pole
+give its residue (_right_residues).  The nearest pole with a residue,
+s_1, places the small-xi line.
 
 Both closures are one residue form (_Residues): terms (C_k + D_k log pi
 xi) (pi xi)^(s_k - n) over poles in the order summed, cut at the smallest
@@ -249,7 +253,7 @@ class _Residues(NamedTuple):
     coef: np.ndarray  # real at phi = pi, else complex
     log_coef: np.ndarray | None  # None where no pole is double
     size: np.ndarray  # a majorant of |coef_k| and |log_coef_k|, smooth in k
-    before: np.ndarray  # before[k, i] where i < k: the columns a stop at k sums
+    pole: float  # s_0, the first pole with a residue
     power: tuple[float, float]  # s_0 - n as a hi/lo pair
     rounding: float  # the estimate's rounding per unit of the magnitudes summed
     span: tuple[float, float]  # the series is refused for L outside [lo, hi]
@@ -262,35 +266,24 @@ class _Plan(NamedTuple):
 
     pi_n: float  # pi^(-n/2)
     left: _Line  # c = -sigma/2, for 2 pi xi >= 1
-    right: _Line  # c = 0.6 s_1 (_right_pole), below
+    right: _Line  # c = 0.6 s_1, s_1 = series[1].pole, below
     series: tuple[_Residues, _Residues]  # closed to the left, to the right
-
-
-def _right_pole(tp) -> float:
-    """s_1, the nearest pole of K right of s = 0 with a residue: s = m sigma
-    for the first m with beta - alpha m not in {0, -1, -2, ...} (elsewhere
-    the zero of 1/Gamma(beta - alpha s/sigma) cancels the pole of
-    1/sin(pi s/sigma)), or s = n, whichever is smaller.  No m past
-    ceil(n/sigma) comes before s = n, and at alpha = 1 with integer beta no
-    m sigma has a residue at all."""
-    for m in range(1, math.ceil(tp.n / tp.sigma) + 1):
-        b = tp.beta - tp.alpha * m
-        if b > 0.0 or b != math.floor(b):
-            return min(m * tp.sigma, float(tp.n))
-    return float(tp.n)
 
 
 @lru_cache(maxsize=64)
 def _series_coefficients(tp) -> _Plan:
     """The problem's plan: both residue series and the lines' c, d and
-    step ladders; nothing here depends on xi."""
-    upper = _right_pole(tp)
+    step ladders; nothing here depends on xi.  The lines are placed from
+    s_1, the nearest pole right of s = 0 with a residue: the first pole of
+    the right series (_right_residues)."""
+    series = (_left_residues(tp), _right_residues(tp))
+    upper = series[1].pole
     c_left, c_right = -0.5 * tp.sigma, 0.6 * upper
     return _Plan(
         pi_n=math.pi ** (-0.5 * tp.n),
         left=_line_plan(c_left, min(c_left + tp.sigma, upper - c_left)),
         right=_line_plan(c_right, min(c_right + tp.sigma, upper - c_right)),
-        series=(_left_residues(tp), _right_residues(tp)),
+        series=series,
     )
 
 
@@ -311,18 +304,19 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _rgamma_at(x: np.ndarray, x_lo) -> tuple[np.ndarray, np.ndarray]:
-    """1/Gamma(x + x_lo) to first order in the small x_lo, and a majorant M
-    of its size, smooth in x: M = 1/Gamma(x) for x > 0, and below, by
-    1/Gamma(x) = sin(pi x) Gamma(1 - x)/pi, M = Gamma(1 - x)/pi, so the
-    value is formed from sin(pi x), exactly 0 at the zeros, and never next
-    to a pole of Gamma."""
+def _rgamma_at(x: np.ndarray, x_lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1/Gamma(x + x_lo) to first order in the small x_lo, the derivative of
+    1/Gamma at x, and a majorant M of its size, smooth in x: M = 1/Gamma(x)
+    for x > 0, and below, by 1/Gamma(x) = sin(pi x) Gamma(1 - x)/pi, M =
+    Gamma(1 - x)/pi, so the value is formed from sin(pi x), exactly 0 at
+    the zeros, and never next to a pole of Gamma."""
     positive = x > 0.0
     xp, xn = np.where(positive, x, 1.0), np.where(positive, 0.0, x)
-    up = rgamma(xp) * (1.0 - psi(xp) * x_lo)
+    up, psi_up = rgamma(xp), psi(xp)
     m = gamma(1.0 - xn) / math.pi
-    down = m * (_sinpi(xn) + x_lo * (math.pi * np.cos(math.pi * xn) - _sinpi(xn) * psi(1.0 - xn)))
-    return np.where(positive, up, down), np.where(positive, rgamma(xp), m)
+    d_down = math.pi * np.cos(math.pi * xn) - _sinpi(xn) * psi(1.0 - xn)
+    value = np.where(positive, up * (1.0 - psi_up * x_lo), m * (_sinpi(xn) + x_lo * d_down))
+    return value, np.where(positive, -psi_up * up, m * d_down), np.where(positive, up, m)
 
 
 def _left_residues(tp) -> _Residues:
@@ -349,117 +343,97 @@ def _right_residues(tp) -> _Residues:
     sum Res K(s) (pi xi)^s over the poles s_k right of the line, that is
     -pi^(n/2) (pi xi)^(-n) sum_k (C_k + D_k log pi xi) (pi xi)^(s_k)
     (Paris & Kaminski, *Asymptotics and Mellin-Barnes Integrals*, CUP
-    2001; Braaksma, Compositio Math. 15 (1964)).  With q = s/sigma and
-    theta = phi -+ pi:
+    2001; Braaksma, Compositio Math. 15 (1964)).  With q = s/sigma, theta =
+    phi -+ pi and K = S G R A, each factor near a pole s_k is (s -
+    s_k)^order (f0 + f1 (s - s_k) + ...):
 
-    - s = m sigma, a pole of pi/sin(pi q) unless 1/Gamma(beta - alpha m)
-      = 0: C = e^{-im phi} Gamma((n - m sigma)/2) / (Gamma(beta - alpha m)
-      Gamma(m sigma/2));
-    - s = n + 2j, a pole of Gamma((n - s)/2): C = -2 (-1)^j/j! sigma^-1
-      e^{-i theta q} G(q)/Gamma(n/2 + j), G(q) = pi/(sin(pi q)
-      Gamma(beta - alpha q)), and at an integer q where 1/Gamma(beta -
-      alpha q) = 0 its limit -alpha Gamma(1 - beta + alpha q) cos pi(beta -
-      alpha q)/cos(pi q);
-    - s = m sigma = n + 2j with 1/Gamma(beta - alpha m) != 0, a double
-      pole: with A(s) = sigma^-1 e^{-i theta q}/(Gamma(beta - alpha q)
-      Gamma(s/2)), a_1 = sigma (-1)^m, a_2 = -2 (-1)^j/j! and b_2 =
-      (-1)^j psi(j + 1)/j!, D = a_1 a_2 A(s) and C = A(s) [a_1 a_2
-      (-i theta/sigma + (alpha/sigma) psi(beta - alpha m) - psi(s/2)/2)
-      + a_1 b_2].  1/Gamma and its derivative are taken through the
-      reflection formula (_rgamma_at).
+    - S = pi/(sigma sin(pi q)): order -1 at an integer q, f0 = (-1)^q, f1
+      = 0; elsewhere f0 = S, f1 = -(pi/sigma) f0 cot(pi q);
+    - G = Gamma(y), y = (n - s)/2: order -1 at s = n + 2j, f0 = -2 (-1)^j/j!,
+      f1 = (-1)^j psi(j + 1)/j!; elsewhere f0 = Gamma(y), f1 = -f0 psi(y)/2;
+    - R = 1/Gamma(x), x = beta - alpha q: order +1 where x is 0, -1, -2,
+      ..., f0 = -(alpha/sigma) (-1)^x Gamma(1 - x), f1 = (alpha/sigma) f0
+      psi(1 - x); elsewhere f0 = 1/Gamma(x), f1 = -(alpha/sigma)
+      d/dx 1/Gamma(x);
+    - A = e^{-i theta q}/Gamma(s/2): order 0, f1 = f0 (-i theta/sigma -
+      psi(s/2)/2).
 
-    m sigma and n + 2j coincide where m sigma == n + 2j in floating point
-    or q rounds to an integer, as _right_pole decides a vanishing 1/Gamma;
-    poles that only nearly coincide are kept apart, and their large
-    opposite terms fail the estimate.  Elsewhere the arguments q, beta -
-    alpha q, (n - m sigma)/2, ... are carried with their rounding errors
-    (_two_prod, _two_sum) and each factor is corrected to first order, so
-    that a coefficient is accurate to a few ulps even next to a zero of a
-    sine.  The poles run to min(sigma, n) + 64 (_residues cuts them
-    further): for pi xi < 0.5, (pi xi)^64 < 1e-19.  Beside each
-    coefficient the plan keeps a majorant of its size, smooth where a
-    1/Gamma factor may vanish, so that a small factor never stops the sum
-    early.  Rounding enters the estimate twice: eps for the sum, and eps
-    for the coefficients' own rounding.
+    At total order -1, C = prod f0; at -2, a double pole, D = prod f0 and
+    C = sum f1 prod (the other f0); at order 0 or more there is no term.
+    So the poles s = m sigma cancelled by a zero of R carry none, and at
+    s = m sigma = n + 2j with R = 0 the pole is simple, G's finite limit.
+    The poles s = m sigma and s = n + 2j are one where m sigma == n + 2j in
+    floating point or q rounds to the integer m; poles that only nearly
+    coincide are kept apart, and their large opposite terms fail the
+    estimate.  The arguments q, x, y, s/2 are carried with their rounding
+    errors (_two_prod, _two_sum) and each regular factor is corrected to
+    first order, 1/Gamma and Gamma below 0 through the reflection formula
+    (_rgamma_at), so that a coefficient is accurate to a few ulps even
+    next to a zero of a sine.  The poles run to min(sigma, n) + 64
+    (_residues cuts them further): for pi xi < 0.5, (pi xi)^64 < 1e-19.
+    Beside each coefficient the plan keeps a size: where S and G both have
+    poles max(|C|, |D|), elsewhere |S G A| times a majorant of |R|, smooth
+    where R may vanish, so that a small factor never stops the sum early.
+    Rounding enters the estimate twice: eps for the sum, and eps for the
+    coefficients' own rounding.
     """
     # A coefficient past double range is cut off below, not warned about.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         alpha, beta, sigma, n, phi = tp.alpha, tp.beta, tp.sigma, tp.n, tp.phi
         theta = phi - math.pi if phi > 0.0 else phi + math.pi
         top = min(sigma, n) + _RIGHT_SPAN
-        # s = n + 2j, simple unless an m sigma meets it.
-        j = np.arange(0.0, math.floor(0.5 * (top - n)) + 1.0)
-        s_j = n + 2.0 * j
-        q = s_j / sigma
-        p, e = _two_prod(q, sigma)
-        q_lo = ((s_j - p) - e) / sigma
-        m_j = np.round(q)
-        meets = (m_j >= 1.0) & ((m_j * sigma == s_j) | (q == m_j))
-        p, e = _two_prod(alpha, q)
-        x, e2 = _two_sum(beta, -p)
-        rg, size = _rgamma_at(x, e2 - e - alpha * q_lo)
-        sin_q = _sinpi(q) + math.pi * q_lo * np.cos(math.pi * q)
-        p, e = _two_prod(theta, q)
-        phase = np.exp(-1j * p) * (1.0 - 1j * (e + theta * q_lo))
-        common = 2.0 / sigma / (gamma(j + 1.0) * gamma(0.5 * n + j))
-        coef_j = -((-1.0) ** j) * common * phase * (math.pi * rg / sin_q)
-        size_j = common * math.pi * size / np.abs(sin_q)
-        log_coef_j = np.zeros(j.size, complex)
-        logs_j = np.zeros(j.size)
-        for i in np.flatnonzero(meets):
-            m, x = m_j[i], beta - alpha * m_j[i]
-            ph = (-1.0) ** (m + j[i]) * np.exp(-1j * theta * m)
-            if x <= 0.0 and x == math.floor(x):  # G's finite limit
-                coef_j[i] = common[i] * ph * (-1.0) ** x * alpha * gamma(1.0 - x)
-                size_j[i] = abs(coef_j[i])
-                continue
-            # The double pole: D = -2 P and C = P [2 i theta/sigma + psi(s/2) +
-            # psi(j + 1)] - (2 alpha/sigma) P psi(x), P = (-1)^(m + j)
-            # e^{-i theta m}/(j! Gamma(s/2) Gamma(x)), with P psi(x) = -(j!
-            # Gamma(s/2))^-1 (-1)^(m + j) e^{-i theta m} d/dx 1/Gamma(x).
-            (rg,), _ = _rgamma_at(np.array([x]), 0.0)
-            (d_rg,), _ = _rgamma_at(np.array([x]), 1.0)  # first order: rg + d/dx
-            d_rg -= rg
-            scale = ph / (gamma(j[i] + 1.0) * gamma(0.5 * s_j[i]))
-            psi_s, psi_j = psi(0.5 * s_j[i]), psi(j[i] + 1.0)
-            w_c = rg * (2j * theta / sigma + psi_s + psi_j) + 2.0 * alpha / sigma * d_rg
-            coef_j[i] = scale * w_c
-            log_coef_j[i] = -2.0 * scale * rg
-            size_j[i] = max(abs(coef_j[i]), abs(log_coef_j[i]))
-            logs_j[i] = 1.0
-        # s = m sigma, but for those an s = n + 2j took.
+        s_j = n + 2.0 * np.arange(0.0, math.floor(0.5 * (top - n)) + 1.0)
+        m_j = np.round(s_j / sigma)
+        meets = (m_j >= 1.0) & ((m_j * sigma == s_j) | (s_j / sigma == m_j))
         m = np.arange(1.0, math.floor(top / sigma) + 1.0)
         m = m[~np.isin(m, m_j[meets])]
         s_m, s_m_lo = _two_prod(m, sigma)
-        y, e = _two_sum(float(n), -s_m)
-        y, y_lo = 0.5 * y, 0.5 * (e - s_m_lo)
-        p, e = _two_prod(alpha, m)
-        x, e2 = _two_sum(beta, -p)
-        rg, size = _rgamma_at(x, e2 - e)
+        by_s = np.argsort(np.concatenate([s_j, s_m]), kind="stable")
+        s, s_lo, q = (
+            np.concatenate(parts)[by_s]
+            for parts in ((s_j, s_m), (0.0 * s_j, s_m_lo), (np.where(meets, m_j, s_j / sigma), m))
+        )
+        p, e = _two_prod(q, sigma)
+        q_lo = ((s - p) - e + s_lo) / sigma
+        pole_s = q == np.round(q)
+        sin_q = _sinpi(q) + math.pi * q_lo * np.cos(math.pi * q)
+        f_s = np.where(pole_s, (-1.0) ** q, math.pi / (sigma * sin_q))
+        d_s = np.where(pole_s, 0.0, -math.pi / sigma * f_s * np.cos(math.pi * q) / sin_q)
+        y, e = _two_sum(float(n), -s)
+        y, y_lo = 0.5 * y, 0.5 * (e - s_lo)
+        pole_g = (y <= 0.0) & (y == np.floor(y))
         above = y > 0.0
         yp, yn = np.where(above, y, 1.0), np.where(above, 0.0, y)
         sin_y = _sinpi(yn) + math.pi * y_lo * np.cos(math.pi * yn)
-        gamma_y = np.where(
-            above, gamma(yp) * (1.0 + psi(yp) * y_lo),
+        f_g = np.select(
+            [pole_g, above],
+            [-2.0 * (-1.0) ** yn / gamma(1.0 - yn), gamma(yp) * (1.0 + psi(yp) * y_lo)],
             math.pi / (sin_y * gamma(1.0 - yn) * (1.0 - psi(1.0 - yn) * y_lo)),
         )
-        half = gamma(0.5 * s_m) * (1.0 + psi(0.5 * s_m) * 0.5 * s_m_lo)
-        if phi == math.pi:
-            ph = (-1.0) ** m
-        else:
-            p, e = _two_prod(m, phi)
-            ph = np.exp(-1j * p) * (1.0 - 1j * e)
-        coef_m = ph * gamma_y * rg / half
-        size_m = np.abs(gamma_y) * size / half
+        d_g = -0.5 * f_g * psi(np.where(pole_g, 1.0 - y, y))
+        p, e = _two_prod(alpha, q)
+        x, e2 = _two_sum(beta, -p)
+        rg, slope, size = _rgamma_at(x, e2 - e - alpha * q_lo)
+        slope *= -alpha / sigma
+        zero_r = (x <= 0.0) & (x == np.floor(x))
+        f_r = np.where(zero_r, slope, rg)
+        d_r = np.where(zero_r, alpha / sigma * slope * psi(1.0 - x), slope)
+        p, e = _two_prod(theta, q)
+        half = gamma(0.5 * s) * (1.0 + psi(0.5 * s) * 0.5 * s_lo)
+        f_a = np.exp(-1j * p) * (1.0 - 1j * (e + theta * q_lo)) / half
+        d_a = f_a * (-1j * theta / sigma - 0.5 * psi(0.5 * s))
+        f0, f1 = np.array([f_s, f_g, f_r, f_a]), np.array([d_s, d_g, d_r, d_a])
+        lead = f0.prod(axis=0)
+        d_lead = sum(f1[i] * np.delete(f0, i, axis=0).prod(axis=0) for i in range(4))
+        order = 1 * zero_r - pole_s - pole_g
+        coef = np.select([order == -1, order == -2], [lead, d_lead], 0.0)
+        log_coef = np.where(order == -2, lead, 0.0)
+        size = np.where(
+            pole_s & pole_g, np.maximum(np.abs(coef), np.abs(log_coef)), np.abs(f_s * f_g * f_a) * size
+        )
         # The scale -pi^(n/2) goes into the coefficients and their sizes.
-        pi_half_n = math.pi ** (0.5 * n)
-        s_hi = np.concatenate([s_j, s_m])
-        s_lo = np.concatenate([np.zeros(j.size), s_m_lo])
-        order = np.argsort(s_hi, kind="stable")
-        coef = -pi_half_n * np.concatenate([coef_j, coef_m])[order]
-        log_coef = -pi_half_n * np.concatenate([log_coef_j, np.zeros(m.size)])[order]
-        size = pi_half_n * np.concatenate([size_j, size_m])[order]
-    logs = np.concatenate([logs_j, np.zeros(m.size)])[order]
+        scale = -math.pi ** (0.5 * n)
+        coef, log_coef, size = scale * coef, scale * log_coef, -scale * size
     # For sigma <= alpha the series is only asymptotic.  Where E also has an
     # exponential term on the profile (alpha > 1, or |phi| < pi alpha), the
     # transform of that term lies beyond all orders of the series and its
@@ -468,7 +442,7 @@ def _right_residues(tp) -> _Residues:
     # There the series is never taken.
     taken = sigma > alpha or (alpha <= 1.0 and abs(phi) >= math.pi * alpha)
     return _residues(
-        tp, s_hi[order], s_lo[order], coef, log_coef, size, logs, 2.0 * _EPS,
+        tp, s, s_lo, coef, log_coef, size, 1.0 * (order == -2), 2.0 * _EPS,
         (-746.0, _RIGHT_EDGE) if taken else None, None,
     )
 
@@ -494,8 +468,7 @@ def _residues(tp, s_hi, s_lo, coef, log_coef, size, logs, rounding, search, wave
     p, e = _two_sum(s_hi[0], -float(tp.n))
     if tp.phi == math.pi:  # every coefficient is real, up to the phases' rounding
         coef, log_coef = coef.real.copy(), log_coef.real.copy()
-    before = np.arange(ds.size) < np.arange(ds.size)[:, None]
-    _read_only(ds, coef, log_coef, size, before)
+    _read_only(ds, coef, log_coef, size)
     span = (math.inf, -math.inf)
     if search is not None and (coef[0] != 0.0 or log_coef[0] != 0.0):
         near, far = search
@@ -506,7 +479,7 @@ def _residues(tp, s_hi, s_lo, coef, log_coef, size, logs, rounding, search, wave
         coef=coef,
         log_coef=log_coef if logs.any() else None,
         size=size,
-        before=before,
+        pole=float(s_hi[0]),
         power=_two_sum(p, e + s_lo[0]),
         rounding=rounding,
         span=span,
@@ -612,7 +585,8 @@ def _residue_sum(res: _Residues, xi: np.ndarray, L: np.ndarray) -> tuple[np.ndar
             else:
                 terms = (log_x * res.log_coef + res.coef) * power
             # Masked, not multiplied: a column past the stop may be inf.
-            terms = np.where(res.before[envelope.argmin(axis=1)], terms, 0.0)
+            before = np.arange(res.ds.size) < envelope.argmin(axis=1)[:, None]
+            terms = np.where(before, terms, 0.0)
             total = terms.sum(axis=1)
             err = (envelope.min(axis=1) + res.rounding * np.abs(terms).sum(axis=1)) / np.abs(total)
             scale = (math.pi * x) ** p_hi
@@ -870,14 +844,15 @@ def line_integral(tp, xi):
 
     The integrand exceeds the result by about (pi xi)^(c + sigma) at large
     xi and (pi xi)^(c - s_1) at small xi, where s_1 is the nearest pole
-    right of s = 0 with a residue (_right_pole): min(sigma, n) unless
-    1/Gamma(beta - alpha) = 0 cancels the pole at s = sigma.  So the line
-    sits left at large xi and right at small xi: c = -sigma/2 for
-    2 pi xi >= 1 and c = 0.6 s_1 below.  s = 0 is not a pole, since
-    1/Gamma(s/2) vanishes there; the poles nearest the strip are s = -sigma
-    and s = s_1.  The step keeps exp(-2 pi d/h) below 1e-17 of the
-    integrand on the strip of half-width d, the distance from c to those
-    poles, h <= 2 pi d/(40 + d |log pi xi|), rounded down onto the ladder
+    right of s = 0 with a residue, the right series' first pole: min(sigma,
+    n) unless a zero of 1/Gamma(beta - alpha s/sigma) cancels the pole
+    there (_right_residues).  So the line sits left at large xi and right
+    at small xi: c = -sigma/2 for 2 pi xi >= 1 and c = 0.6 s_1 below.
+    s = 0 is not a pole, since 1/Gamma(s/2) vanishes there; the poles
+    nearest the strip are s = -sigma and s = s_1.  The step keeps
+    exp(-2 pi d/h) below 1e-17 of the integrand on the strip of half-width
+    d, the distance from c to those poles, h <= 2 pi d/(40 + d |log pi
+    xi|), rounded down onto the ladder
     h_base 2^(-k/4), h_base = 2 pi d/40: a point's rung is the first k with
     |log pi xi| <= B_k, B_k = 40 (2^(k/4) - 1)/d as the rule rounds it, and
     c, d, the ladder and the bounds are in the problem's plan

@@ -247,6 +247,10 @@ def test_left_line_centre_on_a_gamma_pole(sigma):
         ((0.8, 0.8, math.pi, 1.2, 3), 2.4, 1e-12),
         # beta - alpha = -1: s = n comes before s = 2 sigma = 3.2.
         ((1.5, 0.5, math.pi, 1.6, 3), 3.0, 1e-11),
+        # beta - alpha n/sigma = 0 cancels the pole at s = n, and the
+        # nearest right pole is s = sigma.  A line sized for s = n was
+        # 4.4e-10 off at xi = 1e-4; sized for s = sigma it is 2.1e-12 off.
+        ((1.5, 1.0, 2.6, 3.0, 2), 3.0, 1e-11),
     ],
 )
 def test_small_xi_line_sized_for_the_nearest_pole_with_a_residue(problem, s_1, bound):
@@ -289,6 +293,106 @@ def test_double_pole_carries_its_log_term():
     want = _mp_line(0.8, 1.0, math.pi, 1.5, 2, 1e-2)
     assert rel_err(value[0], want) <= 1e-14
     assert rel_err(ml_transform(tp, 1e-2), want) <= 1e-14
+
+
+_MP50 = mpmath.MPContext()
+_MP50.dps = 50
+
+
+def _mp_problem(problem, written):
+    """The problem's parameters in 50 digits, phi = pi as pi, and the others
+    the binary numbers they are, where a pole 1e-4 from another moves its
+    coefficient by 1e-11 for a shift of one ulp; or, where written, the
+    decimals they are written as: at (0.8, 1, pi, 0.7, 1) the binary 0.7
+    and 0.8 put the poles s = 10 sigma and s = 7 and the zero of 1/Gamma
+    1e-16 apart, too close for the differences at 1e-12 to resolve, and
+    the table merges them as the decimals do."""
+    read = (lambda v: _MP50.mpf(repr(v))) if written else _MP50.mpf
+    return tuple(_MP50.pi if v == math.pi else read(v) for v in problem)
+
+
+def _mp_laurent(params, pole):
+    """(C, D) with K(s) = D/u^2 + C/u + O(1), u = s - pole, in 50 digits,
+    from u^2 K at u = +-1e-12: the error of either difference is about
+    1e-24 of the pole's terms."""
+    ctx = _MP50
+    alpha, beta, phi, sigma, n = params
+    theta = phi - ctx.pi if phi > 0 else phi + ctx.pi
+
+    def u2_kernel(u):
+        s = pole + u
+        q = s / sigma
+        return (
+            u**2 * ctx.expj(-theta * q) * ctx.pi / ctx.sinpi(q) * ctx.rgamma(beta - alpha * q)
+            * ctx.gamma((n - s) / 2) * ctx.rgamma(s / 2) / sigma
+        )
+
+    h = ctx.mpf("1e-12")
+    above, below = u2_kernel(h), u2_kernel(-h)
+    return (above - below) / (2 * h), (above + below) / 2
+
+
+# Problems whose right poles the seeded sample would not hit, and a pole
+# each table must hold; where their poles meet as written, their
+# parameters are read as written.
+RESIDUE_CASES = (
+    ((0.8, 1.0, math.pi, 1.5, 2), 6.0),  # 4 sigma = n + 4: a double pole
+    ((0.8, 1.0, math.pi, 1.5, 1), 3.0),  # 2 sigma = n + 2: a double pole
+    ((1.3, 0.7, -2.5, 1.5, 2), 6.0),  # a double pole off phi = pi
+    # 2 sigma = n with beta - 2 alpha = -1: G's finite limit.
+    ((0.75, 0.5, math.pi, 0.5, 1), 1.0),
+    # 10 sigma = n + 6 with beta - 10 alpha = -7: G's finite limit.
+    ((0.8, 1.0, math.pi, 0.7, 1), 7.0),
+    # beta - alpha n/sigma = 0 cancels s = n; s_1 = sigma.
+    ((1.5, 1.0, 2.6, 3.0, 2), 3.0),
+)
+
+
+def test_right_coefficients_match_mpmath_residues():
+    # Every pole of each right table against the Laurent coefficients of K
+    # in 50 digits, relative to the pole's size: C and D of a simple pole
+    # within 5e-14, and at a double pole D within 5e-14 and C, which sums
+    # four derivatives, within 5e-13.  Where 1/Gamma(beta - alpha q) is
+    # formed from scipy's gamma past 100, whose own error grows with its
+    # argument (6.9e-14 at 128.62), the bounds are doubled.  The sample is
+    # 110 seeded problems (sigma 0.3 to 3, both signs of phi, phi = pi for
+    # a third) and the cases above.
+    rng = np.random.default_rng(38)
+    sample = []
+    while len(sample) < 110:
+        n = int(rng.integers(1, 5))
+        alpha, beta = rng.uniform(0.3, 1.9), rng.uniform(0.5, 2.5)
+        sigma = max(0.5 * (n - 1), 0.3) + rng.uniform(0.01, 2.0)
+        room = rng.uniform(0.05, 1.0)
+        phi = min(0.5 * math.pi * alpha + room * math.pi * (1.0 - 0.5 * alpha), math.pi)
+        phi = math.pi if rng.random() < 0.3 else float(rng.choice([1.0, -1.0])) * phi
+        sample.append(((alpha, beta, phi, sigma, n), None))
+    doubles = limits = 0
+    for problem, held in sample + list(RESIDUE_CASES):
+        alpha, beta, phi, sigma, n = problem
+        binary, written = _mp_problem(problem, False), _mp_problem(problem, True)
+        res = mellin._series_coefficients(TransformProblem(*problem)).series[1]
+        s = res.pole + res.ds
+        if held is not None:
+            assert np.any(np.abs(s - held) < 1e-12), problem
+        log_coef = np.zeros(s.size) if res.log_coef is None else res.log_coef
+        scale = -math.pi ** (0.5 * n)
+        for k in range(s.size):
+            # The exact pole: n + 2j, or m sigma, whichever s_k lies on.
+            j, m = round(0.5 * (s[k] - n)), round(s[k] / sigma)
+            meet = held is not None and abs(n + 2 * j - m * written[3]) < 1e-40
+            params = written if meet else binary
+            pole = min((_MP50.mpf(n + 2 * j), m * params[3]), key=lambda p: abs(p - s[k]))
+            assert abs(pole - s[k]) < 1e-12
+            c, d = (complex(v) * scale for v in _mp_laurent(params, pole))
+            double = abs(d) > 1e-10 * res.size[k]
+            doubles += double
+            limits += meet and not double
+            bound = (1.0 if 1.0 - beta + alpha * s[k] / sigma <= 100.0 else 2.0) * res.size[k]
+            where = (problem, float(s[k]))
+            assert abs(log_coef[k] - d) <= 5e-14 * bound, where
+            assert abs(res.coef[k] - c) <= (5e-13 if double else 5e-14) * bound, where
+    assert doubles >= 3 and limits >= 2
 
 
 @pytest.mark.parametrize("xi,taken", [(1e-3, True), (1e-2, False), (0.05, False)])
@@ -572,7 +676,7 @@ def test_kept_arrays_are_read_only():
     arrays = [f for f in (*lines, *left, *right) if isinstance(f, np.ndarray)]
     assert left.log_coef is None
     assert right.log_coef is not None  # 20 sigma = n + 32, a double pole
-    assert len(arrays) == 13
+    assert len(arrays) == 11
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
