@@ -127,17 +127,19 @@ def _contour_integral(
     factor(z, *args) takes the nodes as a row and each of args as a column,
     one row per value; with no args it gives one value, a complex.  Each
     row is summed on its own, so a value is the same in any batch.
-    AccuracyError when the arc's largest factor e^{eps^(1/alpha)} leaves
-    double range, or where rounding, eps times the sum of |terms|, exceeds
-    the target max(_ABS_TOL, _REL_TOL |value|); ConvergenceError when the
-    contour needs more than _MAX_NODES nodes.
+    AccuracyError when the arc's largest weight e^{rho0} rho0^(1-b+a),
+    rho0 = eps^(1/alpha), leaves double range, or where rounding, eps times
+    the sum of |terms|, exceeds the target max(_ABS_TOL, _REL_TOL |value|);
+    ConvergenceError when the contour needs more than _MAX_NODES nodes.
     """
     a, b = p.alpha, p.beta
     eps, om = _contour(p, phi, r)
     rho0 = eps ** (1.0 / a)
-    if rho0 > _LOG_DOUBLE_MAX:
+    # The log of the arc's largest weight e^{rho0} rho0^(1 - b + a), at psi = 0.
+    peak = rho0 + (1.0 - b + a) * math.log(rho0)
+    if not peak <= _LOG_DOUBLE_MAX:
         raise AccuracyError(
-            f"contour arc factor e^{{{rho0:.1f}}} leaves double range"
+            f"contour arc weight e^{{{peak:.1f}}} leaves double range"
         )
     # The nearest singularity: the point, an angle gap off the rays, and in
     # the growth sector ln(eps/r) inside the arc's parameter strip.
@@ -348,8 +350,9 @@ def ml_contour(p: MLParams, z: Complex) -> Complex:
     """E_{alpha,beta}(z) as (2 pi i alpha)^{-1} times the contour integral of
     exp(w^(1/alpha)) w^((1-beta)/alpha) / (w - z), over the contour that
     _contour picks for z, which leaves the pole w = z outside.
-    AccuracyError where the arc factor e^{|z|^(1/alpha) + 1} leaves double
-    range or the sum's rounding misses its target (_contour_integral), and
+    AccuracyError where the arc's largest weight, about
+    e^{|z|^(1/alpha) + 1} |z|^((1-beta)/alpha + 1), leaves double range or
+    the sum's rounding misses its target (_contour_integral), and
     DomainError for a non-finite z.
     """
     z = complex(z)

@@ -10,6 +10,8 @@ import math
 import os
 import shlex
 import stat
+import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -495,6 +497,64 @@ class TestReadmeCliBlock:
         code, out, _ = run_cli(capsys, *shlex.split(lines[at])[1:])
         assert code == 0
         assert out.splitlines() == [lines[at + 1][2:], lines[at + 2][2:]]
+
+
+def _one_pass(argv):
+    """The route through both parsers: the top-level parser's parse_args,
+    which hands the tokens after the command to the subcommand's parser,
+    then the handler as main calls it."""
+    args = cli.build_parser().parse_args(cli._normalize_argv(argv))
+    try:
+        return args.handler(args)
+    except MLFourierError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARITY_ARGVS = [shlex.split(ln)[1:] for ln in readme_cli_block() if ln.startswith("mlf ")] + [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["transform", "-h"],
+    ["transform", "--strategy", "mellin"],
+    ["transform", "--dim", "x"],
+    ["eval-ml"],
+    ["transform", "--xi-mi", "0.5"],
+    ["eval-ml", "--alpha", "1", "--z", "-1+0i"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=shlex.join)
+def test_main_matches_one_pass_through_both_parsers(argv, capsys, monkeypatch):
+    # main parses an argv that names a subcommand with that subcommand's
+    # parser alone; exit code, output and namespace are those of a pass
+    # through the top-level parser.  The clock is frozen so that the
+    # timestamps of the README lines that print one agree.
+    class FrozenClock:
+        @staticmethod
+        def now(tz):
+            return datetime(2024, 1, 1, tzinfo=tz)
+
+    monkeypatch.setattr(cli, "datetime", FrozenClock)
+    assert _outcome(cli.main, argv, capsys) == _outcome(_one_pass, argv, capsys)
+    normalized = cli._normalize_argv(argv)
+    try:
+        args = cli._parse(normalized)
+    except SystemExit:
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(normalized)
+    else:
+        assert vars(args) == vars(cli.build_parser().parse_args(normalized))
 
 
 class TestIbpCheck:

@@ -9,6 +9,7 @@ import cmath
 import functools
 import inspect
 import math
+import warnings
 from unittest import mock
 
 import mpmath
@@ -163,6 +164,21 @@ def test_contour_arc_out_of_double_range_is_accuracy_error():
         ml_contour(p, 9.0)
     with pytest.raises(AccuracyError, match="double range"):
         ml_eval(p, 9.0)
+
+
+def test_contour_guard_reads_the_arc_weight_exponent():
+    # At |z|^(1/alpha) = 703 the arc runs at rho0 = 704, where its largest
+    # weight e^{rho0} rho0^(1 - beta + alpha) is e^{712.5}, past double range
+    # while e^{rho0} is not: the guard refuses it before any weight
+    # overflows.  At (0.3, 0.5), rho0 = 703, the weight e^{708.2} is in
+    # range and the contour still serves E = 6.6e306.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="arc weight"):
+            ml_contour(MLParams(0.8, 0.5), 703**0.8)
+        p, z = MLParams(0.3, 0.5), 702**0.3
+        want = ml_eval(p, z)
+        assert abs(ml_contour(p, z) - want) <= 1e-13 * abs(want)
 
 
 def test_contour_rounding_guard_raises_instead_of_a_value():
